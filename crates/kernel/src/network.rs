@@ -165,6 +165,24 @@ pub enum DynamicsAction {
     },
 }
 
+impl DynamicsAction {
+    /// The node ids the action names (at most two).
+    fn node_ids(&self) -> [Option<u16>; 2] {
+        match *self {
+            DynamicsAction::SetLinkLoss { from, to, .. }
+            | DynamicsAction::ClearLinkLoss { from, to } => [Some(from), Some(to)],
+            DynamicsAction::SetChannelNoise { .. } | DynamicsAction::ClearChannelNoise { .. } => {
+                [None, None]
+            }
+            DynamicsAction::NodeDown { id }
+            | DynamicsAction::NodeUp { id }
+            | DynamicsAction::SetNodeChannel { id, .. }
+            | DynamicsAction::SetNodePower { id, .. }
+            | DynamicsAction::MoveNode { id, .. } => [Some(id), None],
+        }
+    }
+}
+
 /// Discriminant of a queued [`QEvent`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum QKind {
@@ -1096,6 +1114,26 @@ impl Network {
 
     fn apply_dynamics(&mut self, action: DynamicsAction) {
         let now = self.now;
+        let n = self.nodes.len();
+        if action
+            .node_ids()
+            .into_iter()
+            .flatten()
+            .any(|id| id as usize >= n)
+        {
+            // A plan naming a node this network does not have: drop the
+            // action rather than panic the event loop.
+            self.counters.incr("dyn.invalid");
+            if self.trace.accepts(TraceLevel::Warn) {
+                self.trace.emit(
+                    now,
+                    Trace::NO_NODE,
+                    TraceLevel::Warn,
+                    format!("dyn.invalid {action:?} dropped: only {n} nodes"),
+                );
+            }
+            return;
+        }
         match action {
             DynamicsAction::SetLinkLoss {
                 from,
@@ -2371,6 +2409,33 @@ mod tests {
         assert_eq!(net.counters.get("dyn.node_down"), 1);
         assert_eq!(net.counters.get("dyn.node_up"), 1);
     }
+
+    /// Regression: actions naming nodes past `node_count()` used to
+    /// index the node table unchecked and panic the event loop. They
+    /// are dropped, counted and traced; valid actions still apply.
+    #[test]
+    fn dynamics_naming_missing_nodes_are_dropped() {
+        let mut net = Network::new(line_medium(2, 5.0, 7), 7);
+        net.trace = Trace::enabled(TraceLevel::Info, 64);
+        let n = net.node_count() as u16;
+        let t0 = net.now();
+        net.schedule_dynamics(t0, DynamicsAction::NodeDown { id: n });
+        net.schedule_dynamics(
+            t0,
+            DynamicsAction::MoveNode {
+                id: n + 5,
+                position: Position::new(1.0, 1.0),
+            },
+        );
+        net.schedule_dynamics(t0, DynamicsAction::NodeDown { id: 1 });
+        net.run_for(SimDuration::from_secs(5));
+        assert_eq!(net.counters.get("dyn.invalid"), 2);
+        assert_eq!(net.counters.get("dyn.node_down"), 1);
+        assert_eq!(net.counters.get("dyn.reconfig"), 0);
+        let warnings = net.trace.find("dyn.invalid");
+        assert_eq!(warnings.len(), 2);
+        assert!(warnings.iter().all(|e| e.level == TraceLevel::Warn));
+    }
     // ------------------------------------------------------------------
     // Runtime invariant auditor (crate::audit)
     // ------------------------------------------------------------------
@@ -2721,16 +2786,14 @@ mod collision_tests {
     fn cached_and_brute_force_medium_run_identically() {
         let scatter = |seed: u64| {
             let mut rng = lv_sim::SimRng::from_seed_u64(seed);
-            let positions: Vec<Position> = (0..12)
+            (0..12)
                 .map(|_| Position::new(rng.unit() * 40.0, rng.unit() * 40.0))
-                .collect();
-            Medium::new(positions, PropagationConfig::default(), seed)
+                .collect::<Vec<Position>>()
         };
         for seed in [5u64, 29] {
-            let cached = scatter(seed);
-            assert!(cached.cache_enabled());
-            let mut brute = cached.clone();
-            brute.set_cache_enabled(false);
+            let cached = Medium::new(scatter(seed), PropagationConfig::default(), seed);
+            let brute = Medium::new_uncached(scatter(seed), PropagationConfig::default(), seed);
+            assert!(cached.cache_enabled() && !brute.cache_enabled());
 
             let digests: Vec<String> = [cached, brute]
                 .into_iter()

@@ -158,20 +158,24 @@ const MEMO_BITS: u32 = 14;
 ///
 /// Collisions simply overwrite (it is a cache of a pure function, so
 /// recomputation is always safe); key 0 marks an empty slot. The memo
-/// is flushed whenever link physics change (overrides, moves) and is
-/// dropped with the cache itself.
+/// is flushed once per mutator that changes link physics (overrides,
+/// moves) and is dropped with the cache itself.
 #[derive(Debug, Clone)]
 struct MeanMwMemo {
     /// Interleaved `(key, value)` pairs: one probe touches one cache
     /// line instead of one line in a key array plus one in a value
     /// array.
     slots: Vec<(u64, f64)>,
+    /// Whether any slot was written since the last flush; a clean memo
+    /// makes `clear` free.
+    dirty: bool,
 }
 
 impl MeanMwMemo {
     fn new() -> Self {
         MeanMwMemo {
             slots: vec![(0, 0.0); 1 << MEMO_BITS],
+            dirty: false,
         }
     }
 
@@ -187,8 +191,34 @@ impl MeanMwMemo {
         (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - MEMO_BITS)) as usize
     }
 
+    #[inline]
+    fn insert(&mut self, slot: usize, key: u64, value: f64) {
+        self.slots[slot] = (key, value);
+        self.dirty = true;
+    }
+
     fn clear(&mut self) {
-        self.slots.iter_mut().for_each(|s| s.0 = 0);
+        if std::mem::take(&mut self.dirty) {
+            self.slots.iter_mut().for_each(|s| s.0 = 0);
+        }
+    }
+}
+
+impl LinkCache {
+    /// Install, replace or drop the `from → to` entry of the sender's
+    /// sorted candidate list.
+    fn patch(&mut self, from: u16, to: u16, link: Option<CandidateLink>) {
+        let list = &mut self.candidates[from as usize];
+        let idx = list.partition_point(|c| c.to < to);
+        let present = list.get(idx).is_some_and(|c| c.to == to);
+        match (link, present) {
+            (Some(l), true) => list[idx] = l,
+            (Some(l), false) => list.insert(idx, l),
+            (None, true) => {
+                list.remove(idx);
+            }
+            (None, false) => {}
+        }
     }
 }
 
@@ -252,7 +282,7 @@ pub struct Medium {
     dead: Vec<bool>,
     /// Memoized link gains + candidate lists; `None` runs every query
     /// through the original brute-force computation (the two paths are
-    /// bit-identical — see `set_cache_enabled`).
+    /// bit-identical — see [`Medium::new_uncached`]).
     cache: Option<LinkCache>,
 }
 
@@ -261,13 +291,21 @@ impl Medium {
     /// CC2420-class constants.
     ///
     /// The reachability cache is built eagerly (O(N·degree) shadowing
-    /// draws); set the `LV_MEDIUM_BRUTE` environment variable to any
-    /// value to skip it and run every query brute-force — results are
-    /// identical, only the cost profile changes (used for A/B
-    /// benchmarking and regression tests).
+    /// draws).
     pub fn new(positions: Vec<Position>, config: PropagationConfig, seed: u64) -> Self {
+        let mut medium = Self::new_uncached(positions, config, seed);
+        medium.build_cache();
+        medium
+    }
+
+    /// [`Medium::new`] without the reachability cache: every query runs
+    /// the original O(N) brute-force computation. Results are
+    /// bit-identical, only the cost profile changes — this is the A/B
+    /// benchmark baseline and the regression-test reference, and it
+    /// skips the cache build entirely.
+    pub fn new_uncached(positions: Vec<Position>, config: PropagationConfig, seed: u64) -> Self {
         let n = positions.len();
-        let mut medium = Medium {
+        Medium {
             positions,
             propagation: LogDistance::new(config, seed),
             noise_floor: Dbm(-98.0),
@@ -277,25 +315,6 @@ impl Medium {
             channel_noise: BTreeMap::new(),
             dead: vec![false; n],
             cache: None,
-        };
-        if std::env::var_os("LV_MEDIUM_BRUTE").is_none() {
-            medium.rebuild_cache();
-        }
-        medium
-    }
-
-    /// Enable (rebuild) or disable the candidate/gain cache. Every
-    /// public query returns bit-identical results either way; disabled
-    /// mode restores the seed's O(N) scans and is kept as the benchmark
-    /// baseline and the property-test reference.
-    pub fn set_cache_enabled(&mut self, enabled: bool) {
-        if !enabled {
-            self.cache = None;
-        } else if self.cache.is_none() {
-            // The cache is maintained incrementally by every mutator, so
-            // an already-enabled cache is current — only build on the
-            // disabled→enabled edge.
-            self.rebuild_cache();
         }
     }
 
@@ -321,8 +340,8 @@ impl Medium {
         cfg.d0.0 * 10f64.powf(budget / (10.0 * cfg.exponent)) * 1.000001 + 1e-6
     }
 
-    /// Rebuild the whole cache from current positions and overrides.
-    fn rebuild_cache(&mut self) {
+    /// Build the whole cache from current positions and overrides.
+    fn build_cache(&mut self) {
         let r = self.max_qualify_range();
         let grid = SpatialGrid::new(&self.positions, r);
         let reject = RejectTable::build(&self.propagation, self.sensitivity, r);
@@ -419,29 +438,17 @@ impl Medium {
         }
     }
 
-    /// Re-evaluate a single directed link and patch the sender's sorted
-    /// candidate list in place. No-op without a cache.
+    /// Re-evaluate a single directed link, patch the sender's candidate
+    /// list and flush the memo. No-op without a cache.
     fn requalify_link(&mut self, from: u16, to: u16) {
-        if self.cache.is_none() {
-            return;
-        }
-        let link = self.qualify(from, to);
-        let Some(cache) = self.cache.as_mut() else {
+        // Detached so the qualifier can borrow `self` alongside it.
+        let Some(mut cache) = self.cache.take() else {
             return;
         };
-        // Link physics changed: every memoized mean is suspect.
+        let link = self.qualify_fast(from, to, &cache.reject);
+        cache.patch(from, to, link);
         cache.memo.clear();
-        let list = &mut cache.candidates[from as usize];
-        let idx = list.partition_point(|c| c.to < to);
-        let present = list.get(idx).is_some_and(|c| c.to == to);
-        match (link, present) {
-            (Some(l), true) => list[idx] = l,
-            (Some(l), false) => list.insert(idx, l),
-            (None, true) => {
-                list.remove(idx);
-            }
-            (None, false) => {}
-        }
+        self.cache = Some(cache);
     }
 
     /// Number of nodes the medium knows about.
@@ -459,44 +466,35 @@ impl Medium {
     /// Cache invalidation is precise: the moved node's own candidate
     /// list is rebuilt, and only senders within qualification range of
     /// the old or new position (plus senders holding an override toward
-    /// `id`) have their `→ id` link re-evaluated.
+    /// `id`) have their `→ id` link re-evaluated, through the same fast
+    /// rejects as the build. The memo is flushed once.
     pub fn set_position(&mut self, id: u16, pos: Position) {
-        let old = self.positions[id as usize];
-        self.positions[id as usize] = pos;
-        let (r, mut affected) = match self.cache.as_mut() {
-            None => return,
-            Some(cache) => {
-                cache.grid.move_node(id, old, pos);
-                let mut affected: Vec<u16> = Vec::new();
-                cache
-                    .grid
-                    .for_each_in_square(old, cache.max_range, |s| affected.push(s));
-                cache
-                    .grid
-                    .for_each_in_square(pos, cache.max_range, |s| affected.push(s));
-                (cache.max_range, affected)
-            }
+        let old = std::mem::replace(&mut self.positions[id as usize], pos);
+        // Detached so the qualifiers can borrow `self` alongside it.
+        let Some(mut cache) = self.cache.take() else {
+            return;
         };
-        for &(a, b) in self.overrides.keys() {
-            if b == id {
-                affected.push(a);
-            }
-        }
+        cache.grid.move_node(id, old, pos);
+        let mut affected: Vec<u16> = Vec::new();
+        cache
+            .grid
+            .for_each_in_square(old, cache.max_range, |s| affected.push(s));
+        cache
+            .grid
+            .for_each_in_square(pos, cache.max_range, |s| affected.push(s));
+        affected.extend(self.overrides.keys().filter(|k| k.1 == id).map(|k| k.0));
         affected.sort_unstable();
         affected.dedup();
-        let list = match self.cache.as_ref() {
-            None => return,
-            Some(cache) => self.build_sender_list(id, &cache.grid, r, &cache.reject),
-        };
-        if let Some(cache) = self.cache.as_mut() {
-            cache.candidates[id as usize] = list;
-            cache.memo.clear();
-        }
+        cache.candidates[id as usize] =
+            self.build_sender_list(id, &cache.grid, cache.max_range, &cache.reject);
         for s in affected {
             if s != id {
-                self.requalify_link(s, id);
+                let link = self.qualify_fast(s, id, &cache.reject);
+                cache.patch(s, id, link);
             }
         }
+        cache.memo.clear();
+        self.cache = Some(cache);
     }
 
     /// The noise floor.
@@ -515,14 +513,16 @@ impl Medium {
     }
 
     /// Apply a directed-link override (failure / asymmetry injection).
-    /// Invalidates exactly the one affected cached link.
+    /// Invalidates exactly the one affected cached link (plus one memo
+    /// flush, free when the memo is clean).
     pub fn set_override(&mut self, from: u16, to: u16, ov: LinkOverride) {
         self.overrides.insert((from, to), ov);
         self.requalify_link(from, to);
     }
 
     /// Remove a directed-link override. Invalidates exactly the one
-    /// affected cached link.
+    /// affected cached link (plus one memo flush, free when the memo is
+    /// clean).
     pub fn clear_override(&mut self, from: u16, to: u16) {
         self.overrides.remove(&(from, to));
         self.requalify_link(from, to);
@@ -808,7 +808,7 @@ impl Medium {
         }
         let mw = self.mean_rx_power(from, to, power)?.to_mw();
         if let Some(cache) = self.cache.as_mut() {
-            cache.memo.slots[slot] = (key, mw);
+            cache.memo.insert(slot, key, mw);
         }
         Some(mw)
     }
@@ -1006,12 +1006,20 @@ mod tests {
     }
 
     /// A scattered 40-node layout with a mix of link qualities.
-    fn scatter_medium(seed: u64) -> Medium {
+    fn scatter_positions(seed: u64) -> Vec<Position> {
         let mut rng = SimRng::from_seed_u64(seed);
-        let positions = (0..40)
+        (0..40)
             .map(|_| Position::new(rng.unit() * 120.0, rng.unit() * 120.0))
-            .collect();
-        Medium::new(positions, PropagationConfig::default(), seed)
+            .collect()
+    }
+
+    fn scatter_medium(seed: u64) -> Medium {
+        Medium::new(scatter_positions(seed), PropagationConfig::default(), seed)
+    }
+
+    /// The brute-force reference for `scatter_medium(seed)`.
+    fn scatter_brute(seed: u64) -> Medium {
+        Medium::new_uncached(scatter_positions(seed), PropagationConfig::default(), seed)
     }
 
     fn assert_media_agree(cached: &Medium, brute: &Medium, seed: u64) {
@@ -1050,17 +1058,13 @@ mod tests {
 
     #[test]
     fn cache_matches_brute_force_on_static_topology() {
-        let cached = scatter_medium(11);
-        let mut brute = cached.clone();
-        brute.set_cache_enabled(false);
-        assert_media_agree(&cached, &brute, 11);
+        assert_media_agree(&scatter_medium(11), &scatter_brute(11), 11);
     }
 
     #[test]
     fn cache_matches_brute_force_after_mutations() {
         let mut cached = scatter_medium(23);
-        let mut brute = cached.clone();
-        brute.set_cache_enabled(false);
+        let mut brute = scatter_brute(23);
         for (m, positions_known) in [(&mut cached, true), (&mut brute, false)] {
             let _ = positions_known;
             m.set_position(5, Position::new(300.0, 300.0)); // off the original bbox
@@ -1131,9 +1135,7 @@ mod tests {
     fn fast_paths_match_reference_on_static_topology() {
         let mut m = scatter_medium(13);
         assert_fast_paths_agree(&mut m, 13);
-        let mut brute = scatter_medium(13);
-        brute.set_cache_enabled(false);
-        assert_fast_paths_agree(&mut brute, 13);
+        assert_fast_paths_agree(&mut scatter_brute(13), 13);
     }
 
     #[test]
@@ -1164,20 +1166,5 @@ mod tests {
         m.clear_override(8, 9);
         m.set_dead(3, false);
         assert_fast_paths_agree(&mut m, 29);
-    }
-
-    #[test]
-    fn reenabling_cache_rebuilds_it() {
-        let mut m = scatter_medium(31);
-        let reference: Vec<u16> = m.reachable(0, PowerLevel::MAX).collect();
-        m.set_cache_enabled(false);
-        m.set_position(0, Position::new(60.0, 60.0));
-        m.set_cache_enabled(true);
-        let mut brute = m.clone();
-        brute.set_cache_enabled(false);
-        let after: Vec<u16> = m.reachable(0, PowerLevel::MAX).collect();
-        let expect: Vec<u16> = brute.reachable(0, PowerLevel::MAX).collect();
-        assert_eq!(after, expect);
-        let _ = reference;
     }
 }

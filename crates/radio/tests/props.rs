@@ -70,6 +70,30 @@ fn apply(m: &Mutation, medium: &mut Medium) {
     }
 }
 
+/// The nodes a mutation touches.
+fn touched(m: &Mutation) -> [u16; 2] {
+    match *m {
+        Mutation::Move { id, .. } | Mutation::Dead { id, .. } => [id, id],
+        Mutation::Override { from, to, .. } | Mutation::ClearOverride { from, to } => [from, to],
+    }
+}
+
+/// Read every link touching `ids` through the mean-mW memo and the CCA
+/// fast path, so that a mutation which fails to flush the memo leaves
+/// stale entries behind for the final comparison to find.
+fn warm(medium: &mut Medium, ids: [u16; 2], n: u16, rng: &mut SimRng) {
+    for id in ids {
+        for other in 0..n {
+            for (a, b) in [(id, other), (other, id)] {
+                for power in [PowerLevel::MIN, PowerLevel::MAX] {
+                    medium.mean_rx_mw(a, b, power);
+                    medium.cca_senses_fast(a, b, power, rng);
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     /// BER is a probability and non-increasing in SNR.
     #[test]
@@ -150,7 +174,9 @@ proptest! {
     /// override mutations, the cached medium answers every query
     /// bit-identically to brute force — same reachable sets (and hence
     /// the same RxEnd schedule), same mean powers, same assessments,
-    /// and the same number of RNG draws consumed.
+    /// and the same number of RNG draws consumed. The memo and the CCA
+    /// fast path are read between mutations, so a missed memo flush
+    /// shows up as a stale `mean_rx_mw`.
     #[test]
     fn cached_medium_matches_brute_force(
         seed in any::<u64>(),
@@ -160,11 +186,12 @@ proptest! {
         let positions: Vec<Position> = (0..16)
             .map(|_| Position::new(rng.unit() * 150.0, rng.unit() * 150.0))
             .collect();
-        let mut cached = Medium::new(positions, PropagationConfig::default(), seed);
-        prop_assert!(cached.cache_enabled());
-        let mut brute = cached.clone();
-        brute.set_cache_enabled(false);
+        let mut cached = Medium::new(positions.clone(), PropagationConfig::default(), seed);
+        let mut brute = Medium::new_uncached(positions, PropagationConfig::default(), seed);
+        prop_assert!(cached.cache_enabled() && !brute.cache_enabled());
+        let mut warm_rng = SimRng::stream(seed, 0x3A3A);
         for m in &muts {
+            warm(&mut cached, touched(m), 16, &mut warm_rng);
             apply(m, &mut cached);
             apply(m, &mut brute);
         }
@@ -192,6 +219,19 @@ proptest! {
                         brute.cca_senses(from, to, power, &mut c2)
                     );
                     prop_assert_eq!(c1.next_u64(), c2.next_u64(), "cca rng desync");
+                    prop_assert_eq!(
+                        cached.mean_rx_mw(from, to, power).map(f64::to_bits),
+                        brute.mean_rx_power(from, to, power).map(|p| p.to_mw().to_bits()),
+                        "mean_rx_mw({},{})", from, to
+                    );
+                    let mut f1 = SimRng::stream(seed, 0xFA57);
+                    let mut f2 = f1.clone();
+                    prop_assert_eq!(
+                        cached.cca_senses_fast(from, to, power, &mut f1),
+                        brute.cca_senses(from, to, power, &mut f2),
+                        "cca_senses_fast({},{})", from, to
+                    );
+                    prop_assert_eq!(f1.next_u64(), f2.next_u64(), "fast cca rng desync");
                 }
             }
         }

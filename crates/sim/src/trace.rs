@@ -12,6 +12,9 @@ use std::fmt;
 /// Severity / verbosity of a trace record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum TraceLevel {
+    /// Anomalies the simulator recovered from (a dynamics action naming
+    /// a node that does not exist). Kept whenever `Info` is.
+    Warn,
     /// Always-interesting events (command issued, command completed).
     Info,
     /// Per-packet events (transmission start, reception, drop).

@@ -1048,24 +1048,19 @@ pub fn scale_point(nodes: usize, seed: u64, cached: bool) -> ScaleRow {
         spacing: 24.0,
     };
     let started = std::time::Instant::now();
+    let config = lv_radio::PropagationConfig::default();
+    // The brute arm never builds the cache, so it is the genuine
+    // pre-optimization cost profile.
     let medium = if cached {
-        topology.medium(lv_radio::PropagationConfig::default(), seed)
+        topology.medium(config, seed)
     } else {
-        // Same A/B hook the end-to-end figure tests use: constructing
-        // under LV_MEDIUM_BRUTE skips the eager cache build, so the
-        // brute arm is the genuine pre-optimization cost profile.
-        std::env::set_var("LV_MEDIUM_BRUTE", "1");
-        let m = topology.medium(lv_radio::PropagationConfig::default(), seed);
-        std::env::remove_var("LV_MEDIUM_BRUTE");
-        m
+        topology.medium_uncached(config, seed)
     };
     let mut h = std::collections::hash_map::DefaultHasher::new();
     let mut events = 0u64;
     for trial in 0..SCALE_TRIALS {
         let trial_seed = seed.wrapping_add(trial.wrapping_mul(0x9E37_79B9));
-        let mut m = medium.clone();
-        m.set_cache_enabled(cached);
-        let mut net = Network::new(m, trial_seed);
+        let mut net = Network::new(medium.clone(), trial_seed);
         for i in 0..net.node_count() as u16 {
             net.install_router(
                 i,

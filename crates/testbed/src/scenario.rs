@@ -10,6 +10,7 @@ use lv_kernel::{Network, NetworkConfig};
 use lv_net::packet::Port;
 use lv_net::routing::{CollectionTree, Flooding, Geographic};
 use lv_radio::propagation::PropagationConfig;
+use lv_radio::Medium;
 use lv_sim::SimDuration;
 use serde::{Deserialize, Serialize};
 
@@ -103,6 +104,17 @@ impl Scenario {
         net_config: NetworkConfig,
     ) -> Scenario {
         let medium = config.topology.medium(config.propagation, config.seed);
+        Self::build_on_medium(medium, config, net_config)
+    }
+
+    /// Build on a caller-supplied medium instead of
+    /// `config.topology.medium(..)` — e.g. the brute-force reference
+    /// from [`Topology::medium_uncached`].
+    pub fn build_on_medium(
+        medium: Medium,
+        config: ScenarioConfig,
+        net_config: NetworkConfig,
+    ) -> Scenario {
         let mut net = Network::with_config(medium, config.seed, net_config);
         for i in 0..net.node_count() as u16 {
             if config.protocols.geographic {

@@ -95,7 +95,18 @@ impl Topology {
 
     /// Build the medium: positions plus any structural link overrides.
     pub fn medium(&self, config: PropagationConfig, seed: u64) -> Medium {
-        let mut medium = Medium::new(self.positions(seed), config, seed);
+        self.with_overrides(Medium::new(self.positions(seed), config, seed))
+    }
+
+    /// [`Topology::medium`] without the reachability cache
+    /// ([`Medium::new_uncached`]): the bit-identical brute-force
+    /// reference, for A/B benchmarks and equivalence tests.
+    pub fn medium_uncached(&self, config: PropagationConfig, seed: u64) -> Medium {
+        self.with_overrides(Medium::new_uncached(self.positions(seed), config, seed))
+    }
+
+    /// Install the topology's structural link overrides.
+    fn with_overrides(&self, mut medium: Medium) -> Medium {
         if let Topology::Corridor {
             n, wall_loss_db, ..
         } = *self

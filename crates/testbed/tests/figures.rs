@@ -211,28 +211,60 @@ fn ablation_energy_ordering() {
     );
 }
 
-/// End-to-end guard for the reachability cache: the headline figures
-/// are bit-identical with the cache enabled (default) and disabled
-/// (`LV_MEDIUM_BRUTE=1`, the A/B hook in `lv_radio::Medium::new`).
-/// Harmless under parallel tests precisely *because* the two modes are
-/// equivalent — a test racing onto the brute path must see the same
-/// numbers.
+/// End-to-end guard for the reachability cache: the traceroutes behind
+/// Figs. 5–7 (the 8-hop corridor at default power and at levels 10 and
+/// 25, and the 1–7-hop corridors) produce bit-identical outcomes and
+/// counters on a cached medium and on the brute-force reference
+/// (`Topology::medium_uncached`).
 #[test]
 fn figures_bit_identical_with_and_without_medium_cache() {
-    let run_all = || {
-        (
-            format!("{:?}", fig5_traceroute_delay(42)),
-            format!("{:?}", fig6_rssi_vs_power(42)),
-            format!("{:?}", fig7_overhead(42)),
-        )
+    use liteview::CommandRequest;
+    use lv_kernel::NetworkConfig;
+    use lv_net::packet::Port;
+    use lv_radio::{PowerLevel, PropagationConfig};
+    use lv_sim::SimDuration;
+    use lv_testbed::{Scenario, ScenarioConfig, Topology};
+
+    let trace = |hops: usize, power: Option<u8>, cached: bool| -> String {
+        let topo = Topology::Corridor {
+            n: hops + 1,
+            spacing: 5.0,
+            wall_loss_db: 40.0,
+        };
+        let medium = if cached {
+            topo.medium(PropagationConfig::default(), 42)
+        } else {
+            topo.medium_uncached(PropagationConfig::default(), 42)
+        };
+        let cfg = ScenarioConfig::new(topo, 42);
+        let mut s = Scenario::build_on_medium(medium, cfg, NetworkConfig::default());
+        if let Some(level) = power {
+            let p = PowerLevel::new(level).expect("valid level");
+            for i in 0..s.net.node_count() as u16 {
+                s.net.set_node_power(i, p);
+            }
+            s.net.run_for(SimDuration::from_secs(10));
+        }
+        s.ws.cd(&s.net, "192.168.0.1").unwrap();
+        let exec =
+            s.ws.exec(
+                &mut s.net,
+                CommandRequest::traceroute(hops as u16, 32, Port::GEOGRAPHIC),
+            )
+            .unwrap();
+        let counters: Vec<_> = s.net.counters.iter().collect();
+        format!("{:?} {counters:?}", exec.result)
     };
-    let cached = run_all();
-    std::env::set_var("LV_MEDIUM_BRUTE", "1");
-    let brute = run_all();
-    std::env::remove_var("LV_MEDIUM_BRUTE");
-    assert_eq!(cached.0, brute.0, "fig5 diverged");
-    assert_eq!(cached.1, brute.1, "fig6 diverged");
-    assert_eq!(cached.2, brute.2, "fig7 diverged");
+    let runs = [(8, None), (8, Some(10)), (8, Some(25))]
+        .into_iter()
+        .chain((1..8).map(|hops| (hops, None)));
+    for (hops, power) in runs {
+        assert_eq!(
+            trace(hops, power, true),
+            trace(hops, power, false),
+            "{hops}-hop corridor at power {power:?} diverged"
+        );
+    }
 }
 
 #[test]
