@@ -124,7 +124,7 @@ fn ping_multiple_rounds() {
 #[test]
 fn ping_dead_node_times_out_cleanly() {
     let mut net = line_network(3, 5.0, 6);
-    net.set_node_alive(2, false);
+    net.medium.set_dead(2, true);
     let mut ws = Workstation::install(&mut net, 0);
     ws.cd(&net, "192.168.0.1").unwrap();
     let exec = ws
@@ -465,7 +465,7 @@ fn every_channel_works() {
         ws.cd(&net, "192.168.0.2").unwrap();
         let exec = ws.exec(&mut net, CommandRequest::set_channel(ch)).unwrap();
         assert_eq!(exec.result, CommandResult::Ok, "set channel {ch}");
-        net.set_node_channel(0, lv_radio::Channel::new(ch).unwrap());
+        net.node_mut(0).channel = lv_radio::Channel::new(ch).unwrap();
         ws.cd(&net, "192.168.0.1").unwrap();
         let exec = ws
             .exec(&mut net, CommandRequest::ping(1, 1, 32, None))
@@ -631,7 +631,7 @@ fn group_survey_skips_dead_nodes() {
     let mut net = Network::new(medium, 23);
     install_suite(&mut net);
     net.run_for(SimDuration::from_secs(5));
-    net.set_node_alive(2, false);
+    net.medium.set_dead(2, true);
     let mut ws = Workstation::install(&mut net, 0);
     let exec = ws.exec(&mut net, CommandRequest::survey()).unwrap();
     let CommandResult::GroupStatus(rows) = &exec.result else {

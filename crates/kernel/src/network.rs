@@ -299,20 +299,23 @@ impl EventArena {
 
 /// An in-flight (or recently finished) transmission. The frame is
 /// reference-counted so the fan-out to many receivers shares one
-/// allocation instead of cloning the payload per receiver.
+/// allocation instead of cloning the payload per receiver. The busy /
+/// interference / CCA scans walk these rows directly, two to a
+/// 64-byte cache line.
 struct ActiveTx {
-    sender: u16,
-    channel: Channel,
-    power: lv_radio::PowerLevel,
     start: SimTime,
     end: SimTime,
     frame: Arc<Frame>,
-    wire_len: usize,
+    sender: u16,
+    channel: Channel,
+    power: lv_radio::PowerLevel,
     /// Tombstone: the sender died mid-frame. Lookups miss and scans
     /// skip it, but the slot keeps its place so the table's start
     /// ordering (and thus the binary-searched scan floor) stays valid.
     aborted: bool,
 }
+
+const _: () = assert!(std::mem::size_of::<ActiveTx>() == 32);
 
 /// The active-transmission table. Ids are assigned in start order and
 /// only ever pruned from the front, so a `VecDeque` with a sliding
@@ -334,23 +337,6 @@ struct ActiveTx {
 struct TxTable {
     base: u64,
     slots: std::collections::VecDeque<ActiveTx>,
-    /// Struct-of-arrays mirror of the fields the busy / interference /
-    /// CCA scans read, kept in index lockstep with `slots`. A scan pass
-    /// walks these dense 24-byte rows instead of the `Arc`-carrying
-    /// `ActiveTx` structs, so the per-reception sweep stays in one or
-    /// two cache lines.
-    rows: std::collections::VecDeque<ScanRow>,
-}
-
-/// Compact scan-side view of one [`ActiveTx`] (see [`TxTable::rows`]).
-#[derive(Clone, Copy)]
-struct ScanRow {
-    start: SimTime,
-    end: SimTime,
-    sender: u16,
-    channel: Channel,
-    power: lv_radio::PowerLevel,
-    aborted: bool,
 }
 
 impl TxTable {
@@ -358,7 +344,6 @@ impl TxTable {
         TxTable {
             base: 0,
             slots: std::collections::VecDeque::new(),
-            rows: std::collections::VecDeque::new(),
         }
     }
 
@@ -373,14 +358,6 @@ impl TxTable {
             self.base + self.slots.len() as u64,
             "tx ids must be appended in order"
         );
-        self.rows.push_back(ScanRow {
-            start: tx.start,
-            end: tx.end,
-            sender: tx.sender,
-            channel: tx.channel,
-            power: tx.power,
-            aborted: tx.aborted,
-        });
         self.slots.push_back(tx);
     }
 
@@ -400,18 +377,6 @@ impl TxTable {
             .filter_map(move |(i, tx)| (!tx.aborted).then_some((first_id + i as u64, tx)))
     }
 
-    /// Like [`TxTable::iter_from`], but over the compact scan rows —
-    /// the hot-path variant used by the busy / interference / CCA
-    /// passes. Identical ids, identical order, identical filtering.
-    fn rows_from(&self, floor: u64) -> impl Iterator<Item = (u64, ScanRow)> + '_ {
-        let start = (floor.saturating_sub(self.base) as usize).min(self.rows.len());
-        let first_id = self.base + start as u64;
-        self.rows
-            .range(start..)
-            .enumerate()
-            .filter_map(move |(i, row)| (!row.aborted).then_some((first_id + i as u64, *row)))
-    }
-
     /// First id that could still overlap an interval beginning at
     /// `from`, given no frame lasts longer than `max_airtime`. Starts
     /// are monotone in id (assigned at strictly non-decreasing virtual
@@ -420,18 +385,15 @@ impl TxTable {
     /// at or before `from`.
     fn scan_floor(&self, from: SimTime, max_airtime: SimDuration) -> u64 {
         let i = self
-            .rows
-            .partition_point(|row| row.start + max_airtime <= from);
+            .slots
+            .partition_point(|tx| tx.start + max_airtime <= from);
         self.base + i as u64
     }
 
     /// Tombstone every entry from `sender`.
     fn abort_sender(&mut self, sender: u16) {
-        for (tx, row) in self.slots.iter_mut().zip(self.rows.iter_mut()) {
-            if tx.sender == sender {
-                tx.aborted = true;
-                row.aborted = true;
-            }
+        for tx in self.slots.iter_mut().filter(|tx| tx.sender == sender) {
+            tx.aborted = true;
         }
     }
 
@@ -441,7 +403,6 @@ impl TxTable {
         while let Some(front) = self.slots.front() {
             if front.aborted || front.end < horizon {
                 self.slots.pop_front();
-                self.rows.pop_front();
                 self.base += 1;
             } else {
                 break;
@@ -512,15 +473,6 @@ pub struct Network {
     arena: EventArena,
     now: SimTime,
     active: TxTable,
-    /// Struct-of-arrays mirrors of the per-node radio state the hot
-    /// scans touch (fan-out liveness, channel filters, power lookups).
-    /// `Node` remains the source of truth; every mutation goes through
-    /// a setter (or dynamics/effect handler) that keeps these in sync,
-    /// so the scans read a few contiguous bytes instead of striding
-    /// across kilobyte-scale `Node` structs.
-    node_alive: Vec<bool>,
-    node_channel: Vec<Channel>,
-    node_power: Vec<lv_radio::PowerLevel>,
     /// Per-node time until which the radio is occupied transmitting —
     /// a node is half-duplex and strictly serial on its own TX path.
     tx_busy_until: Vec<SimTime>,
@@ -573,9 +525,6 @@ impl Network {
         let nodes: Vec<Node> = (0..n)
             .map(|i| Node::new(i as u16, default_name(i as u16), seed))
             .collect();
-        let node_alive = nodes.iter().map(|nd| nd.alive).collect();
-        let node_channel = nodes.iter().map(|nd| nd.channel).collect();
-        let node_power = nodes.iter().map(|nd| nd.power).collect();
         let mut net = Network {
             medium,
             nodes,
@@ -584,9 +533,6 @@ impl Network {
             arena: EventArena::new(),
             now: SimTime::ZERO,
             active: TxTable::new(),
-            node_alive,
-            node_channel,
-            node_power,
             tx_busy_until: vec![SimTime::ZERO; n],
             ack_reserved_until: vec![SimTime::ZERO; n],
             next_tx: 0,
@@ -824,33 +770,11 @@ impl Network {
         &self.nodes[id as usize]
     }
 
-    /// Mutable node access (experiment setup: log, rng, stack, …).
-    ///
-    /// The alive / channel / power fields are mirrored into
-    /// struct-of-arrays columns the hot dispatch paths scan; writing
-    /// them through this handle would desynchronize the mirror. Use
-    /// [`Network::set_node_alive`], [`Network::set_node_channel`] and
-    /// [`Network::set_node_power`] for those three.
+    /// Mutable node access (experiment setup: log, rng, stack, radio
+    /// power and channel, …). Liveness is not a node field: kill and
+    /// revive a radio through [`Medium::set_dead`] on `medium`.
     pub fn node_mut(&mut self, id: u16) -> &mut Node {
         &mut self.nodes[id as usize]
-    }
-
-    /// Set a node's alive flag, keeping the SoA mirror in sync.
-    pub fn set_node_alive(&mut self, id: u16, alive: bool) {
-        self.nodes[id as usize].alive = alive;
-        self.node_alive[id as usize] = alive;
-    }
-
-    /// Set a node's radio channel, keeping the SoA mirror in sync.
-    pub fn set_node_channel(&mut self, id: u16, channel: Channel) {
-        self.nodes[id as usize].channel = channel;
-        self.node_channel[id as usize] = channel;
-    }
-
-    /// Set a node's transmit power, keeping the SoA mirror in sync.
-    pub fn set_node_power(&mut self, id: u16, power: lv_radio::PowerLevel) {
-        self.nodes[id as usize].power = power;
-        self.node_power[id as usize] = power;
     }
 
     /// The deployment's name registry.
@@ -860,7 +784,10 @@ impl Network {
 
     /// Snapshot every node's health and traffic counters, in node order.
     pub fn node_stats(&self) -> Vec<crate::node::NodeStats> {
-        self.nodes.iter().map(|n| n.stats()).collect()
+        self.nodes
+            .iter()
+            .map(|n| n.stats(!self.medium.is_dead(n.id)))
+            .collect()
     }
 
     /// Resolve a node name to an id.
@@ -963,9 +890,7 @@ impl Network {
         for (tx_id, tx) in self.active.iter_from(0) {
             // Only transmissions still on the air matter; ended entries
             // legitimately linger until the amortized prune.
-            if tx.end > self.now
-                && (!self.nodes[tx.sender as usize].alive || self.medium.is_dead(tx.sender))
-            {
+            if tx.end > self.now && self.medium.is_dead(tx.sender) {
                 found.push(AuditViolation::StaleActiveTx {
                     sender: tx.sender,
                     tx_id,
@@ -1036,7 +961,7 @@ impl Network {
             Event::MacCca { node, token } => self.on_cca(node, token),
             Event::MacAckTimeout { node, token } => {
                 let idx = node as usize;
-                if !self.nodes[idx].alive {
+                if self.medium.is_dead(node) {
                     return;
                 }
                 let actions = {
@@ -1048,7 +973,7 @@ impl Network {
             }
             Event::TxEnd { node, tx_id } => {
                 let idx = node as usize;
-                if !self.nodes[idx].alive {
+                if self.medium.is_dead(node) {
                     return;
                 }
                 // Raw transmissions (immediate acks) are not owned by
@@ -1070,7 +995,7 @@ impl Network {
             }
             Event::RxEnd { node, tx_id } => self.on_rx_end(node, tx_id),
             Event::SendAck { node, dst, seq } => {
-                if !self.nodes[node as usize].alive {
+                if self.medium.is_dead(node) {
                     return;
                 }
                 let frame = Frame::ack(node, dst, seq);
@@ -1199,8 +1124,6 @@ impl Network {
                 }
             }
             DynamicsAction::NodeDown { id } => {
-                self.nodes[id as usize].alive = false;
-                self.node_alive[id as usize] = false;
                 self.medium.set_dead(id, true);
                 self.abort_transmissions_of(id);
                 self.counters.incr_id(CounterId::DynNodeDown);
@@ -1212,7 +1135,6 @@ impl Network {
             DynamicsAction::NodeUp { id } => {
                 self.medium.set_dead(id, false);
                 self.nodes[id as usize].reboot();
-                self.node_alive[id as usize] = true;
                 self.counters.incr_id(CounterId::DynNodeUp);
                 if self.trace.accepts(TraceLevel::Info) {
                     self.trace
@@ -1221,7 +1143,6 @@ impl Network {
             }
             DynamicsAction::SetNodeChannel { id, channel } => {
                 self.nodes[id as usize].channel = channel;
-                self.node_channel[id as usize] = channel;
                 self.counters.incr_id(CounterId::DynReconfig);
                 if self.trace.accepts(TraceLevel::Info) {
                     self.trace.emit(
@@ -1234,7 +1155,6 @@ impl Network {
             }
             DynamicsAction::SetNodePower { id, power } => {
                 self.nodes[id as usize].power = power;
-                self.node_power[id as usize] = power;
                 self.counters.incr_id(CounterId::DynReconfig);
                 if self.trace.accepts(TraceLevel::Info) {
                     self.trace.emit(
@@ -1275,7 +1195,7 @@ impl Network {
 
     fn on_beacon_tick(&mut self, node: u16) {
         let idx = node as usize;
-        if self.nodes[idx].alive && !self.medium.is_dead(node) {
+        if !self.medium.is_dead(node) {
             let actions = {
                 let medium = &self.medium;
                 let n = &mut self.nodes[idx];
@@ -1303,16 +1223,16 @@ impl Network {
     // lv-lint: hot
     fn on_cca(&mut self, node: u16, token: u64) {
         let idx = node as usize;
-        if !self.node_alive[idx] {
+        if self.medium.is_dead(node) {
             return;
         }
         let floor = self.active.scan_floor(self.now, self.max_airtime);
-        let channel = self.node_channel[idx];
+        let channel = self.nodes[idx].channel;
         let clear = {
             let medium = &self.medium;
             let n = &mut self.nodes[idx];
             let mut busy = false;
-            for (_, tx) in self.active.rows_from(floor) {
+            for (_, tx) in self.active.iter_from(floor) {
                 if tx.end <= self.now || tx.start > self.now || tx.channel != channel {
                     continue;
                 }
@@ -1341,7 +1261,7 @@ impl Network {
         let Some(tx) = self.active.get(tx_id) else {
             return;
         };
-        if !self.node_alive[idx] || self.node_channel[idx] != tx.channel {
+        if self.medium.is_dead(node) || self.nodes[idx].channel != tx.channel {
             return;
         }
         // One pass over the active table does double duty: detect the
@@ -1355,7 +1275,7 @@ impl Network {
         let mut interference_mw = 0.0;
         let floor = self.active.scan_floor(tx.start, self.max_airtime);
         let (tx_start, tx_end, tx_sender, tx_channel) = (tx.start, tx.end, tx.sender, tx.channel);
-        for (_, other) in self.active.rows_from(floor) {
+        for (_, other) in self.active.iter_from(floor) {
             if other.sender == node {
                 if other.start < tx_end && other.end > tx_start {
                     busy_transmitting = true;
@@ -1377,29 +1297,19 @@ impl Network {
             self.counters.incr_id(CounterId::RxHalfduplexMiss);
             return;
         }
-        let (sender, power, wire_len, channel, frame) = (
-            tx.sender,
-            tx.power,
-            tx.wire_len,
-            tx.channel,
-            tx.frame.clone(),
+        let (power, frame) = (tx.power, tx.frame.clone());
+        let wire_len = frame.wire_len();
+        // Channel-aware: picks up any bursty-interference noise offset
+        // on the frame's channel.
+        let assessment = self.medium.assess_on(
+            tx_sender,
+            node,
+            power,
+            wire_len,
+            interference_mw,
+            tx_channel,
+            &mut self.nodes[idx].rng,
         );
-        let assessment = {
-            let medium = &self.medium;
-            let nn = &mut self.nodes[idx];
-            // Channel-aware: picks up any bursty-interference noise
-            // offset on the frame's channel (bit-identical to `assess`
-            // while no offset is set).
-            medium.assess_on(
-                sender,
-                node,
-                power,
-                wire_len,
-                interference_mw,
-                channel,
-                &mut nn.rng,
-            )
-        };
         let Some(a) = assessment else {
             return; // below sensitivity (or link blocked)
         };
@@ -1415,7 +1325,7 @@ impl Network {
                     at,
                     node,
                     TraceLevel::Debug,
-                    format!("rx.corrupt from={} len={wire_len}", sender),
+                    format!("rx.corrupt from={tx_sender} len={wire_len}"),
                 );
             }
             return;
@@ -1661,7 +1571,7 @@ impl Network {
     // lv-lint: hot
     fn begin_transmission(&mut self, node: u16, frame: Frame) {
         let idx = node as usize;
-        if !self.node_alive[idx] || self.medium.is_dead(node) {
+        if self.medium.is_dead(node) {
             return;
         }
         // Half duplex, one frame at a time: if the radio is mid-frame,
@@ -1683,7 +1593,7 @@ impl Network {
         }
         let start = self.now;
         let end = start + airtime;
-        let (tx_power, tx_channel) = (self.node_power[idx], self.node_channel[idx]);
+        let (tx_power, tx_channel) = (self.nodes[idx].power, self.nodes[idx].channel);
         self.tx_busy_until[idx] = end;
         self.nodes[idx].energy.charge_tx(airtime, tx_power);
         let (kind_id, kind) = match frame.kind {
@@ -1708,7 +1618,7 @@ impl Network {
         // exactly the nodes `hears` accepts, ascending by id — O(degree)
         // through the medium's candidate cache instead of O(N).
         for j in self.medium.reachable(node, tx_power) {
-            if j == node || !self.node_alive[j as usize] {
+            if j == node {
                 continue;
             }
             self.queue.push(
@@ -1733,13 +1643,12 @@ impl Network {
         self.active.push(
             tx_id,
             ActiveTx {
-                sender: node,
-                channel: tx_channel,
-                power: tx_power,
                 start,
                 end,
                 frame: Arc::new(frame),
-                wire_len,
+                sender: node,
+                channel: tx_channel,
+                power: tx_power,
                 aborted: false,
             },
         );
@@ -1769,7 +1678,7 @@ impl Network {
         hook: impl FnOnce(&mut dyn Process, &mut SysCtx<'_>),
     ) {
         let idx = node as usize;
-        if !self.nodes[idx].alive {
+        if self.medium.is_dead(node) {
             return;
         }
         let now = self.now;
@@ -1919,14 +1828,8 @@ impl Network {
                         self.counters.incr_id(CounterId::SysBlacklistUnknown);
                     }
                 }
-                Effect::SetPower(level) => {
-                    self.nodes[idx].power = level;
-                    self.node_power[idx] = level;
-                }
-                Effect::SetChannel(channel) => {
-                    self.nodes[idx].channel = channel;
-                    self.node_channel[idx] = channel;
-                }
+                Effect::SetPower(level) => self.nodes[idx].power = level,
+                Effect::SetChannel(channel) => self.nodes[idx].channel = channel,
                 Effect::SetBeaconPeriod(period) => {
                     self.nodes[idx].stack.config_mut().beacon_period = period;
                 }
@@ -2068,7 +1971,7 @@ mod tests {
         net.run_for(SimDuration::from_secs(5));
         assert!(net.node(1).stack.neighbors.get(0).is_some());
         // Kill node 0 and let the neighbor table expire it.
-        net.set_node_alive(0, false);
+        net.medium.set_dead(0, true);
         net.run_for(SimDuration::from_secs(30));
         assert!(net.node(1).stack.neighbors.get(0).is_none());
     }
@@ -2202,7 +2105,7 @@ mod tests {
         // Node 1 moves to another channel; node 0's beacons no longer
         // reach it.
         let mut net = Network::new(line_medium(2, 5.0, 3), 3);
-        net.set_node_channel(1, Channel::new(20).unwrap());
+        net.node_mut(1).channel = Channel::new(20).unwrap();
         net.run_for(SimDuration::from_secs(10));
         assert!(net.node(1).stack.neighbors.get(0).is_none());
         assert!(net.node(0).stack.neighbors.get(1).is_none());
@@ -2400,7 +2303,7 @@ mod tests {
         net.run_for(SimDuration::from_millis(1));
         assert!(net.node(1).stack.neighbors.get(0).is_none());
         // …and the reboot comes back alive with an empty table.
-        assert!(net.node(0).alive);
+        assert!(!net.medium.is_dead(0));
         assert!(net.node(0).stack.neighbors.get(1).is_none());
         // Beacons rebuild both directions.
         net.run_for(SimDuration::from_secs(15));
@@ -2499,8 +2402,8 @@ mod tests {
 
     /// Killing a node through the dynamics engine aborts its
     /// transmissions (the churn guarantee), so the auditor stays clean;
-    /// flipping `alive` behind the engine's back leaves a stale entry
-    /// the sweep must catch.
+    /// flipping the medium's dead bit behind the engine's back leaves a
+    /// stale entry the sweep must catch.
     #[test]
     fn auditor_catches_stale_transmissions_only_on_raw_kill() {
         let run = |raw_kill: bool| {
@@ -2525,7 +2428,7 @@ mod tests {
             .unwrap();
             run_until_airborne(&mut net, 0);
             if raw_kill {
-                net.set_node_alive(0, false);
+                net.medium.set_dead(0, true);
             } else {
                 net.schedule_dynamics(net.now(), DynamicsAction::NodeDown { id: 0 });
                 net.run_for(SimDuration::from_micros(1));
@@ -2862,9 +2765,8 @@ mod collision_tests {
         }
 
         /// Interleaved push/abort/prune on the in-flight transmission
-        /// table: ids never collide while live, the SoA scan rows stay
-        /// in lockstep with the slots, and a prune past every end time
-        /// drains the table to empty.
+        /// table: ids never collide while live, aborted ids stay dead,
+        /// and a prune past every end time drains the table to empty.
         #[test]
         fn tx_table_ids_never_alias(
             ops in proptest::collection::vec((0u8..8, 0u64..50), 1..150),
@@ -2882,13 +2784,12 @@ mod collision_tests {
                         clock += arg % 3;
                         let sender = (arg % 6) as u16;
                         table.push(next_id, ActiveTx {
-                            sender,
-                            channel: Channel::DEFAULT,
-                            power: lv_radio::PowerLevel::MAX,
                             start,
                             end,
                             frame: Arc::new(Frame::beacon(sender, 0, [0u8; 0])),
-                            wire_len: 16,
+                            sender,
+                            channel: Channel::DEFAULT,
+                            power: lv_radio::PowerLevel::MAX,
                             aborted: false,
                         });
                         proptest::prop_assert!(
@@ -2901,7 +2802,10 @@ mod collision_tests {
                     // Abort one sender's entries (tombstones, not holes).
                     5..=6 => {
                         let sender = (arg % 6) as u16;
+                        let len = table.len();
                         table.abort_sender(sender);
+                        proptest::prop_assert_eq!(table.len(), len, "abort must tombstone in place");
+                        proptest::prop_assert!(table.iter_from(0).all(|(_, tx)| tx.sender != sender));
                         live_ids.retain(|&id| table.get(id).is_some());
                     }
                     // Prefix prune up to a moving horizon.
@@ -2911,13 +2815,7 @@ mod collision_tests {
                         live_ids.retain(|&id| table.get(id).is_some());
                     }
                 }
-                // Rows and slots stay in index lockstep, and the live
-                // iterators agree id-for-id (no aliasing between the
-                // AoS table and its SoA scan mirror).
-                proptest::prop_assert_eq!(table.slots.len(), table.rows.len());
                 let slot_ids: Vec<u64> = table.iter_from(0).map(|(id, _)| id).collect();
-                let row_ids: Vec<u64> = table.rows_from(0).map(|(id, _)| id).collect();
-                proptest::prop_assert_eq!(&slot_ids, &row_ids, "SoA mirror out of lockstep");
                 proptest::prop_assert_eq!(&slot_ids, &live_ids, "live id set drifted");
             }
             // Prune past every end: the table must drain completely.

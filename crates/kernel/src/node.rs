@@ -52,8 +52,6 @@ pub struct Node {
     pub id: u16,
     /// Node name (IP convention by default).
     pub name: String,
-    /// Whether the node is powered ("adding or removing nodes").
-    pub alive: bool,
     /// Radio transmission power.
     pub power: PowerLevel,
     /// Radio channel.
@@ -91,7 +89,6 @@ impl Node {
         Node {
             id,
             name: name.clone(),
-            alive: true,
             power: PowerLevel::MAX,
             channel: Channel::DEFAULT,
             mac: Mac::new(id, Self::liteos_csma(), TxQueue::DEFAULT_CAPACITY),
@@ -114,7 +111,6 @@ impl Node {
     pub fn reboot(&mut self) {
         self.mac = Mac::new(self.id, Self::liteos_csma(), TxQueue::DEFAULT_CAPACITY);
         self.stack.on_reboot();
-        self.alive = true;
     }
 
     /// Register a process (image charged, pid allocated). The caller
@@ -151,15 +147,16 @@ impl Node {
     }
 
     /// Snapshot this node's health and traffic counters (MAC and
-    /// network layers merged into one namespace).
-    pub fn stats(&self) -> NodeStats {
+    /// network layers merged into one namespace). Liveness is the
+    /// medium's dead bit, so the caller passes it in.
+    pub fn stats(&self, alive: bool) -> NodeStats {
         let mut counters = Counters::new();
         counters.merge(self.mac.counters());
         counters.merge(self.stack.counters());
         NodeStats {
             id: self.id,
             name: self.name.clone(),
-            alive: self.alive,
+            alive,
             queue_len: self.mac.queue_len(),
             neighbor_count: self.stack.neighbors.len(),
             process_count: self.processes.len(),

@@ -121,9 +121,8 @@ impl RejectTable {
         let width = r * r / REJECT_BUCKETS as f64;
         let bound = (0..REJECT_BUCKETS)
             .map(|i| {
-                let d_left = (i as f64 * width).sqrt();
-                let dist = d_left.max(cfg.d0.0 * 0.1);
-                let distance_term = cfg.pl_d0_db + 10.0 * cfg.exponent * (dist / cfg.d0.0).log10();
+                let d_left = Meters((i as f64 * width).sqrt());
+                let distance_term = propagation.distance_term_db(d_left);
                 // 1e-6 dB of slack dwarfs every rounding error in the
                 // chain (bucket indexing, this arithmetic, the exp), so
                 // the reject stays strictly conservative; borderline
@@ -250,7 +249,7 @@ pub struct RxAssessment {
 /// The shared medium.
 ///
 /// ```
-/// use lv_radio::{Medium, Position, PowerLevel, PropagationConfig};
+/// use lv_radio::{Channel, Medium, Position, PowerLevel, PropagationConfig};
 /// use lv_sim::SimRng;
 ///
 /// let medium = Medium::new(
@@ -260,7 +259,9 @@ pub struct RxAssessment {
 /// );
 /// assert!(medium.hears(0, 1, PowerLevel::MAX));
 /// let mut rng = SimRng::stream(42, 1);
-/// let rx = medium.assess(0, 1, PowerLevel::MAX, 40, 0.0, &mut rng).unwrap();
+/// let rx = medium
+///     .assess_on(0, 1, PowerLevel::MAX, 40, 0.0, Channel::DEFAULT, &mut rng)
+///     .unwrap();
 /// assert!(rx.lqi >= 50 && rx.lqi <= 110);
 /// ```
 #[derive(Debug, Clone)]
@@ -610,28 +611,15 @@ impl Medium {
             .is_some_and(|p| p.0 >= self.sensitivity.0 - 6.0)
     }
 
-    /// Assess one frame reception attempt, drawing fast fading and the
-    /// PER Bernoulli from `rng` (use the receiver's stream).
+    /// Assess one frame reception attempt on `channel`, drawing fast
+    /// fading and the PER Bernoulli from `rng` (use the receiver's
+    /// stream).
     ///
     /// `interference_mw` is the aggregate power (in mW) of co-channel
     /// transmissions overlapping this frame at the receiver; zero when
-    /// the channel was otherwise quiet.
-    pub fn assess(
-        &self,
-        from: u16,
-        to: u16,
-        power: PowerLevel,
-        frame_bytes: usize,
-        interference_mw: f64,
-        rng: &mut SimRng,
-    ) -> Option<RxAssessment> {
-        self.assess_with_noise(from, to, power, frame_bytes, interference_mw, 0.0, rng)
-    }
-
-    /// [`Medium::assess`] with the channel's current noise-floor offset
-    /// applied (see [`Medium::set_channel_noise`]). With no offset set
-    /// this is bit-identical to `assess` — dead/blocked gating, RNG draw
-    /// order, and every float operation are shared.
+    /// the channel was otherwise quiet. The channel's noise-floor offset
+    /// (see [`Medium::set_channel_noise`]) raises the noise floor; with
+    /// none set, the floor is exactly the thermal one.
     #[allow(clippy::too_many_arguments)]
     pub fn assess_on(
         &self,
@@ -641,21 +629,6 @@ impl Medium {
         frame_bytes: usize,
         interference_mw: f64,
         channel: Channel,
-        rng: &mut SimRng,
-    ) -> Option<RxAssessment> {
-        let extra = self.channel_noise_db(channel);
-        self.assess_with_noise(from, to, power, frame_bytes, interference_mw, extra, rng)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn assess_with_noise(
-        &self,
-        from: u16,
-        to: u16,
-        power: PowerLevel,
-        frame_bytes: usize,
-        interference_mw: f64,
-        extra_noise_db: f64,
         rng: &mut SimRng,
     ) -> Option<RxAssessment> {
         if self.dead[from as usize] || self.dead[to as usize] {
@@ -672,9 +645,10 @@ impl Medium {
         if rx_power.0 < self.sensitivity.0 {
             return None; // below sync threshold: the radio never sees it
         }
-        // `x + 0.0` is exact for any finite noise floor, so the
-        // no-offset path reproduces the historical float sequence.
-        let noise_mw = Dbm(self.noise_floor.0 + extra_noise_db).to_mw() + interference_mw;
+        // `x + 0.0` is exact for any finite noise floor, so with no
+        // offset set the floor is bit-for-bit the thermal one.
+        let noise_db = self.noise_floor.0 + self.channel_noise_db(channel);
+        let noise_mw = Dbm(noise_db).to_mw() + interference_mw;
         let snr_db = rx_power.0 - Dbm::from_mw(noise_mw).0;
         let per = packet_error_rate(snr_db, frame_bytes);
         let delivered = !rng.chance(per);
@@ -920,7 +894,9 @@ mod tests {
         // ... but the reverse direction still works: an asymmetric break.
         assert!(m.mean_rx_power(1, 0, PowerLevel::MAX).is_some());
         let mut rng = SimRng::stream(1, 1);
-        assert!(m.assess(0, 1, PowerLevel::MAX, 40, 0.0, &mut rng).is_none());
+        assert!(m
+            .assess_on(0, 1, PowerLevel::MAX, 40, 0.0, Channel::DEFAULT, &mut rng)
+            .is_none());
     }
 
     #[test]
@@ -959,7 +935,7 @@ mod tests {
         let mut delivered = 0;
         for _ in 0..200 {
             let a = m
-                .assess(0, 1, PowerLevel::MAX, 40, 0.0, &mut rng)
+                .assess_on(0, 1, PowerLevel::MAX, 40, 0.0, Channel::DEFAULT, &mut rng)
                 .expect("in range");
             if a.delivered {
                 delivered += 1;
@@ -974,11 +950,14 @@ mod tests {
         let m = line_medium(2, 10.0);
         let mut rng1 = SimRng::stream(5, 5);
         let mut rng2 = SimRng::stream(5, 5);
-        let quiet = m.assess(0, 1, PowerLevel::MAX, 40, 0.0, &mut rng1).unwrap();
+        let ch = Channel::DEFAULT;
+        let quiet = m
+            .assess_on(0, 1, PowerLevel::MAX, 40, 0.0, ch, &mut rng1)
+            .unwrap();
         // Interference comparable to the signal itself.
         let interference = quiet.rx_power.to_mw();
         let noisy = m
-            .assess(0, 1, PowerLevel::MAX, 40, interference, &mut rng2)
+            .assess_on(0, 1, PowerLevel::MAX, 40, interference, ch, &mut rng2)
             .unwrap();
         assert!(noisy.snr_db < quiet.snr_db - 2.0);
     }
@@ -1042,8 +1021,9 @@ mod tests {
                     );
                     let mut r1 = SimRng::stream(seed, 0xA55E55 ^ u64::from(from) << 16);
                     let mut r2 = r1.clone();
-                    let a1 = cached.assess(from, to, power, 40, 0.0, &mut r1);
-                    let a2 = brute.assess(from, to, power, 40, 0.0, &mut r2);
+                    let ch = Channel::DEFAULT;
+                    let a1 = cached.assess_on(from, to, power, 40, 0.0, ch, &mut r1);
+                    let a2 = brute.assess_on(from, to, power, 40, 0.0, ch, &mut r2);
                     assert_eq!(format!("{a1:?}"), format!("{a2:?}"), "assess({from},{to})");
                     // Same number of draws consumed ⇒ streams stay aligned.
                     assert_eq!(
@@ -1065,8 +1045,7 @@ mod tests {
     fn cache_matches_brute_force_after_mutations() {
         let mut cached = scatter_medium(23);
         let mut brute = scatter_brute(23);
-        for (m, positions_known) in [(&mut cached, true), (&mut brute, false)] {
-            let _ = positions_known;
+        for m in [&mut cached, &mut brute] {
             m.set_position(5, Position::new(300.0, 300.0)); // off the original bbox
             m.set_position(7, Position::new(0.5, 0.5));
             m.set_dead(3, true);

@@ -77,17 +77,27 @@ impl LogDistance {
     /// Deterministic mean path loss for the directed link `a → b` over
     /// distance `d` (distance term plus the frozen shadowing draw).
     pub fn mean_path_loss_db(&self, a: u16, b: u16, d: Meters) -> f64 {
-        let dist = d.0.max(self.config.d0.0 * 0.1); // never below 0.1·d0
-        let distance_term =
-            self.config.pl_d0_db + 10.0 * self.config.exponent * (dist / self.config.d0.0).log10();
-        distance_term + self.link_shadowing_db(a, b)
+        self.distance_term_db(d) + self.link_shadowing_db(a, b)
+    }
+
+    /// The distance part of the path loss, `PL(d0) + 10·n·log10(d/d0)`,
+    /// with `d` clamped to at least `0.1·d0`.
+    pub(crate) fn distance_term_db(&self, d: Meters) -> f64 {
+        let dist = d.0.max(self.config.d0.0 * 0.1);
+        self.config.pl_d0_db + 10.0 * self.config.exponent * (dist / self.config.d0.0).log10()
+    }
+
+    /// The throwaway RNG stream the link `a → b` draws its frozen
+    /// shadowing from.
+    fn shadow_stream(&self, a: u16, b: u16) -> SimRng {
+        let label = 0x5348_4144_0000_0000 | ((a as u64) << 16) | b as u64;
+        SimRng::from_seed_u64(derive_seed(self.seed, label))
     }
 
     /// The frozen shadowing offset for the directed link `a → b`, in dB.
     pub fn link_shadowing_db(&self, a: u16, b: u16) -> f64 {
-        let label = 0x5348_4144_0000_0000 | ((a as u64) << 16) | b as u64;
-        let mut rng = SimRng::from_seed_u64(derive_seed(self.seed, label));
-        rng.normal(0.0, self.config.shadow_sigma_db)
+        self.shadow_stream(a, b)
+            .normal(0.0, self.config.shadow_sigma_db)
     }
 
     /// The first Box–Muller uniform of this link's shadowing draw — the
@@ -100,9 +110,7 @@ impl LogDistance {
     /// or cosine. The stream is throwaway (freshly derived per link), so
     /// peeking here never perturbs draw counts anywhere else.
     pub fn shadowing_u1(&self, a: u16, b: u16) -> f64 {
-        let label = 0x5348_4144_0000_0000 | ((a as u64) << 16) | b as u64;
-        let mut rng = SimRng::from_seed_u64(derive_seed(self.seed, label));
-        (1.0 - rng.unit()).max(f64::MIN_POSITIVE)
+        self.shadow_stream(a, b).gaussian_u1()
     }
 
     /// [`Self::mean_path_loss_db`] with an early-out for bulk
@@ -124,12 +132,9 @@ impl LogDistance {
         d: Meters,
         ceiling_db: f64,
     ) -> Option<f64> {
-        let dist = d.0.max(self.config.d0.0 * 0.1); // never below 0.1·d0
-        let distance_term =
-            self.config.pl_d0_db + 10.0 * self.config.exponent * (dist / self.config.d0.0).log10();
+        let distance_term = self.distance_term_db(d);
         let sigma = self.config.shadow_sigma_db;
-        let label = 0x5348_4144_0000_0000 | ((a as u64) << 16) | b as u64;
-        let mut rng = SimRng::from_seed_u64(derive_seed(self.seed, label));
+        let mut rng = self.shadow_stream(a, b);
         let radius = rng.gaussian_radius();
         // Most negative shadow this draw can still produce. Rounding is
         // monotone, so the full value can never undershoot this bound.
@@ -141,25 +146,9 @@ impl LogDistance {
         (pl <= ceiling_db).then_some(pl)
     }
 
-    /// Received power for a transmission at `tx_dbm` over the directed
-    /// link `a → b` at distance `d`, with one fast-fading draw taken from
+    /// Received power for a transmission at `tx_dbm` over a link whose
+    /// mean path loss is `pl`, with one fast-fading draw taken from
     /// `fading_rng` (pass a per-receiver stream).
-    pub fn received_power(
-        &self,
-        tx_dbm: Dbm,
-        a: u16,
-        b: u16,
-        d: Meters,
-        fading_rng: &mut SimRng,
-    ) -> Dbm {
-        let pl = self.mean_path_loss_db(a, b, d);
-        self.received_power_from_pl(tx_dbm, pl, fading_rng)
-    }
-
-    /// Received power given an already-known mean path loss — the entry
-    /// point the medium's link cache uses. Must perform the exact float
-    /// operations (and fading draw) of [`LogDistance::received_power`],
-    /// so cached and recomputed paths stay bit-identical.
     pub fn received_power_from_pl(&self, tx_dbm: Dbm, pl: f64, fading_rng: &mut SimRng) -> Dbm {
         let fading = if self.config.fading_sigma_db > 0.0 {
             fading_rng.normal(0.0, self.config.fading_sigma_db)
@@ -167,12 +156,6 @@ impl LogDistance {
             0.0
         };
         tx_dbm - pl + fading
-    }
-
-    /// Received power without fading (the expected value) — used for
-    /// connectivity planning in topology generators.
-    pub fn mean_received_power(&self, tx_dbm: Dbm, a: u16, b: u16, d: Meters) -> Dbm {
-        tx_dbm - self.mean_path_loss_db(a, b, d)
     }
 }
 
@@ -241,10 +224,9 @@ mod tests {
 
     #[test]
     fn received_power_reasonable() {
-        // 0 dBm at 10 m indoors: around -85 dBm mean ± shadowing; must be
+        // 0 dBm at 5 m indoors: mean power ± shadowing must be
         // comfortably above a -95 dBm sensitivity at small distance.
-        let m = model(3);
-        let p = m.mean_received_power(Dbm(0.0), 1, 2, Meters(5.0));
+        let p = Dbm(0.0) - model(3).mean_path_loss_db(1, 2, Meters(5.0));
         assert!(p.0 > -90.0 && p.0 < -50.0, "p = {}", p.0);
     }
 
@@ -252,14 +234,22 @@ mod tests {
     fn fading_perturbs_but_tracks_mean() {
         let m = model(3);
         let mut rng = SimRng::stream(3, 0xFAD);
-        let mean = m.mean_received_power(Dbm(0.0), 1, 2, Meters(5.0));
+        let pl = m.mean_path_loss_db(1, 2, Meters(5.0));
+        let mean = Dbm(0.0) - pl;
         let mut acc = 0.0;
         let n = 5000;
         for _ in 0..n {
-            acc += m.received_power(Dbm(0.0), 1, 2, Meters(5.0), &mut rng).0;
+            acc += m.received_power_from_pl(Dbm(0.0), pl, &mut rng).0;
         }
         let avg = acc / n as f64;
         assert!((avg - mean.0).abs() < 0.15, "avg {avg} vs mean {}", mean.0);
+    }
+
+    /// The link's shadowing stream, derived here from the documented
+    /// label layout rather than through the model.
+    fn reference_stream(seed: u64, a: u16, b: u16) -> SimRng {
+        let label = 0x5348_4144_0000_0000 | ((a as u64) << 16) | b as u64;
+        SimRng::from_seed_u64(derive_seed(seed, label))
     }
 
     #[test]
@@ -267,14 +257,20 @@ mod tests {
         // The early-out qualifier must agree with the reference on both
         // the accept/reject decision and (bitwise) the accepted value,
         // across distances spanning reject-by-radius, reject-by-value,
-        // and accept outcomes.
+        // and accept outcomes. The reference is the model's formula
+        // written out from scratch.
         let m = model(1234);
+        let cfg = PropagationConfig::default();
         let mut pairs = 0;
         let mut accepted = 0;
         for a in 0..60u16 {
             for b in 0..60u16 {
                 for (d, ceiling) in [(2.0, 80.0), (30.0, 101.0), (120.0, 101.0), (400.0, 101.0)] {
-                    let full = m.mean_path_loss_db(a, b, Meters(d));
+                    let full = cfg.pl_d0_db
+                        + 10.0 * cfg.exponent * (d / cfg.d0.0).log10()
+                        + reference_stream(1234, a, b).normal(0.0, cfg.shadow_sigma_db);
+                    let exact = m.mean_path_loss_db(a, b, Meters(d));
+                    assert_eq!(exact.to_bits(), full.to_bits(), "{a}->{b} d={d}");
                     let fast = m.mean_path_loss_db_if_at_most(a, b, Meters(d), ceiling);
                     match fast {
                         Some(pl) => {
@@ -298,9 +294,7 @@ mod tests {
         let m = model(77);
         for a in 0..50u16 {
             let u1 = m.shadowing_u1(a, a + 1);
-            let label = 0x5348_4144_0000_0000 | ((a as u64) << 16) | (a + 1) as u64;
-            let mut rng = SimRng::from_seed_u64(derive_seed(77, label));
-            let radius = rng.gaussian_radius();
+            let radius = reference_stream(77, a, a + 1).gaussian_radius();
             assert_eq!(radius.to_bits(), (-2.0 * u1.ln()).sqrt().to_bits());
         }
     }

@@ -5,7 +5,7 @@ use lv_radio::lqi::{mean_lqi_from_snr, LQI_MAX, LQI_MIN};
 use lv_radio::per::{ber_oqpsk, packet_error_rate};
 use lv_radio::rssi::{rssi_register, rssi_to_power_dbm, RSSI_REGISTER_MAX, RSSI_REGISTER_MIN};
 use lv_radio::units::{Dbm, Position};
-use lv_radio::{lqi_from_snr, LinkOverride, Medium, PowerLevel, PropagationConfig};
+use lv_radio::{lqi_from_snr, Channel, LinkOverride, Medium, PowerLevel, PropagationConfig};
 use lv_sim::SimRng;
 use proptest::prelude::*;
 
@@ -208,8 +208,9 @@ proptest! {
                     );
                     let mut r1 = SimRng::stream(seed, u64::from(from) << 16 | u64::from(to));
                     let mut r2 = r1.clone();
-                    let a1 = cached.assess(from, to, power, 48, 1e-9, &mut r1);
-                    let a2 = brute.assess(from, to, power, 48, 1e-9, &mut r2);
+                    let ch = Channel::DEFAULT;
+                    let a1 = cached.assess_on(from, to, power, 48, 1e-9, ch, &mut r1);
+                    let a2 = brute.assess_on(from, to, power, 48, 1e-9, ch, &mut r2);
                     prop_assert_eq!(format!("{:?}", a1), format!("{:?}", a2));
                     prop_assert_eq!(r1.next_u64(), r2.next_u64(), "rng desync");
                     let mut c1 = SimRng::stream(seed, 0xCCA);

@@ -155,8 +155,14 @@ impl SimRng {
     /// magnitude. Callers that continue must take [`Self::gaussian_angle`]
     /// next — the product is bit-identical to [`Self::gaussian`].
     pub fn gaussian_radius(&mut self) -> f64 {
-        let u1 = (1.0 - self.unit()).max(f64::MIN_POSITIVE); // avoid ln(0)
-        (-2.0 * u1.ln()).sqrt()
+        (-2.0 * self.gaussian_u1().ln()).sqrt()
+    }
+
+    /// The uniform `u1 = 1 − unit()` behind [`Self::gaussian_radius`],
+    /// floored at the smallest positive `f64` so `ln` never sees zero.
+    #[inline]
+    pub fn gaussian_u1(&mut self) -> f64 {
+        (1.0 - self.unit()).max(f64::MIN_POSITIVE)
     }
 
     /// Second half of the Box–Muller draw: `cos(2π·u2)`.

@@ -23,7 +23,7 @@ fn corridor_traceroute(seed: u64, power_level: Option<u8>) -> (Scenario, TraceOu
     if let Some(level) = power_level {
         let p = lv_radio::PowerLevel::new(level).expect("valid level");
         for i in 0..s.net.node_count() as u16 {
-            s.net.set_node_power(i, p);
+            s.net.node_mut(i).power = p;
         }
         // Let estimators re-settle at the new power.
         s.net.run_for(SimDuration::from_secs(10));
@@ -744,7 +744,7 @@ pub fn ablation_energy(seed: u64) -> Vec<AblationRow> {
 /// a connected region, a disconnected region, and a noisy transitional
 /// band between them where asymmetric and intermittent links live.
 pub fn characterize_links(seed: u64) -> Vec<LinkCharRow> {
-    use lv_radio::{Medium, Position, PowerLevel, PropagationConfig};
+    use lv_radio::{Channel, Medium, Position, PowerLevel, PropagationConfig};
     let trials = 200;
     let mut rows = Vec::new();
     let mut d = 1.0f64;
@@ -762,7 +762,9 @@ pub fn characterize_links(seed: u64) -> Vec<LinkCharRow> {
             );
             let mut rng = SimRng::stream(seed ^ link, d as u64);
             for _ in 0..trials / 20 {
-                if let Some(a) = medium.assess(0, 1, PowerLevel::MAX, 40, 0.0, &mut rng) {
+                if let Some(a) =
+                    medium.assess_on(0, 1, PowerLevel::MAX, 40, 0.0, Channel::DEFAULT, &mut rng)
+                {
                     if a.delivered {
                         received += 1;
                         rssi_sum += a.rssi as f64;

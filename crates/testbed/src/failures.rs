@@ -12,13 +12,11 @@ use lv_radio::units::Position;
 
 /// Power a node off (it stops transmitting, receiving, and beaconing).
 pub fn kill_node(net: &mut Network, id: u16) {
-    net.set_node_alive(id, false);
     net.medium.set_dead(id, true);
 }
 
 /// Power a node back on.
 pub fn revive_node(net: &mut Network, id: u16) {
-    net.set_node_alive(id, true);
     net.medium.set_dead(id, false);
 }
 
@@ -92,11 +90,11 @@ mod tests {
     fn kill_and_revive() {
         let mut net = net2();
         kill_node(&mut net, 1);
-        assert!(!net.node(1).alive);
         assert!(net.medium.is_dead(1));
+        assert!(!net.node_stats()[1].alive);
         revive_node(&mut net, 1);
-        assert!(net.node(1).alive);
         assert!(!net.medium.is_dead(1));
+        assert!(net.node_stats()[1].alive);
     }
 
     #[test]

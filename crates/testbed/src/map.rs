@@ -32,8 +32,8 @@ pub fn render_map(net: &Network, cols: usize, rows: usize) -> String {
         let p = net.medium.position(i);
         let cx = (((p.x - min_x) / span_x) * (cols - 1) as f64).round() as usize;
         let cy = (((p.y - min_y) / span_y) * (rows - 1) as f64).round() as usize;
-        let node = net.node(i);
-        let glyph = if !node.alive || net.medium.is_dead(i) {
+        let dead = net.medium.is_dead(i);
+        let glyph = if dead {
             b'x'
         } else if i < 10 {
             b'0' + i as u8
@@ -44,8 +44,8 @@ pub fn render_map(net: &Network, cols: usize, rows: usize) -> String {
         legend.push(format!(
             "  {} = {}{} at ({:.1}, {:.1})",
             glyph as char,
-            node.name,
-            if node.alive { "" } else { " [DEAD]" },
+            net.node(i).name,
+            if dead { " [DEAD]" } else { "" },
             p.x,
             p.y
         ));
@@ -106,16 +106,30 @@ mod tests {
         }
     }
 
+    /// Every way of killing a node — the failure helper, a raw medium
+    /// kill, and a scheduled churn event — shows up in the map legend
+    /// and in the node's stats.
     #[test]
     fn dead_nodes_marked() {
-        let mut s = Scenario::build(ScenarioConfig::new(
-            Topology::Line { n: 3, spacing: 5.0 },
-            3,
-        ));
-        crate::failures::kill_node(&mut s.net, 1);
-        let map = render_map(&s.net, 40, 8);
-        assert!(map.contains('x'), "{map}");
-        assert!(map.contains("[DEAD]"), "{map}");
+        let kills: [fn(&mut lv_kernel::Network); 3] = [
+            |net| crate::failures::kill_node(net, 1),
+            |net| net.medium.set_dead(1, true),
+            |net| {
+                net.schedule_dynamics(net.now(), lv_kernel::DynamicsAction::NodeDown { id: 1 });
+                net.run_for(lv_sim::SimDuration::from_millis(1));
+            },
+        ];
+        for (k, kill) in kills.iter().enumerate() {
+            let mut s = Scenario::build(ScenarioConfig::new(
+                Topology::Line { n: 3, spacing: 5.0 },
+                3,
+            ));
+            kill(&mut s.net);
+            let map = render_map(&s.net, 40, 8);
+            assert!(map.contains('x'), "kill {k}:\n{map}");
+            assert!(map.contains("[DEAD]"), "kill {k}:\n{map}");
+            assert!(!s.net.node_stats()[1].alive, "kill {k}");
+        }
     }
 
     #[test]

@@ -241,7 +241,7 @@ fn figures_bit_identical_with_and_without_medium_cache() {
         if let Some(level) = power {
             let p = PowerLevel::new(level).expect("valid level");
             for i in 0..s.net.node_count() as u16 {
-                s.net.set_node_power(i, p);
+                s.net.node_mut(i).power = p;
             }
             s.net.run_for(SimDuration::from_secs(10));
         }

@@ -7,6 +7,12 @@ cd "$(dirname "$0")/.."
 echo "== cargo test --all =="
 cargo test -q --all
 
+# The benchmark is a package of its own, outside the workspace: build and
+# test it here so an API change it relies on fails the gate, not the
+# benchmark run.
+echo "== lv-benchmark package tests =="
+cargo test -q --manifest-path src/bin/lv-benchmark/Cargo.toml
+
 echo "== cargo clippy --all-targets -- -D warnings =="
 cargo clippy --all-targets -- -D warnings
 

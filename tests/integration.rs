@@ -81,8 +81,7 @@ fn channel_separation_then_reunion() {
     let exec = s.ws.exec(&mut s.net, CommandRequest::get_power()).unwrap();
     assert_eq!(exec.result, CommandResult::Timeout);
     // Retune the bridge node's radio too, contact restored.
-    s.net
-        .set_node_channel(0, liteview_repro::lv_radio::Channel::new(20).unwrap());
+    s.net.node_mut(0).channel = liteview_repro::lv_radio::Channel::new(20).unwrap();
     let exec = s.ws.exec(&mut s.net, CommandRequest::get_power()).unwrap();
     assert_eq!(exec.result, CommandResult::Power(31));
 }
