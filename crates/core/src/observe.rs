@@ -81,7 +81,8 @@ pub struct ObservabilityReport {
     pub timeline: Vec<TraceEvent>,
     /// Events lost to the ring buffer's capacity.
     pub trace_dropped: u64,
-    /// One record per command executed through the workstation.
+    /// One record per command in the workstation's retained history
+    /// (the most recent [`crate::workstation::HISTORY_CAPACITY`]).
     pub executions: Vec<ExecutionRecord>,
     /// Closed diagnosis episodes from the automated engine, if armed
     /// (absent in reports captured before the engine existed).

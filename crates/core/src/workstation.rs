@@ -19,7 +19,7 @@ use crate::wire::MgmtReply;
 use lv_kernel::{shell_path, Network};
 use lv_net::packet::Port;
 use lv_net::ports::ProcessId;
-use lv_sim::{Counters, SimDuration, SimTime, Trace, TraceLevel};
+use lv_sim::{Counters, Ring, SimDuration, SimTime, Trace, TraceLevel};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -30,6 +30,15 @@ const POLL_SLICE: SimDuration = SimDuration::from_millis(5);
 /// enables when the network has none.
 const FLIGHT_RECORDER_CAPACITY: usize = 8192;
 
+/// Executions [`Workstation::executions`] and [`Workstation::report`]
+/// keep: a long-running host (the `lv-serve` daemon) must not grow by
+/// one execution record per command forever.
+pub const HISTORY_CAPACITY: usize = 256;
+
+/// Rendered lines [`Workstation::transcript`] keeps, for the same
+/// reason.
+pub const TRANSCRIPT_CAPACITY: usize = 8192;
+
 /// The workstation attached (one hop) to a bridge mote.
 pub struct Workstation {
     bridge: u16,
@@ -37,8 +46,8 @@ pub struct Workstation {
     state: SharedWsState,
     cwd: Option<u16>,
     next_req: u8,
-    transcript: Vec<String>,
-    history: Vec<Execution>,
+    transcript: Ring<String>,
+    history: Ring<Execution>,
     diagnosis: Option<DiagnosisEngine>,
 }
 
@@ -245,8 +254,8 @@ impl Workstation {
             state,
             cwd: None,
             next_req: 1,
-            transcript: Vec::new(),
-            history: Vec::new(),
+            transcript: Ring::new(TRANSCRIPT_CAPACITY),
+            history: Ring::new(HISTORY_CAPACITY),
             diagnosis: None,
         }
     }
@@ -278,9 +287,10 @@ impl Workstation {
         self.cwd
     }
 
-    /// Transcript of paper-style output lines from executed commands.
+    /// Paper-style output lines of executed commands, oldest first:
+    /// the most recent [`TRANSCRIPT_CAPACITY`] lines.
     pub fn transcript(&self) -> &[String] {
-        &self.transcript
+        self.transcript.as_slice()
     }
 
     /// Clear the transcript.
@@ -288,9 +298,10 @@ impl Workstation {
         self.transcript.clear();
     }
 
-    /// Every execution this workstation has driven, in issue order.
+    /// The executions this workstation has driven, in issue order: the
+    /// most recent [`HISTORY_CAPACITY`] of them.
     pub fn executions(&self) -> &[Execution] {
-        &self.history
+        self.history.as_slice()
     }
 
     /// Forget the execution history (the transcript is unaffected).
@@ -299,11 +310,12 @@ impl Workstation {
     }
 
     /// Capture the network-wide flight recorder: per-node health pages,
-    /// global counters, the event timeline, and a record per command
-    /// executed so far. JSON-exportable via
+    /// global counters, the event timeline, and a record per command in
+    /// [`Workstation::executions`] (the most recent
+    /// [`HISTORY_CAPACITY`]). JSON-exportable via
     /// [`ObservabilityReport::to_json`].
     pub fn report(&self, net: &Network) -> ObservabilityReport {
-        let mut report = ObservabilityReport::capture(net, &self.history);
+        let mut report = ObservabilityReport::capture(net, self.executions());
         if let Some(engine) = &self.diagnosis {
             report.diagnosis = engine.episodes().to_vec();
         }

@@ -803,3 +803,27 @@ fn exec_accepts_bare_commands_and_aimed_requests() {
     assert!(matches!(exec.result, CommandResult::Power(_)));
     assert_eq!(ws.cwd(), Some(0));
 }
+
+#[test]
+fn history_keeps_the_most_recent_window() {
+    use liteview::workstation::HISTORY_CAPACITY;
+    let mut net = line_network(2, 5.0, 33);
+    let mut ws = Workstation::install(&mut net, 0);
+    ws.cd(&net, "192.168.0.2").unwrap();
+    let issued: Vec<_> = (0..HISTORY_CAPACITY + 10)
+        .map(|_| ws.exec(&mut net, CommandRequest::get_power()).unwrap())
+        .collect();
+
+    let kept = ws.executions();
+    assert_eq!(
+        kept,
+        &issued[10..],
+        "the last {HISTORY_CAPACITY}, in issue order"
+    );
+    let report = ws.report(&net);
+    assert_eq!(report.executions.len(), HISTORY_CAPACITY);
+    for (record, exec) in report.executions.iter().zip(kept) {
+        assert_eq!(record.issued_at, exec.issued_at);
+        assert_eq!(record.command, "power");
+    }
+}

@@ -2,6 +2,7 @@
 //! protocol.
 
 use liteview::protocol::{BatchReceiver, BatchSender, SendStep};
+use liteview::session::{Request, Response};
 use liteview::wire::{
     BatchMsg, HopRecord, MgmtCommand, MgmtReply, MgmtRequest, MgmtResponse, PingProbe, PingReply,
     PingRound, PingSummary, TrProbe, TrProbeReply, TrReport, TrTask,
@@ -198,6 +199,16 @@ proptest! {
         let _ = TrProbeReply::decode(&bytes);
         let _ = TrTask::decode(&bytes);
         let _ = TrReport::decode(&bytes);
+        let _ = Request::decode(&bytes);
+        let _ = Response::decode(&bytes);
+    }
+
+    /// The session codec round-trips any string unchanged: escapes,
+    /// multi-byte characters and all.
+    #[test]
+    fn session_strings_round_trip(s in ".{0,200}") {
+        let text = serde_json::to_string(&s).unwrap();
+        prop_assert_eq!(serde_json::from_str::<String>(&text).unwrap(), s);
     }
 
     /// AIMD invariants of the adaptive batch size, under ANY loss

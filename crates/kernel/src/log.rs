@@ -5,7 +5,7 @@
 //! reads this log back to the workstation. Logging is off by default
 //! (zero overhead) and bounded when on.
 
-use lv_sim::SimTime;
+use lv_sim::{Ring, SimTime};
 
 /// One logged kernel event.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -18,17 +18,12 @@ pub struct LogEntry {
     pub detail: String,
 }
 
-/// A bounded, switchable event log.
-///
-/// Like the simulator's trace sink, eviction is batched: the backing
-/// buffer may grow to twice the retention capacity and is compacted in
-/// one `drain` per `capacity` records — amortized O(1) per record.
+/// A bounded, switchable event log: a [`Ring`] of entries behind an
+/// on/off switch.
 #[derive(Debug, Clone)]
 pub struct EventLog {
     enabled: bool,
-    capacity: usize,
-    entries: Vec<LogEntry>,
-    recorded: u64,
+    entries: Ring<LogEntry>,
 }
 
 impl EventLog {
@@ -36,9 +31,7 @@ impl EventLog {
     pub fn new(capacity: usize) -> Self {
         EventLog {
             enabled: false,
-            capacity: capacity.max(1),
-            entries: Vec::new(),
-            recorded: 0,
+            entries: Ring::new(capacity),
         }
     }
 
@@ -52,49 +45,36 @@ impl EventLog {
         self.enabled
     }
 
-    /// The last `capacity` entries of the backing buffer (anything older
-    /// is logically evicted, pending compaction).
-    fn retained(&self) -> &[LogEntry] {
-        let start = self.entries.len().saturating_sub(self.capacity);
-        &self.entries[start..]
-    }
-
     /// Record an event if enabled.
     pub fn record(&mut self, at: SimTime, code: &'static str, detail: impl Into<String>) {
         if !self.enabled {
             return;
-        }
-        if self.entries.len() >= self.capacity * 2 {
-            let excess = self.entries.len() - self.capacity;
-            self.entries.drain(..excess);
         }
         self.entries.push(LogEntry {
             at,
             code,
             detail: detail.into(),
         });
-        self.recorded += 1;
     }
 
     /// All retained entries, oldest first.
     pub fn entries(&self) -> &[LogEntry] {
-        self.retained()
+        self.entries.as_slice()
     }
 
     /// Entries with a given code.
     pub fn with_code<'a>(&'a self, code: &'a str) -> impl Iterator<Item = &'a LogEntry> + 'a {
-        self.retained().iter().filter(move |e| e.code == code)
+        self.entries().iter().filter(move |e| e.code == code)
     }
 
     /// How many entries have been lost to the capacity bound.
     pub fn overwritten(&self) -> u64 {
-        self.recorded - self.retained().len() as u64
+        self.entries.dropped()
     }
 
     /// Drop everything recorded so far.
     pub fn clear(&mut self) {
         self.entries.clear();
-        self.recorded = 0;
     }
 }
 

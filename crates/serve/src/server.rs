@@ -292,7 +292,7 @@ mod tests {
     use super::*;
     use liteview::session::PROTOCOL_VERSION;
     use liteview::shell::ShellCommand;
-    use liteview::transport::{SimTransport, SIM_PEER};
+    use liteview::transport::{frame, SimTransport, SIM_PEER};
     use lv_testbed::{Scenario, ScenarioConfig, Topology};
 
     fn sim_server(cfg: ServerConfig) -> (Server<SimTransport>, SimTransport) {
@@ -525,5 +525,41 @@ mod tests {
         // The server still serves afterwards.
         let r = call(&mut client, &mut server, &hello(1));
         assert!(matches!(r.body, ResponseBody::Welcome { .. }));
+    }
+
+    #[test]
+    fn deeply_nested_frame_is_malformed_not_a_stack_overflow() {
+        let (mut server, mut client) = sim_server(ServerConfig::default());
+        client
+            .send(SIM_PEER, &frame::encode(&[b'['; 100_000]))
+            .unwrap();
+        assert!(server.poll(None).unwrap());
+        assert_eq!(server.stats().malformed, 1);
+        // The same transport is served normally afterwards.
+        let r = call(&mut client, &mut server, &hello(1));
+        assert!(matches!(r.body, ResponseBody::Welcome { .. }), "{r:?}");
+        let cd = Request {
+            session: 1,
+            seq: 2,
+            body: RequestBody::Cd {
+                node: "192.168.0.2".into(),
+            },
+        };
+        let r = call(&mut client, &mut server, &cd);
+        assert!(matches!(r.body, ResponseBody::Cwd { node: 1, .. }), "{r:?}");
+        let ping = Request {
+            session: 1,
+            seq: 3,
+            body: RequestBody::Exec {
+                command: ShellCommand::Ping {
+                    dst: "192.168.0.1".into(),
+                    rounds: 1,
+                    length: 32,
+                    port: None,
+                },
+            },
+        };
+        let r = call(&mut client, &mut server, &ping);
+        assert!(matches!(r.body, ResponseBody::Done { .. }), "{r:?}");
     }
 }

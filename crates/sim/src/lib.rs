@@ -23,6 +23,7 @@
 pub mod bytes;
 pub mod metrics;
 pub mod queue;
+pub mod ring;
 pub mod rng;
 pub mod time;
 pub mod trace;
@@ -30,6 +31,7 @@ pub mod trace;
 pub use bytes::InlineBytes;
 pub use metrics::{CounterId, Counters, Histogram, Summary, TimeSeries};
 pub use queue::EventQueue;
+pub use ring::Ring;
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};
 pub use trace::{Trace, TraceEvent, TraceLevel};

@@ -5,6 +5,7 @@
 //! can inspect after a run. Tracing is level-gated so that hot paths pay
 //! one branch when disabled.
 
+use crate::ring::Ring;
 use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -43,17 +44,10 @@ impl fmt::Display for TraceEvent {
     }
 }
 
-/// A bounded trace sink.
-///
-/// Eviction is batched: the backing buffer is allowed to grow to twice
-/// the retention capacity and is compacted in one `drain` per `capacity`
-/// records, so a full flight recorder costs amortized O(1) per emit
-/// instead of shifting the whole buffer on every record.
+/// A bounded trace sink: a [`Ring`] of records behind a level gate.
 pub struct Trace {
     level: Option<TraceLevel>,
-    capacity: usize,
-    events: Vec<TraceEvent>,
-    emitted: u64,
+    events: Ring<TraceEvent>,
 }
 
 impl Trace {
@@ -64,9 +58,7 @@ impl Trace {
     pub fn disabled() -> Self {
         Trace {
             level: None,
-            capacity: 0,
-            events: Vec::new(),
-            emitted: 0,
+            events: Ring::new(0),
         }
     }
 
@@ -75,9 +67,7 @@ impl Trace {
     pub fn enabled(level: TraceLevel, capacity: usize) -> Self {
         Trace {
             level: Some(level),
-            capacity: capacity.max(1),
-            events: Vec::new(),
-            emitted: 0,
+            events: Ring::new(capacity),
         }
     }
 
@@ -86,23 +76,11 @@ impl Trace {
         self.level.is_some_and(|max| level <= max)
     }
 
-    /// The last `capacity` records of the backing buffer — everything
-    /// older is already logically evicted, it just hasn't been compacted
-    /// away yet.
-    fn retained(&self) -> &[TraceEvent] {
-        let start = self.events.len().saturating_sub(self.capacity);
-        &self.events[start..]
-    }
-
     /// Record an event (no-op if the level is filtered out).
     // lv-lint: hot
     pub fn emit(&mut self, at: SimTime, node: u16, level: TraceLevel, message: impl Into<String>) {
         if !self.accepts(level) {
             return;
-        }
-        if self.events.len() >= self.capacity * 2 {
-            let excess = self.events.len() - self.capacity;
-            self.events.drain(..excess);
         }
         self.events.push(TraceEvent {
             at,
@@ -110,22 +88,21 @@ impl Trace {
             level,
             message: message.into(),
         });
-        self.emitted += 1;
     }
 
     /// All retained events, oldest first.
     pub fn events(&self) -> &[TraceEvent] {
-        self.retained()
+        self.events.as_slice()
     }
 
     /// Records evicted due to the capacity bound.
     pub fn dropped(&self) -> u64 {
-        self.emitted - self.retained().len() as u64
+        self.events.dropped()
     }
 
     /// Retained events whose message contains `needle`.
     pub fn find(&self, needle: &str) -> Vec<&TraceEvent> {
-        self.retained()
+        self.events()
             .iter()
             .filter(|e| e.message.contains(needle))
             .collect()
@@ -134,18 +111,17 @@ impl Trace {
     /// Retained events at or after `at`, oldest first — the causal
     /// timeline of whatever started at `at` (a command dispatch, say).
     pub fn events_since(&self, at: SimTime) -> impl Iterator<Item = &TraceEvent> {
-        self.retained().iter().filter(move |e| e.at >= at)
+        self.events().iter().filter(move |e| e.at >= at)
     }
 
     /// Retained events attributed to `node`, oldest first.
     pub fn events_for(&self, node: u16) -> impl Iterator<Item = &TraceEvent> {
-        self.retained().iter().filter(move |e| e.node == node)
+        self.events().iter().filter(move |e| e.node == node)
     }
 
     /// Discard all retained events (the level gate is unchanged).
     pub fn clear(&mut self) {
         self.events.clear();
-        self.emitted = 0;
     }
 }
 
