@@ -1,35 +1,16 @@
-//! Cached vs brute-force medium at benchmark scale: times one point of
-//! the PR-3 scaling workload (beacon + traceroute, multi-trial) with the
-//! reachability cache on and off. Criterion keeps the comparison honest
-//! over time; the full 100→1000-node sweep lives in `figures --scale`
-//! (and `scripts/bench.sh` checks it into `BENCH_PR3.json`).
-//!
-//! The `medium_mutate` group times medium invalidation on its own: one
-//! node moved 12 m out and back in the 1000-node, 24 m grid, and the
+//! Medium invalidation at benchmark scale, under criterion: one node
+//! moved 12 m out and back in the 1000-node, 24 m grid, and the
 //! eight-hop corridor's construction with its wall overrides.
+//!
+//! End-to-end throughput of the simulator (events per second on the
+//! 1000-node grid, with and without churn) is lv-benchmark's job; see
+//! `BENCHMARK.json` and `scripts/bench-compare.sh`.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use lv_radio::units::Position;
 use lv_radio::{PowerLevel, PropagationConfig};
-use lv_testbed::experiments::scale_point;
 use lv_testbed::Topology;
 use std::hint::black_box;
-
-fn bench(c: &mut Criterion) {
-    let mut g = c.benchmark_group("medium_scale");
-    g.sample_size(10);
-    let n = 100usize;
-    for cached in [true, false] {
-        let label = if cached { "cached" } else { "brute" };
-        g.bench_with_input(BenchmarkId::new(label, n), &n, |b, &n| {
-            b.iter(|| {
-                let row = scale_point(n, 42, cached);
-                black_box(row.events)
-            })
-        });
-    }
-    g.finish();
-}
 
 fn mutate(c: &mut Criterion) {
     let mut g = c.benchmark_group("medium_mutate");
@@ -58,5 +39,5 @@ fn mutate(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench, mutate);
+criterion_group!(benches, mutate);
 criterion_main!(benches);

@@ -35,15 +35,10 @@
 //!   truth. Hard-fails unless precision ≥ 0.9, recall ≥ 0.8, every
 //!   link ramp is detected before the end-to-end ping dies, and the
 //!   whole report replays byte-identically.
-//! * `--check-speedup BENCH_PR3.json` re-reads a `--scale --json`
-//!   artifact and fails if the largest deployment's cached-vs-brute
-//!   speedup fell below 3×.
-//! * `--check-events-rate BENCH_PR3.json` reads the *committed*
-//!   scaling artifact, re-measures single-threaded event throughput at
-//!   its largest deployment, and fails if the fresh cached rate fell
-//!   below 4× the artifact's brute-force (pre-optimization) baseline —
-//!   or if the fresh digest drifted from the committed one. Run this
-//!   against the checked-in artifact *before* anything regenerates it.
+//!
+//! Throughput is not measured here: lv-benchmark (`BENCHMARK.json`,
+//! `scripts/bench-compare.sh`) times the simulator, the commands and
+//! lv-serve, and pins their digests.
 //!
 //! [`ObservabilityReport`]: liteview::ObservabilityReport
 
@@ -59,14 +54,10 @@ struct Args {
     workers: Option<usize>,
     json: bool,
     report: bool,
-    scale: bool,
-    sizes: Vec<usize>,
     dynamics: bool,
     diagnosis: bool,
     digests: bool,
     check_digests: Option<String>,
-    check_speedup: Option<String>,
-    check_events_rate: Option<String>,
 }
 
 impl Args {
@@ -87,42 +78,20 @@ fn parse_args() -> Args {
     let mut workers = None;
     let mut json = false;
     let mut report = false;
-    let mut scale = false;
-    let mut sizes = vec![100, 250, 500, 1000];
     let mut dynamics = false;
     let mut diagnosis = false;
     let mut digests = false;
     let mut check_digests = None;
-    let mut check_speedup = None;
-    let mut check_events_rate = None;
     let mut argv = std::env::args().skip(1);
     while let Some(a) = argv.next() {
         match a.as_str() {
             "--report" => report = true,
-            "--scale" => scale = true,
             "--dynamics" => dynamics = true,
             "--diagnosis" => diagnosis = true,
             "--digests" => digests = true,
             "--check-digests" => {
                 check_digests = Some(argv.next().expect("--check-digests <golden file>"));
                 digests = true;
-            }
-            "--check-speedup" => {
-                check_speedup = Some(argv.next().expect("--check-speedup <BENCH json file>"));
-            }
-            "--check-events-rate" => {
-                check_events_rate =
-                    Some(argv.next().expect("--check-events-rate <BENCH json file>"));
-            }
-            "--sizes" => {
-                sizes = argv
-                    .next()
-                    .map(|s| {
-                        s.split(',')
-                            .map(|v| v.parse().expect("--sizes n,n,…"))
-                            .collect()
-                    })
-                    .expect("--sizes n,n,…");
             }
             "--seed" => {
                 seed = argv
@@ -147,18 +116,10 @@ fn parse_args() -> Args {
             other => what.push(other.to_owned()),
         }
     }
-    if report
-        || scale
-        || dynamics
-        || diagnosis
-        || digests
-        || check_speedup.is_some()
-        || check_events_rate.is_some()
-    {
-        // `--report` / `--scale` / `--dynamics` / `--diagnosis` /
-        // `--digests` / `--check-speedup` are sessions, not figures: an
-        // empty experiment list stays empty instead of expanding to
-        // `all`.
+    if report || dynamics || diagnosis || digests {
+        // `--report` / `--dynamics` / `--diagnosis` / `--digests` are
+        // sessions, not figures: an empty experiment list stays empty
+        // instead of expanding to `all`.
     } else if what.is_empty() || what.iter().any(|w| w == "all") {
         what = [
             "fig5",
@@ -188,14 +149,10 @@ fn parse_args() -> Args {
         workers,
         json,
         report,
-        scale,
-        sizes,
         dynamics,
         diagnosis,
         digests,
         check_digests,
-        check_speedup,
-        check_events_rate,
     }
 }
 
@@ -203,9 +160,6 @@ fn main() {
     let args = parse_args();
     if args.report {
         report(args.seed);
-    }
-    if args.scale {
-        scale(&args);
     }
     if args.digests {
         digests(&args);
@@ -215,12 +169,6 @@ fn main() {
     }
     if args.diagnosis {
         diagnosis(&args);
-    }
-    if let Some(path) = &args.check_speedup {
-        check_speedup(path);
-    }
-    if let Some(path) = &args.check_events_rate {
-        check_events_rate(path, args.seed);
     }
     for what in &args.what {
         match what.as_str() {
@@ -267,41 +215,6 @@ fn report(seed: u64) {
         "report JSON does not round-trip"
     );
     println!("{json}");
-}
-
-/// `--scale`: the PR-3 scaling sweep. Runs the beacon + traceroute
-/// workload at each `--sizes` entry with the medium's reachability
-/// cache on and off, hard-fails unless both arms are bit-identical,
-/// and reports wall time / events/sec (plus the speedup per size).
-fn scale(args: &Args) {
-    let rows = exp::scale_sweep(&args.sizes, args.seed);
-    if args.json {
-        println!("{}", to_json_lines(&rows));
-        return;
-    }
-    let lines: Vec<Line> = rows
-        .chunks(2)
-        .map(|pair| {
-            let (c, b) = (&pair[0], &pair[1]);
-            Line(format!(
-                "{:>6}   {:>12.1} {:>12.1}   {:>12.0} {:>12.0}   {:>7.2}x",
-                c.nodes,
-                c.wall_ms,
-                b.wall_ms,
-                c.events_per_sec,
-                b.events_per_sec,
-                b.wall_ms / c.wall_ms
-            ))
-        })
-        .collect();
-    print!(
-        "{}",
-        table(
-            "Scaling — beacon + traceroute workload, cached vs brute-force medium",
-            " nodes   cached[ms]    brute[ms]      cached[ev/s]  brute[ev/s]   speedup",
-            &lines
-        )
-    );
 }
 
 /// `--digests`: print the determinism digests of fig5/6/7; with
@@ -518,140 +431,6 @@ fn diagnosis(args: &Args) {
     if !args.json {
         println!("diagnosis sweep: OK (deterministic; detect-before-fail on every ramp)");
     }
-}
-
-/// `--check-speedup <file>`: re-read a `--scale --json` artifact and
-/// fail unless the largest deployment's cached-vs-brute speedup is
-/// still ≥ 3×.
-fn check_speedup(path: &str) {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("cannot read scale artifact {path}: {e}"));
-    // (nodes, cached, wall_ms) triples parsed back out of the artifact.
-    let mut runs: Vec<(u64, bool, f64)> = Vec::new();
-    for line in text.lines().filter(|l| !l.trim().is_empty()) {
-        let v: serde::Value =
-            serde_json::from_str(line).unwrap_or_else(|e| panic!("bad JSON line in {path}: {e:?}"));
-        let nodes = match v.map_get("nodes") {
-            Some(serde::Value::U64(n)) => *n,
-            Some(serde::Value::I64(n)) => *n as u64,
-            _ => panic!("scale row without a numeric `nodes` field in {path}"),
-        };
-        let cached = matches!(v.map_get("cached"), Some(serde::Value::Bool(true)));
-        let wall_ms = match v.map_get("wall_ms") {
-            Some(serde::Value::F64(w)) => *w,
-            Some(serde::Value::U64(w)) => *w as f64,
-            Some(serde::Value::I64(w)) => *w as f64,
-            _ => panic!("scale row without a numeric `wall_ms` field in {path}"),
-        };
-        runs.push((nodes, cached, wall_ms));
-    }
-    let largest = runs
-        .iter()
-        .map(|&(n, _, _)| n)
-        .max()
-        .unwrap_or_else(|| panic!("no scale rows in {path}"));
-    let arm = |cached: bool| {
-        runs.iter()
-            .find(|&&(n, c, _)| n == largest && c == cached)
-            .map(|&(_, _, w)| w)
-            .unwrap_or_else(|| {
-                panic!(
-                    "no {} run at {largest} nodes in {path}",
-                    if cached { "cached" } else { "brute" }
-                )
-            })
-    };
-    let (cached_ms, brute_ms) = (arm(true), arm(false));
-    let speedup = brute_ms / cached_ms;
-    println!(
-        "speedup @ {largest} nodes: brute {brute_ms:.1} ms / cached {cached_ms:.1} ms = {speedup:.2}x"
-    );
-    if speedup < 3.0 {
-        eprintln!("speedup gate FAILED: {speedup:.2}x < 3.00x at {largest} nodes");
-        std::process::exit(1);
-    }
-    println!("speedup gate: OK ({speedup:.2}x >= 3.00x)");
-}
-
-/// Minimum fresh-cached / committed-brute throughput ratio the nightly
-/// events-rate gate enforces. The brute arm of the committed artifact
-/// is the locked-in pre-optimization cost profile (PR 3 measured it at
-/// ~116k ev/s for 1000 nodes), so this demands the optimized kernel
-/// stay at least 4× faster than the unoptimized physics on whatever
-/// hardware the gate runs on — a floor that catches real kernel
-/// regressions without flaking on CI machine variance.
-const EVENTS_RATE_MIN: f64 = 4.0;
-
-/// `--check-events-rate <artifact>`: re-measure event throughput at the
-/// committed artifact's largest deployment and gate it against the
-/// artifact's brute-force baseline. Also hard-fails on digest drift
-/// between the fresh run and the committed cached arm, so a perf
-/// "improvement" that changed physics cannot slip through the perf
-/// gate. Must run against the *checked-in* artifact, before any step
-/// regenerates it.
-fn check_events_rate(path: &str, seed: u64) {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("cannot read scale artifact {path}: {e}"));
-    // (nodes, cached, events_per_sec, digest) parsed back out.
-    let mut runs: Vec<(u64, bool, f64, String)> = Vec::new();
-    for line in text.lines().filter(|l| !l.trim().is_empty()) {
-        let v: serde::Value =
-            serde_json::from_str(line).unwrap_or_else(|e| panic!("bad JSON line in {path}: {e:?}"));
-        let nodes = match v.map_get("nodes") {
-            Some(serde::Value::U64(n)) => *n,
-            Some(serde::Value::I64(n)) => *n as u64,
-            _ => panic!("scale row without a numeric `nodes` field in {path}"),
-        };
-        let cached = matches!(v.map_get("cached"), Some(serde::Value::Bool(true)));
-        let rate = match v.map_get("events_per_sec") {
-            Some(serde::Value::F64(r)) => *r,
-            Some(serde::Value::U64(r)) => *r as f64,
-            Some(serde::Value::I64(r)) => *r as f64,
-            _ => panic!("scale row without a numeric `events_per_sec` field in {path}"),
-        };
-        let digest = match v.map_get("digest") {
-            Some(serde::Value::Str(d)) => d.clone(),
-            _ => String::new(),
-        };
-        runs.push((nodes, cached, rate, digest));
-    }
-    let largest = runs
-        .iter()
-        .map(|&(n, _, _, _)| n)
-        .max()
-        .unwrap_or_else(|| panic!("no scale rows in {path}"));
-    let baseline = runs
-        .iter()
-        .find(|&&(n, c, _, _)| n == largest && !c)
-        .map(|&(_, _, r, _)| r)
-        .unwrap_or_else(|| panic!("no brute run at {largest} nodes in {path}"));
-    let committed_digest = runs
-        .iter()
-        .find(|&&(n, c, _, _)| n == largest && c)
-        .map(|r| r.3.clone())
-        .unwrap_or_default();
-    println!("events-rate gate: measuring {largest} nodes (cached) against {path} ...");
-    let fresh = exp::scale_point(largest as usize, seed, true);
-    println!(
-        "events-rate @ {largest} nodes: fresh cached {:.0} ev/s vs committed brute {baseline:.0} ev/s = {:.2}x",
-        fresh.events_per_sec,
-        fresh.events_per_sec / baseline
-    );
-    if !committed_digest.is_empty() && fresh.digest != committed_digest {
-        eprintln!(
-            "events-rate gate FAILED: digest drift at {largest} nodes — fresh {} != committed {committed_digest}",
-            fresh.digest
-        );
-        std::process::exit(1);
-    }
-    let ratio = fresh.events_per_sec / baseline;
-    if ratio < EVENTS_RATE_MIN {
-        eprintln!(
-            "events-rate gate FAILED: {ratio:.2}x < {EVENTS_RATE_MIN:.2}x over the committed brute baseline at {largest} nodes"
-        );
-        std::process::exit(1);
-    }
-    println!("events-rate gate: OK ({ratio:.2}x >= {EVENTS_RATE_MIN:.2}x, digest stable)");
 }
 
 fn fig5(seed: u64, json: bool) {

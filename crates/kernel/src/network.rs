@@ -2682,33 +2682,35 @@ mod collision_tests {
         }
     }
 
-    /// Tentpole regression: the reachability cache is an optimization,
-    /// not a model change. A full multi-hop run (beacons on, contention,
-    /// overridden links) is bit-identical with the cache on and off.
+    /// A full multi-hop run (beacons on, contention) pinned to FNV-1a of
+    /// its counters, node stats and event count. The literals are the
+    /// brute-force medium's output, which the cached medium matched
+    /// before the brute arm was retired; a deliberate physics change
+    /// regenerates them explicitly.
     #[test]
-    fn cached_and_brute_force_medium_run_identically() {
+    fn scatter_run_matches_pinned_digest() {
         let scatter = |seed: u64| {
             let mut rng = lv_sim::SimRng::from_seed_u64(seed);
             (0..12)
                 .map(|_| Position::new(rng.unit() * 40.0, rng.unit() * 40.0))
                 .collect::<Vec<Position>>()
         };
-        for seed in [5u64, 29] {
-            let cached = Medium::new(scatter(seed), PropagationConfig::default(), seed);
-            let brute = Medium::new_uncached(scatter(seed), PropagationConfig::default(), seed);
-            assert!(cached.cache_enabled() && !brute.cache_enabled());
-
-            let digests: Vec<String> = [cached, brute]
-                .into_iter()
-                .map(|medium| {
-                    let mut net = Network::new(medium, seed);
-                    net.spawn_process(0, Box::new(Burster { rounds: 0 }), vec![])
-                        .unwrap();
-                    net.run_for(SimDuration::from_secs(5));
-                    run_digest(&net)
-                })
-                .collect();
-            assert_eq!(digests[0], digests[1], "seed {seed}");
+        let fnv1a = |s: &str| {
+            s.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        };
+        for (seed, pinned) in [
+            (5u64, 0xc9e5_5a48_dc8b_7238u64),
+            (29, 0xd9a2_18bb_af1f_289c),
+        ] {
+            let medium = Medium::new(scatter(seed), PropagationConfig::default(), seed);
+            let mut net = Network::new(medium, seed);
+            net.spawn_process(0, Box::new(Burster { rounds: 0 }), vec![])
+                .unwrap();
+            net.run_for(SimDuration::from_secs(5));
+            let digest = fnv1a(&run_digest(&net));
+            assert_eq!(digest, pinned, "seed {seed}: {digest:#018x}");
         }
     }
 

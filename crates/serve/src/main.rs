@@ -12,9 +12,6 @@
 //! lv-serve --smoke N [--cmds M] [--seed S]
 //!     Boot a loopback server, run N concurrent scripted sessions,
 //!     verify clean completion + shutdown. Exit 0 on success.
-//!
-//! lv-serve --bench-sessions N [--cmds M] [--seed S]
-//!     Same fleet, reported as a throughput measurement (JSON line).
 //! ```
 
 use liteview::shell::{parse_line, ShellInput, HELP};
@@ -44,8 +41,6 @@ fn main() {
         0
     } else if args.iter().any(|a| a == "--smoke") {
         smoke_mode(&args)
-    } else if args.iter().any(|a| a == "--bench-sessions") {
-        bench_mode(&args)
     } else if let Some(addr) = flag_value(&args, "--client") {
         client_mode(&addr)
     } else {
@@ -59,8 +54,7 @@ lv-serve — host LiteView diagnosis sessions over UDP
 
   lv-serve [--bind A] [--seed N] [--rate N] [--idle-ms N]   serve (stdin closes => shutdown)
   lv-serve --client ADDR                                    interactive thin client
-  lv-serve --smoke N [--cmds M] [--seed S]                  N concurrent sessions, exit 0 if clean
-  lv-serve --bench-sessions N [--cmds M] [--seed S]         throughput fleet, JSON line";
+  lv-serve --smoke N [--cmds M] [--seed S]                  N concurrent sessions, exit 0 if clean";
 
 fn fleet_config(args: &[String], sessions: usize) -> FleetConfig {
     FleetConfig {
@@ -100,21 +94,6 @@ fn smoke_mode(args: &[String]) -> i32 {
         }
         Err(e) => {
             eprintln!("serve-smoke: {e}");
-            1
-        }
-    }
-}
-
-fn bench_mode(args: &[String]) -> i32 {
-    let sessions = parse_flag(args, "--bench-sessions", 32usize);
-    let cfg = fleet_config(args, sessions);
-    match run_fleet(&cfg) {
-        Ok(report) => {
-            println!("{}", report.to_json());
-            i32::from(!report.failures.is_empty())
-        }
-        Err(e) => {
-            eprintln!("bench-sessions: {e}");
             1
         }
     }

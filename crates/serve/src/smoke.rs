@@ -3,9 +3,7 @@
 //! Boots a real `lv-serve` instance on an ephemeral loopback port,
 //! launches N concurrent scripted client sessions against it over UDP,
 //! and verifies every session completes and the server shuts down
-//! cleanly. The CI `serve-smoke` job runs this via `lv-serve --smoke`;
-//! `scripts/bench.sh` reuses it with larger numbers to measure
-//! concurrent-session throughput.
+//! cleanly. The CI `serve-smoke` job runs this via `lv-serve --smoke`.
 
 use crate::client::Client;
 use crate::server::{Server, ServerConfig, ServerStats};
@@ -66,27 +64,15 @@ pub struct FleetReport {
 }
 
 impl FleetReport {
-    /// Commands per wall-clock second across the whole fleet.
-    pub fn throughput(&self) -> f64 {
-        let secs = self.wall.as_secs_f64();
-        if secs > 0.0 {
-            self.commands_ok as f64 / secs
-        } else {
-            0.0
-        }
-    }
-
-    /// One-line JSON summary for benches and CI logs.
+    /// One-line JSON summary for CI logs.
     pub fn to_json(&self) -> String {
         format!(
             "{{\"sessions\": {}, \"commands_ok\": {}, \"failures\": {}, \"wall_ms\": {}, \
-             \"commands_per_sec\": {:.1}, \"executions\": {}, \"rate_limited\": {}, \
-             \"duplicates\": {}, \"rx_dropped\": {}}}",
+             \"executions\": {}, \"rate_limited\": {}, \"duplicates\": {}, \"rx_dropped\": {}}}",
             self.sessions,
             self.commands_ok,
             self.failures.len(),
             self.wall.as_millis(),
-            self.throughput(),
             self.server_stats.executions,
             self.server_stats.rate_limited,
             self.server_stats.duplicates,

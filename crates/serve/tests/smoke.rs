@@ -32,6 +32,6 @@ fn fleet_report_json_is_one_line() {
     };
     let report = run_fleet(&cfg).expect("fleet boots");
     let json = report.to_json();
-    assert!(!json.contains('\n'), "bench output must be one line");
-    assert!(json.contains("\"commands_per_sec\""), "{json}");
+    assert!(!json.contains('\n'), "the summary must be one line");
+    assert!(json.contains("\"commands_ok\""), "{json}");
 }

@@ -1000,147 +1000,6 @@ pub fn default_failure_plans() -> Vec<FailurePlan> {
     ]
 }
 
-// ---------------------------------------------------------------------
-// Scaling sweep (PR 3): events/sec of the O(degree) event loop vs the
-// brute-force O(N) transmit path, 100 → 1000 nodes.
-// ---------------------------------------------------------------------
-
-/// Grid shape for `nodes`: the divisor pair closest to square.
-fn grid_shape(nodes: usize) -> (usize, usize) {
-    let mut best = (1, nodes);
-    for rows in 1..=nodes {
-        if rows * rows > nodes {
-            break;
-        }
-        if nodes.is_multiple_of(rows) {
-            best = (rows, nodes / rows);
-        }
-    }
-    best
-}
-
-/// Independent trials per scale point. The medium (positions + frozen
-/// link gains) is the fixed substrate; each trial runs a fresh network
-/// on a clone of it with its own seed — the standard multi-trial shape
-/// of the experiment engine, which also means the one-time cache build
-/// is amortized exactly the way a real study amortizes it.
-const SCALE_TRIALS: u64 = 3;
-
-/// One timed arm of the scaling workload at `nodes` nodes: an 18 m
-/// pitch grid beacons every 500 ms; each of `SCALE_TRIALS` (3) trials
-/// warms its neighbor tables for 2 s, then the workstation fires two
-/// rounds of traceroutes at eight targets spread across the grid (each
-/// command occupying its fixed 500 ms response window), and the network
-/// runs 2 more seconds of beacon + report traffic.
-///
-/// `cached` toggles the medium's reachability cache — the brute arm is
-/// the pre-optimization O(N)-per-transmission path (and skips building
-/// the cache entirely, so it pays nothing for a structure it never
-/// reads). Returns wall time, event count, throughput, and a digest of
-/// every trial's counters (the two arms must produce equal digests: the
-/// cache is not allowed to change physics).
-pub fn scale_point(nodes: usize, seed: u64, cached: bool) -> ScaleRow {
-    use liteview::{install_suite, Workstation};
-    use std::hash::{Hash, Hasher};
-
-    let (rows, cols) = grid_shape(nodes);
-    let topology = Topology::Grid {
-        rows,
-        cols,
-        spacing: 24.0,
-    };
-    let started = std::time::Instant::now();
-    let config = lv_radio::PropagationConfig::default();
-    // The brute arm never builds the cache, so it is the genuine
-    // pre-optimization cost profile.
-    let medium = if cached {
-        topology.medium(config, seed)
-    } else {
-        topology.medium_uncached(config, seed)
-    };
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    let mut events = 0u64;
-    for trial in 0..SCALE_TRIALS {
-        let trial_seed = seed.wrapping_add(trial.wrapping_mul(0x9E37_79B9));
-        let mut net = Network::new(medium.clone(), trial_seed);
-        for i in 0..net.node_count() as u16 {
-            net.install_router(
-                i,
-                Box::new(lv_net::routing::Geographic::new(Port::GEOGRAPHIC)),
-            )
-            .expect("port 10 free");
-            net.node_mut(i).stack.config_mut().beacon_period = SimDuration::from_millis(500);
-        }
-        install_suite(&mut net);
-        net.run_for(SimDuration::from_secs(2));
-        let mut ws = Workstation::install(&mut net, 0);
-        ws.cd(&net, "192.168.0.1").expect("bridge exists");
-        let n = net.node_count();
-        // Eight targets spread over the grid: far corner, the two other
-        // corners, and interior nodes. Commands may time out on very
-        // long geographic paths — they are workload, not assertions;
-        // both arms see the identical outcome.
-        let targets = [
-            n - 1,
-            (rows - 1) * cols,
-            cols - 1,
-            n / 2,
-            n / 3,
-            2 * n / 3,
-            n / 4,
-            3 * n / 4,
-        ];
-        for round in 0..2 {
-            for t in targets {
-                let t = (t.saturating_sub(round).min(n - 1)) as u16;
-                if t == 0 {
-                    continue;
-                }
-                let _ = ws.exec(
-                    &mut net,
-                    CommandRequest::traceroute(t, 32, Port::GEOGRAPHIC),
-                );
-            }
-        }
-        net.run_for(SimDuration::from_secs(2));
-        for (name, value) in net.counters.iter() {
-            name.hash(&mut h);
-            value.hash(&mut h);
-        }
-        net.events_dispatched().hash(&mut h);
-        events += net.events_dispatched();
-    }
-    let wall = started.elapsed();
-    let wall_ms = wall.as_secs_f64() * 1e3;
-    ScaleRow {
-        nodes,
-        cached,
-        wall_ms,
-        events,
-        events_per_sec: events as f64 / wall.as_secs_f64(),
-        digest: format!("{:016x}", h.finish()),
-    }
-}
-
-/// The full sweep: cached and brute-force runs at every size, with a
-/// hard equivalence check — a digest mismatch panics, because it means
-/// the reachability cache changed observable behaviour.
-pub fn scale_sweep(sizes: &[usize], seed: u64) -> Vec<ScaleRow> {
-    let mut out = Vec::new();
-    for &n in sizes {
-        let cached = scale_point(n, seed, true);
-        let brute = scale_point(n, seed, false);
-        assert_eq!(
-            cached.digest, brute.digest,
-            "cache changed outcomes at {n} nodes"
-        );
-        assert_eq!(cached.events, brute.events);
-        out.push(cached);
-        out.push(brute);
-    }
-    out
-}
-
 // ----------------------------------------------------------------------
 // Determinism digests (the CI regression gate)
 // ----------------------------------------------------------------------

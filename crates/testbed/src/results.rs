@@ -368,21 +368,3 @@ pub struct FailureSweepRow {
     /// Response delay of the last hop report that did arrive, ms.
     pub last_report_ms: AggregateStats,
 }
-
-/// Scaling sweep — one timed run of the beacon + traceroute workload.
-#[derive(Debug, Clone, Serialize)]
-pub struct ScaleRow {
-    /// Deployment size (grid nodes).
-    pub nodes: usize,
-    /// Whether the medium's reachability cache was enabled.
-    pub cached: bool,
-    /// Wall-clock time for the whole run (build + warmup + workload).
-    pub wall_ms: f64,
-    /// Events the loop dispatched.
-    pub events: u64,
-    /// Dispatch throughput, events per wall-clock second.
-    pub events_per_sec: f64,
-    /// Hash over the run's global counters — equal across the cached
-    /// and brute-force runs of the same size, or the sweep aborts.
-    pub digest: String,
-}

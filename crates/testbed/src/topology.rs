@@ -98,13 +98,6 @@ impl Topology {
         self.with_overrides(Medium::new(self.positions(seed), config, seed))
     }
 
-    /// [`Topology::medium`] without the reachability cache
-    /// ([`Medium::new_uncached`]): the bit-identical brute-force
-    /// reference, for A/B benchmarks and equivalence tests.
-    pub fn medium_uncached(&self, config: PropagationConfig, seed: u64) -> Medium {
-        self.with_overrides(Medium::new_uncached(self.positions(seed), config, seed))
-    }
-
     /// Install the topology's structural link overrides.
     fn with_overrides(&self, mut medium: Medium) -> Medium {
         if let Topology::Corridor {

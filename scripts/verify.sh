@@ -19,9 +19,6 @@ cargo clippy --all-targets -- -D warnings
 echo "== lv-lint (determinism & invariant gate, incl. graph rules) =="
 cargo run -q -p lv-lint -- --max-seconds 10
 
-echo "== scaling smoke (100 nodes, cached vs brute) =="
-cargo run --release -q -p lv-bench --bin figures -- --scale --sizes 100
-
 echo "== determinism digest gate (goldens/figure_digests.json) =="
 cargo run --release -q -p lv-bench --bin figures -- --check-digests goldens/figure_digests.json
 
