@@ -1814,7 +1814,7 @@ impl Network {
                             // Cold error branch: the detail string is
                             // built at most once per failed spawn, not
                             // per event.
-                            // lv-lint: allow(hot-path-alloc-transitive)
+                            // lv-lint: allow(hot-path-alloc)
                             self.nodes[idx].log.record(now, "spawn_fail", e.to_string());
                             self.counters.incr_id(CounterId::SysSpawnFail);
                         }

@@ -1,6 +1,6 @@
-//! Fixture for the `hash-iter` rule. Not compiled — scanned by
-//! `tests/fixtures.rs` with a harness crate key (where owning a
-//! HashMap is fine but iterating it is not).
+//! Fixture for the `determinism` rule's hash-iteration sinks. Not
+//! compiled — linted by `tests/fixtures.rs`; iterating fires in every
+//! crate (owning the map is `hash-type`'s concern, on the sim path).
 
 struct Harness {
     stats: HashMap<String, u64>,
@@ -18,7 +18,7 @@ fn also_violation(h: &Harness) {
 }
 
 fn allowed(h: &Harness) -> Vec<String> {
-    let mut v: Vec<String> = h.stats.keys().cloned().collect(); // lv-lint: allow(hash-iter)
+    let mut v: Vec<String> = h.stats.keys().cloned().collect(); // lv-lint: allow(determinism)
     v.sort();
     v
 }

@@ -1,5 +1,5 @@
-//! Fixture: hot-path-alloc — heap allocation inside functions tagged
-//! `// lv-lint: hot` (positive, allowed, cold and test-region cases).
+//! Fixture for the `hot-path-alloc` rule in a tagged body itself
+//! (positive, allowed, cold and test-region cases); fires in any crate.
 
 // lv-lint: hot
 fn hot_scan(n: u32) -> u32 {

@@ -1,7 +1,7 @@
-//! Fixture for the `hot-path-alloc-transitive` graph rule. Not
-//! compiled — parsed by `tests/interproc.rs` with the kernel crate
-//! key. The tagged function itself is the per-file rule's job; only
-//! its callees are this rule's findings.
+//! Fixture for the `hot-path-alloc` rule below a tagged function. Not
+//! compiled — linted by `tests/interproc.rs` with the kernel crate
+//! key. The tagged body allocates nothing; its callees' `Box::new` and
+//! `.to_string()` are findings.
 
 // lv-lint: hot
 fn on_rx() {
@@ -20,12 +20,12 @@ fn label() -> String {
 }
 
 fn label_allowed() -> String {
-    1.to_string() // lv-lint: allow(hot-path-alloc-transitive)
+    1.to_string() // lv-lint: allow(hot-path-alloc)
 }
 
 fn empty() -> Vec<u8> {
-    // Capacity-zero `Vec::new` never touches the heap: exempt
-    // transitively (the per-file rule still bans it in tagged bodies).
+    // Capacity-zero `Vec::new` never touches the heap: exempt below
+    // the tagged body (it still counts in the tagged body itself).
     Vec::new()
 }
 

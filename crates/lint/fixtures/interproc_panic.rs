@@ -1,7 +1,7 @@
-//! Fixture for the `panic-reachability` graph rule. Not compiled —
-//! parsed by `tests/interproc.rs` with the net crate key. Sinks are
+//! Fixture for the `no-panic` rule reached from pub API. Not compiled —
+//! linted by `tests/interproc.rs` with the net crate key. Sinks are
 //! private helpers reached from pub API; the allowed twin and the
-//! helper no pub function calls stay silent.
+//! helper no pub function calls stay silent (net needs a root).
 
 pub fn decode(buf: &[u8]) -> u8 {
     first_byte(buf)
@@ -24,7 +24,7 @@ pub fn parse_allowed(x: Option<u8>) -> u8 {
 }
 
 fn force_allowed(x: Option<u8>) -> u8 {
-    x.unwrap() // lv-lint: allow(panic-reachability)
+    x.unwrap() // lv-lint: allow(no-panic)
 }
 
 fn private_only(x: Option<u8>) -> u8 {

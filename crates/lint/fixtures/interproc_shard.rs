@@ -1,5 +1,5 @@
-//! Fixture for the `shard-readiness` graph rule. Not compiled —
-//! parsed by `tests/interproc.rs` with the kernel crate key. Hazards:
+//! Fixture for the `shard-readiness` rule. Not compiled —
+//! linted by `tests/interproc.rs` with the kernel crate key. Hazards:
 //! a lock acquisition and references to a `static mut` and an
 //! interior-mutable static, all in event-loop-reachable code.
 

@@ -1,7 +1,7 @@
-//! Fixture for the `determinism-taint` graph rule. Not compiled —
-//! parsed by `tests/interproc.rs` with the kernel crate key. The sink
-//! sits two hops below the event loop; the allowed twin is suppressed
-//! by an inline directive on the sink line.
+//! Fixture for the `determinism` rule reached from the event loop. Not
+//! compiled — linted by `tests/interproc.rs` with the kernel crate key.
+//! The sink sits two hops below the event loop; the allowed twin is
+//! suppressed by an inline directive on the sink line.
 
 pub struct Network;
 
@@ -22,13 +22,13 @@ fn stamp() {
 }
 
 fn stamp_allowed() {
-    let t = Instant::now(); // lv-lint: allow(determinism-taint)
+    let t = Instant::now(); // lv-lint: allow(determinism)
     let _ = t;
 }
 
 fn unreached() {
-    // Not reachable from the event loop: no finding, even though the
-    // sink is real.
+    // Not reachable from the event loop: no chain. The kernel is on
+    // the sim path, so the read is still a finding (line 32).
     let t = Instant::now();
     let _ = t;
 }

@@ -2,7 +2,7 @@
 //! `tests/fixtures.rs` under the *default workspace policy* with two
 //! different crate keys: under `crates/serve/...` (the live-transport
 //! crate) these constructs are clean; under a sim-path key the same
-//! source trips `wall-clock` and `hash-type`.
+//! source trips `determinism` and `hash-type`.
 
 use std::collections::HashMap;
 use std::time::Instant;

@@ -1,5 +1,5 @@
-//! Fixture for the `no-panic` rule. Not compiled — scanned by
-//! `tests/fixtures.rs` with the kernel crate key.
+//! Fixture for the `no-panic` rule with no root (no pub fn). Not
+//! compiled — linted by `tests/fixtures.rs`; fires in kernel and radio.
 
 fn violation(x: Option<u32>) -> u32 {
     x.unwrap() // finding (line 5)

@@ -1,5 +1,5 @@
-//! Fixture for the `os-random` rule. Not compiled — scanned by
-//! `tests/fixtures.rs` with a sim-path crate key.
+//! Fixture for the `determinism` rule's OS-entropy sinks. Not compiled —
+//! linted by `tests/fixtures.rs`; fires in the sim-path crates only.
 
 fn violation() -> u64 {
     let mut rng = thread_rng(); // finding (line 5)
@@ -11,7 +11,7 @@ fn also_violation() {
 }
 
 fn allowed() {
-    let _ = OsRng; // lv-lint: allow(os-random)
+    let _ = OsRng; // lv-lint: allow(determinism)
 }
 
 fn fine(seed: u64) -> u64 {

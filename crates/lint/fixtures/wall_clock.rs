@@ -1,5 +1,5 @@
-//! Fixture for the `wall-clock` rule. Not compiled — scanned by
-//! `tests/fixtures.rs` with a sim-path crate key.
+//! Fixture for the `determinism` rule's wall-clock sinks. Not compiled —
+//! linted by `tests/fixtures.rs`; fires in the sim-path crates only.
 
 fn violation() -> f64 {
     let t = std::time::Instant::now(); // finding (line 5)
@@ -7,7 +7,7 @@ fn violation() -> f64 {
 }
 
 fn allowed() {
-    let _ = std::time::SystemTime::now(); // lv-lint: allow(wall-clock)
+    let _ = std::time::SystemTime::now(); // lv-lint: allow(determinism)
 }
 
 // Instant mentioned only in a comment is never a finding.

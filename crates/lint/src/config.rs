@@ -1,122 +1,161 @@
-//! Per-crate rule configuration.
+//! The repo's lint policy: which crates each rule covers.
 //!
-//! Every rule is enabled for an explicit set of crates (identified by
-//! their directory name under `crates/`, with `root` naming the
-//! workspace's top-level `src/`). The default configuration encodes the
-//! repo policy from `DESIGN.md` §12; tests build custom configs to
-//! exercise rules against fixture files.
+//! Crates are identified by their directory name under `crates/`, with
+//! `root` naming the workspace's top-level `src/`. [`RULES`] is the one
+//! policy table (DESIGN.md §12): every scoping decision of all eight
+//! rules is a field of its rows. The CLI lints under it, and so do the
+//! tests, which filter findings by rule.
 
-/// Which crates a rule applies to.
-#[derive(Debug, Clone)]
-pub enum CrateSet {
+use crate::parse::SinkKind;
+
+/// A set of crate keys.
+#[derive(Debug, Clone, Copy)]
+pub enum Scope {
     /// Every scanned crate.
     All,
     /// Only the named crates (directory names, e.g. `"kernel"`).
-    Only(Vec<String>),
+    Only(&'static [&'static str]),
 }
 
-impl CrateSet {
-    /// True when the rule applies to `crate_key`.
-    pub fn contains(&self, crate_key: &str) -> bool {
+impl Scope {
+    /// True when the scope covers `crate_key`.
+    pub fn contains(self, crate_key: &str) -> bool {
         match self {
-            CrateSet::All => true,
-            CrateSet::Only(list) => list.iter().any(|c| c == crate_key),
+            Scope::All => true,
+            Scope::Only(keys) => keys.contains(&crate_key),
         }
     }
-
-    /// Convenience constructor from string slices.
-    pub fn only(names: &[&str]) -> CrateSet {
-        CrateSet::Only(names.iter().map(|s| (*s).to_owned()).collect())
-    }
-}
-
-/// One rule's enablement.
-#[derive(Debug, Clone)]
-pub struct RuleConfig {
-    /// Rule name (must match a registered rule).
-    pub rule: String,
-    /// Crates the rule runs on.
-    pub crates: CrateSet,
-}
-
-/// The analyzer's configuration: which rules run where.
-#[derive(Debug, Clone)]
-pub struct LintConfig {
-    /// Enabled rules and their crate sets.
-    pub rules: Vec<RuleConfig>,
 }
 
 /// The crates whose results reach serialized output (reports, figures,
 /// digests) or whose control flow feeds the deterministic replay: the
 /// simulation path proper.
-pub const SIM_PATH_CRATES: &[&str] = &["sim", "radio", "mac", "net", "kernel", "core"];
+pub const SIM_PATH: Scope = Scope::Only(&["sim", "radio", "mac", "net", "kernel", "core"]);
 
-/// Crates that consume the simulation and emit artifacts; wall-clock
-/// timing is legitimate here (benchmark wall time), but hash-ordered
-/// iteration still must not leak into what they serialize.
-pub const HARNESS_CRATES: &[&str] = &["testbed", "bench", "root", "lint"];
+/// The crates that must never abort: a panic there kills a node
+/// mid-simulation.
+pub const KERNEL_RADIO: Scope = Scope::Only(&["kernel", "radio"]);
 
-/// The live-transport crates: real sockets, real threads, real time.
-/// Wall-clock reads (pacing, timeouts, idle eviction) are the *point*
-/// here, so the sim-path determinism rules do not apply — but the
-/// exemption is this explicit crate scope, never an inline allow, so
-/// adding a new crate to the live side is a reviewed policy change.
-/// Hash-ordered iteration is still banned: session bookkeeping that
-/// reaches responses or stats must not depend on hasher state.
-pub const LIVE_CRATES: &[&str] = &["serve"];
+/// No crate: a sink kind that never fires unless a root reaches it.
+pub const NOWHERE: Scope = Scope::Only(&[]);
 
-impl LintConfig {
-    /// The repo's default policy.
-    ///
-    /// * `wall-clock`, `os-random`, `hash-type` — sim-path crates only:
-    ///   no `Instant`/`SystemTime`, no OS randomness, no std hash
-    ///   collections (their iteration order depends on `RandomState`).
-    ///   The live-transport crates ([`LIVE_CRATES`]) are exempt by
-    ///   crate scope — real time is their job — not by inline allows.
-    /// * `hash-iter` — harness and live-transport crates:
-    ///   `HashMap`/`HashSet` may exist, but iterating one is flagged
-    ///   (sort first or use `BTreeMap`).
-    /// * `no-panic` — kernel and radio: `unwrap`/`expect`/`panic!` are
-    ///   forbidden in non-test code; use typed errors or anomaly paths.
-    /// * `hot-path-alloc` — everywhere (tag-driven): a function marked
-    ///   `// lv-lint: hot` must not call `Box::new`/`Vec::new`/
-    ///   `.to_string()`; hot paths allocate from arenas and inline
-    ///   buffers only.
-    /// * `counter-name` — everywhere: counter ids must be namespaced
-    ///   (`dyn.node_down`, `padding.capped`).
-    /// * `trace-coverage` — kernel: a function counting a `dyn.*`
-    ///   mutation must also emit a trace event.
-    /// * `pub-doc` — everywhere: `pub` items need doc comments.
-    pub fn default_for_workspace() -> LintConfig {
-        let rule = |rule: &str, crates: CrateSet| RuleConfig {
-            rule: rule.to_owned(),
-            crates,
-        };
-        let hash_iter_crates: Vec<&str> =
-            HARNESS_CRATES.iter().chain(LIVE_CRATES).copied().collect();
-        LintConfig {
-            rules: vec![
-                rule("wall-clock", CrateSet::only(SIM_PATH_CRATES)),
-                rule("os-random", CrateSet::only(SIM_PATH_CRATES)),
-                rule("hash-type", CrateSet::only(SIM_PATH_CRATES)),
-                rule("hash-iter", CrateSet::only(&hash_iter_crates)),
-                rule("no-panic", CrateSet::only(&["kernel", "radio"])),
-                rule("hot-path-alloc", CrateSet::All),
-                rule("counter-name", CrateSet::All),
-                rule("trace-coverage", CrateSet::only(&["kernel"])),
-                rule("pub-doc", CrateSet::All),
-            ],
-        }
-    }
+/// One rule of the policy.
+pub struct RuleScope {
+    /// Rule name, as used in allow directives and baselines.
+    pub name: &'static str,
+    /// One-line description (for `--list-rules`).
+    pub summary: &'static str,
+    /// The crates where the rule's sites count: any site for a per-file
+    /// rule, a site a root reaches for a reach rule.
+    pub crates: Scope,
+    /// A reach rule's sink kinds (none for a per-file rule), each with
+    /// the crates where it counts with no root at all, and whether it
+    /// counts below a root (`false`: only in a root's own body).
+    pub sinks: &'static [(SinkKind, Scope, bool)],
+}
 
-    /// Rules enabled for `crate_key`, in configuration order.
-    pub fn rules_for(&self, crate_key: &str) -> Vec<&str> {
-        self.rules
-            .iter()
-            .filter(|r| r.crates.contains(crate_key))
-            .map(|r| r.rule.as_str())
-            .collect()
-    }
+/// Every rule, in reporting order: the four per-file rules of
+/// [`crate::rules`], then the four reach rules of [`crate::interproc`].
+///
+/// The live-transport crate (`serve`) is outside the determinism scope
+/// because real time and real sockets are its job. The exemption is
+/// this table, never an inline allow, so a new crate on the live side
+/// is a reviewed policy change. Harness crates (`testbed`, `bench`,
+/// `root`) may read the clock to time a run, but not on a path a trial
+/// body or the event loop reaches, and they may fail fast on a bad
+/// experiment config, so `no-panic` does not cover them. A reach
+/// rule's roots and walk are code, in [`crate::interproc`]; the
+/// `no-panic` roots are the pub fns of its own crates.
+pub const RULES: &[RuleScope] = &[
+    RuleScope {
+        name: "hash-type",
+        summary: "no std HashMap/HashSet in sim-path crates (BTreeMap/BTreeSet instead)",
+        crates: SIM_PATH,
+        sinks: &[],
+    },
+    RuleScope {
+        name: "counter-name",
+        summary: "counter ids must be namespaced: `ns.name` (e.g. dyn.node_down)",
+        crates: Scope::All,
+        sinks: &[],
+    },
+    RuleScope {
+        name: "trace-coverage",
+        summary: "kernel functions counting dyn.* mutations must emit a trace event",
+        crates: Scope::Only(&["kernel"]),
+        sinks: &[],
+    },
+    RuleScope {
+        name: "pub-doc",
+        summary: "pub items need doc comments",
+        crates: Scope::All,
+        sinks: &[],
+    },
+    RuleScope {
+        name: "determinism",
+        summary: "no wall clock or OS entropy in sim-path crates, no hash-order iteration \
+                  anywhere, and neither reachable from the event loop, Medium::assess* or a \
+                  TrialRunner trial body",
+        crates: Scope::Only(&[
+            "sim", "radio", "mac", "net", "kernel", "core", "testbed", "bench", "root",
+        ]),
+        sinks: &[
+            (SinkKind::WallClock, SIM_PATH, true),
+            (SinkKind::Entropy, SIM_PATH, true),
+            (SinkKind::HashIter, Scope::All, true),
+        ],
+    },
+    RuleScope {
+        name: "no-panic",
+        summary: "no panic!/unwrap/expect in kernel and radio, and none (nor unguarded \
+                  byte-slice indexing) reachable from sim-path or serve pub API",
+        crates: Scope::Only(&["sim", "radio", "mac", "net", "kernel", "core", "serve"]),
+        sinks: &[
+            (SinkKind::Panic, KERNEL_RADIO, true),
+            (SinkKind::Index, NOWHERE, true),
+        ],
+    },
+    RuleScope {
+        name: "hot-path-alloc",
+        summary: "no Box::new/to_string at any static-call depth below a `// lv-lint: hot` \
+                  fn, no Vec::new in its own body",
+        crates: Scope::All,
+        // `Vec::new()` is capacity-zero and never touches the heap (growth
+        // allocates at the push site, which needs flow analysis to
+        // attribute), so it only counts in the tagged body itself.
+        sinks: &[
+            (SinkKind::Alloc, NOWHERE, true),
+            (SinkKind::VecNew, NOWHERE, false),
+        ],
+    },
+    RuleScope {
+        name: "shard-readiness",
+        summary: "no static mut, interior-mutable static, or lock acquisition in \
+                  event-loop-reachable code (per-shard queues must not inherit them)",
+        crates: Scope::All,
+        sinks: &[
+            (SinkKind::Lock, NOWHERE, true),
+            (SinkKind::CapsRef, NOWHERE, true),
+        ],
+    },
+];
+
+/// The policy row of the rule named `name`.
+pub fn rule(name: &str) -> Option<&'static RuleScope> {
+    RULES.iter().find(|r| r.name == name)
+}
+
+/// The crates the rule named `name` covers (none for an unknown name).
+pub fn scope_of(name: &str) -> Scope {
+    rule(name).map_or(NOWHERE, |r| r.crates)
+}
+
+/// The reach rule that owns a sink kind.
+pub fn rule_of(kind: SinkKind) -> &'static str {
+    RULES
+        .iter()
+        .find(|r| r.sinks.iter().any(|s| s.0 == kind))
+        .map_or("", |r| r.name)
 }
 
 /// Derive the crate key from a repo-relative path:
@@ -141,41 +180,37 @@ mod tests {
         assert_eq!(crate_key_of("src/lib.rs"), "root");
     }
 
-    #[test]
-    fn default_policy_scopes() {
-        let cfg = LintConfig::default_for_workspace();
-        assert!(cfg.rules_for("kernel").contains(&"no-panic"));
-        assert!(!cfg.rules_for("testbed").contains(&"no-panic"));
-        assert!(cfg.rules_for("testbed").contains(&"hash-iter"));
-        assert!(!cfg.rules_for("kernel").contains(&"hash-iter"));
-        assert!(cfg.rules_for("kernel").contains(&"hash-type"));
-        assert!(cfg.rules_for("bench").contains(&"pub-doc"));
-    }
-
-    /// The live-transport crate is exempt from the sim-path determinism
-    /// rules by scope, but still subject to hash-iter, counter-name and
-    /// pub-doc.
+    /// The live-transport crate is outside the determinism and no-panic
+    /// reach scopes and `hash-type`, but keeps the conventions; every
+    /// sim-path crate keeps the full determinism set.
     #[test]
     fn live_crate_scoping() {
-        let cfg = LintConfig::default_for_workspace();
-        for rule in ["wall-clock", "os-random", "hash-type", "no-panic"] {
-            assert!(
-                !cfg.rules_for("serve").contains(&rule),
-                "{rule} must not apply to the live crate"
-            );
+        for rule in ["determinism", "hash-type", "trace-coverage"] {
+            assert!(!scope_of(rule).contains("serve"), "{rule} covers serve");
         }
-        for rule in ["hash-iter", "counter-name", "pub-doc"] {
-            assert!(
-                cfg.rules_for("serve").contains(&rule),
-                "{rule} must still apply to the live crate"
-            );
+        for rule in ["no-panic", "counter-name", "pub-doc", "hot-path-alloc"] {
+            assert!(scope_of(rule).contains("serve"), "{rule} skips serve");
         }
-        // The exemption is narrow: every sim-path crate keeps the full
-        // determinism set.
-        for key in SIM_PATH_CRATES {
-            assert!(cfg.rules_for(key).contains(&"wall-clock"));
-            assert!(cfg.rules_for(key).contains(&"os-random"));
-            assert!(cfg.rules_for(key).contains(&"hash-type"));
+        for key in ["sim", "radio", "mac", "net", "kernel", "core"] {
+            assert!(scope_of("determinism").contains(key));
+            assert!(scope_of("hash-type").contains(key));
+        }
+        assert!(!scope_of("no-panic").contains("testbed"));
+        assert!(!scope_of("determinism").contains("lint"));
+        assert!(!scope_of("retired-rule").contains("kernel"));
+    }
+
+    #[test]
+    fn every_sink_kind_has_one_rule() {
+        use SinkKind::*;
+        for kind in [
+            WallClock, Entropy, HashIter, Panic, Index, Alloc, VecNew, Lock, CapsRef,
+        ] {
+            let owners = RULES
+                .iter()
+                .filter(|r| r.sinks.iter().any(|s| s.0 == kind))
+                .count();
+            assert_eq!(owners, 1, "{kind:?}");
         }
     }
 }

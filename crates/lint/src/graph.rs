@@ -27,9 +27,9 @@
 //! This over-approximates within the cone (any same-named method is an
 //! edge) and under-approximates across cones (function pointers,
 //! closures passed downstream). Both biases are the right direction
-//! for the rules built on top: taint checks want high recall inside
+//! for the rules built on top: reach checks want high recall inside
 //! the deterministic core, and the trial-body source handles the one
-//! closure boundary that matters ([`crate::parse::FnFacts::trial_caller`]).
+//! closure boundary that matters ([`crate::parse::FnItem::trial_caller`]).
 
 use crate::parse::{CallKind, FnItem, ParsedFile};
 use std::collections::{BTreeMap, BTreeSet};
@@ -49,8 +49,6 @@ pub struct Graph {
     /// like the hot path — stop at the dispatch boundary; rules that
     /// model taint follow `calls`.
     pub static_calls: Vec<Vec<FnId>>,
-    /// Reverse edges: callee → sorted caller ids.
-    pub called_by: Vec<Vec<FnId>>,
     /// Crate key → transitive dependency cone (including itself).
     pub cones: BTreeMap<String, BTreeSet<String>>,
 }
@@ -261,22 +259,10 @@ impl Graph {
             static_calls[id] = out_static.into_iter().collect();
         }
 
-        let mut called_by: Vec<Vec<FnId>> = vec![Vec::new(); fns.len()];
-        for (caller, outs) in calls.iter().enumerate() {
-            for &callee in outs {
-                called_by[callee].push(caller);
-            }
-        }
-        for v in &mut called_by {
-            v.sort_unstable();
-            v.dedup();
-        }
-
         Graph {
             fns,
             calls,
             static_calls,
-            called_by,
             cones,
         }
     }
@@ -287,11 +273,6 @@ impl Graph {
     /// edges are stored sorted.
     pub fn reach_forward(&self, roots: &[FnId]) -> BTreeMap<FnId, FnId> {
         self.reach(roots, &self.calls)
-    }
-
-    /// BFS along reverse edges (who can *reach* these nodes).
-    pub fn reach_backward(&self, roots: &[FnId]) -> BTreeMap<FnId, FnId> {
-        self.reach(roots, &self.called_by)
     }
 
     /// BFS forward following only static edges — stops at dynamic
@@ -322,8 +303,8 @@ impl Graph {
     }
 
     /// Reconstruct the path from a root to `node` using the parent map
-    /// returned by [`Graph::reach_forward`] / [`Graph::reach_backward`]
-    /// — root first, `node` last.
+    /// returned by [`Graph::reach_forward`] /
+    /// [`Graph::reach_forward_static`] — root first, `node` last.
     pub fn chain_to(&self, parent: &BTreeMap<FnId, FnId>, node: FnId) -> Vec<FnId> {
         let mut chain = vec![node];
         let mut cur = node;
@@ -457,8 +438,7 @@ mod tests {
     use crate::rules::FileContext;
 
     fn parsed(path: &str, src: &str) -> ParsedFile {
-        let ctx = FileContext::new(path, src);
-        parse_file(&ctx, path)
+        parse_file(&FileContext::new(path, src))
     }
 
     fn deps(pairs: &[(&str, &[&str])]) -> BTreeMap<String, Vec<String>> {

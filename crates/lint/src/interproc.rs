@@ -1,94 +1,98 @@
-//! The interprocedural rules: taint queries over the call graph.
+//! The reach rules: one routine walks the call graph for four hazard
+//! classes.
 //!
-//! Where the per-file rules ([`crate::rules`]) pattern-match one
-//! file's token stream, these four walk the workspace call graph
-//! ([`crate::graph`]) and report *reachability* facts, each with the
-//! full call chain from source to sink as evidence:
+//! Each row of the class table names a rule, its roots and the edges
+//! its walk follows; the rule's row in [`crate::config::RULES`] gives
+//! its sink kinds and where each counts. A sink
+//! ([`crate::parse::Sink`]) is reported at most once, under the rule
+//! that owns its kind:
 //!
-//! * **determinism-taint** — wall-clock / OS-randomness / hash-order
-//!   sinks in code transitively reachable from the kernel event loop,
-//!   `Medium::assess*`, or a `TrialRunner` trial body. The per-file
-//!   rules already ban these sinks *inside* the sim-path crates; the
-//!   graph pass closes the remaining hole: harness code (where
-//!   `Instant` is normally legal) that a trial body can reach.
-//! * **panic-reachability** — pub API of the lib crates that can
-//!   transitively hit `panic!`/`unwrap`/`expect`/unguarded slice
-//!   indexing. Extends the per-file no-panic rule (kernel, radio)
-//!   across crate and call boundaries.
-//! * **hot-path-alloc-transitive** — allocations in *callees* of
-//!   `// lv-lint: hot` functions (the per-file rule covers the tagged
-//!   body itself; this covers everything it calls).
-//! * **shard-readiness** — `static mut` / interior-mutable statics
-//!   referenced from, and locks acquired in, event-loop-reachable
-//!   code: the hazards ROADMAP item 1's per-shard event queues must
-//!   not inherit.
+//! * with its call chain, when a root reaches its fn through the
+//!   class's edges and its crate is in the rule's scope — depth 0 is
+//!   the root's own body;
+//! * with no chain, when its crate is in the kind's no-root scope —
+//!   which is how the sim-path crates ban a wall-clock read, or kernel
+//!   and radio a `.unwrap()`, whoever calls it, and how file-level
+//!   sinks (a `use` line, a field type) are reported at all.
 //!
-//! Suppression mirrors the per-file engine: an inline
-//! `// lv-lint: allow(<rule>)` on the sink line (or the line above)
-//! suppresses the finding; test functions never enter the graph.
+//! Allow directives and test regions are applied once, when the parser
+//! harvests the sinks; test functions never enter the graph.
 
-use crate::config::{HARNESS_CRATES, LIVE_CRATES, SIM_PATH_CRATES};
-use crate::graph::{FnId, Graph};
-use crate::parse::{ParsedFile, Sink};
-use crate::rules::{ChainHop, Finding};
+use crate::config::{rule, scope_of};
+use crate::graph::{FnId, FnNode, Graph};
+use crate::parse::{ParsedFile, Sink, SinkKind};
+use crate::rules::{sort_findings, ChainHop, Finding};
 use std::collections::BTreeMap;
 
-/// A registered graph rule (name + summary, for `--list-rules` and
-/// docs; the checks themselves run via [`Analysis::run_rules`]).
-pub struct GraphRule {
-    /// Rule name, as used in allow directives and baselines.
-    pub name: &'static str,
-    /// One-line description.
-    pub summary: &'static str,
+/// One hazard class: where a reach rule's walk starts and which edges
+/// it follows.
+pub(crate) struct Class {
+    /// Rule name.
+    pub(crate) rule: &'static str,
+    /// Roots: the walk starts at these, and a root's own body counts.
+    roots: fn(&FnNode) -> bool,
+    /// Drivers: the walk starts at these too, but only their callees
+    /// count — a driver's own body is not inside the hazard region.
+    drivers: fn(&FnNode) -> bool,
+    /// The walk: [`Graph::reach_forward`] follows every edge,
+    /// [`Graph::reach_forward_static`] stops at dyn dispatch.
+    walk: fn(&Graph, &[FnId]) -> BTreeMap<FnId, FnId>,
 }
 
-/// Every interprocedural rule, in reporting order.
-pub const GRAPH_RULES: &[GraphRule] = &[
-    GraphRule {
-        name: "determinism-taint",
-        summary: "no wall-clock/os-random/hash-iter sink reachable from the event loop, \
-                  Medium::assess*, or TrialRunner trial bodies (reported with call chain)",
+/// The four reach rules, in reporting order.
+pub(crate) const CLASSES: &[Class] = &[
+    // A trial *driver* may time the whole run with `Instant` around
+    // `TrialRunner::run`; only its callees are inside trial bodies.
+    // Event-loop roots get no such carve-out.
+    Class {
+        rule: "determinism",
+        roots: is_event_loop,
+        drivers: |n| n.item.trial_caller,
+        walk: Graph::reach_forward,
     },
-    GraphRule {
-        name: "panic-reachability",
-        summary: "no panic!/unwrap/expect/unguarded-index reachable from lib-crate pub API \
-                  (reported with call chain)",
+    // The roots are the pub fns of the rule's own crates.
+    Class {
+        rule: "no-panic",
+        roots: |n| n.item.is_pub && scope_of("no-panic").contains(&n.crate_key),
+        drivers: |_| false,
+        walk: Graph::reach_forward,
     },
-    GraphRule {
-        name: "hot-path-alloc-transitive",
-        summary: "no Box::new/Vec::new/to_string in callees of `// lv-lint: hot` functions",
+    // Crossing a dyn-dispatch boundary hands control to a process, which
+    // owns its own allocation budget: the hot region is the static call
+    // tree.
+    Class {
+        rule: "hot-path-alloc",
+        roots: |n| n.item.is_hot,
+        drivers: |_| false,
+        walk: Graph::reach_forward_static,
     },
-    GraphRule {
-        name: "shard-readiness",
-        summary: "no static mut, interior-mutable static, or lock acquisition in \
-                  event-loop-reachable code (per-shard queues must not inherit them)",
+    Class {
+        rule: "shard-readiness",
+        roots: is_event_loop,
+        drivers: |_| false,
+        walk: Graph::reach_forward,
     },
 ];
 
-/// Crates whose determinism sinks count: the sim path itself plus the
-/// harness crates — harness code may read the clock for *benchmark
-/// timing*, but not on a path a trial body or the event loop can
-/// reach. The live-transport crates are exempt by scope (real time is
-/// their job, and the sim never dispatches into them).
-fn det_sink_crate(key: &str) -> bool {
-    SIM_PATH_CRATES.contains(&key) || (HARNESS_CRATES.contains(&key) && key != "lint")
+/// Event-loop roots: the kernel scheduler entry points and the radio
+/// medium assessment (both define what "inside a simulated event"
+/// means).
+fn is_event_loop(n: &FnNode) -> bool {
+    (n.crate_key == "kernel"
+        && n.item.owner.as_deref() == Some("Network")
+        && matches!(n.item.name.as_str(), "run_until" | "run_for" | "dispatch"))
+        || (n.crate_key == "radio"
+            && n.item.owner.as_deref() == Some("Medium")
+            && n.item.name.starts_with("assess"))
 }
 
-/// Crates whose pub API must not panic, and whose panic sites count as
-/// sinks: every lib crate that serves simulation or live traffic.
-/// Harness crates (testbed, bench) may fail fast on bad experiment
-/// configs — that is a feature, not a hazard.
-fn panic_crate(key: &str) -> bool {
-    SIM_PATH_CRATES.contains(&key) || LIVE_CRATES.contains(&key)
-}
-
-/// The analysis context: the call graph plus the side tables graph
-/// rules need (allow directives and statics, keyed by file).
+/// The analysis context: the call graph plus the sinks outside every
+/// fn and the hazardous statics.
 pub struct Analysis {
     /// The workspace call graph.
     pub graph: Graph,
-    /// Path → inline allow directives `(line, rule)`.
-    allows: BTreeMap<String, Vec<(u32, String)>>,
+    /// Sinks outside every fn body, as `(path, crate key, sink)`.
+    file_sinks: Vec<(String, String, Sink)>,
     /// Hazardous statics: name → (path, line, why).
     hazard_statics: BTreeMap<String, (String, u32, &'static str)>,
 }
@@ -97,16 +101,13 @@ impl Analysis {
     /// Build the graph and side tables from parsed files plus the
     /// crate dependency map (crate key → direct dependency keys).
     pub fn new(files: Vec<ParsedFile>, deps: &BTreeMap<String, Vec<String>>) -> Analysis {
-        let mut allows: BTreeMap<String, Vec<(u32, String)>> = BTreeMap::new();
+        let mut file_sinks = Vec::new();
         let mut hazard_statics = BTreeMap::new();
         for f in &files {
-            if !f.allows.is_empty() {
-                allows.insert(f.path.clone(), f.allows.clone());
+            for sink in &f.sinks {
+                file_sinks.push((f.path.clone(), f.crate_key.clone(), sink.clone()));
             }
-            for s in &f.statics {
-                if s.is_test {
-                    continue;
-                }
+            for s in f.statics.iter().filter(|s| !s.is_test) {
                 let why = if s.mutable {
                     "`static mut`"
                 } else if s.interior_mutable {
@@ -119,48 +120,54 @@ impl Analysis {
         }
         Analysis {
             graph: Graph::build(files, deps),
-            allows,
+            file_sinks,
             hazard_statics,
         }
     }
 
-    /// True when `rule` is suppressed at `path:line` by an inline
-    /// directive (same line or the line above — the per-file engine's
-    /// semantics).
-    fn is_allowed(&self, rule: &str, path: &str, line: u32) -> bool {
-        self.allows.get(path).is_some_and(|list| {
-            list.iter()
-                .any(|(l, r)| (*l == line || *l + 1 == line) && (r == rule || r == "all"))
-        })
-    }
-
-    /// Run all four graph rules, returning findings sorted by
+    /// Run the four reach rules, returning findings sorted by
     /// `(path, line, col, rule)`.
     pub fn run_rules(&self) -> Vec<Finding> {
         let mut out = Vec::new();
-        self.determinism_taint(&mut out);
-        self.panic_reachability(&mut out);
-        self.hot_path_alloc_transitive(&mut out);
-        self.shard_readiness(&mut out);
-        out.sort_by(|a, b| {
-            (a.path.as_str(), a.line, a.col, a.rule).cmp(&(b.path.as_str(), b.line, b.col, b.rule))
-        });
-        out.dedup();
+        for class in CLASSES {
+            self.report(class, &mut out);
+        }
+        sort_findings(&mut out);
         out
     }
 
-    /// Event-loop sources: the kernel scheduler entry points and the
-    /// radio medium assessment (both define what "inside a simulated
-    /// event" means).
-    fn event_loop_sources(&self) -> Vec<FnId> {
-        self.graph.select(|n| {
-            (n.crate_key == "kernel"
-                && n.item.owner.as_deref() == Some("Network")
-                && matches!(n.item.name.as_str(), "run_until" | "run_for" | "dispatch"))
-                || (n.crate_key == "radio"
-                    && n.item.owner.as_deref() == Some("Medium")
-                    && n.item.name.starts_with("assess"))
-        })
+    /// Walk one class from its roots and report each of its sinks once.
+    fn report(&self, class: &Class, out: &mut Vec<Finding>) {
+        let Some(policy) = rule(class.rule) else {
+            return;
+        };
+        let kind_of = |kind| policy.sinks.iter().find(|s| s.0 == kind);
+        let roots = self
+            .graph
+            .select(|n| (class.roots)(n) || (class.drivers)(n));
+        let parent = (class.walk)(&self.graph, &roots);
+        for (id, n) in self.graph.fns.iter().enumerate() {
+            let in_region = parent.contains_key(&id)
+                && policy.crates.contains(&n.crate_key)
+                && ((class.roots)(n) || !(class.drivers)(n));
+            let mut memo = None;
+            for sink in &n.item.sinks {
+                let Some(&(_, unrooted, below_root)) = kind_of(sink.kind) else {
+                    continue;
+                };
+                let chain = in_region
+                    .then(|| memo.get_or_insert_with(|| self.chain(&parent, id)))
+                    .filter(|c| below_root || c.len() == 1);
+                if chain.is_some() || unrooted.contains(&n.crate_key) {
+                    self.push(out, class.rule, &n.path, sink, chain.cloned());
+                }
+            }
+        }
+        for (path, key, sink) in &self.file_sinks {
+            if kind_of(sink.kind).is_some_and(|s| s.1.contains(key)) {
+                self.push(out, class.rule, path, sink, None);
+            }
+        }
     }
 
     /// Build the chain evidence for a node first reached via `parent`.
@@ -179,18 +186,63 @@ impl Analysis {
             .collect()
     }
 
+    /// Report `sink` under `rule`, with its chain when a root reaches
+    /// it. A capitals reference that names no hazardous static is not a
+    /// hazard and reports nothing.
     fn push(
         &self,
         out: &mut Vec<Finding>,
         rule: &'static str,
         path: &str,
         sink: &Sink,
-        message: String,
-        chain: Vec<ChainHop>,
+        chain: Option<Vec<ChainHop>>,
     ) {
-        if self.is_allowed(rule, path, sink.line) {
-            return;
-        }
+        let what = &sink.what;
+        let hazard = match sink.kind {
+            SinkKind::WallClock => {
+                format!("`{what}` is a wall-clock read; simulation paths must use SimTime")
+            }
+            SinkKind::Entropy => format!(
+                "`{what}` draws OS entropy; simulation paths must use the seeded SimRng streams"
+            ),
+            SinkKind::HashIter => format!(
+                "iterating hash-backed `{what}` leaks hasher order; sort first or use a BTreeMap"
+            ),
+            SinkKind::Panic => format!(
+                "`{what}` can abort a node or a session; return a typed error or route \
+                 through an anomaly counter"
+            ),
+            SinkKind::Index => format!(
+                "`{what}` indexes a byte slice the body never bound-checks; guard the access"
+            ),
+            SinkKind::Alloc | SinkKind::VecNew => format!(
+                "`{what}` allocates on a `// lv-lint: hot` path; use the event arena or an \
+                 inline buffer, or hoist the allocation out of the per-event path"
+            ),
+            SinkKind::Lock => format!(
+                "`{what}` acquires a lock in event-loop-reachable code; per-shard event queues \
+                 (ROADMAP item 1) cannot tolerate cross-shard blocking here"
+            ),
+            SinkKind::CapsRef => {
+                let Some((decl_path, decl_line, why)) = self.hazard_statics.get(what) else {
+                    return;
+                };
+                format!(
+                    "`{what}` ({why}, declared {decl_path}:{decl_line}) is shared mutable state \
+                     in event-loop-reachable code; shard-local state must be owned by the shard"
+                )
+            }
+        };
+        let chain = chain.unwrap_or_default();
+        let message = match chain.first() {
+            Some(root) => format!(
+                "{hazard} — reached from `{}` in {} hop{}",
+                root.func,
+                chain.len() - 1,
+                if chain.len() == 2 { "" } else { "s" }
+            ),
+            None => hazard,
+        };
         out.push(Finding {
             rule,
             path: path.to_owned(),
@@ -201,232 +253,52 @@ impl Analysis {
             chain,
         });
     }
-
-    fn determinism_taint(&self, out: &mut Vec<Finding>) {
-        let loop_roots = self.event_loop_sources();
-        let trial_roots = self.graph.select(|n| n.item.facts.trial_caller);
-        let mut roots = loop_roots.clone();
-        roots.extend(trial_roots.iter().copied());
-        if roots.is_empty() {
-            return;
-        }
-        let parent = self.graph.reach_forward(&roots);
-        for (&id, _) in &parent {
-            let n = &self.graph.fns[id];
-            if !det_sink_crate(&n.crate_key) {
-                continue;
-            }
-            // A trial *driver* may time the whole run with `Instant`
-            // around `TrialRunner::run`; only its callees are inside
-            // trial bodies. Event-loop sources have no such carve-out.
-            if n.item.facts.trial_caller && !loop_roots.contains(&id) {
-                continue;
-            }
-            let chain = self.chain(&parent, id);
-            let src = chain.first().map(|h| h.func.clone()).unwrap_or_default();
-            let sinks = n
-                .item
-                .facts
-                .wall_clock
-                .iter()
-                .map(|s| (s, "wall-clock"))
-                .chain(n.item.facts.os_random.iter().map(|s| (s, "OS-entropy")))
-                .chain(n.item.facts.hash_iter.iter().map(|s| (s, "hash-order")));
-            for (sink, class) in sinks {
-                self.push(
-                    out,
-                    "determinism-taint",
-                    &n.path,
-                    sink,
-                    format!(
-                        "`{}` is a {class} sink inside `{}`, which is reachable from \
-                         deterministic root `{src}` ({} hop{}); bit-reproducible runs \
-                         cannot depend on it",
-                        sink.what,
-                        n.pretty(),
-                        chain.len() - 1,
-                        if chain.len() == 2 { "" } else { "s" },
-                    ),
-                    chain.clone(),
-                );
-            }
-        }
-    }
-
-    fn panic_reachability(&self, out: &mut Vec<Finding>) {
-        let roots = self
-            .graph
-            .select(|n| n.item.is_pub && panic_crate(&n.crate_key));
-        if roots.is_empty() {
-            return;
-        }
-        let parent = self.graph.reach_forward(&roots);
-        for (&id, _) in &parent {
-            let n = &self.graph.fns[id];
-            if !panic_crate(&n.crate_key) {
-                continue;
-            }
-            let chain = self.chain(&parent, id);
-            let src = chain.first().map(|h| h.func.clone()).unwrap_or_default();
-            let sinks = n
-                .item
-                .facts
-                .panics
-                .iter()
-                .chain(n.item.facts.index_sinks.iter());
-            for sink in sinks {
-                self.push(
-                    out,
-                    "panic-reachability",
-                    &n.path,
-                    sink,
-                    format!(
-                        "`{}` can abort a deployment and is reachable from pub API \
-                         `{src}`; return a typed error or guard the access",
-                        sink.what,
-                    ),
-                    chain.clone(),
-                );
-            }
-        }
-    }
-
-    fn hot_path_alloc_transitive(&self, out: &mut Vec<Finding>) {
-        let roots = self.graph.select(|n| n.item.is_hot);
-        if roots.is_empty() {
-            return;
-        }
-        // Static edges only: crossing a dyn-dispatch boundary hands
-        // control to a process/application, which owns its own
-        // allocation budget — the hot region is the lexical call tree.
-        let parent = self.graph.reach_forward_static(&roots);
-        for (&id, _) in &parent {
-            // The hot body itself is the per-file rule's job; this rule
-            // owns the callees.
-            if roots.contains(&id) {
-                continue;
-            }
-            let n = &self.graph.fns[id];
-            let chain = self.chain(&parent, id);
-            let src = chain.first().map(|h| h.func.clone()).unwrap_or_default();
-            for sink in &n.item.facts.allocs {
-                // `Vec::new()` is capacity-zero and never touches the
-                // heap (growth allocates at the push site, which flow
-                // analysis would be needed to attribute). The per-file
-                // rule still bans it inside tagged bodies outright;
-                // transitively, only true allocations count.
-                if sink.what == "Vec::new" {
-                    continue;
-                }
-                self.push(
-                    out,
-                    "hot-path-alloc-transitive",
-                    &n.path,
-                    sink,
-                    format!(
-                        "`{}` allocates inside `{}`, a callee of hot function `{src}`; \
-                         hoist the allocation or take a buffer from the caller",
-                        sink.what,
-                        n.pretty(),
-                    ),
-                    chain.clone(),
-                );
-            }
-        }
-    }
-
-    fn shard_readiness(&self, out: &mut Vec<Finding>) {
-        let roots = self.event_loop_sources();
-        if roots.is_empty() {
-            return;
-        }
-        let parent = self.graph.reach_forward(&roots);
-        for (&id, _) in &parent {
-            let n = &self.graph.fns[id];
-            let chain = self.chain(&parent, id);
-            for sink in &n.item.facts.locks {
-                self.push(
-                    out,
-                    "shard-readiness",
-                    &n.path,
-                    sink,
-                    format!(
-                        "`{}` acquires a lock in event-loop-reachable `{}`; per-shard \
-                         event queues (ROADMAP item 1) cannot tolerate cross-shard \
-                         blocking here",
-                        sink.what,
-                        n.pretty(),
-                    ),
-                    chain.clone(),
-                );
-            }
-            for sink in &n.item.facts.caps_refs {
-                let Some((decl_path, decl_line, why)) = self.hazard_statics.get(&sink.what) else {
-                    continue;
-                };
-                self.push(
-                    out,
-                    "shard-readiness",
-                    &n.path,
-                    sink,
-                    format!(
-                        "`{}` ({why}, declared {decl_path}:{decl_line}) is shared mutable \
-                         state referenced from event-loop-reachable `{}`; shard-local \
-                         state must be owned by the shard",
-                        sink.what,
-                        n.pretty(),
-                    ),
-                    chain.clone(),
-                );
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::parse::parse_file;
-    use crate::rules::FileContext;
+    use crate::rules::Finding;
+    use std::collections::BTreeMap;
 
+    /// Lint `files` as one workspace with `deps` as the crate map.
     fn analyze(files: &[(&str, &str)], deps: &[(&str, &[&str])]) -> Vec<Finding> {
-        let parsed: Vec<ParsedFile> = files
-            .iter()
-            .map(|(p, s)| parse_file(&FileContext::new(p, s), p))
-            .collect();
         let deps: BTreeMap<String, Vec<String>> = deps
             .iter()
-            .map(|(k, ds)| {
-                (
-                    (*k).to_owned(),
-                    ds.iter().map(|s| (*s).to_owned()).collect(),
-                )
-            })
+            .map(|(k, ds)| (k.to_string(), ds.iter().map(|d| d.to_string()).collect()))
             .collect();
-        Analysis::new(parsed, &deps).run_rules()
+        crate::lint_sources(files, &deps)
+    }
+
+    fn hits<'f>(findings: &'f [Finding], rule: &str) -> Vec<&'f Finding> {
+        findings.iter().filter(|f| f.rule == rule).collect()
+    }
+
+    fn funcs(f: &Finding) -> Vec<&str> {
+        f.chain.iter().map(|h| h.func.as_str()).collect()
     }
 
     #[test]
-    fn determinism_taint_crosses_into_harness_code() {
+    fn determinism_crosses_into_harness_code() {
         let findings = analyze(
             &[(
                 "crates/testbed/src/drive.rs",
                 "pub fn drive() { let r = TrialRunner::new(1, 4); r.run(|t| body(t)); }\n\
                      fn body(t: u32) -> u32 { stamp(); t }\n\
-                     fn stamp() { let _ = Instant::now(); }\n",
+                     fn stamp() { let _ = Instant::now(); }\n\
+                     fn unreached() { let _ = Instant::now(); }\n",
             )],
             &[("testbed", &[])],
         );
-        let taint: Vec<&Finding> = findings
-            .iter()
-            .filter(|f| f.rule == "determinism-taint")
-            .collect();
-        assert_eq!(taint.len(), 1, "{findings:?}");
+        let taint = hits(&findings, "determinism");
+        assert_eq!(
+            taint.len(),
+            1,
+            "testbed reads are legal off the reach: {findings:?}"
+        );
         assert_eq!(taint[0].line, 3);
         assert!(taint[0].message.contains("wall-clock"));
-        let funcs: Vec<&str> = taint[0].chain.iter().map(|h| h.func.as_str()).collect();
         assert_eq!(
-            funcs,
+            funcs(taint[0]),
             vec![
                 "testbed::drive::drive",
                 "testbed::drive::body",
@@ -448,19 +320,32 @@ mod tests {
             )],
             &[("testbed", &[])],
         );
-        assert!(
-            findings.iter().all(|f| f.rule != "determinism-taint"),
-            "{findings:?}"
-        );
+        assert!(hits(&findings, "determinism").is_empty(), "{findings:?}");
     }
 
     #[test]
-    fn panic_reachability_crosses_crates_with_chain() {
+    fn event_loop_roots_have_no_driver_carve_out() {
+        let findings = analyze(
+            &[(
+                "crates/kernel/src/lib.rs",
+                "pub struct Network;\n\
+                 impl Network { pub fn run_until(&mut self) { let r = TrialRunner::new(1, 4); \
+                 r.run(|t| t); let _ = Instant::now(); } }\n",
+            )],
+            &[("kernel", &[])],
+        );
+        let taint = hits(&findings, "determinism");
+        assert_eq!(taint.len(), 1, "{findings:?}");
+        assert_eq!(funcs(taint[0]), vec!["kernel::Network::run_until"]);
+    }
+
+    #[test]
+    fn no_panic_crosses_crates_with_chain() {
         let findings = analyze(
             &[
                 (
-                    "crates/kernel/src/lib.rs",
-                    "pub struct Network;\nimpl Network { pub fn run_until(&mut self) { helper(); } }\n\
+                    "crates/core/src/lib.rs",
+                    "pub struct Workstation;\nimpl Workstation { pub fn exec(&mut self) { helper(); } }\n\
                      fn helper() { lv_net::decode(); }\n",
                 ),
                 (
@@ -468,16 +353,13 @@ mod tests {
                     "pub fn decode() { inner(); }\nfn inner(x: Option<u32>) { x.unwrap(); }\n",
                 ),
             ],
-            &[("kernel", &["net"]), ("net", &[])],
+            &[("core", &["net"]), ("net", &[])],
         );
-        let hits: Vec<&Finding> = findings
-            .iter()
-            .filter(|f| f.rule == "panic-reachability")
-            .collect();
-        assert!(!hits.is_empty(), "{findings:?}");
-        let with_chain = hits.iter().find(|f| f.chain.len() >= 2).expect("chained");
-        assert!(with_chain.path.ends_with("crates/net/src/lib.rs"));
-        assert!(with_chain.message.contains(".unwrap()"));
+        let panics = hits(&findings, "no-panic");
+        assert_eq!(panics.len(), 1, "one site, one finding: {findings:?}");
+        assert!(panics[0].path.ends_with("crates/net/src/lib.rs"));
+        assert!(panics[0].message.contains(".unwrap()"));
+        assert!(panics[0].chain.len() >= 2, "{:?}", panics[0]);
     }
 
     #[test]
@@ -490,31 +372,58 @@ mod tests {
             )],
             &[("net", &[])],
         );
-        let hits: Vec<u32> = findings
-            .iter()
-            .filter(|f| f.rule == "panic-reachability")
-            .map(|f| f.line)
-            .collect();
-        assert_eq!(hits, vec![1], "unguarded flagged, guarded exempt");
+        let lines: Vec<u32> = hits(&findings, "no-panic").iter().map(|f| f.line).collect();
+        assert_eq!(lines, vec![1], "unguarded flagged, guarded exempt");
     }
 
     #[test]
-    fn hot_path_alloc_found_in_callees_only() {
+    fn hot_path_alloc_in_tagged_body_and_static_callees() {
         let findings = analyze(
             &[(
                 "crates/kernel/src/lib.rs",
-                "// lv-lint: hot\nfn on_rx() { build(); }\n\
-                 fn build() { let v = Box::new(1u8); let _ = v; let z: Vec<u8> = Vec::new(); let _ = z; }\n",
+                "// lv-lint: hot\nfn on_rx() { let v = Vec::new(); build(); }\n\
+                 fn build() { let v = Box::new(1u8); let z: Vec<u8> = Vec::new(); }\n\
+                 fn cold() { let b = Box::new(1); let v = Vec::new(); }\n",
             )],
             &[("kernel", &[])],
         );
-        let hits: Vec<&Finding> = findings
+        let allocs: Vec<(u32, &str)> = hits(&findings, "hot-path-alloc")
             .iter()
-            .filter(|f| f.rule == "hot-path-alloc-transitive")
+            .map(|f| (f.line, f.snippet.as_str()))
             .collect();
-        assert_eq!(hits.len(), 1, "{findings:?}");
-        assert_eq!(hits[0].line, 3);
-        assert!(hits[0].message.contains("Box::new"));
+        assert_eq!(allocs.len(), 2, "{findings:?}");
+        assert_eq!(allocs[0].0, 2, "Vec::new in the tagged body itself");
+        assert_eq!(
+            allocs[1].0, 3,
+            "Box::new in a callee; its Vec::new is exempt"
+        );
+        assert!(hits(&findings, "hot-path-alloc")[1]
+            .message
+            .contains("Box::new"));
+    }
+
+    #[test]
+    fn hot_path_alloc_allow_and_tests_exempt() {
+        let allowed =
+            "// lv-lint: hot\nfn f() { let v = Vec::new(); // lv-lint: allow(hot-path-alloc)\n}\n";
+        assert!(analyze(&[("crates/kernel/src/x.rs", allowed)], &[]).is_empty());
+        let test_region =
+            "#[cfg(test)]\nmod tests {\n    // lv-lint: hot\n    fn f() { let v = Vec::new(); }\n}\n";
+        assert!(analyze(&[("crates/kernel/src/x.rs", test_region)], &[]).is_empty());
+    }
+
+    #[test]
+    fn hot_path_alloc_stops_at_dyn_dispatch() {
+        let findings = analyze(
+            &[(
+                "crates/kernel/src/lib.rs",
+                "pub trait Process { fn poll(&mut self); }\n\
+                 // lv-lint: hot\nfn step(p: &mut dyn Process) { p.poll(); }\n\
+                 struct App;\nimpl Process for App { fn poll(&mut self) { let _ = 1.to_string(); } }\n",
+            )],
+            &[("kernel", &[])],
+        );
+        assert!(hits(&findings, "hot-path-alloc").is_empty(), "{findings:?}");
     }
 
     #[test]
@@ -524,69 +433,53 @@ mod tests {
                 (
                     "crates/kernel/src/lib.rs",
                     "pub struct Network;\nimpl Network { pub fn dispatch(&mut self) { tick(); } }\n\
-                     fn tick() { let _g = QUEUE.lock(); let _n = COUNT; }\n",
+                     fn tick() { let _g = QUEUE.lock(); let _n = COUNT; let _k = LIMIT; }\n",
                 ),
                 (
                     "crates/sim/src/lib.rs",
-                    "static QUEUE: Mutex<u32> = Mutex::new(0);\nstatic mut COUNT: u32 = 0;\n",
+                    "static QUEUE: Mutex<u32> = Mutex::new(0);\nstatic mut COUNT: u32 = 0;\n\
+                     static LIMIT: u32 = 4;\n",
                 ),
             ],
             &[("kernel", &["sim"]), ("sim", &[])],
         );
-        let hits: Vec<&str> = findings
+        let msgs: Vec<&str> = hits(&findings, "shard-readiness")
             .iter()
-            .filter(|f| f.rule == "shard-readiness")
             .map(|f| f.message.as_str())
             .collect();
-        assert_eq!(hits.len(), 3, "{findings:?}");
-        assert!(hits.iter().any(|m| m.contains(".lock()")));
-        assert!(hits.iter().any(|m| m.contains("static mut")));
-        assert!(hits.iter().any(|m| m.contains("interior-mutable")));
+        assert_eq!(msgs.len(), 3, "{findings:?}");
+        assert!(msgs.iter().any(|m| m.contains(".lock()")));
+        assert!(msgs.iter().any(|m| m.contains("static mut")));
+        assert!(msgs.iter().any(|m| m.contains("interior-mutable")));
     }
 
     #[test]
-    fn allow_directive_suppresses_each_graph_rule() {
+    fn allow_directive_suppresses_each_reach_rule() {
         // One specimen per rule, each silenced by its own allow.
         let findings = analyze(
             &[
                 (
                     "crates/testbed/src/a.rs",
-                    "pub fn drive() { let r = TrialRunner::new(1, 4); r.run(|t| body(t)); }\n\
-                     fn body(t: u32) -> u32 { // lv-lint: allow(determinism-taint)\n\
+                    "fn drive() { let r = TrialRunner::new(1, 4); r.run(|t| body(t)); }\n\
+                     fn body(t: u32) -> u32 { // lv-lint: allow(determinism)\n\
                      let _ = Instant::now(); t }\n",
                 ),
                 (
                     "crates/kernel/src/b.rs",
-                    "pub struct Network;\nimpl Network { pub fn dispatch(&mut self) { f(); } }\n\
-                     fn f(x: Option<u32>) { // lv-lint: allow(panic-reachability)\n\
+                    "struct Network;\nimpl Network { fn dispatch(&mut self) { f(); } }\n\
+                     fn f(x: Option<u32>) { // lv-lint: allow(no-panic)\n\
                      x.unwrap();\n\
                      let _g = G.lock(); // lv-lint: allow(shard-readiness)\n}\n\
                      // lv-lint: hot\nfn hot() { g(); }\n\
-                     fn g() { let _v = Vec::new(); // lv-lint: allow(hot-path-alloc-transitive)\n}\n",
+                     fn g() { let _v = Box::new(1); // lv-lint: allow(hot-path-alloc)\n}\n",
                 ),
                 (
                     "crates/sim/src/c.rs",
-                    "static G: Mutex<u32> = Mutex::new(0); // lv-lint: allow(shard-readiness)\n",
+                    "static G: Mutex<u32> = Mutex::new(0);\n",
                 ),
             ],
             &[("testbed", &[]), ("kernel", &["sim"]), ("sim", &[])],
         );
         assert!(findings.is_empty(), "{findings:?}");
-    }
-
-    #[test]
-    fn event_loop_taint_has_no_driver_carve_out() {
-        let findings = analyze(
-            &[(
-                "crates/kernel/src/lib.rs",
-                "pub struct Network;\n\
-                 impl Network { pub fn run_until(&mut self) { let _ = Instant::now(); } }\n",
-            )],
-            &[("kernel", &[])],
-        );
-        assert!(
-            findings.iter().any(|f| f.rule == "determinism-taint"),
-            "{findings:?}"
-        );
     }
 }

@@ -213,7 +213,10 @@ impl<'a> Lexer<'a> {
                 b'\'' => {
                     // Lifetime or char literal. A lifetime is `'ident`
                     // NOT followed by a closing quote; `'a'` is a char.
-                    if is_ident_start(self.peek(1)) && self.peek(2) != b'\'' {
+                    // The quote test looks past the whole first char, so
+                    // a multi-byte `'é'` is a char too.
+                    let first = self.peek(1);
+                    if is_ident_start(first) && self.peek(1 + utf8_len(first)) != b'\'' {
                         self.bump(); // '
                         while is_ident_continue(self.peek(0)) {
                             self.bump();
@@ -339,6 +342,16 @@ fn is_ident_continue(c: u8) -> bool {
     c.is_ascii_alphanumeric() || c == b'_' || c >= 0x80
 }
 
+/// Byte length of the UTF-8 char whose first byte is `lead`.
+fn utf8_len(lead: u8) -> usize {
+    match lead {
+        0xF0.. => 4,
+        0xE0.. => 3,
+        0xC0.. => 2,
+        _ => 1,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -427,6 +440,20 @@ mod tests {
         // `'_'` is a char-sized token; either reading is fine for the
         // rules, but it must not panic or desync the stream.
         assert!(toks.len() >= 4);
+    }
+
+    #[test]
+    fn multibyte_char_literals_are_chars() {
+        // `'é'` is two UTF-8 bytes and `'→'` three: the closing quote
+        // sits past the first char, not at byte offset 2.
+        let toks = kinds("'é' '→' x");
+        assert_eq!(toks[0], (TokenKind::Char, "'é'"));
+        assert_eq!(toks[1], (TokenKind::Char, "'→'"));
+        assert_eq!(toks[2], (TokenKind::Ident, "x"));
+        let toks = kinds("&'a T &'static str '_'");
+        assert_eq!(toks[1], (TokenKind::Lifetime, "'a"));
+        assert_eq!(toks[4], (TokenKind::Lifetime, "'static"));
+        assert_eq!(toks[6], (TokenKind::Char, "'_'"));
     }
 
     #[test]

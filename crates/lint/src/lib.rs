@@ -1,19 +1,29 @@
 //! `lv-lint` — workspace determinism & invariant analyzer.
 //!
-//! A dependency-free, lexer-based static analysis pass over the
-//! workspace source. It does not parse Rust; it tokenizes it
-//! ([`lexer`]) and pattern-matches the significant token stream
-//! ([`rules`]), which is enough to enforce the repo's determinism and
-//! robustness policy with zero external crates:
+//! A dependency-free static analysis pass over the workspace source,
+//! with no `syn` and no rustc internals. A hand-rolled lexer
+//! ([`lexer`]) tokenizes each file into one [`rules::FileContext`],
+//! which feeds both the per-file rules ([`rules`]) and an item parser
+//! ([`parse`]). The parser recovers functions, their calls and their
+//! sinks from the token stream without a full Rust grammar; the call
+//! graph ([`graph`]) links the functions across crates, and the reach
+//! rules ([`interproc`]) walk it. One policy table ([`config`]) scopes
+//! all eight rules:
 //!
-//! * **determinism** — no wall-clock time sources, OS randomness, or
-//!   std hash collections in the simulation-path crates; no iteration
-//!   over hash-backed collections anywhere results reach serialized
-//!   output.
-//! * **robustness** — no `unwrap`/`expect`/`panic!` in kernel and
-//!   radio non-test code.
-//! * **conventions** — namespaced counter ids, trace-event coverage
-//!   for kernel state mutations, docs on `pub` items.
+//! * **determinism** — no wall-clock reads or OS entropy in the
+//!   simulation-path crates, no iteration over hash containers
+//!   anywhere, and none of these reachable from the event loop or a
+//!   trial body.
+//! * **no-panic** — no `unwrap`/`expect`/`panic!` in kernel and radio,
+//!   and none reachable from the pub API of the sim-path and live
+//!   crates.
+//! * **hot-path-alloc** — no heap allocation in or below a function
+//!   tagged `// lv-lint: hot`.
+//! * **shard-readiness** — no shared mutable statics or locks in
+//!   event-loop-reachable code.
+//! * **conventions** — no std hash containers on the sim path,
+//!   namespaced counter ids, trace-event coverage for kernel state
+//!   mutations, docs on `pub` items.
 //!
 //! Escape hatches: an inline `// lv-lint: allow(<rule>)` directive on
 //! the offending line or the line above, and a checked-in [`baseline`]
@@ -29,46 +39,36 @@ pub mod lexer;
 pub mod parse;
 pub mod rules;
 
-use config::{CrateSet, LintConfig, RuleConfig};
 use interproc::Analysis;
-use parse::{parse_file, ParsedFile, Sink};
-use rules::{check_file, FileContext, Finding};
+use parse::parse_file;
+use rules::{check_file, sort_findings, FileContext, Finding};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-/// Lint one in-memory source file under `config`.
-pub fn lint_source(path: &str, src: &str, config: &LintConfig) -> Vec<Finding> {
-    let ctx = FileContext::new(path, src);
-    check_file(&ctx, config)
+/// Lint in-memory sources, as `(repo-relative path, text)` pairs, as
+/// one workspace under the repo policy: the per-file rules on each
+/// file, then the reach rules over their call graph. `deps` maps crate
+/// key → direct dependency keys. Findings come back sorted by
+/// `(path, line, col, rule)`.
+pub fn lint_sources<S: AsRef<str>>(
+    files: &[(S, S)],
+    deps: &BTreeMap<String, Vec<String>>,
+) -> Vec<Finding> {
+    let mut findings = Vec::new();
+    let mut parsed = Vec::new();
+    for (path, src) in files {
+        let ctx = FileContext::new(path.as_ref(), src.as_ref());
+        findings.extend(check_file(&ctx));
+        parsed.push(parse_file(&ctx));
+    }
+    findings.extend(Analysis::new(parsed, deps).run_rules());
+    sort_findings(&mut findings);
+    findings
 }
 
-/// Parse one in-memory source file into the call-graph item model,
-/// harvesting hash-iter sinks from the per-file rule as it goes (so
-/// the taint pass and the lexical pass agree on what "iterating a
-/// hash collection" means — including its allow directives).
-pub fn parse_source(path: &str, src: &str) -> ParsedFile {
-    let ctx = FileContext::new(path, src);
-    let mut parsed = parse_file(&ctx, path);
-    let hash_iter_cfg = LintConfig {
-        rules: vec![RuleConfig {
-            rule: "hash-iter".to_owned(),
-            crates: CrateSet::All,
-        }],
-    };
-    for f in check_file(&ctx, &hash_iter_cfg) {
-        for item in &mut parsed.fns {
-            if f.line >= item.line && f.line <= item.end_line {
-                item.facts.hash_iter.push(Sink {
-                    line: f.line,
-                    col: f.col,
-                    what: "hash-iter".to_owned(),
-                    snippet: f.snippet.clone(),
-                });
-                break;
-            }
-        }
-    }
-    parsed
+/// Lint one in-memory source file as a workspace of its own.
+pub fn lint_source(path: &str, src: &str) -> Vec<Finding> {
+    lint_sources(&[(path, src)], &BTreeMap::new())
 }
 
 /// Read every `crates/*/Cargo.toml` under `root` and return the crate
@@ -90,19 +90,39 @@ pub fn workspace_deps(root: &Path) -> BTreeMap<String, Vec<String>> {
     out
 }
 
-/// Build the interprocedural analysis (call graph + side tables) for
-/// the workspace under `root`. Unreadable files are skipped here; the
-/// lexical pass reports them.
-pub fn build_analysis(root: &Path) -> Analysis {
-    let deps = workspace_deps(root);
-    let mut files = Vec::new();
+/// Read the workspace sources under `root`: `(path, text)` pairs, plus
+/// an `io-error` finding on line 0 for each unreadable file, so one bad
+/// file never aborts the scan.
+fn read_sources(root: &Path) -> (Vec<(String, String)>, Vec<Finding>) {
+    let mut sources = Vec::new();
+    let mut errors = Vec::new();
     for rel in workspace_sources(root) {
-        let rel_str = rel.to_string_lossy().replace('\\', "/");
-        if let Ok(src) = std::fs::read_to_string(root.join(&rel)) {
-            files.push(parse_source(&rel_str, &src));
+        let path = rel.to_string_lossy().replace('\\', "/");
+        match std::fs::read_to_string(root.join(&rel)) {
+            Ok(src) => sources.push((path, src)),
+            Err(e) => errors.push(Finding {
+                rule: "io-error",
+                path,
+                line: 0,
+                col: 0,
+                message: format!("could not read file: {e}"),
+                snippet: String::new(),
+                chain: Vec::new(),
+            }),
         }
     }
-    Analysis::new(files, &deps)
+    (sources, errors)
+}
+
+/// Build the call graph and its side tables for the workspace under
+/// `root`.
+pub fn build_analysis(root: &Path) -> Analysis {
+    let (sources, _) = read_sources(root);
+    let parsed = sources
+        .iter()
+        .map(|(p, s)| parse_file(&FileContext::new(p, s)))
+        .collect();
+    Analysis::new(parsed, &workspace_deps(root))
 }
 
 /// Collect the workspace source files to scan, repo-relative, sorted.
@@ -149,35 +169,11 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// Lint every workspace source under `root` with the per-file rules
-/// **and** the interprocedural graph rules, returning findings sorted
-/// by `(path, line, col, rule)`. I/O errors on individual files are
-/// reported as findings on line 0 rather than aborting the scan.
-pub fn lint_workspace(root: &Path, config: &LintConfig) -> Vec<Finding> {
-    let deps = workspace_deps(root);
-    let mut findings = Vec::new();
-    let mut parsed_files = Vec::new();
-    for rel in workspace_sources(root) {
-        let rel_str = rel.to_string_lossy().replace('\\', "/");
-        match std::fs::read_to_string(root.join(&rel)) {
-            Ok(src) => {
-                findings.extend(lint_source(&rel_str, &src, config));
-                parsed_files.push(parse_source(&rel_str, &src));
-            }
-            Err(e) => findings.push(Finding {
-                rule: "io-error",
-                path: rel_str,
-                line: 0,
-                col: 0,
-                message: format!("could not read file: {e}"),
-                snippet: String::new(),
-                chain: Vec::new(),
-            }),
-        }
-    }
-    findings.extend(Analysis::new(parsed_files, &deps).run_rules());
-    findings.sort_by(|a, b| {
-        (a.path.as_str(), a.line, a.col, a.rule).cmp(&(b.path.as_str(), b.line, b.col, b.rule))
-    });
+/// Lint every workspace source under `root` with all eight rules,
+/// returning findings sorted by `(path, line, col, rule)`.
+pub fn lint_workspace(root: &Path) -> Vec<Finding> {
+    let (sources, mut findings) = read_sources(root);
+    findings.extend(lint_sources(&sources, &workspace_deps(root)));
+    sort_findings(&mut findings);
     findings
 }

@@ -1,9 +1,9 @@
 //! `lv-lint` CLI: scan the workspace, apply the baseline, gate CI.
 
 use lv_lint::baseline::Baseline;
-use lv_lint::config::LintConfig;
+use lv_lint::config::RULES;
 use lv_lint::rules::Finding;
-use lv_lint::{build_analysis, interproc, lint_workspace, rules};
+use lv_lint::{build_analysis, lint_workspace};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -144,11 +144,8 @@ fn main() -> ExitCode {
                 None => return usage_error("--max-seconds needs an integer value"),
             },
             "--list-rules" => {
-                for r in rules::RULES {
-                    println!("{:<28} {}", r.name, r.summary);
-                }
-                for r in interproc::GRAPH_RULES {
-                    println!("{:<28} {}", r.name, r.summary);
+                for r in RULES {
+                    println!("{:<16} {}", r.name, r.summary);
                 }
                 return ExitCode::SUCCESS;
             }
@@ -162,7 +159,6 @@ fn main() -> ExitCode {
 
     let root = root.unwrap_or_else(find_root);
     let baseline_path = baseline_path.unwrap_or_else(|| root.join("lint-baseline.txt"));
-    let config = LintConfig::default_for_workspace();
 
     if let Some(dest) = graph_out {
         let dot = build_analysis(&root).graph.to_dot();
@@ -176,7 +172,7 @@ fn main() -> ExitCode {
     }
 
     let started = Instant::now();
-    let findings = lint_workspace(&root, &config);
+    let findings = lint_workspace(&root);
     let elapsed = started.elapsed();
 
     if update_baseline {

@@ -1,65 +1,76 @@
 //! Item-level parsing on top of the token stream.
 //!
-//! The interprocedural rules need more structure than the per-file
-//! rules: which functions exist (with their module path, owning
-//! `impl`/`trait` type, and visibility), what each body *calls*, and
-//! which lexical facts (sinks) each body contains. This module builds
-//! that structure with a hand-rolled single-pass walk over the
-//! significant token stream — still no `syn`, still resilient: it never
-//! panics on malformed input, it just produces fewer items.
+//! The reach rules need more structure than the per-file rules: which
+//! functions exist (with their module path, owning `impl`/`trait`
+//! type, and visibility), what each body *calls*, and which sinks each
+//! body holds. This module builds that structure with a hand-rolled
+//! walk over the significant token stream — still no `syn`, still
+//! resilient: it never panics on malformed input, it just produces
+//! fewer items.
 //!
 //! It is explicitly *not* a Rust parser. It recognizes exactly the
-//! shapes the call-graph needs — `fn`/`impl`/`trait`/`mod`/`use`/
+//! shapes the call graph needs — `fn`/`impl`/`trait`/`mod`/`use`/
 //! `static` items, call and method-call expressions — and skips
 //! everything else. Macro bodies are treated as expression soup (their
-//! tokens are scanned for calls and facts like any other body tokens),
-//! which over-approximates but never hides a call site.
+//! tokens are scanned for calls like any other body tokens), which
+//! over-approximates but never hides a call site.
+//!
+//! Sinks are harvested once per file, in one pass over every
+//! significant token ([`SinkKind`] lists them). A sink belongs to the
+//! innermost function whose body holds it; a sink outside every body
+//! (a `use` line, a field type) belongs to the file. Sinks in test
+//! regions, or allowed for their rule by an inline directive, are
+//! dropped here.
 
 use crate::lexer::TokenKind;
 use crate::rules::FileContext;
 
-/// One lexical fact ("sink") observed inside a function body, with
-/// enough position info to report a finding at the site.
+/// What a sink is. Each kind belongs to exactly one reach rule (see
+/// [`crate::config::RULES`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SinkKind {
+    /// A wall-clock time source: `Instant`, `SystemTime`.
+    WallClock,
+    /// OS entropy: `thread_rng`, `OsRng`, `RandomState`,
+    /// `from_entropy`, `getrandom`.
+    Entropy,
+    /// Iteration over a hash-backed collection: a name declared
+    /// `HashMap`/`HashSet` in this file, walked by `.iter()`-family
+    /// methods or a `for … in` header.
+    HashIter,
+    /// `panic!`/`unreachable!`/`todo!`/`unimplemented!`, `.unwrap()`,
+    /// `.expect(`.
+    Panic,
+    /// `buf[…]` on a byte-slice parameter of the enclosing fn, with no
+    /// `buf.len()`/`buf.is_empty()`/`buf.get(` and no bare `buf`
+    /// argument anywhere in the body.
+    Index,
+    /// A heap allocation: `Box::new`, `.to_string()`.
+    Alloc,
+    /// `Vec::new` — capacity zero, so it only counts in a hot fn's own
+    /// body.
+    VecNew,
+    /// A lock acquisition: `.lock(`, `.try_lock(`.
+    Lock,
+    /// An ALL_CAPS identifier: a candidate static reference, matched
+    /// against declared statics by the rule.
+    CapsRef,
+}
+
+/// One sink, with enough position info to report a finding at the
+/// site.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Sink {
+    /// What kind of sink.
+    pub kind: SinkKind,
     /// 1-based line of the sink token.
     pub line: u32,
     /// 1-based column of the sink token.
     pub col: u32,
-    /// What was seen (`Instant`, `unwrap`, `Box::new`, `[..] index`, …).
+    /// What was seen (`Instant`, `.unwrap()`, `Box::new`, `buf[..]`, …).
     pub what: String,
     /// Trimmed source line (for baseline fingerprints).
     pub snippet: String,
-}
-
-/// Lexical facts extracted from one function body.
-#[derive(Debug, Clone, Default)]
-pub struct FnFacts {
-    /// Wall-clock time sources: `Instant`, `SystemTime`.
-    pub wall_clock: Vec<Sink>,
-    /// OS entropy: `thread_rng`, `OsRng`, `RandomState`, ….
-    pub os_random: Vec<Sink>,
-    /// Iteration over hash-backed collections (filled in by the
-    /// analyzer from the per-file hash-iter pass; see `lib.rs`).
-    pub hash_iter: Vec<Sink>,
-    /// Panic sites: `panic!`/`unreachable!`/`todo!`/`unimplemented!`
-    /// macros plus `.unwrap()`/`.expect(` calls.
-    pub panics: Vec<Sink>,
-    /// Unguarded slice-index expressions (`x[i]` with no `x.len()` /
-    /// `x.is_empty()` / `x.get(` appearing anywhere in the same body).
-    pub index_sinks: Vec<Sink>,
-    /// Heap allocations the hot-path policy bans: `Box::new`,
-    /// `Vec::new`, `.to_string()`.
-    pub allocs: Vec<Sink>,
-    /// Lock acquisitions: `.lock(` / `.try_lock(`.
-    pub locks: Vec<Sink>,
-    /// ALL_CAPS identifiers referenced by the body — candidate static
-    /// references, matched against declared statics at rule time.
-    pub caps_refs: Vec<Sink>,
-    /// True when the body mentions `TrialRunner` and calls `.run(` —
-    /// the lexical signature of a multi-trial driver whose closure is
-    /// a trial body.
-    pub trial_caller: bool,
 }
 
 /// How a call site names its callee.
@@ -105,17 +116,15 @@ pub struct FnItem {
     pub is_test: bool,
     /// 1-based line of the `fn` keyword.
     pub line: u32,
-    /// Last line of the body (== `line` for bodyless trait decls).
-    pub end_line: u32,
-    /// Signature mentions a byte-slice param (`&[u8]`, `[u8; N]`) —
-    /// the wire-parser shape the index-sink policy applies to.
-    pub byte_slice_param: bool,
     /// Tagged `// lv-lint: hot` on the `fn` line or the line above.
     pub is_hot: bool,
+    /// The body mentions `TrialRunner` and calls `.run(` — the lexical
+    /// signature of a multi-trial driver whose closure is a trial body.
+    pub trial_caller: bool,
     /// Call sites inside the body.
     pub calls: Vec<CallSite>,
-    /// Lexical facts inside the body.
-    pub facts: FnFacts,
+    /// Sinks inside the body (not inside nested fns).
+    pub sinks: Vec<Sink>,
 }
 
 /// A `static` item declaration.
@@ -162,8 +171,8 @@ pub struct ParsedFile {
     pub uses: Vec<UseItem>,
     /// Trait names *defined* (not implemented) in this file.
     pub traits_defined: Vec<String>,
-    /// Inline `lv-lint: allow(rule)` directives, as `(line, rule)`.
-    pub allows: Vec<(u32, String)>,
+    /// Sinks outside every fn body.
+    pub sinks: Vec<Sink>,
 }
 
 /// Derive the in-crate module path from a repo-relative file path:
@@ -188,26 +197,38 @@ pub fn file_module_path(path: &str) -> Vec<String> {
     parts
 }
 
-/// Parse one file's items. `ctx` must have been built from the same
-/// source text as `path` names.
-pub fn parse_file(ctx: &FileContext<'_>, path: &str) -> ParsedFile {
+/// Parse one file's items and harvest its sinks.
+pub fn parse_file(ctx: &FileContext<'_>) -> ParsedFile {
     let mut out = ParsedFile {
-        path: path.to_owned(),
+        path: ctx.path.to_owned(),
         crate_key: ctx.crate_key.to_owned(),
-        file_module: file_module_path(path),
-        allows: ctx.allow_directives().to_vec(),
+        file_module: file_module_path(ctx.path),
         ..ParsedFile::default()
     };
-    let hot_lines = hot_tag_lines(ctx);
     let mut p = Parser {
         ctx,
         out: &mut out,
-        hot_lines,
+        hot_lines: hot_tag_lines(ctx),
+        bodies: Vec::new(),
     };
-    let end = ctx.sig.len();
     let module = p.out.file_module.clone();
-    p.parse_items(0, end, &module, &Owner::None);
+    p.parse_items(0, ctx.sig.len(), &module, &Owner::None);
+    p.harvest_sinks();
     out
+}
+
+/// One parsed fn body: its sig-index span and what the index-sink
+/// check needs from it.
+struct Body {
+    /// Index of the fn in [`ParsedFile::fns`].
+    item: usize,
+    /// Sig indices of the body's `{` and `}`.
+    open: usize,
+    close: usize,
+    /// Names of the fn's byte-slice parameters.
+    byte_slice_params: Vec<String>,
+    /// Names the body bound-checks or hands to a callee.
+    guarded: Vec<String>,
 }
 
 /// Who owns the items currently being parsed.
@@ -225,8 +246,7 @@ enum Owner {
     Trait(String),
 }
 
-/// Lines carrying a `// lv-lint: hot` tag (shared with the per-file
-/// hot-path-alloc rule's convention).
+/// Lines carrying a `// lv-lint: hot` tag.
 fn hot_tag_lines(ctx: &FileContext<'_>) -> Vec<u32> {
     ctx.tokens
         .iter()
@@ -246,17 +266,21 @@ const KEYWORDS_NOT_CALLS: &[&str] = &[
     "crate",
 ];
 
-const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented", "assert"];
-
 struct Parser<'a, 'b> {
     ctx: &'a FileContext<'b>,
     out: &'a mut ParsedFile,
     hot_lines: Vec<u32>,
+    bodies: Vec<Body>,
 }
 
 impl Parser<'_, '_> {
     fn text(&self, i: usize) -> &str {
-        self.ctx.sig_text_pub(i)
+        self.ctx.sig_text(i)
+    }
+
+    /// Text of the significant token before `i` (empty at the start).
+    fn prev(&self, i: usize) -> &str {
+        i.checked_sub(1).map_or("", |p| self.text(p))
     }
 
     fn line_of(&self, i: usize) -> u32 {
@@ -270,13 +294,13 @@ impl Parser<'_, '_> {
         while i < end {
             match self.text(i) {
                 "#" if self.text(i + 1) == "[" => {
-                    i = self.ctx.matching_pub(i + 1, "[", "]") + 1;
+                    i = self.ctx.matching(i + 1, "[", "]") + 1;
                 }
                 "pub" => {
                     // `pub(crate)` / `pub(super)` are not public API.
                     is_pub = self.text(i + 1) != "(";
                     if self.text(i + 1) == "(" {
-                        i = self.ctx.matching_pub(i + 1, "(", ")") + 1;
+                        i = self.ctx.matching(i + 1, "(", ")") + 1;
                     } else {
                         i += 1;
                     }
@@ -290,7 +314,7 @@ impl Parser<'_, '_> {
                 "mod" => {
                     let name = self.text(i + 1).to_owned();
                     if self.text(i + 2) == "{" {
-                        let close = self.ctx.matching_pub(i + 2, "{", "}");
+                        let close = self.ctx.matching(i + 2, "{", "}");
                         let mut inner = module.to_vec();
                         inner.push(name);
                         self.parse_items(i + 3, close.min(end), &inner, &Owner::None);
@@ -327,7 +351,7 @@ impl Parser<'_, '_> {
                         j += 1;
                     }
                     i = if j < end {
-                        self.ctx.matching_pub(j, "{", "}") + 1
+                        self.ctx.matching(j, "{", "}") + 1
                     } else {
                         end
                     };
@@ -336,7 +360,7 @@ impl Parser<'_, '_> {
                 "{" => {
                     // Stray block (shouldn't happen at item level) —
                     // step over it rather than diving in.
-                    i = self.ctx.matching_pub(i, "{", "}") + 1;
+                    i = self.ctx.matching(i, "{", "}") + 1;
                     is_pub = false;
                 }
                 _ => {
@@ -357,7 +381,7 @@ impl Parser<'_, '_> {
                 "(" => paren += 1,
                 ")" => paren -= 1,
                 ";" if paren == 0 => return i + 1,
-                "{" if paren == 0 => return self.ctx.matching_pub(i, "{", "}") + 1,
+                "{" if paren == 0 => return self.ctx.matching(i, "{", "}") + 1,
                 _ => {}
             }
             i += 1;
@@ -421,7 +445,6 @@ impl Parser<'_, '_> {
             }
             j += 1;
         };
-        let byte_slice_param = !byte_slice_params.is_empty();
         let is_hot = self
             .hot_lines
             .iter()
@@ -439,25 +462,24 @@ impl Parser<'_, '_> {
             is_pub,
             is_test: self.ctx.is_test_line(fn_line),
             line: fn_line,
-            end_line: fn_line,
-            byte_slice_param,
             is_hot,
+            trial_caller: false,
             calls: Vec::new(),
-            facts: FnFacts::default(),
+            sinks: Vec::new(),
         };
         let Some(open) = body_open else {
             self.out.fns.push(item);
             return j.min(end) + 1;
         };
-        let close = self.ctx.matching_pub(open, "{", "}");
-        item.end_line = self.line_of(close).max(fn_line);
-        self.scan_body(
-            open + 1,
-            close.min(end),
-            module,
-            &mut item,
-            &byte_slice_params,
-        );
+        let close = self.ctx.matching(open, "{", "}");
+        let guarded = self.scan_body(open + 1, close.min(end), module, &mut item);
+        self.bodies.push(Body {
+            item: self.out.fns.len(),
+            open,
+            close,
+            byte_slice_params,
+            guarded,
+        });
         self.out.fns.push(item);
         close + 1
     }
@@ -483,7 +505,7 @@ impl Parser<'_, '_> {
             return end;
         }
         let open = j;
-        let close = self.ctx.matching_pub(open, "{", "}");
+        let close = self.ctx.matching(open, "{", "}");
         // Split on a top-angle-depth `for`: before = trait, after = type.
         // Skip the leading generics group (`impl<…>`).
         let mut depth = 0i32;
@@ -565,7 +587,7 @@ impl Parser<'_, '_> {
         if j >= end {
             return end;
         }
-        let close = self.ctx.matching_pub(j, "{", "}");
+        let close = self.ctx.matching(j, "{", "}");
         if !self.ctx.is_test_line(self.line_of(i)) {
             self.out.traits_defined.push(name.clone());
         }
@@ -646,18 +668,19 @@ impl Parser<'_, '_> {
         self.skip_item(k, end)
     }
 
-    /// Scan a fn body for calls, facts, and nested fns. Index sinks
-    /// are only collected for `byte_slice_params` receivers.
+    /// Scan a fn body for calls and nested fns, and note whether it
+    /// drives `TrialRunner::run`. Returns the names the body guards:
+    /// `x.len(` / `x.is_empty(` / `x.get(` bound-check the receiver,
+    /// and passing `x` as a bare argument (`need(x, 6)?`, `parse(x)`)
+    /// delegates validation to the callee.
     fn scan_body(
         &mut self,
         mut i: usize,
         end: usize,
         module: &[String],
         item: &mut FnItem,
-        byte_slice_params: &[String],
-    ) {
-        let mut len_checked: Vec<String> = Vec::new();
-        let mut raw_index_sinks: Vec<(Sink, String)> = Vec::new();
+    ) -> Vec<String> {
+        let mut guarded: Vec<String> = Vec::new();
         let mut mentions_trial_runner = false;
         let mut calls_run = false;
         while i < end {
@@ -677,99 +700,32 @@ impl Parser<'_, '_> {
                 i = self.parse_impl(i, end, module);
                 continue;
             }
-            let tok = match self.ctx.sig_tok(i) {
-                Some(t) => *t,
-                None => break,
-            };
-            let (line, col) = (tok.line, tok.col);
-            let sink = |what: &str, p: &Parser<'_, '_>| Sink {
-                line,
-                col,
-                what: what.to_owned(),
-                snippet: p.ctx.snippet(line),
+            let Some(tok) = self.ctx.sig_tok(i) else {
+                break;
             };
             if tok.kind == TokenKind::Ident {
-                match t.as_str() {
-                    "Instant" | "SystemTime" => {
-                        item.facts.wall_clock.push(sink(&t, self));
-                    }
-                    "thread_rng" | "OsRng" | "RandomState" | "from_entropy" | "getrandom" => {
-                        item.facts.os_random.push(sink(&t, self));
-                    }
-                    "TrialRunner" => mentions_trial_runner = true,
-                    _ => {}
-                }
-                // Panic macros: `panic !`, excluding `assert` (debug
-                // assertions are policy-allowed; the per-file no-panic
-                // rule has the same carve-out).
-                if PANIC_MACROS.contains(&t.as_str()) && t != "assert" && self.text(i + 1) == "!" {
-                    item.facts.panics.push(sink(&format!("{t}!"), self));
-                }
-                // `.unwrap()` / `.expect(`
-                if (t == "unwrap" || t == "expect")
-                    && i >= 1
-                    && self.text(i - 1) == "."
-                    && self.text(i + 1) == "("
-                {
-                    item.facts.panics.push(sink(&format!(".{t}()"), self));
-                }
-                // `Box::new` / `Vec::new`
-                if (t == "Box" || t == "Vec")
-                    && self.text(i + 1) == ":"
-                    && self.text(i + 2) == ":"
-                    && self.text(i + 3) == "new"
-                {
-                    item.facts.allocs.push(sink(&format!("{t}::new"), self));
-                }
-                // `.to_string()`
-                if t == "to_string" && i >= 1 && self.text(i - 1) == "." && self.text(i + 1) == "("
-                {
-                    item.facts.allocs.push(sink(".to_string()", self));
-                }
-                // `.lock(` / `.try_lock(`
-                if (t == "lock" || t == "try_lock")
-                    && i >= 1
-                    && self.text(i - 1) == "."
-                    && self.text(i + 1) == "("
-                {
-                    item.facts.locks.push(sink(&format!(".{t}()"), self));
-                }
-                // ALL_CAPS reference (candidate static use).
-                if t.len() > 1
-                    && t.chars()
-                        .all(|c| c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_')
-                    && t.chars().next().is_some_and(|c| c.is_ascii_uppercase())
-                {
-                    item.facts.caps_refs.push(sink(&t, self));
-                }
-                // Guard observations: `x.len(` / `x.is_empty(` /
-                // `x.get(` bound-check the receiver, and passing `x`
-                // as a bare argument (`need(x, 6)?`, `parse(x)`)
-                // delegates validation to the callee — either clears
-                // subsequent indexing of `x` in this body.
+                mentions_trial_runner |= t == "TrialRunner";
                 let bounds_call = self.text(i + 1) == "."
                     && matches!(self.text(i + 2), "len" | "is_empty" | "get")
                     && self.text(i + 3) == "(";
-                let bare_argument = i >= 1
-                    && matches!(self.text(i - 1), "(" | "," | "&")
+                let bare_argument = matches!(self.prev(i), "(" | "," | "&")
                     && !matches!(self.text(i + 1), "[" | ".");
-                if (bounds_call || bare_argument) && !len_checked.contains(&t) {
-                    len_checked.push(t.clone());
+                if (bounds_call || bare_argument) && !guarded.contains(&t) {
+                    guarded.push(t.clone());
                 }
                 // Call sites.
                 if !KEYWORDS_NOT_CALLS.contains(&t.as_str()) {
                     let after = self.after_turbofish(i + 1, end);
                     if self.text(after) == "(" {
-                        if self.text(i - 1) == "." {
-                            if t == "run" {
-                                calls_run = true;
-                            }
+                        let line = tok.line;
+                        if self.prev(i) == "." {
+                            calls_run |= t == "run";
                             item.calls.push(CallSite {
                                 name: t.clone(),
                                 kind: CallKind::Method,
                                 line,
                             });
-                        } else if self.text(i + 1) == "(" || self.text(after) == "(" {
+                        } else {
                             // Walk back over `a :: b ::` qualifiers.
                             let mut quals = Vec::new();
                             let mut j = i;
@@ -792,24 +748,121 @@ impl Parser<'_, '_> {
                         }
                     }
                 }
-                // Slice-index expression on a byte-slice param: ident
-                // directly followed by `[`. Other receivers (NodeId
-                // arrays, Vec fields) are structurally bounded by
-                // construction and out of scope.
-                if self.text(i + 1) == "[" && byte_slice_params.contains(&t) {
-                    raw_index_sinks.push((sink(&format!("{t}[..]"), self), t.clone()));
-                }
             }
             i += 1;
         }
-        // Index sinks survive only when the receiver has no visible
-        // bounds handling anywhere in the body.
-        item.facts.index_sinks = raw_index_sinks
-            .into_iter()
-            .filter(|(_, recv)| !len_checked.contains(recv))
-            .map(|(s, _)| s)
-            .collect();
-        item.facts.trial_caller = mentions_trial_runner && calls_run;
+        item.trial_caller = mentions_trial_runner && calls_run;
+        guarded
+    }
+
+    /// Record every sink in the file, once: the one pass over every
+    /// significant token that all reach rules read. Each sink goes to
+    /// the innermost fn body holding it, or to the file.
+    fn harvest_sinks(&mut self) {
+        let ctx = self.ctx;
+        // Bodies nest, and a nested body opens after its parent, so
+        // stamping them in `open` order leaves the innermost on top.
+        let mut owner: Vec<Option<usize>> = vec![None; ctx.sig.len()];
+        let mut order: Vec<usize> = (0..self.bodies.len()).collect();
+        order.sort_by_key(|&b| self.bodies[b].open);
+        for b in order {
+            let body = &self.bodies[b];
+            for slot in &mut owner[body.open..=body.close] {
+                *slot = Some(b);
+            }
+        }
+        let hashed = hash_bound_names(ctx);
+        // Sig index of the `{` ending the current `for … in` header.
+        let mut for_header_until = 0usize;
+        for (i, body) in owner.into_iter().enumerate() {
+            if !hashed.is_empty() && self.text(i) == "for" {
+                let header =
+                    (i + 1..ctx.sig.len()).find(|&j| matches!(self.text(j), "in" | "{" | ";"));
+                if let Some(j) = header.filter(|&j| self.text(j) == "in") {
+                    let open = (j + 1..ctx.sig.len()).find(|&k| self.text(k) == "{");
+                    for_header_until = for_header_until.max(open.unwrap_or(ctx.sig.len()));
+                }
+            }
+            let body = body.map(|b| &self.bodies[b]);
+            let Some((kind, what)) = self.sink_at(i, &hashed, i < for_header_until, body) else {
+                continue;
+            };
+            let Some(tok) = ctx.sig_tok(i) else { break };
+            if ctx.is_test_line(tok.line) || ctx.is_allowed(crate::config::rule_of(kind), tok.line)
+            {
+                continue;
+            }
+            let sink = Sink {
+                kind,
+                line: tok.line,
+                col: tok.col,
+                what,
+                snippet: ctx.snippet(tok.line),
+            };
+            match body {
+                Some(b) => self.out.fns[b.item].sinks.push(sink),
+                None => self.out.sinks.push(sink),
+            }
+        }
+    }
+
+    /// The sink at sig index `i`, if any: its kind and what was seen.
+    /// `hashed` names this file's hash containers, `in_for_header` says
+    /// whether `i` sits in a `for … in` header, and `body` is the
+    /// innermost fn body holding `i`.
+    fn sink_at(
+        &self,
+        i: usize,
+        hashed: &[&str],
+        in_for_header: bool,
+        body: Option<&Body>,
+    ) -> Option<(SinkKind, String)> {
+        let tok = self.ctx.sig_tok(i)?;
+        if tok.kind != TokenKind::Ident {
+            return None;
+        }
+        let t = tok.text;
+        let method = self.prev(i) == "." && self.text(i + 1) == "(";
+        let path_new =
+            self.text(i + 1) == ":" && self.text(i + 2) == ":" && self.text(i + 3) == "new";
+        let sink = match t {
+            "Instant" | "SystemTime" => (SinkKind::WallClock, t.to_owned()),
+            "thread_rng" | "OsRng" | "RandomState" | "from_entropy" | "getrandom" => {
+                (SinkKind::Entropy, t.to_owned())
+            }
+            "panic" | "unreachable" | "todo" | "unimplemented" if self.text(i + 1) == "!" => {
+                (SinkKind::Panic, format!("{t}!"))
+            }
+            "unwrap" | "expect" if method => (SinkKind::Panic, format!(".{t}()")),
+            "Box" if path_new => (SinkKind::Alloc, "Box::new".to_owned()),
+            "to_string" if method => (SinkKind::Alloc, ".to_string()".to_owned()),
+            "Vec" if path_new => (SinkKind::VecNew, "Vec::new".to_owned()),
+            "lock" | "try_lock" if method => (SinkKind::Lock, format!(".{t}()")),
+            _ if hashed.contains(&t)
+                && (in_for_header
+                    || (self.text(i + 1) == "."
+                        && HASH_ITERATORS.contains(&self.text(i + 2))
+                        && self.text(i + 3) == "(")) =>
+            {
+                (SinkKind::HashIter, t.to_owned())
+            }
+            _ if self.text(i + 1) == "["
+                && body.is_some_and(|b| {
+                    b.byte_slice_params.iter().any(|p| p == t) && !b.guarded.iter().any(|g| g == t)
+                }) =>
+            {
+                (SinkKind::Index, format!("{t}[..]"))
+            }
+            _ if t.len() > 1
+                && t.starts_with(|c: char| c.is_ascii_uppercase())
+                && t.chars()
+                    .all(|c| c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_') =>
+            {
+                (SinkKind::CapsRef, t.to_owned())
+            }
+            _ => return None,
+        };
+        Some(sink)
     }
 
     /// If sig index `i` starts a turbofish (`:: < … >`), return the
@@ -823,12 +876,10 @@ impl Parser<'_, '_> {
         while j < end {
             match self.text(j) {
                 "<" => depth += 1,
-                ">" => {
-                    if self.text(j - 1) != "-" {
-                        depth -= 1;
-                        if depth == 0 {
-                            return j + 1;
-                        }
+                ">" if self.text(j - 1) != "-" => {
+                    depth -= 1;
+                    if depth == 0 {
+                        return j + 1;
                     }
                 }
                 "(" | ")" | ";" | "{" | "}" => return i, // not a turbofish
@@ -838,6 +889,53 @@ impl Parser<'_, '_> {
         }
         i
     }
+}
+
+/// Methods that walk a hash container in hasher order.
+const HASH_ITERATORS: &[&str] = &[
+    "iter",
+    "iter_mut",
+    "keys",
+    "values",
+    "values_mut",
+    "drain",
+    "into_iter",
+    "retain",
+];
+
+/// Identifiers this file declares with a hash-container type:
+/// `name: HashMap<…>` fields and params, `let name = HashMap::new()`
+/// bindings.
+fn hash_bound_names<'a>(ctx: &FileContext<'a>) -> Vec<&'a str> {
+    let ident_at = |j: usize| ctx.sig_tok(j).filter(|p| p.kind == TokenKind::Ident);
+    let mut hashed = Vec::new();
+    for i in 1..ctx.sig.len() {
+        if !matches!(ctx.sig_text(i), "HashMap" | "HashSet") {
+            continue;
+        }
+        // Walk back over a `std::collections::` path prefix (colons are
+        // single-char tokens) and any `&`/`&mut` to reach the `:`
+        // (field/param) or `=` (binding) that names the identifier.
+        let mut j = i - 1;
+        while j >= 3
+            && ctx.sig_text(j) == ":"
+            && ctx.sig_text(j - 1) == ":"
+            && ident_at(j - 2).is_some()
+        {
+            j -= 3;
+        }
+        while j >= 1 && matches!(ctx.sig_text(j), "&" | "mut") {
+            j -= 1;
+        }
+        let is_decl_colon = ctx.sig_text(j) == ":" && (j == 0 || ctx.sig_text(j - 1) != ":");
+        let is_binding_eq = ctx.sig_text(j) == "=";
+        if j >= 1 && (is_decl_colon || is_binding_eq) {
+            if let Some(name) = ident_at(j - 1) {
+                hashed.push(name.text);
+            }
+        }
+    }
+    hashed
 }
 
 /// Heuristic: does `impl` at `i` open an `impl … { … }` block (vs. an
@@ -983,8 +1081,12 @@ mod tests {
     use super::*;
 
     fn parse(path: &str, src: &str) -> ParsedFile {
-        let ctx = FileContext::new(path, src);
-        parse_file(&ctx, path)
+        parse_file(&FileContext::new(path, src))
+    }
+
+    /// `(kind, what)` of each sink, in order.
+    fn kinds(sinks: &[Sink]) -> Vec<(SinkKind, &str)> {
+        sinks.iter().map(|s| (s.kind, s.what.as_str())).collect()
     }
 
     #[test]
@@ -1053,43 +1155,110 @@ mod tests {
     }
 
     #[test]
-    fn facts_extracted() {
+    fn sinks_harvested() {
         let src = "fn f(buf: &[u8]) -> u8 {\n\
                    let t = Instant::now();\n\
                    let r = thread_rng();\n\
                    x.unwrap(); panic!(\"boom\");\n\
                    let b = Box::new(1); let v = Vec::new(); let s = y.to_string();\n\
-                   let g = m.lock().unwrap();\n\
+                   let g = LOCKS.lock().unwrap();\n\
                    buf[0]\n\
                    }\n";
         let f = parse("crates/net/src/x.rs", src);
-        let facts = &f.fns[0].facts;
-        assert_eq!(facts.wall_clock.len(), 1);
-        assert_eq!(facts.os_random.len(), 1);
-        assert_eq!(facts.panics.len(), 3); // unwrap, panic!, lock-unwrap
-        assert_eq!(facts.allocs.len(), 3);
-        assert_eq!(facts.locks.len(), 1);
-        assert_eq!(facts.index_sinks.len(), 1);
-        assert!(f.fns[0].byte_slice_param);
+        use SinkKind::*;
+        assert_eq!(
+            kinds(&f.fns[0].sinks),
+            vec![
+                (WallClock, "Instant"),
+                (Entropy, "thread_rng"),
+                (Panic, ".unwrap()"),
+                (Panic, "panic!"),
+                (Alloc, "Box::new"),
+                (VecNew, "Vec::new"),
+                (Alloc, ".to_string()"),
+                (CapsRef, "LOCKS"),
+                (Lock, ".lock()"),
+                (Panic, ".unwrap()"),
+                (Index, "buf[..]"),
+            ]
+        );
+        assert!(f.sinks.is_empty());
+    }
+
+    #[test]
+    fn near_misses_are_not_sinks() {
+        // `unwrap_or` is not `unwrap`, `to_string_lossy` is not
+        // `.to_string()`, and a comment or string is never a sink.
+        let src = "fn f(p: &Path) { x.unwrap_or(0); y.unwrap_or_else(|| 1); z.expect_err(\"e\"); \
+                   p.to_string_lossy(); // Instant::now()\n let s = \"x.unwrap()\"; }\n";
+        let f = parse("crates/kernel/src/x.rs", src);
+        assert!(f.fns[0].sinks.is_empty(), "{:?}", f.fns[0].sinks);
+    }
+
+    #[test]
+    fn sinks_outside_fn_bodies_belong_to_the_file() {
+        let src = "use std::time::Instant;\nstruct P { last: Option<Instant> }\n\
+                   fn f() -> Instant { Instant::now() }\n";
+        let f = parse("crates/kernel/src/x.rs", src);
+        let lines: Vec<u32> = f.sinks.iter().map(|s| s.line).collect();
+        assert_eq!(lines, vec![1, 2, 3], "use line, field type, return type");
+        assert_eq!(f.fns[0].sinks.len(), 1, "the body's own read");
+        assert_eq!(f.fns[0].sinks[0].col, 21);
+    }
+
+    #[test]
+    fn test_regions_and_allows_drop_sinks() {
+        let src = "fn f() { x.unwrap(); } // lv-lint: allow(no-panic)\n\n\
+                   fn g() { x.unwrap(); } // lv-lint: allow(determinism)\n\
+                   #[cfg(test)]\nmod tests { use std::time::Instant; fn h() { x.unwrap(); } }\n";
+        let f = parse("crates/kernel/src/x.rs", src);
+        assert!(f.sinks.is_empty());
+        let counts: Vec<usize> = f.fns.iter().map(|x| x.sinks.len()).collect();
+        assert_eq!(
+            counts,
+            vec![0, 1, 0],
+            "allowed, other rule's allow, test region"
+        );
+    }
+
+    #[test]
+    fn hash_iteration_by_method_and_for_loop() {
+        let src = "struct S { m: HashMap<u32, u32> }\n\
+                   fn f(s: &S) { for k in s.m.keys() { use_it(k); } }\n\
+                   fn g(m2: &HashMap<u32, u32>) { let _ = m2.len(); }\n\
+                   fn h(s: &S) { for e in &s.m { use_it(e); } }\n";
+        let f = parse("crates/testbed/src/x.rs", src);
+        let iters: Vec<u32> = f
+            .fns
+            .iter()
+            .flat_map(|x| &x.sinks)
+            .filter(|s| s.kind == SinkKind::HashIter)
+            .map(|s| s.line)
+            .collect();
+        assert_eq!(
+            iters,
+            vec![2, 4],
+            "keyed access and `.len()` are not iteration"
+        );
     }
 
     #[test]
     fn len_guard_suppresses_index_sink() {
         let src = "fn f(buf: &[u8]) -> u8 { if buf.len() < 2 { return 0; } buf[1] }\n";
         let f = parse("crates/net/src/x.rs", src);
-        assert!(f.fns[0].facts.index_sinks.is_empty());
+        assert!(f.fns[0].sinks.is_empty());
         let src2 = "fn f(buf: &[u8]) -> u8 { buf[1] }\n";
         let f2 = parse("crates/net/src/x.rs", src2);
-        assert_eq!(f2.fns[0].facts.index_sinks.len(), 1);
+        assert_eq!(kinds(&f2.fns[0].sinks), vec![(SinkKind::Index, "buf[..]")]);
     }
 
     #[test]
     fn trial_caller_detected() {
         let src = "fn drive() { let r = TrialRunner::new(1, 4); let out = r.run(|t| t.index); }\n";
         let f = parse("crates/testbed/src/x.rs", src);
-        assert!(f.fns[0].facts.trial_caller);
+        assert!(f.fns[0].trial_caller);
         let plain = parse("crates/testbed/src/x.rs", "fn g() { r.run(1); }");
-        assert!(!plain.fns[0].facts.trial_caller);
+        assert!(!plain.fns[0].trial_caller);
     }
 
     #[test]
@@ -1137,8 +1306,8 @@ mod tests {
         assert_eq!(f.fns.len(), 2);
         let inner = f.fns.iter().find(|x| x.name == "inner").unwrap();
         let outer = f.fns.iter().find(|x| x.name == "outer").unwrap();
-        assert_eq!(inner.facts.panics.len(), 1);
-        assert!(outer.facts.panics.is_empty());
+        assert_eq!(inner.sinks.len(), 1);
+        assert!(outer.sinks.is_empty());
         assert_eq!(outer.calls.len(), 1);
     }
 
@@ -1147,6 +1316,15 @@ mod tests {
         let src = "// lv-lint: hot\nfn f() { g::<u32>(); h.collect::<Vec<_>>(); }\n";
         let f = parse("crates/kernel/src/x.rs", src);
         assert!(f.fns[0].is_hot);
+        let trailing = parse(
+            "crates/kernel/src/x.rs",
+            "fn f(x: u32) -> String { x.to_string() } // lv-lint: hot\n\nfn g() {}\n",
+        );
+        assert!(
+            trailing.fns[0].is_hot,
+            "a trailing tag marks its own line's fn"
+        );
+        assert!(!trailing.fns[1].is_hot);
         let names: Vec<&str> = f.fns[0].calls.iter().map(|c| c.name.as_str()).collect();
         assert!(names.contains(&"g"));
         assert!(names.contains(&"collect"));

@@ -1,17 +1,17 @@
-//! The rule engine: named lexical rules over one file's token stream.
+//! One file's context and the per-file rules over its token stream.
 //!
-//! Each rule is a pure function from a [`FileContext`] to findings.
-//! Rules see the significant (non-comment) token stream plus enough
-//! side information to honor the repo's escape hatches: `#[cfg(test)]`
-//! regions are skipped by every rule, and an inline
-//! `// lv-lint: allow(<rule>)` on the offending line (or the line
-//! above) suppresses a finding at the source.
+//! A [`FileContext`] holds a file's tokens plus the side information
+//! every rule honors: `#[cfg(test)]` regions are exempt from every
+//! rule, and an inline `// lv-lint: allow(<rule>)` on the offending
+//! line (or the line above) suppresses that rule there. It feeds both
+//! the per-file rules below and the item parser ([`crate::parse`]),
+//! whose sinks the reach rules ([`crate::interproc`]) report.
 
-use crate::config::{crate_key_of, LintConfig};
+use crate::config::{crate_key_of, scope_of};
 use crate::lexer::{tokenize, Token, TokenKind};
 
-/// One hop of the call chain behind an interprocedural finding: a
-/// function the taint flowed through on its way from source to sink.
+/// One hop of the call chain behind a reached finding: a function on
+/// the path from the root to the sink.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChainHop {
     /// Display name (`crate::module::Type::fn`).
@@ -37,8 +37,9 @@ pub struct Finding {
     pub message: String,
     /// The trimmed source line (used for baseline fingerprints).
     pub snippet: String,
-    /// Call chain from taint source to the sink, outermost first.
-    /// Empty for per-file (lexical) rules.
+    /// Call chain from the root to the fn holding the sink, root
+    /// first. Empty when no root reaches the sink, and for per-file
+    /// rules.
     pub chain: Vec<ChainHop>,
 }
 
@@ -65,6 +66,13 @@ impl Finding {
         }
         s
     }
+}
+
+/// Sort findings by `(path, line, col, rule)`: the report order.
+pub fn sort_findings(findings: &mut [Finding]) {
+    findings.sort_by(|a, b| {
+        (a.path.as_str(), a.line, a.col, a.rule).cmp(&(b.path.as_str(), b.line, b.col, b.rule))
+    });
 }
 
 /// Everything a rule may look at for one file.
@@ -195,7 +203,7 @@ impl<'a> FileContext<'a> {
     /// Sig-index of the token closing the group opened at `open_idx`
     /// (which must hold `open`). Returns the last sig index on
     /// unbalanced input.
-    fn matching(&self, open_idx: usize, open: &str, close: &str) -> usize {
+    pub fn matching(&self, open_idx: usize, open: &str, close: &str) -> usize {
         let mut depth = 0i32;
         let mut i = open_idx;
         while i < self.sig.len() {
@@ -230,7 +238,7 @@ impl<'a> FileContext<'a> {
 
     /// Text of the significant token at sig-position `i` (empty past
     /// the end).
-    fn sig_text(&self, i: usize) -> &str {
+    pub fn sig_text(&self, i: usize) -> &str {
         self.sig_tok(i).map(|t| t.text).unwrap_or("")
     }
 
@@ -260,127 +268,27 @@ impl<'a> FileContext<'a> {
     }
 }
 
-/// A registered rule.
-pub struct Rule {
-    /// Rule name, as used in configs, directives, and baselines.
-    pub name: &'static str,
-    /// One-line description (for `--list-rules`).
-    pub summary: &'static str,
-    /// The check itself.
-    pub check: fn(&FileContext<'_>, &mut Vec<Finding>),
-}
+/// A per-file rule's check.
+type Check = fn(&FileContext<'_>, &mut Vec<Finding>);
 
-/// Every rule the analyzer knows, in reporting order.
-pub const RULES: &[Rule] = &[
-    Rule {
-        name: "wall-clock",
-        summary: "no Instant/SystemTime in sim-path crates (virtual time only)",
-        check: check_wall_clock,
-    },
-    Rule {
-        name: "os-random",
-        summary: "no OS/thread RNG or RandomState in sim-path crates (seeded SimRng only)",
-        check: check_os_random,
-    },
-    Rule {
-        name: "hash-type",
-        summary: "no std HashMap/HashSet in sim-path crates (BTreeMap/BTreeSet instead)",
-        check: check_hash_type,
-    },
-    Rule {
-        name: "hash-iter",
-        summary: "no iteration over HashMap/HashSet (order leaks hasher state)",
-        check: check_hash_iter,
-    },
-    Rule {
-        name: "no-panic",
-        summary: "no unwrap/expect/panic!/unreachable! in kernel and radio non-test code",
-        check: check_no_panic,
-    },
-    Rule {
-        name: "hot-path-alloc",
-        summary: "no Box::new/Vec::new/to_string in functions tagged `// lv-lint: hot`",
-        check: check_hot_path_alloc,
-    },
-    Rule {
-        name: "counter-name",
-        summary: "counter ids must be namespaced: `ns.name` (e.g. dyn.node_down)",
-        check: check_counter_name,
-    },
-    Rule {
-        name: "trace-coverage",
-        summary: "kernel functions counting dyn.* mutations must emit a trace event",
-        check: check_trace_coverage,
-    },
-    Rule {
-        name: "pub-doc",
-        summary: "pub items need doc comments",
-        check: check_pub_doc,
-    },
+/// The per-file rules, in reporting order; [`crate::config::RULES`]
+/// scopes them.
+pub(crate) const CHECKS: &[(&str, Check)] = &[
+    ("hash-type", check_hash_type),
+    ("counter-name", check_counter_name),
+    ("trace-coverage", check_trace_coverage),
+    ("pub-doc", check_pub_doc),
 ];
 
-/// Look up a rule by name.
-pub fn rule_by_name(name: &str) -> Option<&'static Rule> {
-    RULES.iter().find(|r| r.name == name)
-}
-
-/// Run every rule enabled for the file's crate, returning findings
-/// sorted by position.
-pub fn check_file(ctx: &FileContext<'_>, config: &LintConfig) -> Vec<Finding> {
+/// Run every per-file rule whose scope covers the file's crate.
+pub fn check_file(ctx: &FileContext<'_>) -> Vec<Finding> {
     let mut out = Vec::new();
-    for name in config.rules_for(ctx.crate_key) {
-        if let Some(rule) = rule_by_name(name) {
-            (rule.check)(ctx, &mut out);
+    for (rule, check) in CHECKS {
+        if scope_of(rule).contains(ctx.crate_key) {
+            check(ctx, &mut out);
         }
     }
-    out.sort_by(|a, b| (a.line, a.col, a.rule).cmp(&(b.line, b.col, b.rule)));
-    out.dedup();
     out
-}
-
-// ---------------------------------------------------------------------
-// Determinism rules
-// ---------------------------------------------------------------------
-
-fn check_wall_clock(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
-    for i in 0..ctx.sig.len() {
-        let Some(t) = ctx.sig_tok(i) else { break };
-        if t.kind == TokenKind::Ident && (t.text == "Instant" || t.text == "SystemTime") {
-            ctx.push(
-                out,
-                "wall-clock",
-                t,
-                format!(
-                    "`{}` is a wall-clock time source; simulation paths must use SimTime",
-                    t.text
-                ),
-            );
-        }
-    }
-}
-
-fn check_os_random(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
-    const BANNED: &[&str] = &[
-        "thread_rng",
-        "OsRng",
-        "RandomState",
-        "from_entropy",
-        "getrandom",
-    ];
-    for i in 0..ctx.sig.len() {
-        let Some(t) = ctx.sig_tok(i) else { break };
-        if t.kind == TokenKind::Ident && BANNED.contains(&t.text) {
-            ctx.push(
-                out,
-                "os-random",
-                t,
-                format!(
-                    "`{}` draws OS entropy; simulation paths must use the seeded SimRng streams",
-                    t.text
-                ),
-            );
-        }
-    }
 }
 
 fn check_hash_type(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
@@ -398,248 +306,6 @@ fn check_hash_type(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
                 ),
             );
         }
-    }
-}
-
-fn check_hash_iter(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
-    const ITERATORS: &[&str] = &[
-        "iter",
-        "iter_mut",
-        "keys",
-        "values",
-        "values_mut",
-        "drain",
-        "into_iter",
-        "retain",
-    ];
-    // Pass 1: identifiers declared with a hash-collection type in this
-    // file — `name: HashMap<…>` fields/params and
-    // `let name = HashMap::new()` bindings.
-    let mut hashed: Vec<&str> = Vec::new();
-    for i in 0..ctx.sig.len() {
-        let t = ctx.sig_text_pub(i);
-        if t != "HashMap" && t != "HashSet" {
-            continue;
-        }
-        if i == 0 {
-            continue;
-        }
-        // Walk back over a `std::collections::` path prefix (colons are
-        // single-char tokens) and any `&`/`&mut` to reach the `:`
-        // (field/param) or `=` (binding) that names the identifier.
-        let mut j = i - 1;
-        while j >= 3
-            && ctx.sig_text_pub(j) == ":"
-            && ctx.sig_text_pub(j - 1) == ":"
-            && ctx
-                .sig_tok(j - 2)
-                .is_some_and(|p| p.kind == TokenKind::Ident)
-        {
-            j -= 3;
-        }
-        while j >= 1 && matches!(ctx.sig_text_pub(j), "&" | "mut") {
-            j -= 1;
-        }
-        let is_decl_colon =
-            ctx.sig_text_pub(j) == ":" && (j == 0 || ctx.sig_text_pub(j - 1) != ":");
-        let is_binding_eq = ctx.sig_text_pub(j) == "=";
-        if j >= 1
-            && (is_decl_colon || is_binding_eq)
-            && ctx
-                .sig_tok(j - 1)
-                .is_some_and(|p| p.kind == TokenKind::Ident)
-        {
-            hashed.push(ctx.sig_tok(j - 1).map(|p| p.text).unwrap_or(""));
-        }
-    }
-    if hashed.is_empty() {
-        return;
-    }
-    // Track the spans of `for … in <expr> {` headers: any hashed
-    // identifier named in the iterated expression is a finding
-    // (`for k in &m`, `for e in &mut self.m`, `for x in m`).
-    let mut for_header_until = 0usize; // sig index of the header's `{`
-                                       // Pass 2: iteration over any of those identifiers.
-    for i in 0..ctx.sig.len() {
-        if ctx.sig_text_pub(i) == "for" {
-            let mut j = i + 1;
-            while j < ctx.sig.len()
-                && ctx.sig_text_pub(j) != "in"
-                && ctx.sig_text_pub(j) != "{"
-                && ctx.sig_text_pub(j) != ";"
-            {
-                j += 1;
-            }
-            if ctx.sig_text_pub(j) == "in" {
-                let mut k = j + 1;
-                while k < ctx.sig.len() && ctx.sig_text_pub(k) != "{" {
-                    k += 1;
-                }
-                for_header_until = for_header_until.max(k);
-            }
-        }
-        let Some(t) = ctx.sig_tok(i) else { break };
-        if t.kind != TokenKind::Ident || !hashed.contains(&t.text) {
-            continue;
-        }
-        // `name.iter()` / `.keys()` / …
-        let is_method_iter = ctx.sig_text_pub(i + 1) == "."
-            && ITERATORS.contains(&ctx.sig_text_pub(i + 2))
-            && ctx.sig_text_pub(i + 3) == "(";
-        let is_for_iter = i < for_header_until;
-        if is_method_iter || is_for_iter {
-            ctx.push(
-                out,
-                "hash-iter",
-                t,
-                format!(
-                    "iterating hash-backed `{}` leaks hasher order; sort first or use a BTreeMap",
-                    t.text
-                ),
-            );
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Robustness rules
-// ---------------------------------------------------------------------
-
-fn check_no_panic(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
-    const MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
-    for i in 0..ctx.sig.len() {
-        let Some(t) = ctx.sig_tok(i) else { break };
-        if t.kind != TokenKind::Ident {
-            continue;
-        }
-        // `.unwrap()` / `.expect(`
-        if (t.text == "unwrap" || t.text == "expect")
-            && i >= 1
-            && ctx.sig_text_pub(i - 1) == "."
-            && ctx.sig_text_pub(i + 1) == "("
-        {
-            ctx.push(
-                out,
-                "no-panic",
-                t,
-                format!(
-                    "`.{}()` can abort a node mid-simulation; return a typed error or route \
-                     through an anomaly counter",
-                    t.text
-                ),
-            );
-        }
-        // `panic!(` and friends
-        if MACROS.contains(&t.text) && ctx.sig_text_pub(i + 1) == "!" {
-            ctx.push(
-                out,
-                "no-panic",
-                t,
-                format!(
-                    "`{}!` in kernel/radio non-test code; use typed errors or an anomaly path",
-                    t.text
-                ),
-            );
-        }
-    }
-}
-
-/// Heap allocation in declared hot paths. A `// lv-lint: hot` comment
-/// on the line of (or directly above) a `fn` declares the function a
-/// per-event hot path; inside its body, `Box::new`, `Vec::new` and
-/// `.to_string()` are flagged — the raw-speed kernel pass moved those
-/// onto arenas, inline buffers and interned `CounterId`s, and this rule
-/// keeps per-event heap traffic from creeping back in.
-fn check_hot_path_alloc(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
-    // Lines carrying a `lv-lint: hot` tag (the directive, not
-    // `allow(hot-path-alloc)` — that starts with `allow(`).
-    let hot_lines: Vec<u32> = ctx
-        .tokens
-        .iter()
-        .filter(|t| t.is_comment())
-        .filter_map(|t| {
-            let at = t.text.find("lv-lint:")?;
-            let rest = t.text[at + "lv-lint:".len()..].trim_start();
-            rest.starts_with("hot").then_some(t.line)
-        })
-        .collect();
-    if hot_lines.is_empty() {
-        return;
-    }
-    let mut i = 0usize;
-    while i < ctx.sig.len() {
-        if ctx.sig_text_pub(i) != "fn" {
-            i += 1;
-            continue;
-        }
-        let fn_line = ctx.sig_tok(i).map(|t| t.line).unwrap_or(0);
-        let is_hot = hot_lines.iter().any(|&l| l == fn_line || l + 1 == fn_line);
-        // Body = first `{` at paren depth 0 after the signature.
-        let mut j = i + 1;
-        let mut paren = 0i32;
-        let body_open = loop {
-            if j >= ctx.sig.len() {
-                break None;
-            }
-            match ctx.sig_text_pub(j) {
-                "(" => paren += 1,
-                ")" => paren -= 1,
-                "{" if paren == 0 => break Some(j),
-                ";" if paren == 0 => break None, // trait method decl
-                _ => {}
-            }
-            j += 1;
-        };
-        let Some(open) = body_open else {
-            i = j + 1;
-            continue;
-        };
-        if !is_hot {
-            // Step inside: a nested tagged fn must still be scanned.
-            i = open + 1;
-            continue;
-        }
-        let close = ctx.matching_pub(open, "{", "}");
-        for k in open..=close {
-            let Some(t) = ctx.sig_tok(k) else { break };
-            if t.kind != TokenKind::Ident {
-                continue;
-            }
-            // `Box::new` / `Vec::new` (colons lex as single chars).
-            if (t.text == "Box" || t.text == "Vec")
-                && ctx.sig_text_pub(k + 1) == ":"
-                && ctx.sig_text_pub(k + 2) == ":"
-                && ctx.sig_text_pub(k + 3) == "new"
-            {
-                ctx.push(
-                    out,
-                    "hot-path-alloc",
-                    t,
-                    format!(
-                        "`{}::new` allocates inside a `// lv-lint: hot` function; use the \
-                         event arena / an inline buffer, or hoist the allocation out of \
-                         the per-event path",
-                        t.text
-                    ),
-                );
-            }
-            // `.to_string()`
-            if t.text == "to_string"
-                && k >= 1
-                && ctx.sig_text_pub(k - 1) == "."
-                && ctx.sig_text_pub(k + 1) == "("
-            {
-                ctx.push(
-                    out,
-                    "hot-path-alloc",
-                    t,
-                    "`.to_string()` allocates inside a `// lv-lint: hot` function; use an \
-                     interned CounterId or a static str"
-                        .to_owned(),
-                );
-            }
-        }
-        i = close + 1;
     }
 }
 
@@ -672,7 +338,7 @@ fn check_counter_name(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
         if t.kind != TokenKind::Ident || (t.text != "incr" && t.text != "add") {
             continue;
         }
-        if i < 1 || ctx.sig_text_pub(i - 1) != "." || ctx.sig_text_pub(i + 1) != "(" {
+        if i < 1 || ctx.sig_text(i - 1) != "." || ctx.sig_text(i + 1) != "(" {
             continue;
         }
         let Some(arg) = ctx.sig_tok(i + 2) else {
@@ -701,7 +367,7 @@ fn check_trace_coverage(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
     // state mutation must also emit a trace event (`.emit(`).
     let mut i = 0usize;
     while i < ctx.sig.len() {
-        if ctx.sig_text_pub(i) != "fn" {
+        if ctx.sig_text(i) != "fn" {
             i += 1;
             continue;
         }
@@ -712,7 +378,7 @@ fn check_trace_coverage(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
             if j >= ctx.sig.len() {
                 break None;
             }
-            match ctx.sig_text_pub(j) {
+            match ctx.sig_text(j) {
                 "(" => paren += 1,
                 ")" => paren -= 1,
                 "{" if paren == 0 => break Some(j),
@@ -725,20 +391,20 @@ fn check_trace_coverage(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
             i = j + 1;
             continue;
         };
-        let close = ctx.matching_pub(open, "{", "}");
+        let close = ctx.matching(open, "{", "}");
         let mut dyn_tok: Option<&Token<'_>> = None;
         let mut has_emit = false;
         for k in open..=close {
             let Some(t) = ctx.sig_tok(k) else { break };
             if t.text == "CounterId"
-                && ctx.sig_text_pub(k + 1) == ":"
-                && ctx.sig_text_pub(k + 2) == ":"
-                && ctx.sig_text_pub(k + 3).starts_with("Dyn")
+                && ctx.sig_text(k + 1) == ":"
+                && ctx.sig_text(k + 2) == ":"
+                && ctx.sig_text(k + 3).starts_with("Dyn")
                 && dyn_tok.is_none()
             {
                 dyn_tok = ctx.sig_tok(k + 3);
             }
-            if t.text == "emit" && ctx.sig_text_pub(k - 1) == "." {
+            if t.text == "emit" && ctx.sig_text(k - 1) == "." {
                 has_emit = true;
             }
         }
@@ -789,27 +455,27 @@ fn check_pub_doc(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
                 // Skip restricted visibility: `pub(crate)` etc. are not
                 // public API.
                 let mut k = i + 1;
-                if ctx.sig_text_pub(k) == "(" {
+                if ctx.sig_text(k) == "(" {
                     i += 1;
                     continue;
                 }
                 // Skip qualifiers to reach the item keyword.
-                while matches!(ctx.sig_text_pub(k), "unsafe" | "async" | "extern")
-                    || (ctx.sig_text_pub(k) == "const" && ctx.sig_text_pub(k + 1) == "fn")
+                while matches!(ctx.sig_text(k), "unsafe" | "async" | "extern")
+                    || (ctx.sig_text(k) == "const" && ctx.sig_text(k + 1) == "fn")
                     || ctx.sig_tok(k).is_some_and(|t| t.kind == TokenKind::Str)
                 {
                     k += 1;
                 }
-                let kw = ctx.sig_text_pub(k);
+                let kw = ctx.sig_text(k);
                 // `pub mod name;` is documented by the module file's
                 // own `//!` inner docs (the rustdoc gate checks those);
                 // only inline `pub mod name { … }` needs outer docs.
-                if kw == "mod" && ctx.sig_text_pub(k + 2) == ";" {
+                if kw == "mod" && ctx.sig_text(k + 2) == ";" {
                     i += 1;
                     continue;
                 }
                 if ITEM_KEYWORDS.contains(&kw) && !has_doc_before(ctx, i) {
-                    let name = ctx.sig_text_pub(k + 1);
+                    let name = ctx.sig_text(k + 1);
                     ctx.push(
                         out,
                         "pub-doc",
@@ -872,112 +538,58 @@ fn has_doc_before(ctx: &FileContext<'_>, i: usize) -> bool {
     }
 }
 
-impl<'a> FileContext<'a> {
-    /// Public sibling of `sig_text` for rule functions in this module's
-    /// tests and fixtures: text of the significant token at `i`.
-    pub fn sig_text_pub(&self, i: usize) -> &str {
-        self.sig_tok(i).map(|t| t.text).unwrap_or("")
-    }
-
-    /// Public sibling of `matching`: sig-index of the token closing the
-    /// group opened at `open_idx`.
-    pub fn matching_pub(&self, open_idx: usize, open: &str, close: &str) -> usize {
-        self.matching(open_idx, open, close)
-    }
-
-    /// Inline `lv-lint: allow(rule)` directives as `(line, rule)` pairs
-    /// (`"all"` allows every rule) — the item parser carries these into
-    /// its owned [`crate::parse::ParsedFile`] so graph rules can honor
-    /// them after the borrow ends.
-    pub fn allow_directives(&self) -> &[(u32, String)] {
-        &self.allows
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::config::CrateSet;
-    use crate::config::RuleConfig;
+    use crate::lint_source;
 
-    fn config_all(rule: &str) -> LintConfig {
-        LintConfig {
-            rules: vec![RuleConfig {
-                rule: rule.to_owned(),
-                crates: CrateSet::All,
-            }],
-        }
-    }
-
-    fn findings(rule: &str, path: &str, src: &str) -> Vec<Finding> {
-        let ctx = FileContext::new(path, src);
-        check_file(&ctx, &config_all(rule))
-    }
-
-    #[test]
-    fn wall_clock_flags_instant_not_comments() {
-        let src = "// Instant::now in a comment is fine\nfn f() { let t = Instant::now(); }\n";
-        let f = findings("wall-clock", "crates/sim/src/x.rs", src);
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].line, 2);
+    /// Lint `src` as `path` under the repo policy; keep `rule`'s lines.
+    fn lines(rule: &str, path: &str, src: &str) -> Vec<u32> {
+        lint_source(path, src)
+            .iter()
+            .filter(|f| f.rule == rule)
+            .map(|f| f.line)
+            .collect()
     }
 
     #[test]
     fn test_regions_are_exempt() {
         let src = "#[cfg(test)]\nmod tests {\n    fn f() { x.unwrap(); }\n}\n";
-        assert!(findings("no-panic", "crates/kernel/src/x.rs", src).is_empty());
+        assert!(lines("no-panic", "crates/kernel/src/x.rs", src).is_empty());
     }
 
     #[test]
     fn cfg_not_test_is_not_a_test_region() {
         let src = "#[cfg(not(test))]\nfn f() { x.unwrap(); }\n";
-        assert_eq!(findings("no-panic", "crates/kernel/src/x.rs", src).len(), 1);
+        assert_eq!(lines("no-panic", "crates/kernel/src/x.rs", src), vec![2]);
     }
 
     #[test]
     fn allow_directive_suppresses_same_and_next_line() {
         let same = "fn f() { x.unwrap(); } // lv-lint: allow(no-panic)\n";
-        assert!(findings("no-panic", "crates/kernel/src/x.rs", same).is_empty());
+        assert!(lines("no-panic", "crates/kernel/src/x.rs", same).is_empty());
         let above = "// lv-lint: allow(no-panic)\nfn f() { x.unwrap(); }\n";
-        assert!(findings("no-panic", "crates/kernel/src/x.rs", above).is_empty());
-        let wrong = "// lv-lint: allow(wall-clock)\nfn f() { x.unwrap(); }\n";
-        assert_eq!(
-            findings("no-panic", "crates/kernel/src/x.rs", wrong).len(),
-            1
-        );
-    }
-
-    #[test]
-    fn unwrap_or_is_not_unwrap() {
-        let src = "fn f() { x.unwrap_or(0); y.unwrap_or_else(|| 1); z.expect_err(\"e\"); }\n";
-        assert!(findings("no-panic", "crates/kernel/src/x.rs", src).is_empty());
+        assert!(lines("no-panic", "crates/kernel/src/x.rs", above).is_empty());
+        let wrong = "// lv-lint: allow(determinism)\nfn f() { x.unwrap(); }\n";
+        assert_eq!(lines("no-panic", "crates/kernel/src/x.rs", wrong), vec![2]);
+        let all = "fn f() { x.unwrap(); } // lv-lint: allow(all)\n";
+        assert!(lines("no-panic", "crates/kernel/src/x.rs", all).is_empty());
     }
 
     #[test]
     fn counter_names_validated() {
         let good = "fn f(c: &mut Counters) { c.incr(\"dyn.node_down\"); c.add(\"net.drop.NoRoute\", 2); }\n";
-        assert!(findings("counter-name", "crates/net/src/x.rs", good).is_empty());
+        assert!(lines("counter-name", "crates/net/src/x.rs", good).is_empty());
         let bad = "fn f(c: &mut Counters) { c.incr(\"NodeDown\"); }\n";
-        let f = findings("counter-name", "crates/net/src/x.rs", bad);
+        let f = lint_source("crates/net/src/x.rs", bad);
         assert_eq!(f.len(), 1);
         assert!(f[0].message.contains("NodeDown"));
-    }
-
-    #[test]
-    fn hash_iter_catches_method_and_for_loops() {
-        let src = "struct S { m: HashMap<u32, u32> }\n\
-                   fn f(s: &S) { for k in s.m.keys() { use_it(k); } }\n\
-                   fn g(m2: &HashMap<u32, u32>) { let _ = m2.len(); }\n";
-        let f = findings("hash-iter", "crates/testbed/src/x.rs", src);
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].line, 2);
     }
 
     #[test]
     fn pub_doc_requires_docs_outside_bodies() {
         let src = "/// Documented.\npub fn a() {}\npub fn b() {}\n\
                    fn c() { let pub_ish = 1; }\n";
-        let f = findings("pub-doc", "crates/sim/src/x.rs", src);
+        let f = lint_source("crates/sim/src/x.rs", src);
         assert_eq!(f.len(), 1);
         assert!(f[0].message.contains('b'));
     }
@@ -985,66 +597,56 @@ mod tests {
     #[test]
     fn pub_doc_skips_file_mod_decls_but_not_inline_mods() {
         let decl = "pub mod network;\n";
-        assert!(findings("pub-doc", "crates/kernel/src/lib.rs", decl).is_empty());
+        assert!(lint_source("crates/kernel/src/lib.rs", decl).is_empty());
         let inline = "pub mod helpers { pub fn x() {} }\n";
-        let f = findings("pub-doc", "crates/kernel/src/lib.rs", inline);
+        let f = lint_source("crates/kernel/src/lib.rs", inline);
         assert!(f.iter().any(|f| f.message.contains("mod `helpers`")));
     }
 
     #[test]
     fn pub_doc_accepts_doc_attr_and_skips_pub_crate() {
         let src = "#[doc = \"x\"]\npub fn a() {}\npub(crate) fn b() {}\npub use other::Thing;\n";
-        assert!(findings("pub-doc", "crates/sim/src/x.rs", src).is_empty());
+        assert!(lint_source("crates/sim/src/x.rs", src).is_empty());
     }
 
     #[test]
     fn trace_coverage_pairs_dyn_counters_with_emit() {
         let bad = "fn f(&mut self) { self.counters.incr_id(CounterId::DynNodeDown); }\n";
-        let f = findings("trace-coverage", "crates/kernel/src/x.rs", bad);
-        assert_eq!(f.len(), 1);
+        assert_eq!(
+            lines("trace-coverage", "crates/kernel/src/x.rs", bad),
+            vec![1]
+        );
         let good = "fn f(&mut self) { self.counters.incr_id(CounterId::DynNodeDown); \
                     self.trace.emit(now, id, lvl, msg); }\n";
-        assert!(findings("trace-coverage", "crates/kernel/src/x.rs", good).is_empty());
-    }
-
-    #[test]
-    fn hot_path_alloc_only_fires_in_tagged_fns() {
-        let cold = "fn f() { let v = Vec::new(); let b = Box::new(1); }\n";
-        assert!(findings("hot-path-alloc", "crates/kernel/src/x.rs", cold).is_empty());
-        let hot = "// lv-lint: hot\nfn f() { let v = Vec::new(); let b = Box::new(1); }\n";
-        let f = findings("hot-path-alloc", "crates/kernel/src/x.rs", hot);
-        assert_eq!(f.len(), 2);
-        assert_eq!(f[0].line, 2);
-        let trailing = "fn f(x: u32) -> String { x.to_string() } // lv-lint: hot\n";
-        assert_eq!(
-            findings("hot-path-alloc", "crates/kernel/src/x.rs", trailing).len(),
-            1
-        );
-        // to_string_lossy and a field named to_string are not `.to_string()`.
-        let near = "// lv-lint: hot\nfn f(p: &Path) -> Cow<str> { p.to_string_lossy() }\n";
-        assert!(findings("hot-path-alloc", "crates/kernel/src/x.rs", near).is_empty());
-    }
-
-    #[test]
-    fn hot_path_alloc_allow_and_tests_exempt() {
-        let allowed =
-            "// lv-lint: hot\nfn f() { let v = Vec::new(); // lv-lint: allow(hot-path-alloc)\n}\n";
-        assert!(findings("hot-path-alloc", "crates/kernel/src/x.rs", allowed).is_empty());
-        let test_region =
-            "#[cfg(test)]\nmod tests {\n    // lv-lint: hot\n    fn f() { let v = Vec::new(); }\n}\n";
-        assert!(findings("hot-path-alloc", "crates/kernel/src/x.rs", test_region).is_empty());
+        assert!(lint_source("crates/kernel/src/x.rs", good).is_empty());
     }
 
     #[test]
     fn findings_render_with_positions() {
-        let f = findings(
-            "wall-clock",
-            "crates/sim/src/x.rs",
-            "fn f() { let t = Instant::now(); }",
-        );
+        let f = lint_source("crates/sim/src/x.rs", "fn f() { let t = Instant::now(); }");
         assert_eq!(f.len(), 1);
         let line = f[0].render();
-        assert!(line.starts_with("crates/sim/src/x.rs:1:"));
-        assert!(line.contains("[wall-clock]"));
+        assert!(line.starts_with("crates/sim/src/x.rs:1:18:"), "{line}");
+        assert!(line.contains("[determinism]"));
+    }
+
+    /// Every rule in the policy table has exactly one implementation:
+    /// a per-file check here or a reach class in `interproc`, and only
+    /// a reach rule owns sink kinds.
+    #[test]
+    fn every_rule_has_one_implementation() {
+        for rule in crate::config::RULES {
+            let checks = super::CHECKS.iter().filter(|c| c.0 == rule.name).count();
+            let classes = crate::interproc::CLASSES
+                .iter()
+                .filter(|c| c.rule == rule.name)
+                .count();
+            assert_eq!(checks + classes, 1, "{}", rule.name);
+            assert_eq!(classes == 1, !rule.sinks.is_empty(), "{}", rule.name);
+        }
+        assert_eq!(
+            crate::config::RULES.len(),
+            super::CHECKS.len() + crate::interproc::CLASSES.len()
+        );
     }
 }

@@ -4,33 +4,32 @@
 //! case (a violation the rule must find), an allowed case (suppressed
 //! by an inline `lv-lint: allow(...)` directive), and where relevant a
 //! test-region case (exempt). The fixtures live outside `src/` so the
-//! workspace scan never picks them up; these tests feed them through
-//! `lint_source` with a hand-picked crate path and assert the exact
-//! finding lines. A final test exercises the baseline flow end to end
-//! on real fixture findings.
+//! workspace scan never picks them up; these tests lint them under the
+//! repo policy with a hand-picked crate path, filter the findings by
+//! rule and assert the exact lines — and, in the scope matrix, the
+//! exact crates where each rule fires. A final test exercises the
+//! baseline flow end to end on real fixture findings.
 
 use lv_lint::baseline::Baseline;
-use lv_lint::config::{CrateSet, LintConfig, RuleConfig};
 use lv_lint::lint_source;
+use lv_lint::rules::Finding;
 
 fn fixture(name: &str) -> String {
     let path = format!("{}/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"))
 }
 
-fn single_rule(rule: &str) -> LintConfig {
-    LintConfig {
-        rules: vec![RuleConfig {
-            rule: rule.to_owned(),
-            crates: CrateSet::All,
-        }],
-    }
+/// Lint `fixtures/<name>` as `as_path` and return `rule`'s findings.
+fn findings_of(name: &str, rule: &str, as_path: &str) -> Vec<Finding> {
+    lint_source(as_path, &fixture(name))
+        .into_iter()
+        .filter(|f| f.rule == rule)
+        .collect()
 }
 
-/// Lint `fixtures/<name>` with one rule and return the finding lines.
+/// The lines of `rule`'s findings in `fixtures/<name>` under `as_path`.
 fn finding_lines(name: &str, rule: &str, as_path: &str) -> Vec<u32> {
-    let src = fixture(name);
-    lint_source(as_path, &src, &single_rule(rule))
+    findings_of(name, rule, as_path)
         .iter()
         .map(|f| f.line)
         .collect()
@@ -38,13 +37,13 @@ fn finding_lines(name: &str, rule: &str, as_path: &str) -> Vec<u32> {
 
 #[test]
 fn wall_clock_fixture() {
-    let lines = finding_lines("wall_clock.rs", "wall-clock", "crates/sim/src/fixture.rs");
+    let lines = finding_lines("wall_clock.rs", "determinism", "crates/sim/src/fixture.rs");
     assert_eq!(lines, vec![5], "positive hit; allow + test region exempt");
 }
 
 #[test]
 fn os_random_fixture() {
-    let lines = finding_lines("os_random.rs", "os-random", "crates/radio/src/fixture.rs");
+    let lines = finding_lines("os_random.rs", "determinism", "crates/radio/src/fixture.rs");
     assert_eq!(lines, vec![5, 10]);
 }
 
@@ -56,7 +55,11 @@ fn hash_type_fixture() {
 
 #[test]
 fn hash_iter_fixture() {
-    let lines = finding_lines("hash_iter.rs", "hash-iter", "crates/testbed/src/fixture.rs");
+    let lines = finding_lines(
+        "hash_iter.rs",
+        "determinism",
+        "crates/testbed/src/fixture.rs",
+    );
     assert_eq!(
         lines,
         vec![10, 14],
@@ -118,11 +121,62 @@ fn pub_doc_fixture() {
     );
 }
 
-/// Live-crate scoping under the *default workspace policy*: the same
-/// source is clean when it lives in `crates/serve` (real time is the
-/// live transport's job) and a determinism violation anywhere on the
-/// sim path. The exemption must come from the crate scope — the
-/// fixture carries no inline allows.
+/// Every crate key the workspace scan produces: the ten `crates/*`
+/// directories plus the root `src/`.
+const CRATE_KEYS: &[&str] = &[
+    "bench", "core", "kernel", "lint", "mac", "net", "radio", "serve", "sim", "testbed", "root",
+];
+
+/// The path of a fixture linted under crate key `key`.
+fn key_path(key: &str) -> String {
+    match key {
+        "root" => "src/fixture.rs".to_owned(),
+        k => format!("crates/{k}/src/fixture.rs"),
+    }
+}
+
+/// The scope matrix: each rootless fixture linted under every crate
+/// key, asserting exactly where its own rule fires and, there, at
+/// exactly which lines. This pins the policy table's no-root scopes,
+/// and catches a stray sink of another kind of the same rule (an
+/// `Instant` in the hash-iter fixture) wherever that kind counts.
+#[test]
+fn fixture_scope_matrix() {
+    const SIM_PATH: &[&str] = &["core", "kernel", "mac", "net", "radio", "sim"];
+    let cases: &[(&str, &str, &[&str], &[u32])] = &[
+        ("wall_clock.rs", "determinism", SIM_PATH, &[5]),
+        ("os_random.rs", "determinism", SIM_PATH, &[5, 10]),
+        ("hash_iter.rs", "determinism", CRATE_KEYS, &[10, 14]),
+        (
+            "no_panic.rs",
+            "no-panic",
+            &["kernel", "radio"],
+            &[5, 9, 13, 19],
+        ),
+        (
+            "hot_path_alloc.rs",
+            "hot-path-alloc",
+            CRATE_KEYS,
+            &[6, 7, 8],
+        ),
+    ];
+    for (file, rule, fires_in, lines) in cases {
+        for key in CRATE_KEYS {
+            let expected: &[u32] = if fires_in.contains(key) { lines } else { &[] };
+            assert_eq!(
+                finding_lines(file, rule, &key_path(key)),
+                expected,
+                "{file}: `{rule}` under {key}"
+            );
+        }
+    }
+}
+
+/// Live-crate scoping under the repo policy: the same source is clean
+/// when it lives in `crates/serve` (real time is the live transport's
+/// job) and a determinism violation on the sim path — at the `use`
+/// line and the field type as well as in the body. The exemption must
+/// come from the crate scope: the fixture carries no inline allows.
 #[test]
 fn live_transport_fixture_scoped_by_crate() {
     let src = fixture("live_transport.rs");
@@ -130,23 +184,39 @@ fn live_transport_fixture_scoped_by_crate() {
         !src.contains("lv-lint: allow"),
         "the live-crate exemption must be scoping, not inline allows"
     );
-    let cfg = lv_lint::config::LintConfig::default_for_workspace();
 
-    let live = lint_source("crates/serve/src/fixture.rs", &src, &cfg);
+    let live = lint_source("crates/serve/src/fixture.rs", &src);
     assert!(live.is_empty(), "clean under the live crate key: {live:?}");
 
-    let sim = lint_source("crates/kernel/src/fixture.rs", &src, &cfg);
-    let mut rules: Vec<&str> = sim.iter().map(|f| f.rule).collect();
-    rules.sort_unstable();
-    rules.dedup();
+    let sim = lint_source("crates/kernel/src/fixture.rs", &src);
+    let lines_of = |rule: &str| -> Vec<u32> {
+        sim.iter()
+            .filter(|f| f.rule == rule)
+            .map(|f| f.line)
+            .collect()
+    };
     assert_eq!(
-        rules,
-        vec!["hash-type", "wall-clock"],
-        "sim-path key must flag the determinism violations: {sim:?}"
+        lines_of("determinism"),
+        vec![8, 11, 16],
+        "use line, field type, body: {sim:?}"
     );
-    // No hash-iter findings under either key: the fixture only does
-    // keyed lookups.
-    assert!(sim.iter().all(|f| f.rule != "hash-iter"));
+    assert_eq!(lines_of("hash-type"), vec![7, 12], "{sim:?}");
+    assert_eq!(sim.len(), 5, "keyed lookups are not iteration: {sim:?}");
+}
+
+/// A finding after a non-ASCII char literal is still reported: the
+/// lexer must not read `'é` as a lifetime and swallow the rest of the
+/// file into a char literal.
+#[test]
+fn findings_after_a_non_ascii_char_literal() {
+    let src = "fn a(x: Option<u32>) -> u32 { let _c = 'e'; x.unwrap() }\n\
+               fn b(x: Option<u32>) -> u32 { let _c = 'é'; x.unwrap() }\n\
+               fn c(x: Option<u32>) -> u32 { x.unwrap() }\n";
+    let lines: Vec<u32> = lint_source("crates/kernel/src/fixture.rs", src)
+        .iter()
+        .map(|f| f.line)
+        .collect();
+    assert_eq!(lines, vec![1, 2, 3]);
 }
 
 /// The baseline flow on real findings: grandfather the fixture's
@@ -157,28 +227,26 @@ fn live_transport_fixture_scoped_by_crate() {
 fn baseline_grandfathers_fixture_findings() {
     let src = fixture("no_panic.rs");
     let path = "crates/kernel/src/fixture.rs";
-    let config = single_rule("no-panic");
-    let findings = lint_source(path, &src, &config);
+    let findings = lint_source(path, &src);
     assert_eq!(findings.len(), 4);
 
     let baseline = Baseline::parse(&Baseline::render(&findings)).expect("roundtrip");
 
     // (a) Unchanged source: everything absorbed.
-    let again = lint_source(path, &src, &config);
-    let outcome = baseline.apply(again);
+    let outcome = baseline.apply(lint_source(path, &src));
     assert!(outcome.new.is_empty());
     assert_eq!(outcome.absorbed, 4);
     assert!(outcome.stale.is_empty());
 
     // (b) A new violation on top still fails the gate.
     let more = format!("{src}\nfn extra(y: Option<u32>) -> u32 {{ y.unwrap() }}\n");
-    let outcome = baseline.apply(lint_source(path, &more, &config));
+    let outcome = baseline.apply(lint_source(path, &more));
     assert_eq!(outcome.new.len(), 1);
     assert!(outcome.new[0].snippet.contains("extra"));
 
     // (c) Fixing a grandfathered site leaves a stale entry to clean up.
     let fixed = src.replacen("x.unwrap() // finding (line 5)", "x.unwrap_or(0)", 1);
-    let outcome = baseline.apply(lint_source(path, &fixed, &config));
+    let outcome = baseline.apply(lint_source(path, &fixed));
     assert!(outcome.new.is_empty());
     assert_eq!(outcome.absorbed, 3);
     assert_eq!(outcome.stale.len(), 1);
@@ -232,8 +300,7 @@ fn binary_gates_on_injected_violation() {
     std::fs::remove_dir_all(&root).ok();
 }
 
-/// `--list-rules` names every registered rule (the doc cross-checks
-/// DESIGN.md §12 against this).
+/// `--list-rules` prints exactly the policy table's rules, one a line.
 #[test]
 fn binary_lists_all_rules() {
     use std::process::Command;
@@ -243,60 +310,64 @@ fn binary_lists_all_rules() {
         .expect("run lv-lint");
     assert!(out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);
-    for rule in lv_lint::rules::RULES {
-        assert!(stdout.contains(rule.name), "missing {}", rule.name);
-    }
-    for rule in lv_lint::interproc::GRAPH_RULES {
-        assert!(
-            stdout.contains(rule.name),
-            "missing graph rule {}",
-            rule.name
-        );
-    }
+    let listed: Vec<&str> = stdout
+        .lines()
+        .filter_map(|l| l.split_whitespace().next())
+        .collect();
+    assert_eq!(
+        listed,
+        vec![
+            "hash-type",
+            "counter-name",
+            "trace-coverage",
+            "pub-doc",
+            "determinism",
+            "no-panic",
+            "hot-path-alloc",
+            "shard-readiness"
+        ]
+    );
 }
 
 /// Fixtures must stay violation-free for every rule *other* than their
 /// own: each file is a minimal, single-rule specimen, so cross-rule
 /// noise (say a stray `unwrap` in the hash-iter fixture) would make the
-/// per-rule assertions above misleading.
+/// per-rule assertions above misleading. Each is linted under every
+/// crate key, so every rule gets a crate where it can fire.
 #[test]
 fn fixtures_are_single_rule_specimens() {
     let cases: &[(&str, &str)] = &[
-        ("wall_clock.rs", "wall-clock"),
-        ("os_random.rs", "os-random"),
+        ("wall_clock.rs", "determinism"),
+        ("os_random.rs", "determinism"),
         ("hash_type.rs", "hash-type"),
-        ("hash_iter.rs", "hash-iter"),
+        ("hash_iter.rs", "determinism"),
         ("no_panic.rs", "no-panic"),
         ("hot_path_alloc.rs", "hot-path-alloc"),
         ("counter_name.rs", "counter-name"),
         ("trace_coverage.rs", "trace-coverage"),
         ("pub_doc.rs", "pub-doc"),
+        ("interproc_taint.rs", "determinism"),
+        ("interproc_panic.rs", "no-panic"),
+        ("interproc_hot.rs", "hot-path-alloc"),
+        ("interproc_shard.rs", "shard-readiness"),
     ];
     for (file, own_rule) in cases {
         let src = fixture(file);
-        for rule in lv_lint::rules::RULES {
-            if rule.name == *own_rule || rule.name == "pub-doc" {
-                // pub-doc intentionally has no opinion here: fixtures
-                // use private items except in its own specimen.
-                continue;
+        for key in CRATE_KEYS {
+            for f in lint_source(&key_path(key), &src) {
+                // pub-doc intentionally has no opinion here: specimens
+                // that need a pub root leave it undocumented. The
+                // hash-iter fixture owns a HashMap in order to iterate
+                // it, which hash-type flags on the sim path.
+                let foreign = f.rule != *own_rule
+                    && f.rule != "pub-doc"
+                    && !(*file == "hash_iter.rs" && f.rule == "hash-type");
+                assert!(
+                    !foreign,
+                    "{file} trips foreign rule {} under {key}: {f:?}",
+                    f.rule
+                );
             }
-            if *file == "hash_iter.rs" && rule.name == "hash-type" {
-                // The hash-iter fixture models a harness crate, where
-                // owning a HashMap is legal (hash-type is scoped to
-                // sim-path crates) and only iterating it is flagged.
-                continue;
-            }
-            let findings = lint_source(
-                "crates/kernel/src/fixture.rs",
-                &src,
-                &single_rule(rule.name),
-            );
-            assert!(
-                findings.is_empty(),
-                "{file} trips foreign rule {}: {:?}",
-                rule.name,
-                findings
-            );
         }
     }
 }

@@ -1,12 +1,14 @@
-//! Self-tests for the interprocedural (call-graph) rules against the
-//! checked-in `fixtures/interproc_*.rs` specimens, a property test
-//! that graph construction is order-independent, and the binary-level
-//! contracts of the graph-era CLI (`--format json`, `--graph`,
-//! `--max-seconds`, `--update-baseline` pruning).
+//! Self-tests for the reach rules against the checked-in
+//! `fixtures/interproc_*.rs` specimens, the one-finding-per-site
+//! contract, a property test that graph construction is
+//! order-independent, and the binary-level contracts of the CLI
+//! (`--format json`, `--graph`, `--max-seconds`, `--update-baseline`
+//! pruning).
 
 use lv_lint::interproc::Analysis;
-use lv_lint::parse_source;
-use lv_lint::rules::Finding;
+use lv_lint::lint_source;
+use lv_lint::parse::parse_file;
+use lv_lint::rules::{FileContext, Finding};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -15,16 +17,21 @@ fn fixture(name: &str) -> String {
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"))
 }
 
-/// Parse `(path, fixture-file)` pairs and run the graph rules with
-/// `deps` as the crate dependency map.
-fn analyze(files: &[(&str, &str)], deps: &[(&str, &[&str])]) -> Vec<Finding> {
-    analysis_of(files, deps).run_rules()
+/// Lint one fixture as `path` under the repo policy and keep `rule`'s
+/// findings.
+fn hits(path: &str, name: &str, rule: &str) -> Vec<Finding> {
+    lint_source(path, &fixture(name))
+        .into_iter()
+        .filter(|f| f.rule == rule)
+        .collect()
 }
 
+/// Parse `(path, fixture-file)` pairs into the reach analysis, with
+/// `deps` as the crate dependency map.
 fn analysis_of(files: &[(&str, &str)], deps: &[(&str, &[&str])]) -> Analysis {
     let parsed = files
         .iter()
-        .map(|(path, name)| parse_source(path, &fixture(name)))
+        .map(|(path, name)| parse_file(&FileContext::new(path, &fixture(name))))
         .collect();
     let deps: BTreeMap<String, Vec<String>> = deps
         .iter()
@@ -33,119 +40,100 @@ fn analysis_of(files: &[(&str, &str)], deps: &[(&str, &[&str])]) -> Analysis {
     Analysis::new(parsed, &deps)
 }
 
-fn lines_of<'f>(findings: &'f [Finding], rule: &str) -> Vec<&'f Finding> {
-    findings.iter().filter(|f| f.rule == rule).collect()
+fn funcs(f: &Finding) -> Vec<&str> {
+    f.chain.iter().map(|h| h.func.as_str()).collect()
 }
 
+/// Under the kernel key the reached sink carries its chain, and the
+/// unreached one is still a finding — the kernel is on the sim path —
+/// but with no chain.
 #[test]
-fn determinism_taint_fixture() {
-    let findings = analyze(
-        &[("crates/kernel/src/fixture.rs", "interproc_taint.rs")],
-        &[("kernel", &[])],
+fn determinism_fixture() {
+    let found = hits(
+        "crates/kernel/src/fixture.rs",
+        "interproc_taint.rs",
+        "determinism",
     );
-    let hits = lines_of(&findings, "determinism-taint");
-    assert_eq!(hits.len(), 1, "{findings:?}");
-    assert_eq!(hits[0].line, 20, "sink line; allowed twin suppressed");
-    // Chain evidence: root (dispatch) -> deliver -> stamp.
-    let chain: Vec<&str> = hits[0].chain.iter().map(|h| h.func.as_str()).collect();
+    let lines: Vec<u32> = found.iter().map(|f| f.line).collect();
+    assert_eq!(lines, vec![20, 32], "allowed twin suppressed: {found:?}");
     assert_eq!(
-        chain,
+        funcs(&found[0]),
         vec![
             "kernel::fixture::Network::dispatch",
             "kernel::fixture::deliver",
             "kernel::fixture::stamp"
         ]
     );
-    assert!(hits[0].message.contains("2 hops"));
+    assert!(found[0].message.contains("2 hops"));
+    assert!(found[1].chain.is_empty(), "{:?}", found[1]);
 }
 
 #[test]
-fn panic_reachability_fixture() {
-    let findings = analyze(
-        &[("crates/net/src/fixture.rs", "interproc_panic.rs")],
-        &[("net", &[])],
+fn no_panic_reach_fixture() {
+    let found = hits(
+        "crates/net/src/fixture.rs",
+        "interproc_panic.rs",
+        "no-panic",
     );
-    let hits = lines_of(&findings, "panic-reachability");
-    let lines: Vec<u32> = hits.iter().map(|f| f.line).collect();
+    let lines: Vec<u32> = found.iter().map(|f| f.line).collect();
     assert_eq!(
         lines,
         vec![11, 19],
-        "index sink + unwrap; allowed, private-only and guarded stay silent: {findings:?}"
+        "index sink + unwrap; allowed, private-only and guarded stay silent: {found:?}"
     );
     // Every finding carries its pub-API chain.
-    for f in &hits {
+    for f in &found {
         assert!(f.chain.len() >= 2, "chain evidence missing: {f:?}");
         assert!(f.chain[0].func.starts_with("net::fixture::"));
     }
 }
 
 #[test]
-fn hot_path_alloc_transitive_fixture() {
-    let findings = analyze(
-        &[("crates/kernel/src/fixture.rs", "interproc_hot.rs")],
-        &[("kernel", &[])],
+fn hot_path_alloc_reach_fixture() {
+    let found = hits(
+        "crates/kernel/src/fixture.rs",
+        "interproc_hot.rs",
+        "hot-path-alloc",
     );
-    let hits = lines_of(&findings, "hot-path-alloc-transitive");
-    let lines: Vec<u32> = hits.iter().map(|f| f.line).collect();
+    let lines: Vec<u32> = found.iter().map(|f| f.line).collect();
     assert_eq!(
         lines,
         vec![15, 19],
-        "Box::new + to_string in callees; allowed, Vec::new and cold exempt: {findings:?}"
+        "Box::new + to_string in callees; allowed, Vec::new and cold exempt: {found:?}"
     );
 }
 
 #[test]
 fn shard_readiness_fixture() {
-    let findings = analyze(
-        &[("crates/kernel/src/fixture.rs", "interproc_shard.rs")],
-        &[("kernel", &[])],
+    let found = hits(
+        "crates/kernel/src/fixture.rs",
+        "interproc_shard.rs",
+        "shard-readiness",
     );
-    let hits = lines_of(&findings, "shard-readiness");
-    let lines: Vec<u32> = hits.iter().map(|f| f.line).collect();
+    let lines: Vec<u32> = found.iter().map(|f| f.line).collect();
     assert_eq!(
         lines,
         vec![19, 19, 20],
         "lock + interior-mutable ref on 19, static-mut ref on 20; \
-         allowed twin and offline helper exempt: {findings:?}"
+         allowed twin and offline helper exempt: {found:?}"
     );
 }
 
-/// Interprocedural fixtures must trip only their own rule: cross-rule
-/// noise would make the line assertions above misleading.
+/// A sink that is both in a rule's no-root scope and reached from a
+/// root is one finding, carrying its chain.
 #[test]
-fn interproc_fixtures_are_single_rule_specimens() {
-    let cases: &[(&str, &str, &str)] = &[
-        (
-            "crates/kernel/src/fixture.rs",
-            "interproc_taint.rs",
-            "determinism-taint",
-        ),
-        (
-            "crates/net/src/fixture.rs",
-            "interproc_panic.rs",
-            "panic-reachability",
-        ),
-        (
-            "crates/kernel/src/fixture.rs",
-            "interproc_hot.rs",
-            "hot-path-alloc-transitive",
-        ),
-        (
-            "crates/kernel/src/fixture.rs",
-            "interproc_shard.rs",
-            "shard-readiness",
-        ),
-    ];
-    for (path, file, own_rule) in cases {
-        let key = path.split('/').nth(1).unwrap_or("kernel");
-        let findings = analyze(&[(path, file)], &[(key, &[])]);
-        for f in &findings {
-            assert_eq!(
-                &f.rule, own_rule,
-                "{file} trips foreign rule {}: {f:?}",
-                f.rule
-            );
-        }
+fn one_finding_per_site() {
+    let src = "pub struct Network;\n\
+               impl Network { pub fn dispatch(&mut self, x: Option<u32>) -> u32 { \
+               let _t = Instant::now(); x.unwrap() } }\n";
+    let found: Vec<Finding> = lint_source("crates/kernel/src/lib.rs", src)
+        .into_iter()
+        .filter(|f| f.rule != "pub-doc")
+        .collect();
+    let rules: Vec<&str> = found.iter().map(|f| f.rule).collect();
+    assert_eq!(rules, vec!["determinism", "no-panic"], "{found:?}");
+    for f in &found {
+        assert_eq!(funcs(f), vec!["kernel::Network::dispatch"], "{f:?}");
     }
 }
 
@@ -218,7 +206,7 @@ fn run_lint(root: &std::path::Path, args: &[&str]) -> std::process::Output {
 }
 
 /// `--format json` emits one object per finding with the chain array;
-/// a graph-rule finding carries its hops.
+/// a reached finding carries its hops.
 #[test]
 fn binary_json_format_carries_chains() {
     let root = temp_workspace(
@@ -233,10 +221,7 @@ fn binary_json_format_carries_chains() {
     assert!(!out.status.success(), "violation must fail the gate");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.trim_start().starts_with('['), "stdout: {stdout}");
-    assert!(
-        stdout.contains("\"rule\": \"panic-reachability\""),
-        "{stdout}"
-    );
+    assert!(stdout.contains("\"rule\": \"no-panic\""), "{stdout}");
     assert!(stdout.contains("\"chain\": [{\"func\": "), "{stdout}");
     assert!(stdout.contains("net::api"), "{stdout}");
     std::fs::remove_dir_all(&root).ok();
@@ -332,7 +317,7 @@ fn binary_text_output_prints_chain() {
     assert!(!out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
-        stdout.contains("crates/net/src/lib.rs:3:") && stdout.contains("[panic-reachability]"),
+        stdout.contains("crates/net/src/lib.rs:3:") && stdout.contains("[no-panic]"),
         "head line: {stdout}"
     );
     assert!(stdout.contains("chain: net::api"), "chain lines: {stdout}");

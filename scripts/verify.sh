@@ -13,10 +13,13 @@ cargo test -q --all
 echo "== lv-benchmark package tests =="
 cargo test -q --manifest-path src/bin/lv-benchmark/Cargo.toml
 
-echo "== cargo clippy --all-targets -- -D warnings =="
-cargo clippy --all-targets -- -D warnings
+# Every workspace member, lv-lint and lv-bench included, with its tests
+# and benches: at the root, plain `cargo clippy` lints only the root
+# package and the crates it depends on.
+echo "== cargo clippy --workspace --all-targets -- -D warnings =="
+cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== lv-lint (determinism & invariant gate, incl. graph rules) =="
+echo "== lv-lint (determinism & invariant gate, per-file and reach rules) =="
 cargo run -q -p lv-lint -- --max-seconds 10
 
 echo "== determinism digest gate (goldens/figure_digests.json) =="
