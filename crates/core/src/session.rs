@@ -1,14 +1,18 @@
-//! The diagnosis-session wire protocol and its shared dispatcher.
+//! The diagnosis-session wire protocol, its shared dispatcher and the
+//! live-operations policy around it.
 //!
 //! A *session* is one user logged into the hosted deployment: it owns a
 //! current node (the LiteOS `cd` state) and issues parsed
 //! [`ShellCommand`]s. The same protocol serves two front ends:
 //!
 //! * the interactive REPL in `examples/shell.rs` drives a local
-//!   [`SessionHost`] directly (no sockets, virtual time only);
-//! * the `lv-serve` daemon hosts one [`SessionHost`] behind a
-//!   [`crate::transport::Transport`] and multiplexes many concurrent
-//!   remote sessions over it.
+//!   [`SessionHost`] through [`SessionHost::apply`] (no sockets, virtual
+//!   time only);
+//! * the `lv-serve` daemon feeds every frame it receives to
+//!   [`SessionHost::on_frame`] and sends the reply back. The host owns
+//!   each session's one row and every policy decision: duplicate
+//!   replay, admission, rate limits and idle eviction. The daemon owns
+//!   the sockets and the clock, and passes the time in.
 //!
 //! Both speak [`Request`]/[`Response`] — JSON messages wrapped in the
 //! [`crate::transport::frame`] length-prefix framing — so the shell
@@ -27,6 +31,7 @@ use lv_kernel::{shell_path, Network};
 use lv_sim::SimDuration;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::time::Duration;
 
 /// Wire protocol revision; bumped on incompatible changes.
 pub const PROTOCOL_VERSION: u32 = 1;
@@ -201,23 +206,98 @@ impl Response {
     }
 }
 
-/// Per-session server-side state.
+/// Live-operations policy knobs.
+#[derive(Debug, Clone)]
+pub struct ServerConfig {
+    /// Sustained requests per second one session may issue.
+    pub rate_limit: f64,
+    /// Token-bucket depth (burst allowance).
+    pub burst: f64,
+    /// Sessions quiet for longer than this are evicted.
+    pub idle_timeout: Duration,
+    /// Hard cap on concurrently open sessions.
+    pub max_sessions: usize,
+}
+
+impl Default for ServerConfig {
+    fn default() -> Self {
+        ServerConfig {
+            rate_limit: 64.0,
+            burst: 64.0,
+            idle_timeout: Duration::from_secs(30),
+            max_sessions: 64,
+        }
+    }
+}
+
+/// Operational counters, reported at shutdown and by the smoke harness.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ServerStats {
+    /// Frames received that decoded as protocol requests.
+    pub requests: u64,
+    /// Commands executed against the deployment.
+    pub executions: u64,
+    /// Requests refused by the per-session rate limiter.
+    pub rate_limited: u64,
+    /// Cached responses replayed for retransmitted requests.
+    pub duplicates: u64,
+    /// Sessions evicted by the idle timeout.
+    pub idle_evicted: u64,
+    /// Frames that failed to decode.
+    pub malformed: u64,
+    /// Responses that could not be sent (transport errors or
+    /// backpressure). Counted by the driver: only it sees a send fail.
+    pub send_failures: u64,
+    /// Sessions refused because the server was full.
+    pub refused_full: u64,
+}
+
+/// One session's row: its login state and its live-operations state.
 #[derive(Debug, Clone, Default)]
 pub struct SessionState {
     /// The node this session is logged into (`cd` target), if any.
     pub cwd: Option<u16>,
+    /// When the session last sent a frame (time since the server
+    /// started); the token bucket is refilled up to it.
+    last_seen: Duration,
+    /// Tokens spent from the rate-limit bucket and not yet refilled:
+    /// zero is a full bucket.
+    spent: f64,
+    /// The last cached response and the seq it answered.
+    last_reply: Option<(u32, Vec<u8>)>,
 }
 
-/// The server half of the session protocol: owns per-session state and
-/// applies [`Request`]s to a hosted deployment.
+impl SessionState {
+    /// Record a frame at `now` and refill the bucket up to it.
+    fn touch(&mut self, now: Duration, rate: f64) {
+        let refill = now.saturating_sub(self.last_seen).as_secs_f64() * rate;
+        self.spent = (self.spent - refill).max(0.0);
+        self.last_seen = now;
+    }
+
+    /// Spend one token, if a bucket `burst` deep holds one.
+    fn spend(&mut self, burst: f64) -> bool {
+        let ok = burst - self.spent >= 1.0;
+        if ok {
+            self.spent += 1.0;
+        }
+        ok
+    }
+}
+
+/// The server half of the session protocol: owns every session's row
+/// and applies [`Request`]s to a hosted deployment.
 ///
 /// Deliberately deterministic — no clocks, no randomness, sessions in
 /// a `BTreeMap` — so the same host drives both the digest-stable sim
-/// backend and the live daemon (which layers rate limits and idle
-/// timeouts on top, where wall-clock time is legitimate).
+/// backend and the live daemon. Time is an input: the daemon passes
+/// [`SessionHost::on_frame`] and [`SessionHost::on_tick`] the time
+/// since it started, and every policy decision is made here from it.
 #[derive(Default)]
 pub struct SessionHost {
     sessions: BTreeMap<(PeerId, u32), SessionState>,
+    cfg: ServerConfig,
+    stats: ServerStats,
 }
 
 fn exec_error(e: &ExecError) -> String {
@@ -229,14 +309,17 @@ fn exec_error(e: &ExecError) -> String {
 }
 
 impl SessionHost {
-    /// An empty host.
+    /// An empty host under the default [`ServerConfig`].
     pub fn new() -> SessionHost {
         SessionHost::default()
     }
 
-    /// Open sessions, in deterministic key order.
-    pub fn session_keys(&self) -> Vec<(PeerId, u32)> {
-        self.sessions.keys().copied().collect()
+    /// An empty host under `cfg`.
+    pub fn with_config(cfg: ServerConfig) -> SessionHost {
+        SessionHost {
+            cfg,
+            ..SessionHost::default()
+        }
     }
 
     /// Number of open sessions.
@@ -244,14 +327,113 @@ impl SessionHost {
         self.sessions.len()
     }
 
-    /// Forcibly drop a session (idle-timeout eviction). Returns whether
-    /// it existed.
-    pub fn evict(&mut self, peer: PeerId, session: u32) -> bool {
-        self.sessions.remove(&(peer, session)).is_some()
+    /// Operational counters so far (`send_failures` stays 0 here).
+    pub fn stats(&self) -> ServerStats {
+        self.stats
+    }
+
+    /// Handle one frame from `peer`, received `now` after the server
+    /// started, and return the reply frame to send. A frame that does
+    /// not decode gets no reply.
+    ///
+    /// A retransmit of the last cached seq replays its reply without
+    /// re-executing. A `Hello` that would open a session past
+    /// `max_sessions` is refused, and so is any request of a session
+    /// whose token bucket is empty; neither refusal is cached, so a
+    /// backed-off retry of the same seq is served. A session's row
+    /// exists only once [`SessionHost::apply`] accepts its `Hello`.
+    pub fn on_frame(
+        &mut self,
+        net: &mut Network,
+        ws: &mut Workstation,
+        now: Duration,
+        peer: PeerId,
+        bytes: &[u8],
+    ) -> Option<Vec<u8>> {
+        let Ok(req) = Request::decode(bytes) else {
+            self.stats.malformed += 1;
+            return None;
+        };
+        self.stats.requests += 1;
+        let key = (peer, req.session);
+        let refuse = |message: String| {
+            let body = ResponseBody::Error { message };
+            let (session, seq) = (req.session, req.seq);
+            Some(Response { session, seq, body }.encode())
+        };
+        let opening = match self.sessions.get_mut(&key) {
+            Some(state) => {
+                state.touch(now, self.cfg.rate_limit);
+                if let Some((seq, reply)) = &state.last_reply {
+                    if *seq == req.seq {
+                        self.stats.duplicates += 1;
+                        return Some(reply.clone());
+                    }
+                }
+                if !state.spend(self.cfg.burst) {
+                    self.stats.rate_limited += 1;
+                    return refuse("rate limited; slow down".to_owned());
+                }
+                false
+            }
+            None => {
+                let hello = matches!(req.body, RequestBody::Hello { .. });
+                if hello && self.sessions.len() >= self.cfg.max_sessions {
+                    self.stats.refused_full += 1;
+                    let max = self.cfg.max_sessions;
+                    return refuse(format!("server full ({max} sessions); try again later"));
+                }
+                hello
+            }
+        };
+        let resp = self.apply(net, ws, peer, &req);
+        if matches!(resp.body, ResponseBody::Done { .. }) {
+            self.stats.executions += 1;
+        }
+        let reply = resp.encode();
+        // Bye and a refused Hello leave no row, so nothing is cached.
+        if let Some(state) = self.sessions.get_mut(&key) {
+            if opening {
+                // The opening Hello draws the new row's first token.
+                state.touch(now, self.cfg.rate_limit);
+                state.spend(self.cfg.burst);
+            }
+            state.last_reply = Some((req.seq, reply.clone()));
+        }
+        Some(reply)
+    }
+
+    /// Evict every session quiet for longer than the idle timeout at
+    /// `now`; its cached reply goes with it. Returns how many went.
+    pub fn on_tick(&mut self, now: Duration) -> usize {
+        let open = self.sessions.len();
+        let timeout = self.cfg.idle_timeout;
+        self.sessions
+            .retain(|_, s| now.saturating_sub(s.last_seen) <= timeout);
+        let evicted = open - self.sessions.len();
+        self.stats.idle_evicted += evicted as u64;
+        evicted
+    }
+
+    /// Close every open session at shutdown: the `Bye` frame to send
+    /// each one's peer, in key order.
+    pub fn on_shutdown(&mut self) -> Vec<(PeerId, Vec<u8>)> {
+        std::mem::take(&mut self.sessions)
+            .into_keys()
+            .map(|(peer, session)| {
+                let bye = Response {
+                    session,
+                    seq: 0,
+                    body: ResponseBody::Bye,
+                };
+                (peer, bye.encode())
+            })
+            .collect()
     }
 
     /// Apply one request from `peer` against the hosted deployment and
-    /// produce the response to send back.
+    /// produce the response to send back. An accepted `Hello` opens the
+    /// session's row and `Bye` removes it; no other policy runs here.
     pub fn apply(
         &mut self,
         net: &mut Network,
@@ -274,7 +456,9 @@ impl SessionHost {
                         ),
                     });
                 }
-                self.sessions.insert(key, SessionState::default());
+                // A repeat Hello resets the login state only: the
+                // bucket and the reply cache carry over.
+                self.sessions.entry(key).or_default().cwd = None;
                 reply(ResponseBody::Welcome {
                     version: PROTOCOL_VERSION,
                     nodes: net.node_count() as u64,
@@ -287,38 +471,30 @@ impl SessionHost {
                 reply(ResponseBody::Bye)
             }
             body => {
-                if !self.sessions.contains_key(&key) {
+                let Some(state) = self.sessions.get_mut(&key) else {
                     return reply(ResponseBody::Error {
                         message: "unknown session — send Hello first".to_owned(),
                     });
-                }
+                };
+                let cwd = |id: u16| {
+                    let path = shell_path(&net.node(id).name);
+                    reply(ResponseBody::Cwd { node: id, path })
+                };
+                let no_cwd = || {
+                    let message = exec_error(&ExecError::NoCwd);
+                    reply(ResponseBody::Error { message })
+                };
                 match body {
                     RequestBody::Cd { node } => match net.resolve(node) {
                         Some(id) => {
-                            if let Some(state) = self.sessions.get_mut(&key) {
-                                state.cwd = Some(id);
-                            }
-                            reply(ResponseBody::Cwd {
-                                node: id,
-                                path: shell_path(&net.node(id).name),
-                            })
+                            state.cwd = Some(id);
+                            cwd(id)
                         }
                         None => reply(ResponseBody::Error {
                             message: format!("no such node: {node}"),
                         }),
                     },
-                    RequestBody::Pwd => {
-                        let cwd = self.sessions.get(&key).and_then(|s| s.cwd);
-                        match cwd {
-                            Some(id) => reply(ResponseBody::Cwd {
-                                node: id,
-                                path: shell_path(&net.node(id).name),
-                            }),
-                            None => reply(ResponseBody::Error {
-                                message: exec_error(&ExecError::NoCwd),
-                            }),
-                        }
-                    }
+                    RequestBody::Pwd => state.cwd.map_or_else(no_cwd, cwd),
                     RequestBody::Exec { command } => {
                         let resolved = match command.resolve(net) {
                             Ok(c) => c,
@@ -328,19 +504,10 @@ impl SessionHost {
                         // the *session's* current node — many sessions
                         // share one workstation, so the workstation's own
                         // cwd is never used here.
-                        let request = match resolved {
-                            Command::GroupStatus => CommandRequest::survey(),
-                            c => {
-                                let cwd = self.sessions.get(&key).and_then(|s| s.cwd);
-                                match cwd {
-                                    Some(id) => CommandRequest::new(c).on(id),
-                                    None => {
-                                        return reply(ResponseBody::Error {
-                                            message: exec_error(&ExecError::NoCwd),
-                                        })
-                                    }
-                                }
-                            }
+                        let request = match (resolved, state.cwd) {
+                            (Command::GroupStatus, _) => CommandRequest::survey(),
+                            (c, Some(id)) => CommandRequest::new(c).on(id),
+                            (_, None) => return no_cwd(),
                         };
                         match ws.exec(net, request) {
                             Ok(execution) => {
@@ -620,5 +787,159 @@ mod tests {
         let log = crate::diagnose::DiagnosisLog::from_json(&json).expect("parseable log");
         assert_eq!(log.observations, 0);
         assert!(log.episodes.is_empty());
+    }
+
+    const PEER: PeerId = 1;
+
+    fn hello() -> RequestBody {
+        RequestBody::Hello {
+            version: PROTOCOL_VERSION,
+        }
+    }
+
+    fn cd() -> RequestBody {
+        RequestBody::Cd {
+            node: "192.168.0.1".into(),
+        }
+    }
+
+    /// One request through `on_frame` at `now`, its reply decoded.
+    fn on(
+        host: &mut SessionHost,
+        (net, ws): &mut (Network, Workstation),
+        now: Duration,
+        r: Request,
+    ) -> ResponseBody {
+        let reply = host.on_frame(net, ws, now, PEER, &r.encode());
+        Response::decode(&reply.expect("a reply")).unwrap().body
+    }
+
+    fn rate_limited(body: &ResponseBody) -> bool {
+        matches!(body, ResponseBody::Error { message } if message.contains("rate limited"))
+    }
+
+    #[test]
+    fn bucket_refills_one_token_per_interval() {
+        // 4 tokens/s refill one token every 250 ms, exactly in binary.
+        let mut world = tiny_net();
+        let mut host = SessionHost::with_config(ServerConfig {
+            rate_limit: 4.0,
+            burst: 1.0,
+            ..ServerConfig::default()
+        });
+        // Each opening Hello spends its session's only token at t = 0.
+        for session in [1, 2] {
+            let r = on(
+                &mut host,
+                &mut world,
+                Duration::ZERO,
+                req(session, 1, hello()),
+            );
+            assert!(matches!(r, ResponseBody::Welcome { .. }), "{r:?}");
+        }
+        // A refused attempt refills part of the bucket too, so the two
+        // sides of the boundary use separate sessions.
+        let interval = Duration::from_millis(250);
+        let r = on(&mut host, &mut world, interval, req(1, 2, cd()));
+        assert!(matches!(r, ResponseBody::Cwd { .. }), "{r:?}");
+        let early = interval - Duration::from_nanos(1);
+        let r = on(&mut host, &mut world, early, req(2, 2, cd()));
+        assert!(rate_limited(&r), "{r:?}");
+        assert_eq!(host.stats().rate_limited, 1);
+    }
+
+    #[test]
+    fn idle_eviction_is_strictly_after_the_timeout() {
+        let mut world = tiny_net();
+        let timeout = Duration::from_secs(30);
+        let mut host = SessionHost::with_config(ServerConfig {
+            idle_timeout: timeout,
+            ..ServerConfig::default()
+        });
+        let seen = Duration::from_secs(5);
+        on(&mut host, &mut world, seen, req(1, 1, hello()));
+        assert_eq!(host.on_tick(seen + timeout), 0);
+        assert_eq!(host.session_count(), 1);
+        assert_eq!(host.on_tick(seen + timeout + Duration::from_nanos(1)), 1);
+        assert_eq!(host.session_count(), 0);
+        assert_eq!(host.stats().idle_evicted, 1);
+    }
+
+    #[test]
+    fn repeated_hello_resets_the_cwd_but_not_the_bucket() {
+        let mut world = tiny_net();
+        let mut host = SessionHost::with_config(ServerConfig {
+            rate_limit: 1e-9,
+            burst: 2.0,
+            ..ServerConfig::default()
+        });
+        let limited: Vec<bool> = (1..=6)
+            .map(|seq| {
+                let body = if seq % 2 == 1 {
+                    hello()
+                } else {
+                    RequestBody::Pwd
+                };
+                let now = Duration::from_millis(u64::from(seq));
+                rate_limited(&on(&mut host, &mut world, now, req(1, seq, body)))
+            })
+            .collect();
+        assert_eq!(limited, [false, false, true, true, true, true]);
+        assert_eq!(host.stats().rate_limited, 4);
+
+        let mut host = SessionHost::new();
+        let t = Duration::ZERO;
+        on(&mut host, &mut world, t, req(1, 1, hello()));
+        on(&mut host, &mut world, t, req(1, 2, cd()));
+        on(&mut host, &mut world, t, req(1, 3, hello()));
+        let r = on(&mut host, &mut world, t, req(1, 4, RequestBody::Pwd));
+        assert!(matches!(r, ResponseBody::Error { .. }), "{r:?}");
+    }
+
+    #[test]
+    fn retransmit_replays_cached_bytes_without_executing() {
+        let (mut net, mut ws) = tiny_net();
+        let mut host = SessionHost::new();
+        let t = Duration::ZERO;
+        for r in [req(1, 1, hello()), req(1, 2, cd())] {
+            host.on_frame(&mut net, &mut ws, t, PEER, &r.encode());
+        }
+        let status = req(
+            1,
+            3,
+            RequestBody::Exec {
+                command: ShellCommand::Status,
+            },
+        )
+        .encode();
+        let first = host.on_frame(&mut net, &mut ws, t, PEER, &status);
+        let later = Duration::from_secs(1);
+        let again = host.on_frame(&mut net, &mut ws, later, PEER, &status);
+        assert_eq!(first, again);
+        assert_eq!(host.stats().executions, 1);
+        assert_eq!(host.stats().duplicates, 1);
+    }
+
+    #[test]
+    fn retransmit_after_eviction_is_served_fresh() {
+        let (mut net, mut ws) = tiny_net();
+        let mut host = SessionHost::new();
+        let hello = req(1, 1, hello()).encode();
+        let first = host.on_frame(&mut net, &mut ws, Duration::ZERO, PEER, &hello);
+        // Virtual time moves, so a fresh Welcome differs from the cached one.
+        net.run_for(SimDuration::from_secs(1));
+        let seen = Duration::from_secs(1);
+        let replay = host.on_frame(&mut net, &mut ws, seen, PEER, &hello);
+        assert_eq!(replay, first);
+        assert_eq!(host.stats().duplicates, 1);
+
+        let gone = seen + ServerConfig::default().idle_timeout + Duration::from_nanos(1);
+        assert_eq!(host.on_tick(gone), 1);
+        let fresh = host.on_frame(&mut net, &mut ws, gone, PEER, &hello);
+        assert_ne!(fresh, first, "the cached reply outlived its session");
+        let fresh = Response::decode(&fresh.expect("a reply")).unwrap();
+        assert!(matches!(fresh.body, ResponseBody::Welcome { .. }));
+        assert_eq!(host.stats().duplicates, 1);
+        assert_eq!(host.session_count(), 1);
     }
 }

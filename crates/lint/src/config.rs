@@ -41,7 +41,7 @@ pub const NOWHERE: Scope = Scope::Only(&[]);
 
 /// One rule of the policy.
 pub struct RuleScope {
-    /// Rule name, as used in allow directives and baselines.
+    /// Rule name, as used in allow directives.
     pub name: &'static str,
     /// One-line description (for `--list-rules`).
     pub summary: &'static str,

@@ -1,6 +1,5 @@
-//! `lv-lint` CLI: scan the workspace, apply the baseline, gate CI.
+//! `lv-lint` CLI: scan the workspace, gate CI on zero findings.
 
-use lv_lint::baseline::Baseline;
 use lv_lint::config::RULES;
 use lv_lint::rules::Finding;
 use lv_lint::{build_analysis, lint_workspace};
@@ -16,10 +15,6 @@ USAGE:
 
 OPTIONS:
     --root <dir>         Workspace root to scan (default: auto-detected)
-    --baseline <file>    Baseline file (default: <root>/lint-baseline.txt)
-    --update-baseline    Rewrite the baseline to absorb all current findings
-                         (entries for deleted files are dropped)
-    --no-baseline        Ignore the baseline file entirely
     --format <fmt>       Findings output: `text` (default) or `json`
     --graph <file>       Dump the workspace call graph as Graphviz DOT
                          (`-` for stdout) and exit
@@ -29,8 +24,8 @@ OPTIONS:
     -h, --help           Print this help
 
 EXIT STATUS:
-    0  no findings beyond the baseline
-    1  new findings (or a malformed baseline, or over time budget)
+    0  no findings
+    1  any finding, or over the time budget
     2  bad usage
 
 Suppress a single finding with `// lv-lint: allow(<rule>)` on the
@@ -107,9 +102,6 @@ fn render_json(findings: &[Finding]) -> String {
 
 fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
-    let mut baseline_path: Option<PathBuf> = None;
-    let mut update_baseline = false;
-    let mut no_baseline = false;
     let mut format = String::from("text");
     let mut graph_out: Option<String> = None;
     let mut max_seconds: Option<u64> = None;
@@ -121,12 +113,6 @@ fn main() -> ExitCode {
                 Some(v) => root = Some(PathBuf::from(v)),
                 None => return usage_error("--root needs a value"),
             },
-            "--baseline" => match args.next() {
-                Some(v) => baseline_path = Some(PathBuf::from(v)),
-                None => return usage_error("--baseline needs a value"),
-            },
-            "--update-baseline" => update_baseline = true,
-            "--no-baseline" => no_baseline = true,
             "--format" => match args.next().as_deref() {
                 Some("text") => format = "text".to_owned(),
                 Some("json") => format = "json".to_owned(),
@@ -158,7 +144,6 @@ fn main() -> ExitCode {
     }
 
     let root = root.unwrap_or_else(find_root);
-    let baseline_path = baseline_path.unwrap_or_else(|| root.join("lint-baseline.txt"));
 
     if let Some(dest) = graph_out {
         let dot = build_analysis(&root).graph.to_dot();
@@ -175,80 +160,19 @@ fn main() -> ExitCode {
     let findings = lint_workspace(&root);
     let elapsed = started.elapsed();
 
-    if update_baseline {
-        // Start from the fresh findings, but also drop any *existing*
-        // entries whose file no longer exists — deleting a file must
-        // not leave its entries reported as stale forever.
-        let mut merged = match std::fs::read_to_string(&baseline_path) {
-            Ok(t) => Baseline::parse(&t).unwrap_or_default(),
-            Err(_) => Baseline::default(),
-        };
-        let dropped = merged.prune_missing_files(|p| root.join(p).is_file());
-        for (rule, path) in &dropped {
-            eprintln!("lv-lint: dropped baseline entry for [{rule}] in deleted {path}");
-        }
-        let text = Baseline::render(&findings);
-        if let Err(e) = std::fs::write(&baseline_path, &text) {
-            eprintln!("lv-lint: cannot write {}: {e}", baseline_path.display());
-            return ExitCode::FAILURE;
-        }
-        println!(
-            "lv-lint: baseline updated with {} finding(s) at {} ({} deleted-file entr{} dropped)",
-            findings.len(),
-            baseline_path.display(),
-            dropped.len(),
-            if dropped.len() == 1 { "y" } else { "ies" },
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    let baseline = if no_baseline || !baseline_path.is_file() {
-        Baseline::default()
-    } else {
-        let text = match std::fs::read_to_string(&baseline_path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("lv-lint: cannot read {}: {e}", baseline_path.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        match Baseline::parse(&text) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("lv-lint: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    };
-
     let scanned = lv_lint::workspace_sources(&root).len();
-    let outcome = baseline.apply(findings);
-
     if format == "json" {
-        print!("{}", render_json(&outcome.new));
+        print!("{}", render_json(&findings));
     } else {
-        for f in &outcome.new {
+        for f in &findings {
             println!("{}", f.render());
             print!("{}", f.render_chain());
         }
     }
-    for (rule, path) in &outcome.stale {
-        if root.join(path).is_file() {
-            eprintln!("lv-lint: stale baseline entry for [{rule}] in {path} — remove it");
-        } else {
-            eprintln!(
-                "lv-lint: stale baseline entry for [{rule}] in deleted {path} — \
-                 run --update-baseline to drop it"
-            );
-        }
-    }
     eprintln!(
-        "lv-lint: {} file(s) scanned, {} new finding(s), {} baselined, {} stale baseline entr{}, {:.2}s",
+        "lv-lint: {} file(s) scanned, {} finding(s), {:.2}s",
         scanned,
-        outcome.new.len(),
-        outcome.absorbed,
-        outcome.stale.len(),
-        if outcome.stale.len() == 1 { "y" } else { "ies" },
+        findings.len(),
         elapsed.as_secs_f64(),
     );
 
@@ -262,7 +186,7 @@ fn main() -> ExitCode {
         }
     }
 
-    if outcome.new.is_empty() {
+    if findings.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

@@ -69,7 +69,7 @@ pub struct Sink {
     pub col: u32,
     /// What was seen (`Instant`, `.unwrap()`, `Box::new`, `buf[..]`, …).
     pub what: String,
-    /// Trimmed source line (for baseline fingerprints).
+    /// Trimmed source line (carried into the finding).
     pub snippet: String,
 }
 

@@ -35,7 +35,7 @@ pub struct Finding {
     pub col: u32,
     /// Human-readable explanation.
     pub message: String,
-    /// The trimmed source line (used for baseline fingerprints).
+    /// The trimmed source line (shown in the JSON report).
     pub snippet: String,
     /// Call chain from the root to the fn holding the sink, root
     /// first. Empty when no root reaches the sink, and for per-file

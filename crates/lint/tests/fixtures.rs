@@ -7,10 +7,8 @@
 //! workspace scan never picks them up; these tests lint them under the
 //! repo policy with a hand-picked crate path, filter the findings by
 //! rule and assert the exact lines — and, in the scope matrix, the
-//! exact crates where each rule fires. A final test exercises the
-//! baseline flow end to end on real fixture findings.
+//! exact crates where each rule fires.
 
-use lv_lint::baseline::Baseline;
 use lv_lint::lint_source;
 use lv_lint::rules::Finding;
 
@@ -219,42 +217,8 @@ fn findings_after_a_non_ascii_char_literal() {
     assert_eq!(lines, vec![1, 2, 3]);
 }
 
-/// The baseline flow on real findings: grandfather the fixture's
-/// current violations, then verify (a) a re-scan is clean through the
-/// baseline, (b) a *new* violation still surfaces, (c) fixing a
-/// grandfathered site turns its entry stale.
-#[test]
-fn baseline_grandfathers_fixture_findings() {
-    let src = fixture("no_panic.rs");
-    let path = "crates/kernel/src/fixture.rs";
-    let findings = lint_source(path, &src);
-    assert_eq!(findings.len(), 4);
-
-    let baseline = Baseline::parse(&Baseline::render(&findings)).expect("roundtrip");
-
-    // (a) Unchanged source: everything absorbed.
-    let outcome = baseline.apply(lint_source(path, &src));
-    assert!(outcome.new.is_empty());
-    assert_eq!(outcome.absorbed, 4);
-    assert!(outcome.stale.is_empty());
-
-    // (b) A new violation on top still fails the gate.
-    let more = format!("{src}\nfn extra(y: Option<u32>) -> u32 {{ y.unwrap() }}\n");
-    let outcome = baseline.apply(lint_source(path, &more));
-    assert_eq!(outcome.new.len(), 1);
-    assert!(outcome.new[0].snippet.contains("extra"));
-
-    // (c) Fixing a grandfathered site leaves a stale entry to clean up.
-    let fixed = src.replacen("x.unwrap() // finding (line 5)", "x.unwrap_or(0)", 1);
-    let outcome = baseline.apply(lint_source(path, &fixed));
-    assert!(outcome.new.is_empty());
-    assert_eq!(outcome.absorbed, 3);
-    assert_eq!(outcome.stale.len(), 1);
-}
-
 /// The binary contract the CI gate relies on: exit 0 on a clean tree,
-/// exit nonzero once a violation is injected, exit 0 again when the
-/// violation is baselined.
+/// exit nonzero once a violation is injected.
 #[test]
 fn binary_gates_on_injected_violation() {
     use std::process::Command;
@@ -274,10 +238,7 @@ fn binary_gates_on_injected_violation() {
             .output()
             .expect("run lv-lint")
     };
-    assert!(
-        run(&["--no-baseline"]).status.success(),
-        "clean tree must pass"
-    );
+    assert!(run(&[]).status.success(), "clean tree must pass");
 
     // Inject a violation: the gate must go red.
     std::fs::write(
@@ -285,17 +246,13 @@ fn binary_gates_on_injected_violation() {
         "//! Dirty.\nfn f(x: Option<u32>) -> u32 { x.unwrap() }\n",
     )
     .expect("write");
-    let out = run(&["--no-baseline"]);
+    let out = run(&[]);
     assert!(
         !out.status.success(),
         "injected violation must fail the gate"
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("[no-panic]"), "stdout: {stdout}");
-
-    // Grandfather it: green again, and the report says one baselined.
-    assert!(run(&["--update-baseline"]).status.success());
-    assert!(run(&[]).status.success(), "baselined finding must pass");
 
     std::fs::remove_dir_all(&root).ok();
 }

@@ -2,8 +2,7 @@
 //! `fixtures/interproc_*.rs` specimens, the one-finding-per-site
 //! contract, a property test that graph construction is
 //! order-independent, and the binary-level contracts of the CLI
-//! (`--format json`, `--graph`, `--max-seconds`, `--update-baseline`
-//! pruning).
+//! (`--format json`, `--graph`, `--max-seconds`).
 
 use lv_lint::interproc::Analysis;
 use lv_lint::lint_source;
@@ -217,7 +216,7 @@ fn binary_json_format_carries_chains() {
              fn helper(x: Option<u8>) -> u8 { x.unwrap() }\n",
         )],
     );
-    let out = run_lint(&root, &["--no-baseline", "--format", "json"]);
+    let out = run_lint(&root, &["--format", "json"]);
     assert!(!out.status.success(), "violation must fail the gate");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.trim_start().starts_with('['), "stdout: {stdout}");
@@ -255,49 +254,11 @@ fn binary_timing_budget() {
         "budget",
         &[("crates/net/src/lib.rs", "//! Clean.\nfn ok() {}\n")],
     );
-    assert!(run_lint(&root, &["--no-baseline", "--max-seconds", "600"])
-        .status
-        .success());
-    let out = run_lint(&root, &["--no-baseline", "--max-seconds", "0"]);
+    assert!(run_lint(&root, &["--max-seconds", "600"]).status.success());
+    let out = run_lint(&root, &["--max-seconds", "0"]);
     assert!(!out.status.success(), "0s budget must fail");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("over the 0s budget"), "stderr: {stderr}");
-    std::fs::remove_dir_all(&root).ok();
-}
-
-/// `--update-baseline` drops entries whose file no longer exists and
-/// says so; afterwards the plain run is green with no stale noise.
-#[test]
-fn binary_update_baseline_prunes_deleted_files() {
-    let root = temp_workspace(
-        "prune",
-        &[
-            (
-                "crates/kernel/src/gone.rs",
-                "//! Doomed.\nfn f(x: Option<u32>) -> u32 { x.unwrap() }\n",
-            ),
-            ("crates/kernel/src/lib.rs", "//! Clean.\nfn ok() {}\n"),
-        ],
-    );
-    assert!(run_lint(&root, &["--update-baseline"]).status.success());
-    let baseline = std::fs::read_to_string(root.join("lint-baseline.txt")).expect("baseline");
-    assert!(baseline.contains("gone.rs"), "entry recorded: {baseline}");
-
-    std::fs::remove_file(root.join("crates/kernel/src/gone.rs")).expect("rm");
-    let out = run_lint(&root, &["--update-baseline"]);
-    assert!(out.status.success());
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("dropped baseline entry") && stderr.contains("gone.rs"),
-        "stderr: {stderr}"
-    );
-    let baseline = std::fs::read_to_string(root.join("lint-baseline.txt")).expect("baseline");
-    assert!(!baseline.contains("gone.rs"), "entry pruned: {baseline}");
-
-    let out = run_lint(&root, &[]);
-    assert!(out.status.success(), "clean after prune");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(!stderr.contains("stale baseline entry for"), "{stderr}");
     std::fs::remove_dir_all(&root).ok();
 }
 
@@ -313,7 +274,7 @@ fn binary_text_output_prints_chain() {
              fn helper(x: Option<u8>) -> u8 { x.unwrap() }\n",
         )],
     );
-    let out = run_lint(&root, &["--no-baseline"]);
+    let out = run_lint(&root, &[]);
     assert!(!out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(

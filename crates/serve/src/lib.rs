@@ -14,15 +14,19 @@
 //!   [`liteview::transport::Transport`] seam: a threaded receive loop,
 //!   bounded queues with backpressure accounting, chunked frames, and
 //!   per-peer send pacing.
-//! * [`Server`] — owns the hosted network + workstation and applies
-//!   the shared [`liteview::SessionHost`] dispatcher, adding the
-//!   live-operations policy: per-session rate limits, idle timeouts,
-//!   duplicate suppression and graceful shutdown.
+//! * [`Server`] — the driver: owns the hosted network + workstation,
+//!   the transport and the clock, and feeds every frame, with the time
+//!   since it started, to the shared [`liteview::SessionHost`], which
+//!   owns the sessions and the live-operations policy (rate limits,
+//!   idle timeouts, duplicate suppression, the session cap).
+//!   [`ServerConfig`] and [`ServerStats`] are re-exported from
+//!   [`liteview::session`].
 //! * [`Client`] — the thin typed client; one instance is one session.
 //!
 //! This crate is the one place in the workspace allowed to read the
 //! wall clock and talk to the OS network stack; lv-lint enforces that
-//! the sim-path crates stay deterministic (see `DESIGN.md` §13).
+//! the sim-path crates, the session policy included, stay
+//! deterministic (see `DESIGN.md` §13).
 //!
 //! ## Quickstart
 //!
@@ -53,6 +57,7 @@ pub mod smoke;
 pub mod udp;
 
 pub use client::{Client, ClientError, Welcome};
-pub use server::{Server, ServerConfig, ServerStats};
+pub use liteview::session::{ServerConfig, ServerStats};
+pub use server::Server;
 pub use smoke::{run_fleet, FleetConfig, FleetReport};
 pub use udp::{UdpConfig, UdpTransport};

@@ -1,86 +1,19 @@
-//! The lv-serve session multiplexer.
+//! The lv-serve driver: the transport, the threads and the clock
+//! around the session core.
 //!
-//! One [`Server`] owns a hosted deployment (network + workstation) and
-//! a [`Transport`], and drives the shared [`SessionHost`] dispatcher
-//! for every session that talks to it. On top of the deterministic
-//! protocol core it layers the live-operations policy:
-//!
-//! * **per-session rate limits** — a token bucket per session; over-
-//!   limit requests get an `Error` response without touching the
-//!   deployment;
-//! * **idle timeout** — sessions that go quiet are evicted;
-//! * **duplicate suppression** — the last response per session is
-//!   cached by sequence number, so a client retransmitting a lost
-//!   request gets the original answer instead of a re-execution. Only
-//!   successful/terminal responses are cached; transient refusals
-//!   (rate limiting) are not, so a backed-off retry of the same seq
-//!   executes normally;
-//! * **graceful shutdown** — pending requests are drained, every open
-//!   session is sent a `Bye`, and the transport is torn down.
-//!
-//! The server is generic over its transport: `Server<UdpTransport>` is
-//! the daemon, `Server<SimTransport>` is the deterministic in-process
-//! backend the parity harness replays against.
+//! [`SessionHost`] owns every session and every live-operations
+//! decision, with time as an input. A [`Server`] reads the clock once
+//! per frame, calls [`SessionHost::on_frame`] and sends the reply, and
+//! between frames passes the time to [`SessionHost::on_tick`]. It
+//! counts only send failures, which only it sees.
+//! `Server<UdpTransport>` is the daemon; `Server<SimTransport>` is the
+//! deterministic in-process backend the parity harness replays against.
 
-use liteview::session::{Request, RequestBody, Response, ResponseBody, SessionHost};
+use liteview::session::{ServerConfig, ServerStats, SessionHost};
 use liteview::transport::{PeerId, Transport, TransportError};
 use liteview::Workstation;
 use lv_kernel::Network;
-use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
-
-/// Live-operations policy knobs.
-#[derive(Debug, Clone)]
-pub struct ServerConfig {
-    /// Sustained requests per second one session may issue.
-    pub rate_limit: f64,
-    /// Token-bucket depth (burst allowance).
-    pub burst: f64,
-    /// Sessions quiet for longer than this are evicted.
-    pub idle_timeout: Duration,
-    /// Hard cap on concurrently open sessions.
-    pub max_sessions: usize,
-}
-
-impl Default for ServerConfig {
-    fn default() -> Self {
-        ServerConfig {
-            rate_limit: 64.0,
-            burst: 64.0,
-            idle_timeout: Duration::from_secs(30),
-            max_sessions: 64,
-        }
-    }
-}
-
-/// Operational counters, reported at shutdown and by the smoke harness.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ServerStats {
-    /// Frames received that decoded as protocol requests.
-    pub requests: u64,
-    /// Commands executed against the deployment.
-    pub executions: u64,
-    /// Requests refused by the per-session rate limiter.
-    pub rate_limited: u64,
-    /// Cached responses replayed for retransmitted requests.
-    pub duplicates: u64,
-    /// Sessions evicted by the idle timeout.
-    pub idle_evicted: u64,
-    /// Frames that failed to decode.
-    pub malformed: u64,
-    /// Responses that could not be sent (transport errors or
-    /// backpressure).
-    pub send_failures: u64,
-    /// Sessions refused because the server was full.
-    pub refused_full: u64,
-}
-
-struct SessionMeta {
-    last_seen: Instant,
-    tokens: f64,
-    refilled: Instant,
-    last_reply: Option<(u32, Vec<u8>)>,
-}
 
 /// A diagnosis-session server over any [`Transport`] backend.
 pub struct Server<T: Transport> {
@@ -88,9 +21,8 @@ pub struct Server<T: Transport> {
     host: SessionHost,
     net: Network,
     ws: Workstation,
-    cfg: ServerConfig,
-    meta: BTreeMap<(PeerId, u32), SessionMeta>,
-    stats: ServerStats,
+    started: Instant,
+    send_failures: u64,
 }
 
 impl<T: Transport> Server<T> {
@@ -98,18 +30,20 @@ impl<T: Transport> Server<T> {
     pub fn new(net: Network, ws: Workstation, transport: T, cfg: ServerConfig) -> Server<T> {
         Server {
             transport,
-            host: SessionHost::new(),
+            host: SessionHost::with_config(cfg),
             net,
             ws,
-            cfg,
-            meta: BTreeMap::new(),
-            stats: ServerStats::default(),
+            started: Instant::now(),
+            send_failures: 0,
         }
     }
 
     /// Operational counters so far.
     pub fn stats(&self) -> ServerStats {
-        self.stats
+        ServerStats {
+            send_failures: self.send_failures,
+            ..self.host.stats()
+        }
     }
 
     /// Sessions currently open.
@@ -128,87 +62,12 @@ impl<T: Transport> Server<T> {
         let Some((peer, frame)) = self.transport.recv(wait)? else {
             return Ok(false);
         };
-        let req = match Request::decode(&frame) {
-            Ok(r) => r,
-            Err(_) => {
-                self.stats.malformed += 1;
-                return Ok(true);
-            }
-        };
-        self.stats.requests += 1;
-        let key = (peer, req.session);
-        let now = Instant::now();
-
-        // Retransmit? Replay the cached response without re-executing.
-        if let Some(m) = self.meta.get_mut(&key) {
-            m.last_seen = now;
-            if let Some((seq, bytes)) = &m.last_reply {
-                if *seq == req.seq {
-                    self.stats.duplicates += 1;
-                    let bytes = bytes.clone();
-                    self.send_raw(peer, &bytes);
-                    return Ok(true);
-                }
-            }
-        }
-
-        // Admission control for new sessions.
-        if let RequestBody::Hello { .. } = req.body {
-            if !self.meta.contains_key(&key) && self.meta.len() >= self.cfg.max_sessions {
-                self.stats.refused_full += 1;
-                let resp = Response {
-                    session: req.session,
-                    seq: req.seq,
-                    body: ResponseBody::Error {
-                        message: format!(
-                            "server full ({} sessions); try again later",
-                            self.cfg.max_sessions
-                        ),
-                    },
-                };
-                self.send_response(key, &resp, false);
-                return Ok(true);
-            }
-            self.meta.entry(key).or_insert(SessionMeta {
-                last_seen: now,
-                tokens: self.cfg.burst,
-                refilled: now,
-                last_reply: None,
-            });
-        }
-
-        // Token-bucket rate limiting (sessions only; stray requests
-        // fall through to the host, which rejects them).
-        if let Some(m) = self.meta.get_mut(&key) {
-            let elapsed = now.duration_since(m.refilled).as_secs_f64();
-            m.tokens = (m.tokens + elapsed * self.cfg.rate_limit).min(self.cfg.burst);
-            m.refilled = now;
-            if m.tokens < 1.0 {
-                self.stats.rate_limited += 1;
-                let resp = Response {
-                    session: req.session,
-                    seq: req.seq,
-                    body: ResponseBody::Error {
-                        message: "rate limited; slow down".to_owned(),
-                    },
-                };
-                // Transient refusal: do NOT cache it as last_reply, or a
-                // client that backs off and retries the same seq would
-                // replay the stale error forever instead of executing.
-                self.send_response(key, &resp, false);
-                return Ok(true);
-            }
-            m.tokens -= 1.0;
-        }
-
-        let resp = self.host.apply(&mut self.net, &mut self.ws, peer, &req);
-        if matches!(resp.body, ResponseBody::Done { .. }) {
-            self.stats.executions += 1;
-        }
-        let closing = matches!(req.body, RequestBody::Bye);
-        self.send_response(key, &resp, !closing);
-        if closing {
-            self.meta.remove(&key);
+        let now = self.started.elapsed();
+        if let Some(reply) = self
+            .host
+            .on_frame(&mut self.net, &mut self.ws, now, peer, &frame)
+        {
+            self.send(peer, &reply);
         }
         Ok(true)
     }
@@ -216,20 +75,7 @@ impl<T: Transport> Server<T> {
     /// Evict sessions idle for longer than the configured timeout.
     /// Returns how many were evicted.
     pub fn sweep_idle(&mut self) -> usize {
-        let now = Instant::now();
-        let timeout = self.cfg.idle_timeout;
-        let dead: Vec<(PeerId, u32)> = self
-            .meta
-            .iter()
-            .filter(|(_, m)| now.duration_since(m.last_seen) > timeout)
-            .map(|(k, _)| *k)
-            .collect();
-        for key in &dead {
-            self.meta.remove(key);
-            self.host.evict(key.0, key.1);
-            self.stats.idle_evicted += 1;
-        }
-        dead.len()
+        self.host.on_tick(self.started.elapsed())
     }
 
     /// Serve until `stop()` returns true, then shut down gracefully.
@@ -256,33 +102,16 @@ impl<T: Transport> Server<T> {
                 _ => break,
             }
         }
-        for (peer, session) in self.host.session_keys() {
-            let bye = Response {
-                session,
-                seq: 0,
-                body: ResponseBody::Bye,
-            };
-            self.send_raw(peer, &bye.encode());
-            self.host.evict(peer, session);
+        for (peer, bye) in self.host.on_shutdown() {
+            self.send(peer, &bye);
         }
-        self.meta.clear();
         self.transport.shutdown();
-        self.stats
+        self.stats()
     }
 
-    fn send_response(&mut self, key: (PeerId, u32), resp: &Response, cache: bool) {
-        let bytes = resp.encode();
-        if cache {
-            if let Some(m) = self.meta.get_mut(&key) {
-                m.last_reply = Some((resp.seq, bytes.clone()));
-            }
-        }
-        self.send_raw(key.0, &bytes);
-    }
-
-    fn send_raw(&mut self, peer: PeerId, bytes: &[u8]) {
+    fn send(&mut self, peer: PeerId, bytes: &[u8]) {
         if self.transport.send(peer, bytes).is_err() {
-            self.stats.send_failures += 1;
+            self.send_failures += 1;
         }
     }
 }
@@ -290,7 +119,7 @@ impl<T: Transport> Server<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use liteview::session::PROTOCOL_VERSION;
+    use liteview::session::{Request, RequestBody, Response, ResponseBody, PROTOCOL_VERSION};
     use liteview::shell::ShellCommand;
     use liteview::transport::{frame, SimTransport, SIM_PEER};
     use lv_testbed::{Scenario, ScenarioConfig, Topology};
@@ -472,6 +301,27 @@ mod tests {
             "{r:?}"
         );
         assert_eq!(server.stats().refused_full, 1);
+    }
+
+    #[test]
+    fn refused_hello_holds_no_session_slot() {
+        let (mut server, mut client) = sim_server(ServerConfig {
+            max_sessions: 2,
+            ..ServerConfig::default()
+        });
+        for session in [1, 2] {
+            let bad = Request {
+                session,
+                seq: 1,
+                body: RequestBody::Hello { version: 999 },
+            };
+            let r = call(&mut client, &mut server, &bad);
+            assert!(matches!(r.body, ResponseBody::Error { .. }), "{r:?}");
+        }
+        let r = call(&mut client, &mut server, &hello(3));
+        assert!(matches!(r.body, ResponseBody::Welcome { .. }), "{r:?}");
+        assert_eq!(server.session_count(), 1);
+        assert_eq!(server.stats().refused_full, 0);
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! cleanly. The CI `serve-smoke` job runs this via `lv-serve --smoke`.
 
 use crate::client::Client;
-use crate::server::{Server, ServerConfig, ServerStats};
 use crate::udp::{UdpConfig, UdpTransport};
+use crate::{Server, ServerConfig, ServerStats};
 use liteview::shell::ShellCommand;
 use lv_testbed::{Scenario, ScenarioConfig, Topology};
 use std::sync::atomic::{AtomicBool, Ordering};

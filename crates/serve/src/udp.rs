@@ -23,11 +23,13 @@
 //!
 //! UDP semantics are inherited deliberately: chunks can be lost, so a
 //! partially reassembled frame is abandoned once its slot is recycled,
-//! and the request/response layer above retries whole requests.
+//! and the request/response layer above retries whole requests. A
+//! partial frame holds only the chunks that have arrived, and is
+//! dropped once it holds more bytes than [`Transport::max_frame`].
 
-use liteview::transport::{PeerId, Transport, TransportError};
-use std::collections::HashMap;
-use std::collections::VecDeque;
+use liteview::transport::{frame, PeerId, Transport, TransportError};
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -71,9 +73,16 @@ impl Default for UdpConfig {
     }
 }
 
+/// A frame whose chunks are still arriving. It holds only the chunks
+/// that have arrived, so a header announcing 65,535 chunks reserves
+/// nothing for the ones that have not.
 struct PartialFrame {
-    chunks: Vec<Option<Vec<u8>>>,
-    have: usize,
+    /// The chunk count every datagram of the frame announces.
+    total: usize,
+    /// The chunks received so far, by index.
+    chunks: BTreeMap<usize, Vec<u8>>,
+    /// Payload bytes held in `chunks`.
+    bytes: usize,
 }
 
 /// A threaded UDP backend for the [`Transport`] seam.
@@ -207,31 +216,31 @@ impl UdpTransport {
             return Some(chunk.to_vec());
         }
         let key = (peer, frame_id);
-        if !self.partials.contains_key(&key) {
-            self.partial_order.push_back(key);
-            self.partials.insert(
-                key,
-                PartialFrame {
-                    chunks: (0..total).map(|_| None).collect(),
-                    have: 0,
-                },
-            );
+        let max = self.max_frame();
+        let order = &mut self.partial_order;
+        let partial = self.partials.entry(key).or_insert_with(|| {
+            order.push_back(key);
+            PartialFrame {
+                total,
+                chunks: BTreeMap::new(),
+                bytes: 0,
+            }
+        });
+        if let Entry::Vacant(slot) = partial.chunks.entry(idx) {
+            partial.bytes += chunk.len();
+            slot.insert(chunk.to_vec());
         }
-        let partial = self.partials.get_mut(&key)?;
-        if partial.chunks.len() != total {
-            // Header disagreement — drop the whole frame.
+        if partial.total != total || partial.bytes > max {
+            // Header disagreement, or more bytes than any frame holds —
+            // drop the whole frame.
             self.forget_partial(&key);
             return None;
         }
-        if partial.chunks[idx].is_none() {
-            partial.chunks[idx] = Some(chunk.to_vec());
-            partial.have += 1;
-        }
-        if partial.have == total {
+        if partial.chunks.len() == total {
             let done = self.forget_partial(&key)?;
-            let mut frame = Vec::new();
-            for c in done.chunks {
-                frame.extend_from_slice(&c?);
+            let mut frame = Vec::with_capacity(done.bytes);
+            for c in done.chunks.values() {
+                frame.extend_from_slice(c);
             }
             return Some(frame);
         }
@@ -385,8 +394,12 @@ impl Transport for UdpTransport {
         }
     }
 
+    /// The chunk header's 16-bit count bounds a frame, and so does the
+    /// session framing: nothing longer than one framed session message
+    /// decodes.
     fn max_frame(&self) -> usize {
-        self.cfg.chunk_bytes.max(1) * usize::from(u16::MAX)
+        let chunked = self.cfg.chunk_bytes.max(1) * usize::from(u16::MAX);
+        chunked.min(frame::HEADER_LEN + frame::MAX_PAYLOAD)
     }
 }
 
@@ -399,6 +412,8 @@ impl Drop for UdpTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection;
+    use proptest::prelude::*;
 
     fn pair() -> (UdpTransport, UdpTransport) {
         let server = UdpTransport::bind("127.0.0.1:0", UdpConfig::default()).unwrap();
@@ -594,5 +609,92 @@ mod tests {
             .unwrap()
             .expect("paced frame arrives");
         assert_eq!(frame, [7u8; 32]);
+    }
+
+    #[test]
+    fn partial_over_max_frame_is_dropped() {
+        let cfg = UdpConfig {
+            chunk_bytes: 1,
+            ..UdpConfig::default()
+        };
+        let mut t = UdpTransport::bind("127.0.0.1:0", cfg).unwrap();
+        // One-byte chunks cap a frame at 65,535 bytes: 63 KiB fit.
+        let fits = t.max_frame() / 1024;
+        let big = [0u8; 1024];
+        for idx in 0..fits as u16 {
+            assert!(t
+                .deliver_chunk(0, &datagram(3, idx, u16::MAX, &big))
+                .is_none());
+        }
+        assert_eq!(t.partials.len(), 1);
+        // One more holds more bytes than any frame: the partial goes.
+        let over = datagram(3, fits as u16, u16::MAX, &big);
+        assert!(t.deliver_chunk(0, &over).is_none());
+        assert!(t.partials.is_empty());
+        assert!(t.partial_order.is_empty());
+    }
+
+    /// A datagram a lossy or hostile network may deliver, from one of
+    /// three peers: a chunk header over a few reused or random frame
+    /// ids, indices and counts, or raw bytes.
+    fn any_datagram() -> impl Strategy<Value = (PeerId, Vec<u8>)> {
+        let chunk = (
+            prop_oneof![0u32..4, any::<u32>()],
+            prop_oneof![0u16..4, any::<u16>()],
+            prop_oneof![0u16..5, any::<u16>()],
+            collection::vec(any::<u8>(), 0..48),
+        )
+            .prop_map(|(id, idx, total, payload)| datagram(id, idx, total, &payload));
+        (
+            0u64..3,
+            prop_oneof![chunk, collection::vec(any::<u8>(), 0..24)],
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn any_datagrams_keep_reassembly_bounded(
+            datagrams in collection::vec(any_datagram(), 0..300),
+        ) {
+            let mut t = UdpTransport::bind("127.0.0.1:0", UdpConfig::default()).unwrap();
+            for (peer, d) in &datagrams {
+                t.deliver_chunk(*peer, d);
+                prop_assert_eq!(t.partials.len(), t.partial_order.len());
+                prop_assert!(t.partials.len() <= MAX_PARTIALS);
+            }
+        }
+
+        #[test]
+        fn shuffled_duplicated_chunks_reassemble_byte_exact(
+            frame in collection::vec(any::<u8>(), 17..=640),
+            dups in collection::vec(any::<u16>(), 0..8),
+            keys in collection::vec(any::<u64>(), 48),
+        ) {
+            // Split the way `send` does: 16-byte chunks, one frame id.
+            let cfg = UdpConfig {
+                chunk_bytes: 16,
+                ..UdpConfig::default()
+            };
+            let mut t = UdpTransport::bind("127.0.0.1:0", cfg).unwrap();
+            let chunks: Vec<&[u8]> = frame.chunks(16).collect();
+            let total = chunks.len();
+            // Every chunk once plus a few duplicates, shuffled by keys.
+            let extra = dups.iter().map(|d| usize::from(*d) % total);
+            let mut order: Vec<(u64, usize)> = keys.iter().copied().zip((0..total).chain(extra)).collect();
+            order.sort_unstable();
+            let mut done = Vec::new();
+            for (_, i) in order {
+                let d = datagram(5, i as u16, total as u16, chunks[i]);
+                done.extend(t.deliver_chunk(0, &d));
+            }
+            // Duplicates after completion may start (or, if they cover
+            // every chunk, finish) a second copy, never a different one.
+            prop_assert!(!done.is_empty());
+            for f in &done {
+                prop_assert_eq!(f, &frame);
+            }
+        }
     }
 }
