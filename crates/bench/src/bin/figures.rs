@@ -42,7 +42,6 @@
 //!
 //! [`ObservabilityReport`]: liteview::ObservabilityReport
 
-use lv_bench::{table, Line};
 use lv_testbed::experiments as exp;
 use lv_testbed::results::to_json_lines;
 use lv_testbed::{AggregateStats, TrialRunner};
@@ -156,6 +155,18 @@ fn parse_args() -> Args {
     }
 }
 
+/// Render pre-formatted rows as a fixed-width text table.
+fn table(title: &str, header: &str, rows: &[String]) -> String {
+    let mut out = format!("== {title} ==\n{header}\n");
+    out.push_str(&"-".repeat(header.len().max(20)));
+    out.push('\n');
+    for r in rows {
+        out.push_str(r);
+        out.push('\n');
+    }
+    out
+}
+
 fn main() {
     let args = parse_args();
     if args.report {
@@ -225,9 +236,9 @@ fn digests(args: &Args) {
     if args.json {
         println!("{}", to_json_lines(&rows));
     } else {
-        let lines: Vec<Line> = rows
+        let lines: Vec<String> = rows
             .iter()
-            .map(|r| Line(format!("{:<6} {}", r.figure, r.digest)))
+            .map(|r| format!("{:<6} {}", r.figure, r.digest))
             .collect();
         print!(
             "{}",
@@ -274,11 +285,11 @@ fn dynamics(args: &Args) {
     if args.json {
         println!("{}", serde_json::to_string(&r).unwrap());
     } else {
-        let lines: Vec<Line> = r
+        let lines: Vec<String> = r
             .rounds
             .iter()
             .map(|row| {
-                Line(format!(
+                format!(
                     "{:>9.0}   {:>7} {:>6} {:>5} {:>6}   {:>5} {:>9} {:>10}",
                     row.t_ms,
                     if row.trace_reached { "yes" } else { "no" },
@@ -288,7 +299,7 @@ fn dynamics(args: &Args) {
                     if row.ping_ok { "ok" } else { "FAIL" },
                     row.evictions,
                     row.blacklists
-                ))
+                )
             })
             .collect();
         print!(
@@ -358,11 +369,11 @@ fn diagnosis(args: &Args) {
     if args.json {
         println!("{json}");
     } else {
-        let lines: Vec<Line> = r
+        let lines: Vec<String> = r
             .rows
             .iter()
             .map(|row| {
-                Line(format!(
+                format!(
                     "{:<12} {:>6} {:>8} {:>8} {:>4} {:>4}   {:>5.2} {:>6.2}   {:>9.0} {:>9.0} {:>12.0}",
                     row.scenario,
                     row.labels,
@@ -375,7 +386,7 @@ fn diagnosis(args: &Args) {
                     row.first_detect_ms,
                     row.ping_fail_ms,
                     row.mean_detect_latency_ms,
-                ))
+                )
             })
             .collect();
         print!(
@@ -439,9 +450,9 @@ fn fig5(seed: u64, json: bool) {
         println!("{}", to_json_lines(&rows));
         return;
     }
-    let lines: Vec<Line> = rows
+    let lines: Vec<String> = rows
         .iter()
-        .map(|r| Line(format!("{:>3}   {:>10.1}", r.hop, r.delay_ms)))
+        .map(|r| format!("{:>3}   {:>10.1}", r.hop, r.delay_ms))
         .collect();
     print!(
         "{}",
@@ -459,13 +470,13 @@ fn fig6(seed: u64, json: bool) {
         println!("{}", to_json_lines(&rows));
         return;
     }
-    let lines: Vec<Line> = rows
+    let lines: Vec<String> = rows
         .iter()
         .map(|r| {
-            Line(format!(
+            format!(
                 "{:>3}   {:>8} {:>8}   {:>8} {:>8}",
                 r.hop, r.fwd_p10, r.bwd_p10, r.fwd_p25, r.bwd_p25
-            ))
+            )
         })
         .collect();
     print!(
@@ -484,14 +495,9 @@ fn fig7(seed: u64, json: bool) {
         println!("{}", to_json_lines(&rows));
         return;
     }
-    let lines: Vec<Line> = rows
+    let lines: Vec<String> = rows
         .iter()
-        .map(|r| {
-            Line(format!(
-                "{:>4}   {:>15} {:>8}",
-                r.hops, r.control_packets, r.acks
-            ))
-        })
+        .map(|r| format!("{:>4}   {:>15} {:>8}", r.hops, r.control_packets, r.acks))
         .collect();
     print!(
         "{}",
@@ -509,13 +515,13 @@ fn tresp(seed: u64, json: bool) {
         println!("{}", to_json_lines(&rows));
         return;
     }
-    let lines: Vec<Line> = rows
+    let lines: Vec<String> = rows
         .iter()
         .map(|r| {
-            Line(format!(
+            format!(
                 "{:<20} {:>6} {:>9.1} {:>9.1} {:>9.1} {:>9}",
                 r.command, r.trials, r.mean_ms, r.min_ms, r.max_ms, r.answered
-            ))
+            )
         })
         .collect();
     print!(
@@ -565,13 +571,13 @@ fn tfoot(json: bool) {
         println!("{}", to_json_lines(&rows));
         return;
     }
-    let lines: Vec<Line> = rows
+    let lines: Vec<String> = rows
         .iter()
         .map(|r| {
-            Line(format!(
+            format!(
                 "{:<22} {:>8} {:>8}",
                 r.component, r.flash_bytes, r.ram_bytes
-            ))
+            )
         })
         .collect();
     print!(
@@ -613,13 +619,13 @@ fn linkchar(seed: u64, json: bool) {
         println!("{}", to_json_lines(&rows));
         return;
     }
-    let lines: Vec<Line> = rows
+    let lines: Vec<String> = rows
         .iter()
         .map(|r| {
-            Line(format!(
+            format!(
                 "{:>6.1}   {:>5.2}   {:>8.1}   {:>7.1}",
                 r.distance_m, r.prr, r.mean_rssi, r.mean_lqi
-            ))
+            )
         })
         .collect();
     print!(
@@ -644,15 +650,15 @@ fn fig5agg(args: &Args) {
         println!("{}", to_json_lines(&rows));
         return;
     }
-    let lines: Vec<Line> = rows
+    let lines: Vec<String> = rows
         .iter()
         .map(|r| {
-            Line(format!(
+            format!(
                 "{:>3}   {:>6}   {:>16}",
                 r.hop,
                 r.delay_ms.n,
                 pm(&r.delay_ms)
-            ))
+            )
         })
         .collect();
     print!(
@@ -675,17 +681,17 @@ fn fig6agg(args: &Args) {
         println!("{}", to_json_lines(&rows));
         return;
     }
-    let lines: Vec<Line> = rows
+    let lines: Vec<String> = rows
         .iter()
         .map(|r| {
-            Line(format!(
+            format!(
                 "{:>3}   {:>13} {:>13}   {:>13} {:>13}",
                 r.hop,
                 pm(&r.fwd_p10),
                 pm(&r.bwd_p10),
                 pm(&r.fwd_p25),
                 pm(&r.bwd_p25)
-            ))
+            )
         })
         .collect();
     print!(
@@ -708,15 +714,15 @@ fn fig7agg(args: &Args) {
         println!("{}", to_json_lines(&rows));
         return;
     }
-    let lines: Vec<Line> = rows
+    let lines: Vec<String> = rows
         .iter()
         .map(|r| {
-            Line(format!(
+            format!(
                 "{:>4}   {:>16} {:>14}",
                 r.hops,
                 pm(&r.control_packets),
                 pm(&r.acks)
-            ))
+            )
         })
         .collect();
     print!(
@@ -739,16 +745,16 @@ fn linkcharagg(args: &Args) {
         println!("{}", to_json_lines(&rows));
         return;
     }
-    let lines: Vec<Line> = rows
+    let lines: Vec<String> = rows
         .iter()
         .map(|r| {
-            Line(format!(
+            format!(
                 "{:>6.1}   {:>11}   {:>14}   {:>13}",
                 r.distance_m,
                 format!("{:.2} ±{:.2}", r.prr.mean, r.prr.ci95),
                 pm(&r.mean_rssi),
                 pm(&r.mean_lqi)
-            ))
+            )
         })
         .collect();
     print!(
@@ -771,10 +777,10 @@ fn failures(args: &Args) {
         println!("{}", to_json_lines(&rows));
         return;
     }
-    let lines: Vec<Line> = rows
+    let lines: Vec<String> = rows
         .iter()
         .map(|r| {
-            Line(format!(
+            format!(
                 "{:<24} {:>4}/{:<4} {:>12} {:>13} {:>16}",
                 r.mode,
                 r.faulted,
@@ -782,7 +788,7 @@ fn failures(args: &Args) {
                 format!("{:.2} ±{:.2}", r.reached.mean, r.reached.ci95),
                 pm(&r.hops_covered),
                 pm(&r.last_report_ms)
-            ))
+            )
         })
         .collect();
     print!(
@@ -808,15 +814,15 @@ fn ablations(seed: u64, json: bool) {
         println!("{}", to_json_lines(&rows));
         return;
     }
-    let lines: Vec<Line> = rows
+    let lines: Vec<String> = rows
         .iter()
         .map(|r| {
-            Line(format!(
+            format!(
                 "{:<34} {:<22} {:>14}",
                 r.arm,
                 r.metric,
                 format_value(r.value)
-            ))
+            )
         })
         .collect();
     print!(
@@ -827,4 +833,17 @@ fn ablations(seed: u64, json: bool) {
             &lines
         )
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn table_renders() {
+        let t = table("T", "k  v", &["a  1".into(), "b  2".into()]);
+        assert!(t.contains("== T =="));
+        assert!(t.contains("a  1"));
+        assert_eq!(t.lines().count(), 5);
+    }
 }

@@ -2,7 +2,7 @@
 //!
 //! "On the node side, LiteView implements a runtime controller that
 //! interacts with the command interpreter. This controller … provides
-//! comprehensive visibility on neighborhood management … [and] executes
+//! comprehensive visibility on neighborhood management … \[and\] executes
 //! user commands." (Section IV.B.)
 //!
 //! The controller is a resident process on every node. It:

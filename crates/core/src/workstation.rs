@@ -331,11 +331,6 @@ impl Workstation {
         self.diagnosis = Some(DiagnosisEngine::new(cfg));
     }
 
-    /// Whether a diagnosis engine is armed.
-    pub fn diagnosis_armed(&self) -> bool {
-        self.diagnosis.is_some()
-    }
-
     /// Drive the armed diagnosis engine one step: drain the kernel tap,
     /// feed the detector, and run the probe ladder for fresh alarms
     /// (which executes commands and advances virtual time). Returns how

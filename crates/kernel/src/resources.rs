@@ -176,11 +176,6 @@ impl ResourceAccount {
         self.stored.iter().map(|i| i.flash_bytes).sum()
     }
 
-    /// Number of program files currently stored in flash.
-    pub fn stored_count(&self) -> usize {
-        self.stored.len()
-    }
-
     /// Test hook: charge flash without storing a program file,
     /// re-creating the PR 4 leak pattern so auditor regression tests
     /// can prove the imbalance is caught. Not part of the model.

@@ -92,16 +92,6 @@ impl Mac {
         self.queue.len() + usize::from(!self.csma.is_idle())
     }
 
-    /// Deepest transmit-queue occupancy observed.
-    pub fn queue_high_water(&self) -> usize {
-        self.queue.high_water()
-    }
-
-    /// Frames dropped due to queue overflow.
-    pub fn queue_dropped(&self) -> u64 {
-        self.queue.dropped()
-    }
-
     /// Submit a payload for transmission. Assigns the link sequence
     /// number, queues the frame, and starts CSMA if the radio is idle.
     /// Returns `(accepted, actions)`.
@@ -370,6 +360,6 @@ mod tests {
         assert!(m.send(FrameKind::Data, 2, vec![], &mut r).0);
         let (ok, _) = m.send(FrameKind::Data, 2, vec![], &mut r);
         assert!(!ok);
-        assert_eq!(m.queue_dropped(), 1);
+        assert_eq!(m.counters().get("mac.queue_drop"), 1);
     }
 }

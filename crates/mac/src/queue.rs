@@ -4,7 +4,7 @@
 //! temporarily" (Section V.A) — this queue, combined with CSMA backoff,
 //! is what produces the back-to-back packet arrivals visible in Fig. 5.
 //! The ping command reports its instantaneous occupancy at both ends
-//! ("Queue = 0/0"), so the queue tracks a high-water mark as well.
+//! ("Queue = 0/0").
 
 use crate::frame::Frame;
 use std::collections::VecDeque;
@@ -14,8 +14,6 @@ use std::collections::VecDeque;
 pub struct TxQueue {
     frames: VecDeque<Frame>,
     capacity: usize,
-    high_water: usize,
-    dropped: u64,
 }
 
 impl TxQueue {
@@ -27,19 +25,15 @@ impl TxQueue {
         TxQueue {
             frames: VecDeque::with_capacity(capacity),
             capacity: capacity.max(1),
-            high_water: 0,
-            dropped: 0,
         }
     }
 
-    /// Append a frame; returns `false` (and counts a drop) when full.
+    /// Append a frame; returns `false` when full.
     pub fn push(&mut self, frame: Frame) -> bool {
         if self.frames.len() >= self.capacity {
-            self.dropped += 1;
             return false;
         }
         self.frames.push_back(frame);
-        self.high_water = self.high_water.max(self.frames.len());
         true
     }
 
@@ -56,16 +50,6 @@ impl TxQueue {
     /// True when no frames are waiting.
     pub fn is_empty(&self) -> bool {
         self.frames.is_empty()
-    }
-
-    /// Deepest occupancy ever observed.
-    pub fn high_water(&self) -> usize {
-        self.high_water
-    }
-
-    /// Frames rejected because the queue was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
     }
 
     /// Maximum depth.
@@ -107,20 +91,7 @@ mod tests {
         assert!(q.push(f(0)));
         assert!(q.push(f(1)));
         assert!(!q.push(f(2)));
-        assert_eq!(q.dropped(), 1);
         assert_eq!(q.len(), 2);
-    }
-
-    #[test]
-    fn high_water_tracks_peak() {
-        let mut q = TxQueue::new(4);
-        q.push(f(0));
-        q.push(f(1));
-        q.push(f(2));
-        q.pop();
-        q.pop();
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.high_water(), 3);
     }
 
     #[test]

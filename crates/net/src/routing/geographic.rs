@@ -17,22 +17,13 @@ use crate::packet::{NetPacket, Port};
 /// The greedy geographic router.
 pub struct Geographic {
     port: Port,
-    min_quality: f64,
 }
 
 impl Geographic {
-    /// Create a geographic router on `port` with the default quality
-    /// floor.
+    /// Create a geographic router on `port`; its link-quality floor is
+    /// [`MIN_ROUTE_QUALITY`].
     pub fn new(port: Port) -> Self {
-        Geographic {
-            port,
-            min_quality: MIN_ROUTE_QUALITY,
-        }
-    }
-
-    /// Override the link-quality floor.
-    pub fn with_min_quality(port: Port, min_quality: f64) -> Self {
-        Geographic { port, min_quality }
+        Geographic { port }
     }
 }
 
@@ -72,7 +63,7 @@ impl Geographic {
         let dst_pos = (ctx.locations)(dst)?;
         let my_dist = ctx.my_position.distance(dst_pos).0;
         let mut best: Option<(u16, f64)> = None; // (id, progress × quality)
-        for e in ctx.neighbors.usable(self.min_quality) {
+        for e in ctx.neighbors.usable(MIN_ROUTE_QUALITY) {
             let Some(pos) = e.position else { continue };
             let d = pos.distance(dst_pos).0;
             if d >= my_dist {

@@ -21,17 +21,12 @@ pub const MAX_GRADIENT: u8 = 16;
 pub struct CollectionTree {
     port: Port,
     is_root: bool,
-    min_quality: f64,
 }
 
 impl CollectionTree {
     /// Create a tree router; exactly one node per tree is the root.
     pub fn new(port: Port, is_root: bool) -> Self {
-        CollectionTree {
-            port,
-            is_root,
-            min_quality: MIN_ROUTE_QUALITY,
-        }
+        CollectionTree { port, is_root }
     }
 
     /// Whether this node is the collection root.
@@ -47,7 +42,7 @@ impl CollectionTree {
             return 0;
         }
         neighbors
-            .usable(self.min_quality)
+            .usable(MIN_ROUTE_QUALITY)
             .map(|e| e.tree_hops)
             .filter(|&h| h != TREE_UNREACHABLE)
             .min()
@@ -65,7 +60,7 @@ impl CollectionTree {
     /// gradient, ties broken by bidirectional quality.
     pub fn parent(&self, neighbors: &NeighborTable) -> Option<u16> {
         neighbors
-            .usable(self.min_quality)
+            .usable(MIN_ROUTE_QUALITY)
             .filter(|e| e.tree_hops < MAX_GRADIENT)
             .min_by(|a, b| {
                 a.tree_hops.cmp(&b.tree_hops).then(

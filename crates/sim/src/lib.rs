@@ -29,7 +29,7 @@ pub mod time;
 pub mod trace;
 
 pub use bytes::InlineBytes;
-pub use metrics::{CounterId, Counters, Histogram, Summary, TimeSeries};
+pub use metrics::{CounterId, Counters, Histogram, Summary};
 pub use queue::EventQueue;
 pub use ring::Ring;
 pub use rng::SimRng;

@@ -3,9 +3,9 @@
 //! The evaluation reproduces packet *counts* (Fig. 7, one-hop ping
 //! overhead) and *delay distributions* (Fig. 5, the 500 ms response
 //! window), so the engine provides named counters, a fixed-bucket
-//! histogram, and a raw time series for per-hop traces.
+//! histogram, and a running summary of scalar samples.
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimDuration;
 use serde::{DeError, Deserialize, Serialize, Value};
 use std::collections::BTreeMap;
 
@@ -580,14 +580,13 @@ impl Histogram {
     }
 }
 
-/// A mergeable running summary of scalar samples (Welford's online
-/// algorithm, extended with Chan's parallel combination rule).
+/// A running summary of scalar samples (Welford's online algorithm).
 ///
-/// This is the unit the multi-trial experiment engine aggregates:
-/// each trial accumulates a `Summary` independently, then the runner
-/// merges them in trial order, which keeps the float arithmetic — and
-/// therefore the reported statistics — bit-identical no matter how
-/// many worker threads ran the trials.
+/// This is the unit the multi-trial experiment engine aggregates: the
+/// runner returns per-trial values in trial order and the aggregate
+/// pushes them one by one in that order, which keeps the float
+/// arithmetic — and therefore the reported statistics — bit-identical
+/// no matter how many worker threads ran the trials.
 #[derive(Debug, Default, Clone, Serialize)]
 pub struct Summary {
     count: u64,
@@ -617,27 +616,6 @@ impl Summary {
         self.m2 += delta * (x - self.mean);
         self.min = self.min.min(x);
         self.max = self.max.max(x);
-    }
-
-    /// Merge another summary into this one (Chan et al.'s pairwise
-    /// update). Merging in a fixed order is deterministic.
-    pub fn merge(&mut self, other: &Summary) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * (n2 / total);
-        self.m2 += other.m2 + delta * delta * (n1 * n2 / total);
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 
     /// Number of samples recorded.
@@ -682,49 +660,6 @@ impl Summary {
         } else {
             1.96 * self.stddev() / (self.count as f64).sqrt()
         }
-    }
-}
-
-/// A `(time, value)` series; used for per-hop delay plots such as Fig. 5.
-#[derive(Debug, Default, Clone, Serialize)]
-pub struct TimeSeries {
-    points: Vec<(SimTime, f64)>,
-}
-
-impl TimeSeries {
-    /// Create an empty series.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Append a point. Points are expected in nondecreasing time order;
-    /// this is asserted in debug builds.
-    pub fn push(&mut self, t: SimTime, v: f64) {
-        debug_assert!(
-            self.points.last().is_none_or(|&(lt, _)| lt <= t),
-            "time series must be appended in order"
-        );
-        self.points.push((t, v));
-    }
-
-    /// All points.
-    pub fn points(&self) -> &[(SimTime, f64)] {
-        &self.points
-    }
-
-    /// Number of points.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// True when no points have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// Final value, if any.
-    pub fn last_value(&self) -> Option<f64> {
-        self.points.last().map(|&(_, v)| v)
     }
 }
 
@@ -951,17 +886,6 @@ mod tests {
     }
 
     #[test]
-    fn time_series() {
-        let mut s = TimeSeries::new();
-        assert!(s.is_empty());
-        s.push(SimTime::from_millis(1), 1.0);
-        s.push(SimTime::from_millis(2), -3.5);
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.last_value(), Some(-3.5));
-        assert_eq!(s.points()[0], (SimTime::from_millis(1), 1.0));
-    }
-
-    #[test]
     #[should_panic]
     fn histogram_zero_width_panics() {
         let _ = Histogram::new(SimDuration::ZERO, 4);
@@ -1006,42 +930,6 @@ mod tests {
         assert_eq!(s.min(), Some(2.0));
         assert_eq!(s.max(), Some(9.0));
         assert!(s.ci95_half_width() > 0.0);
-    }
-
-    #[test]
-    fn summary_merge_matches_sequential() {
-        let xs: Vec<f64> = (0..40).map(|i| (i as f64 * 0.7).sin() * 10.0).collect();
-        let mut whole = Summary::new();
-        for &x in &xs {
-            whole.push(x);
-        }
-        let mut left = Summary::new();
-        let mut right = Summary::new();
-        for &x in &xs[..17] {
-            left.push(x);
-        }
-        for &x in &xs[17..] {
-            right.push(x);
-        }
-        left.merge(&right);
-        assert_eq!(left.count(), whole.count());
-        assert!((left.mean() - whole.mean()).abs() < 1e-9);
-        assert!((left.stddev() - whole.stddev()).abs() < 1e-9);
-        assert_eq!(left.min(), whole.min());
-        assert_eq!(left.max(), whole.max());
-    }
-
-    #[test]
-    fn summary_merge_with_empty_is_identity() {
-        let mut s = Summary::new();
-        s.push(3.0);
-        let before = (s.count(), s.mean(), s.stddev());
-        s.merge(&Summary::new());
-        assert_eq!((s.count(), s.mean(), s.stddev()), before);
-        let mut empty = Summary::new();
-        empty.merge(&s);
-        assert_eq!(empty.count(), 1);
-        assert_eq!(empty.mean(), 3.0);
     }
 
     #[test]

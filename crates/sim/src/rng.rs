@@ -80,7 +80,7 @@ impl Pcg64Mcg {
 
 /// A deterministic PCG stream.
 ///
-/// Thin wrapper over the inlined [`Pcg64Mcg`] adding the handful of draw
+/// Thin wrapper over the inlined `Pcg64Mcg` adding the handful of draw
 /// shapes the simulator needs (jitter windows, Bernoulli loss, Gaussian
 /// shadowing).
 #[derive(Debug, Clone)]

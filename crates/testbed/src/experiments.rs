@@ -1,8 +1,8 @@
 //! Experiment drivers — one per table/figure (see `DESIGN.md` §4).
 //!
 //! Every driver is a pure function of a seed, returning serializable
-//! rows. The `figures` binary in `lv-bench` prints them; criterion
-//! benches call them for timing; `EXPERIMENTS.md` quotes them.
+//! rows. The `figures` binary in `lv-bench` prints them and
+//! `EXPERIMENTS.md` quotes them.
 
 use crate::results::*;
 use crate::scenario::{Scenario, ScenarioConfig};
@@ -107,23 +107,10 @@ fn fig7_point(seed: u64, hops: u8) -> Fig7Row {
     }
 }
 
-/// **Fig. 7** — traceroute command overhead (packets) vs path length.
-///
-/// Path lengths are swept in parallel with `crossbeam` (each run builds
-/// its own network, so runs stay deterministic and independent).
+/// **Fig. 7** — traceroute command overhead (packets) vs path length,
+/// one independent corridor run per path length from 1 to 8 hops.
 pub fn fig7_overhead(seed: u64) -> Vec<Fig7Row> {
-    let mut rows: Vec<Fig7Row> = Vec::new();
-    crossbeam::scope(|scope| {
-        let handles: Vec<_> = (1..=8u8)
-            .map(|hops| scope.spawn(move |_| fig7_point(seed, hops)))
-            .collect();
-        for h in handles {
-            rows.push(h.join().expect("sweep thread"));
-        }
-    })
-    .expect("crossbeam scope");
-    rows.sort_by_key(|r| r.hops);
-    rows
+    (1..=8).map(|hops| fig7_point(seed, hops)).collect()
 }
 
 /// **T-resp** — response delays of the fixed-window commands.
@@ -862,15 +849,9 @@ pub fn fig6_rssi_vs_power_agg(runner: &TrialRunner) -> Vec<Fig6AggRow> {
 }
 
 /// **Fig. 7, aggregate** — traceroute overhead vs path length across
-/// trials. Each trial sweeps all eight path lengths serially (the
-/// runner already parallelizes across trials, so nesting the
-/// crossbeam sweep of [`fig7_overhead`] would only oversubscribe).
+/// trials, each trial one [`fig7_overhead`] sweep.
 pub fn fig7_overhead_agg(runner: &TrialRunner) -> Vec<Fig7AggRow> {
-    let per_trial = runner.run(|t| {
-        (1..=8u8)
-            .map(|hops| fig7_point(t.seed, hops))
-            .collect::<Vec<_>>()
-    });
+    let per_trial = runner.run(|t| fig7_overhead(t.seed));
     (0..8usize)
         .map(|i| {
             let mut control = Summary::new();
@@ -1008,7 +989,14 @@ pub fn default_failure_plans() -> Vec<FailurePlan> {
 /// within one process; the golden digests checked into the repo must
 /// survive toolchain upgrades, so the gate uses a fixed algorithm.
 pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a64_extend(FNV1A64_BASIS, bytes)
+}
+
+/// FNV-1a 64's offset basis: the state before any byte.
+const FNV1A64_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Fold `bytes` into the running FNV-1a 64 state `h`.
+fn fnv1a64_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
@@ -1022,18 +1010,12 @@ pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
 /// moved every counter identically — the bit-identity handle the
 /// dynamics replay tests and the CI gate both use.
 pub fn counters_digest(net: &Network) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut step = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut h = FNV1A64_BASIS;
     for (name, value) in net.counters.iter() {
-        step(name.as_bytes());
-        step(&value.to_le_bytes());
+        h = fnv1a64_extend(h, name.as_bytes());
+        h = fnv1a64_extend(h, &value.to_le_bytes());
     }
-    step(&net.events_dispatched().to_le_bytes());
+    h = fnv1a64_extend(h, &net.events_dispatched().to_le_bytes());
     format!("{h:016x}")
 }
 

@@ -41,23 +41,12 @@ impl AggregateStats {
             max: s.max().unwrap_or(f64::NAN),
         }
     }
-
-    /// Aggregate a slice of per-trial values **in the given order**.
-    ///
-    /// Callers must pass values in trial order for the bit-exact
-    /// reproducibility guarantee to hold.
-    pub fn from_values(values: &[f64]) -> Self {
-        let mut s = Summary::new();
-        for &v in values {
-            s.push(v);
-        }
-        Self::from_summary(&s)
-    }
 }
 
-/// Fold an iterator of per-trial values (in trial order) into
-/// aggregate statistics. Convenience wrapper over
-/// [`AggregateStats::from_values`].
+/// Fold an iterator of per-trial values into aggregate statistics.
+///
+/// Callers must pass values in trial order for the bit-exact
+/// reproducibility guarantee to hold.
 pub fn aggregate(values: impl IntoIterator<Item = f64>) -> AggregateStats {
     let mut s = Summary::new();
     for v in values {
@@ -103,8 +92,8 @@ mod tests {
     #[test]
     fn order_identical_folds_are_bit_identical() {
         let xs: Vec<f64> = (0..32).map(|i| (i as f64).sqrt() * 0.3 + 1.0).collect();
-        let a = AggregateStats::from_values(&xs);
-        let b = AggregateStats::from_values(&xs);
+        let a = aggregate(xs.iter().copied());
+        let b = aggregate(xs.iter().copied());
         assert_eq!(a.mean.to_bits(), b.mean.to_bits());
         assert_eq!(a.stddev.to_bits(), b.stddev.to_bits());
         assert_eq!(a.ci95.to_bits(), b.ci95.to_bits());

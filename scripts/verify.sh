@@ -18,14 +18,14 @@ cargo test -q --all
 echo "== lv-benchmark package tests =="
 cargo test -q --manifest-path src/bin/lv-benchmark/Cargo.toml
 
-# Every workspace member, lv-lint and lv-bench included, with its tests
-# and benches: at the root, plain `cargo clippy` lints only the root
-# package and the crates it depends on.
+# Every workspace member, lv-lint and lv-bench included, with its tests:
+# at the root, plain `cargo clippy` lints only the root package and the
+# crates it depends on.
 echo "== cargo clippy --workspace --all-targets -- -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== cargo doc --workspace --no-deps (RUSTDOCFLAGS=-D missing_docs) =="
-RUSTDOCFLAGS="-D missing_docs" cargo doc -q --workspace --no-deps
+echo "== cargo doc --workspace --no-deps (RUSTDOCFLAGS=-D missing_docs -D warnings) =="
+RUSTDOCFLAGS="-D missing_docs -D warnings" cargo doc -q --workspace --no-deps
 
 echo "== lv-lint (determinism & invariant gate, per-file and reach rules) =="
 cargo run -q -p lv-lint -- --max-seconds 10
