@@ -26,7 +26,8 @@ use crate::wire::{
     BatchMsg, MgmtCommand, MgmtReply, MgmtRequest, MgmtResponse, PingProbe, PingReply, TrProbe,
     TrProbeReply, TrTask, WireLogEntry, WireNeighbor,
 };
-use lv_kernel::{NeighborInfo, Process, ProcessImage, RxMeta, SysCtx};
+use lv_kernel::{Process, ProcessImage, RxMeta, SysCtx};
+use lv_net::neighbors::NeighborEntry;
 use lv_net::packet::{NetPacket, Port};
 use lv_radio::Channel;
 use lv_radio::PowerLevel;
@@ -161,13 +162,13 @@ impl RuntimeController {
         }
     }
 
-    fn neighbor_rows(neighbors: &[NeighborInfo], with_quality: bool) -> Vec<WireNeighbor> {
+    fn neighbor_rows(neighbors: &[NeighborEntry], with_quality: bool) -> Vec<WireNeighbor> {
         neighbors
             .iter()
             .map(|n| WireNeighbor {
                 id: n.id,
                 inbound_q: if with_quality {
-                    (n.inbound * 255.0).round().clamp(0.0, 255.0) as u8
+                    (n.inbound() * 255.0).round().clamp(0.0, 255.0) as u8
                 } else {
                     0
                 },

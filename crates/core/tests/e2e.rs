@@ -447,8 +447,9 @@ fn event_log_round_trip() {
     };
     // Two extra entries at most — the first ReadLog and the
     // SetLogging(false) requests themselves (both logged while logging
-    // was still on; a request's log effect lands after the reply
-    // snapshot) — and nothing for commands issued after the disable.
+    // was still on; the hook reads the live log, but a request's own
+    // log effect lands only after its hook, and so its reply, is done)
+    // — and nothing for commands issued after the disable.
     assert!(rows.len() <= before + 2, "{} vs {}", rows.len(), before);
     assert!(rows.iter().any(|r| r.detail.contains("SetLogging")));
 }

@@ -37,5 +37,5 @@ pub use log::{EventLog, LogEntry};
 pub use names::{default_name, parse_name, shell_path, NameRegistry};
 pub use network::{DynamicsAction, LinkObs, Network, NetworkConfig};
 pub use node::{Node, NodeStats};
-pub use process::{Effect, NeighborInfo, Process, RxMeta, SysCtx};
+pub use process::{Effect, Process, RxMeta, SysCtx};
 pub use resources::{ProcessImage, ResourceAccount, ResourceError};

@@ -27,15 +27,15 @@ use lv_radio::{Channel, Medium};
 use lv_sim::{CounterId, Counters, EventQueue, SimDuration, SimTime, Trace, TraceLevel};
 use std::sync::Arc;
 
-/// Events the loop dispatches.
+/// Events the loop dispatches, exactly as they sit in the future-event
+/// queue.
 ///
-/// This is the *decoded* form handed to `dispatch`; what actually sits
-/// in the future-event queue is the 16-byte [`QEvent`], with the three
-/// large payloads (packets, frames, dynamics actions) parked in the
-/// [`EventArena`] and referenced by slot index. Encoding happens in
-/// [`Network::enqueue`], decoding right after each pop — so the binary
-/// heap sifts plain-old-data instead of the full enum.
-#[derive(Debug)]
+/// Every variant is plain data: the three large payloads (packets,
+/// frames, dynamics actions) are parked in the [`EventArena`] and the
+/// event carries their slot id. So an event is 16 bytes and owns no
+/// allocation, a heap entry (with time + FIFO sequence) is 32, and sift
+/// operations move words.
+#[derive(Debug, Clone, Copy)]
 enum Event {
     ProcessStart {
         node: u16,
@@ -46,10 +46,12 @@ enum Event {
         pid: ProcessId,
         token: u32,
     },
+    /// A packet a node addressed to one of its own processes; `packet`
+    /// is its slot in [`EventArena::packets`].
     LocalDeliver {
         node: u16,
         pid: ProcessId,
-        packet: NetPacket,
+        packet: u32,
     },
     MacCca {
         node: u16,
@@ -72,10 +74,11 @@ enum Event {
         dst: u16,
         seq: u8,
     },
-    /// A transmission deferred because the node's radio was mid-frame.
+    /// A transmission deferred because the node's radio was mid-frame;
+    /// `frame` is its slot in [`EventArena::frames`].
     TxStart {
         node: u16,
-        frame: Frame,
+        frame: u32,
     },
     Beacon {
         node: u16,
@@ -83,9 +86,10 @@ enum Event {
     Housekeeping {
         node: u16,
     },
-    /// A scheduled world mutation from the dynamics engine.
+    /// A scheduled world mutation from the dynamics engine; `action` is
+    /// its slot in [`EventArena::dynamics`].
     Dynamics {
-        action: DynamicsAction,
+        action: u32,
     },
 }
 
@@ -183,47 +187,6 @@ impl DynamicsAction {
     }
 }
 
-/// Discriminant of a queued [`QEvent`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum QKind {
-    ProcessStart,
-    Timer,
-    LocalDeliver,
-    MacCca,
-    MacAckTimeout,
-    TxEnd,
-    RxEnd,
-    SendAck,
-    TxStart,
-    Beacon,
-    Housekeeping,
-    Dynamics,
-}
-
-/// The queued form of an [`Event`]: 16 bytes of plain data, so a heap
-/// entry (with time + FIFO sequence) is 32 bytes and sift operations
-/// move words, not enum payloads. Field use per kind:
-///
-/// | kind          | `node` | `b`                  | `c`          |
-/// |---------------|--------|----------------------|--------------|
-/// | ProcessStart  | node   | pid                  | —            |
-/// | Timer         | node   | pid                  | token        |
-/// | LocalDeliver  | node   | pid                  | packet slot  |
-/// | MacCca        | node   | —                    | token        |
-/// | MacAckTimeout | node   | —                    | token        |
-/// | TxEnd / RxEnd | node   | —                    | tx id        |
-/// | SendAck       | node   | dst \| seq << 16     | —            |
-/// | TxStart       | node   | frame slot           | —            |
-/// | Beacon / Hk   | node   | —                    | —            |
-/// | Dynamics      | —      | action slot          | —            |
-#[derive(Debug, Clone, Copy)]
-struct QEvent {
-    kind: QKind,
-    node: u16,
-    b: u32,
-    c: u64,
-}
-
 /// A slab with a LIFO free list: O(1) insert/take, stable `u32` slot
 /// indices, no per-item heap allocation beyond the payload itself.
 #[derive(Debug)]
@@ -316,6 +279,7 @@ struct ActiveTx {
 }
 
 const _: () = assert!(std::mem::size_of::<ActiveTx>() == 32);
+const _: () = assert!(std::mem::size_of::<Event>() == 16);
 
 /// The active-transmission table. Ids are assigned in start order and
 /// only ever pruned from the front, so a `VecDeque` with a sliding
@@ -468,7 +432,7 @@ pub struct Network {
     pub medium: Medium,
     nodes: Vec<Node>,
     names: NameRegistry,
-    queue: EventQueue<QEvent>,
+    queue: EventQueue<Event>,
     /// Payload storage for queued events (see [`EventArena`]).
     arena: EventArena,
     now: SimTime,
@@ -553,162 +517,13 @@ impl Network {
                 let period = net.nodes[i as usize].stack.config().beacon_period;
                 let offset =
                     SimDuration::from_nanos(net.nodes[i as usize].rng.below(period.as_nanos()));
-                net.enqueue(net.now + offset, Event::Beacon { node: i });
+                net.queue.push(net.now + offset, Event::Beacon { node: i });
             }
             let hk = net.config.housekeeping_period;
-            net.enqueue(net.now + hk, Event::Housekeeping { node: i });
+            net.queue
+                .push(net.now + hk, Event::Housekeeping { node: i });
         }
         net
-    }
-
-    /// Encode an event into its queued form (parking any large payload
-    /// in the arena) and push it on the future-event queue.
-    fn enqueue(&mut self, at: SimTime, ev: Event) {
-        let q = match ev {
-            Event::ProcessStart { node, pid } => QEvent {
-                kind: QKind::ProcessStart,
-                node,
-                b: pid,
-                c: 0,
-            },
-            Event::Timer { node, pid, token } => QEvent {
-                kind: QKind::Timer,
-                node,
-                b: pid,
-                c: token as u64,
-            },
-            Event::LocalDeliver { node, pid, packet } => QEvent {
-                kind: QKind::LocalDeliver,
-                node,
-                b: pid,
-                c: self.arena.packets.insert(packet) as u64,
-            },
-            Event::MacCca { node, token } => QEvent {
-                kind: QKind::MacCca,
-                node,
-                b: 0,
-                c: token,
-            },
-            Event::MacAckTimeout { node, token } => QEvent {
-                kind: QKind::MacAckTimeout,
-                node,
-                b: 0,
-                c: token,
-            },
-            Event::TxEnd { node, tx_id } => QEvent {
-                kind: QKind::TxEnd,
-                node,
-                b: 0,
-                c: tx_id,
-            },
-            Event::RxEnd { node, tx_id } => QEvent {
-                kind: QKind::RxEnd,
-                node,
-                b: 0,
-                c: tx_id,
-            },
-            Event::SendAck { node, dst, seq } => QEvent {
-                kind: QKind::SendAck,
-                node,
-                b: dst as u32 | ((seq as u32) << 16),
-                c: 0,
-            },
-            Event::TxStart { node, frame } => QEvent {
-                kind: QKind::TxStart,
-                node,
-                b: self.arena.frames.insert(frame),
-                c: 0,
-            },
-            Event::Beacon { node } => QEvent {
-                kind: QKind::Beacon,
-                node,
-                b: 0,
-                c: 0,
-            },
-            Event::Housekeeping { node } => QEvent {
-                kind: QKind::Housekeeping,
-                node,
-                b: 0,
-                c: 0,
-            },
-            Event::Dynamics { action } => QEvent {
-                kind: QKind::Dynamics,
-                node: 0,
-                b: self.arena.dynamics.insert(action),
-                c: 0,
-            },
-        };
-        self.queue.push(at, q);
-    }
-
-    /// Decode a popped queue entry back into the dispatch-facing event,
-    /// reclaiming its arena slot (if any) in the process. `None` means
-    /// the entry referenced an empty arena slot (a double-take that
-    /// should be impossible); the anomaly is counted and the event
-    /// dropped rather than panicking mid-simulation.
-    fn decode(&mut self, q: QEvent) -> Option<Event> {
-        Some(match q.kind {
-            QKind::ProcessStart => Event::ProcessStart {
-                node: q.node,
-                pid: q.b,
-            },
-            QKind::Timer => Event::Timer {
-                node: q.node,
-                pid: q.b,
-                token: q.c as u32,
-            },
-            QKind::LocalDeliver => {
-                let Some(packet) = self.arena.packets.take(q.c as u32) else {
-                    self.counters.incr("kernel.arena_miss");
-                    return None;
-                };
-                Event::LocalDeliver {
-                    node: q.node,
-                    pid: q.b,
-                    packet,
-                }
-            }
-            QKind::MacCca => Event::MacCca {
-                node: q.node,
-                token: q.c,
-            },
-            QKind::MacAckTimeout => Event::MacAckTimeout {
-                node: q.node,
-                token: q.c,
-            },
-            QKind::TxEnd => Event::TxEnd {
-                node: q.node,
-                tx_id: q.c,
-            },
-            QKind::RxEnd => Event::RxEnd {
-                node: q.node,
-                tx_id: q.c,
-            },
-            QKind::SendAck => Event::SendAck {
-                node: q.node,
-                dst: (q.b & 0xFFFF) as u16,
-                seq: (q.b >> 16) as u8,
-            },
-            QKind::TxStart => {
-                let Some(frame) = self.arena.frames.take(q.b) else {
-                    self.counters.incr("kernel.arena_miss");
-                    return None;
-                };
-                Event::TxStart {
-                    node: q.node,
-                    frame,
-                }
-            }
-            QKind::Beacon => Event::Beacon { node: q.node },
-            QKind::Housekeeping => Event::Housekeeping { node: q.node },
-            QKind::Dynamics => {
-                let Some(action) = self.arena.dynamics.take(q.b) else {
-                    self.counters.incr("kernel.arena_miss");
-                    return None;
-                };
-                Event::Dynamics { action }
-            }
-        })
     }
 
     /// Live payload slots in the event arena — always equal to the
@@ -772,7 +587,8 @@ impl Network {
 
     /// Mutable node access (experiment setup: log, rng, stack, radio
     /// power and channel, …). Liveness is not a node field: kill and
-    /// revive a radio through [`Medium::set_dead`] on `medium`.
+    /// revive a node by scheduling [`DynamicsAction::NodeDown`] and
+    /// [`DynamicsAction::NodeUp`].
     pub fn node_mut(&mut self, id: u16) -> &mut Node {
         &mut self.nodes[id as usize]
     }
@@ -812,7 +628,7 @@ impl Network {
         params: Vec<u8>,
     ) -> Result<ProcessId, ResourceError> {
         let pid = self.nodes[node as usize].register_process(process, params)?;
-        self.enqueue(
+        self.queue.push(
             self.now + self.config.cpu_cost,
             Event::ProcessStart { node, pid },
         );
@@ -822,7 +638,7 @@ impl Network {
     /// Deliver a synthetic timer to a process right away — the hook the
     /// workstation driver uses to kick the command interpreter.
     pub fn poke(&mut self, node: u16, pid: ProcessId, token: u32) {
-        self.enqueue(self.now, Event::Timer { node, pid, token });
+        self.queue.push(self.now, Event::Timer { node, pid, token });
     }
 
     /// Run the loop until virtual time `t` (inclusive).
@@ -831,7 +647,7 @@ impl Network {
             if et > t {
                 break;
             }
-            let Some((at, q)) = self.queue.pop() else {
+            let Some((at, ev)) = self.queue.pop() else {
                 break;
             };
             if let Some(log) = self.audit.as_mut() {
@@ -844,9 +660,7 @@ impl Network {
             }
             self.now = at;
             self.events_dispatched += 1;
-            if let Some(ev) = self.decode(q) {
-                self.dispatch(ev);
-            }
+            self.dispatch(ev);
         }
         if t > self.now {
             self.now = t;
@@ -942,6 +756,10 @@ impl Network {
     // Event dispatch
     // ------------------------------------------------------------------
 
+    /// Handle one popped event. A payload event reclaims its arena slot
+    /// here; an empty slot (a double-take that should be impossible) is
+    /// counted as `kernel.arena_miss` and the event dropped rather than
+    /// panicking mid-simulation.
     fn dispatch(&mut self, ev: Event) {
         match ev {
             Event::ProcessStart { node, pid } => {
@@ -951,6 +769,10 @@ impl Network {
                 self.run_hook(node, pid, |p, ctx| p.on_timer(ctx, token));
             }
             Event::LocalDeliver { node, pid, packet } => {
+                let Some(packet) = self.arena.packets.take(packet) else {
+                    self.counters.incr("kernel.arena_miss");
+                    return;
+                };
                 let meta = RxMeta {
                     from: node,
                     rssi: 0,
@@ -1002,6 +824,10 @@ impl Network {
                 self.begin_transmission(node, frame);
             }
             Event::TxStart { node, frame } => {
+                let Some(frame) = self.arena.frames.take(frame) else {
+                    self.counters.incr("kernel.arena_miss");
+                    return;
+                };
                 self.begin_transmission(node, frame);
             }
             Event::Beacon { node } => self.on_beacon_tick(node),
@@ -1010,9 +836,13 @@ impl Network {
                 let now = self.now;
                 self.nodes[idx].stack.housekeeping(now);
                 let hk = self.config.housekeeping_period;
-                self.enqueue(self.now + hk, Event::Housekeeping { node });
+                self.queue.push(self.now + hk, Event::Housekeeping { node });
             }
             Event::Dynamics { action } => {
+                let Some(action) = self.arena.dynamics.take(action) else {
+                    self.counters.incr("kernel.arena_miss");
+                    return;
+                };
                 self.apply_dynamics(action);
                 if self.audit.is_some() {
                     // Churn is where the structural invariants can
@@ -1034,7 +864,8 @@ impl Network {
     /// nothing leaves the run bit-identical to a static scenario.
     pub fn schedule_dynamics(&mut self, at: SimTime, action: DynamicsAction) {
         let at = at.max(self.now);
-        self.enqueue(at, Event::Dynamics { action });
+        let action = self.arena.dynamics.insert(action);
+        self.queue.push(at, Event::Dynamics { action });
     }
 
     fn apply_dynamics(&mut self, action: DynamicsAction) {
@@ -1217,7 +1048,7 @@ impl Network {
             SimDuration::from_nanos(self.nodes[idx].rng.below(jitter.as_nanos()))
         };
         let at = self.now + period + j;
-        self.enqueue(at, Event::Beacon { node });
+        self.queue.push(at, Event::Beacon { node });
     }
 
     // lv-lint: hot
@@ -1498,14 +1329,14 @@ impl Network {
             match action {
                 MacAction::ScheduleCca { after, token } => {
                     let at = self.now + after;
-                    self.enqueue(at, Event::MacCca { node, token });
+                    self.queue.push(at, Event::MacCca { node, token });
                 }
                 MacAction::StartTx { frame } => {
                     self.begin_transmission(node, frame);
                 }
                 MacAction::ScheduleAckWait { after, token } => {
                     let at = self.now + after;
-                    self.enqueue(at, Event::MacAckTimeout { node, token });
+                    self.queue.push(at, Event::MacAckTimeout { node, token });
                 }
                 MacAction::SendAck { dst, seq } => {
                     // Immediate ack after the RX→TX turnaround. Reserve
@@ -1517,7 +1348,7 @@ impl Network {
                     if reserved > self.ack_reserved_until[idx] {
                         self.ack_reserved_until[idx] = reserved;
                     }
-                    self.enqueue(at, Event::SendAck { node, dst, seq });
+                    self.queue.push(at, Event::SendAck { node, dst, seq });
                 }
                 MacAction::Delivered { frame, .. } => {
                     self.counters.incr_id(CounterId::MacDelivered);
@@ -1550,9 +1381,9 @@ impl Network {
                     }
                 }
                 MacAction::Anomaly { context } => {
-                    // ISSUE 2 bugfix: a spurious ack or stale timer used
-                    // to abort the node via `unwrap()`. It now surfaces
-                    // here — counted, traced, frame dropped, node alive.
+                    // A spurious ack or stale timer the CSMA machine
+                    // cannot match to its state: counted, traced, frame
+                    // dropped, node alive — never a panic of the loop.
                     self.counters.incr_id(CounterId::MacAnomaly);
                     if self.trace.accepts(TraceLevel::Debug) {
                         let at = self.now;
@@ -1583,7 +1414,8 @@ impl Network {
         }
         if busy > self.now {
             let at = busy + self.timing.turnaround;
-            self.enqueue(at, Event::TxStart { node, frame });
+            let frame = self.arena.frames.insert(frame);
+            self.queue.push(at, Event::TxStart { node, frame });
             return;
         }
         let wire_len = frame.wire_len();
@@ -1621,25 +1453,9 @@ impl Network {
             if j == node {
                 continue;
             }
-            self.queue.push(
-                end,
-                QEvent {
-                    kind: QKind::RxEnd,
-                    node: j,
-                    b: 0,
-                    c: tx_id,
-                },
-            );
+            self.queue.push(end, Event::RxEnd { node: j, tx_id });
         }
-        self.queue.push(
-            end,
-            QEvent {
-                kind: QKind::TxEnd,
-                node,
-                b: 0,
-                c: tx_id,
-            },
-        );
+        self.queue.push(end, Event::TxEnd { node, tx_id });
         self.active.push(
             tx_id,
             ActiveTx {
@@ -1671,68 +1487,59 @@ impl Network {
     // Process hooks and effects
     // ------------------------------------------------------------------
 
+    /// Run one process hook. The process leaves its slot for the call
+    /// and the context borrows the rest of the live node: every syscall
+    /// is a deferred [`Effect`], so nothing the hook reads can change
+    /// under it, and the effects apply once the process is back.
     fn run_hook(
         &mut self,
         node: u16,
         pid: ProcessId,
         hook: impl FnOnce(&mut dyn Process, &mut SysCtx<'_>),
     ) {
-        let idx = node as usize;
         if self.medium.is_dead(node) {
             return;
         }
-        let now = self.now;
-        let (snapshot, log_snapshot, mut proc_box, params, power, channel, qlen, name, routers) = {
-            let n = &mut self.nodes[idx];
-            let Some(slot) = n.processes.get_mut(&pid) else {
-                return;
-            };
-            let Some(pb) = slot.process.take() else {
-                return; // re-entrant hook (cannot happen in this loop)
-            };
-            let params = slot.params.clone();
-            (
-                n.neighbor_snapshot(),
-                n.log.entries().to_vec(),
-                pb,
-                params,
-                n.power,
-                n.channel,
-                n.mac.queue_len(),
-                n.name.clone(),
-                n.stack.router_list(),
-            )
+        let medium = &self.medium;
+        let Node {
+            name,
+            power,
+            channel,
+            mac,
+            stack,
+            processes,
+            log,
+            rng,
+            ..
+        } = &mut self.nodes[node as usize];
+        let Some(slot) = processes.get_mut(&pid) else {
+            return;
         };
-        let effects = {
-            let medium = &self.medium;
-            let n = &mut self.nodes[idx];
-            let Node { stack, rng, .. } = n;
-            let pos = medium.position(node);
-            let count = medium.node_count();
-            let locs = move |id: u16| ((id as usize) < count).then(|| medium.position(id));
-            let resolver =
-                |port: lv_net::packet::Port, dst: u16| stack.query_next_hop(port, dst, pos, &locs);
-            let mut ctx = SysCtx::new(
-                now,
-                node,
-                &name,
-                pid,
-                &params,
-                power,
-                channel,
-                qlen,
-                &snapshot,
-                &log_snapshot,
-                rng,
-                &routers,
-                &resolver,
-            );
-            hook(proc_box.as_mut(), &mut ctx);
-            ctx.take_effects()
+        let Some(mut process) = slot.process.take() else {
+            return; // re-entrant hook (cannot happen in this loop)
         };
-        if let Some(slot) = self.nodes[idx].processes.get_mut(&pid) {
-            slot.process = Some(proc_box);
-        }
+        let pos = medium.position(node);
+        let count = medium.node_count();
+        let locs = move |id: u16| ((id as usize) < count).then(|| medium.position(id));
+        let resolver =
+            |port: lv_net::packet::Port, dst: u16| stack.query_next_hop(port, dst, pos, &locs);
+        let mut ctx = SysCtx::new(
+            self.now,
+            node,
+            name,
+            pid,
+            &slot.params,
+            *power,
+            *channel,
+            mac.queue_len(),
+            log.entries(),
+            rng,
+            stack,
+            &resolver,
+        );
+        hook(process.as_mut(), &mut ctx);
+        let effects = ctx.take_effects();
+        slot.process = Some(process);
         self.apply_effects(node, pid, effects);
     }
 
@@ -1786,14 +1593,16 @@ impl Network {
                         Out::Actions(actions) => self.exec_mac_actions(node, actions),
                         Out::Local(pid, packet) => {
                             let at = self.now + self.config.cpu_cost;
-                            self.enqueue(at, Event::LocalDeliver { node, pid, packet });
+                            let packet = self.arena.packets.insert(packet);
+                            self.queue
+                                .push(at, Event::LocalDeliver { node, pid, packet });
                         }
                         Out::None => {}
                     }
                 }
                 Effect::Timer { token, after } => {
                     let at = self.now + after;
-                    self.enqueue(at, Event::Timer { node, pid, token });
+                    self.queue.push(at, Event::Timer { node, pid, token });
                 }
                 Effect::Subscribe(port) => {
                     if self.nodes[idx].stack.subscribe(port, pid).is_err() {
@@ -1807,7 +1616,8 @@ impl Network {
                     match self.nodes[idx].register_process(process, params) {
                         Ok(child) => {
                             let at = self.now + self.config.cpu_cost;
-                            self.enqueue(at, Event::ProcessStart { node, pid: child });
+                            self.queue
+                                .push(at, Event::ProcessStart { node, pid: child });
                         }
                         Err(e) => {
                             let now = self.now;
@@ -1970,9 +1780,14 @@ mod tests {
         let mut net = Network::new(line_medium(2, 5.0, 3), 3);
         net.run_for(SimDuration::from_secs(5));
         assert!(net.node(1).stack.neighbors.get(0).is_some());
-        // Kill node 0 and let the neighbor table expire it.
+        // Kill node 0: only node 1 beacons now, so the beacon rate
+        // roughly halves, and node 1's neighbor table expires node 0.
+        let before = net.counters.get("tx.beacon");
         net.medium.set_dead(0, true);
-        net.run_for(SimDuration::from_secs(30));
+        net.run_for(SimDuration::from_secs(10));
+        let delta = net.counters.get("tx.beacon") - before;
+        assert!(delta <= 7, "beacons after kill: {delta}");
+        net.run_for(SimDuration::from_secs(20));
         assert!(net.node(1).stack.neighbors.get(0).is_none());
     }
 
@@ -2463,19 +2278,11 @@ mod tests {
         // `schedule_dynamics` clamps past timestamps to now, so reach
         // under it: push an event dated t=0 straight onto the queue,
         // the way a buggy scheduler would.
-        let slot = net.arena.dynamics.insert(DynamicsAction::SetChannelNoise {
+        let action = net.arena.dynamics.insert(DynamicsAction::SetChannelNoise {
             channel: Channel::default(),
             delta_db: 1.0,
         });
-        net.queue.push(
-            SimTime::ZERO,
-            QEvent {
-                kind: QKind::Dynamics,
-                node: 0,
-                b: slot,
-                c: 0,
-            },
-        );
+        net.queue.push(SimTime::ZERO, Event::Dynamics { action });
         net.run_for(SimDuration::from_millis(1));
         assert!(
             net.audit_violations()

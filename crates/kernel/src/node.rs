@@ -1,7 +1,7 @@
 //! One simulated mote: radio state + MAC + stack + processes.
 
 use crate::log::EventLog;
-use crate::process::{NeighborInfo, Process};
+use crate::process::Process;
 use crate::resources::{ProcessImage, ResourceAccount, ResourceError};
 use lv_mac::{CsmaConfig, Mac, TxQueue};
 use lv_net::ports::ProcessId;
@@ -11,7 +11,7 @@ use lv_sim::{Counters, SimRng};
 use serde::{Deserialize, Serialize};
 
 /// A process slot. The `process` box is temporarily `take()`n while its
-/// hook runs so the kernel can keep mutating the rest of the node.
+/// hook runs so the hook's context can borrow the rest of the node.
 pub struct ProcessSlot {
     /// The process object (absent only while a hook is executing).
     pub process: Option<Box<dyn Process>>,
@@ -164,24 +164,6 @@ impl Node {
             counters,
         }
     }
-
-    /// Snapshot the kernel neighbor table for syscall exposure.
-    pub fn neighbor_snapshot(&self) -> Vec<NeighborInfo> {
-        self.stack
-            .neighbors
-            .entries()
-            .iter()
-            .map(|e| NeighborInfo {
-                id: e.id,
-                name: e.name.clone(),
-                inbound: e.inbound(),
-                outbound: e.outbound,
-                blacklisted: e.blacklisted,
-                last_heard: e.last_heard,
-                tree_hops: e.tree_hops,
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -223,17 +205,6 @@ mod tests {
         assert_eq!(n.resources.ram_used(), 0);
         assert_eq!(n.resources.flash_used(), 100);
         assert_eq!(n.stack.lookup(lv_net::packet::Port(30)), None);
-    }
-
-    #[test]
-    fn neighbor_snapshot_reflects_table() {
-        let mut n = Node::new(0, "192.168.0.1".into(), 1);
-        n.stack.neighbors.touch(5, lv_sim::SimTime::from_millis(3));
-        n.stack.neighbors.set_blacklisted(5, true);
-        let snap = n.neighbor_snapshot();
-        assert_eq!(snap.len(), 1);
-        assert_eq!(snap[0].id, 5);
-        assert!(snap[0].blacklisted);
     }
 
     #[test]

@@ -11,8 +11,10 @@
 
 use crate::log::LogEntry;
 use crate::resources::ProcessImage;
+use lv_net::neighbors::NeighborEntry;
 use lv_net::packet::{NetPacket, Port};
 use lv_net::ports::ProcessId;
+use lv_net::stack::Stack;
 use lv_radio::{Channel, PowerLevel};
 use lv_sim::{SimDuration, SimRng, SimTime};
 
@@ -25,25 +27,6 @@ pub struct RxMeta {
     pub rssi: i8,
     /// LQI of the final hop.
     pub lqi: u8,
-}
-
-/// A read-only snapshot of one neighbor entry, as syscalls expose it.
-#[derive(Debug, Clone)]
-pub struct NeighborInfo {
-    /// Neighbor id.
-    pub id: u16,
-    /// Neighbor name.
-    pub name: String,
-    /// Inbound quality `[0, 1]`.
-    pub inbound: f64,
-    /// Outbound quality `[0, 1]`, if learned.
-    pub outbound: Option<f64>,
-    /// Blacklist bit.
-    pub blacklisted: bool,
-    /// When last heard.
-    pub last_heard: SimTime,
-    /// Collection-tree gradient they advertise.
-    pub tree_hops: u8,
 }
 
 /// Mutations a process requested during a hook.
@@ -124,15 +107,15 @@ pub struct SysCtx<'a> {
     pub channel: Channel,
     /// Current MAC transmit-queue occupancy.
     pub queue_len: usize,
-    /// Snapshot of the kernel neighbor table.
-    pub neighbors: &'a [NeighborInfo],
-    /// Snapshot of the node's on-demand event log.
+    /// The kernel neighbor table.
+    pub neighbors: &'a [NeighborEntry],
+    /// The node's on-demand event log, oldest first.
     pub log_entries: &'a [LogEntry],
     /// Per-process deterministic RNG (for the protocol's random
     /// response backoffs).
     pub rng: &'a mut SimRng,
-    /// Routing protocols installed on this node: `(port, name)`.
-    pub routers: &'a [(Port, &'static str)],
+    /// The node's network stack (its installed routing protocols).
+    stack: &'a Stack,
     /// Read-only next-hop query: `(carrying port, destination)` → the
     /// neighbor the router on that port would forward to.
     next_hop: &'a dyn Fn(Port, u16) -> Option<u16>,
@@ -151,10 +134,9 @@ impl<'a> SysCtx<'a> {
         power: PowerLevel,
         channel: Channel,
         queue_len: usize,
-        neighbors: &'a [NeighborInfo],
         log_entries: &'a [LogEntry],
         rng: &'a mut SimRng,
-        routers: &'a [(Port, &'static str)],
+        stack: &'a Stack,
         next_hop: &'a dyn Fn(Port, u16) -> Option<u16>,
     ) -> Self {
         SysCtx {
@@ -166,10 +148,10 @@ impl<'a> SysCtx<'a> {
             power,
             channel,
             queue_len,
-            neighbors,
+            neighbors: stack.neighbors.entries(),
             log_entries,
             rng,
-            routers,
+            stack,
             next_hop,
             effects: Vec::new(),
         }
@@ -177,10 +159,7 @@ impl<'a> SysCtx<'a> {
 
     /// Name of the routing protocol on `port`, if any.
     pub fn router_name(&self, port: Port) -> Option<&'static str> {
-        self.routers
-            .iter()
-            .find(|&&(p, _)| p == port)
-            .map(|&(_, n)| n)
+        self.stack.router_name(port)
     }
 
     /// Ask the routing protocol on `port` which neighbor it would use
@@ -308,7 +287,7 @@ mod tests {
         None
     }
 
-    fn ctx<'a>(params: &'a [u8], rng: &'a mut SimRng) -> SysCtx<'a> {
+    fn ctx<'a>(params: &'a [u8], rng: &'a mut SimRng, stack: &'a Stack) -> SysCtx<'a> {
         SysCtx::new(
             SimTime::ZERO,
             1,
@@ -319,17 +298,21 @@ mod tests {
             Channel::DEFAULT,
             0,
             &[],
-            &[],
             rng,
-            &[],
+            stack,
             &no_route,
         )
+    }
+
+    fn stack() -> Stack {
+        Stack::new(1, "192.168.0.2", lv_net::stack::StackConfig::default())
     }
 
     #[test]
     fn param_tokens_split_on_whitespace() {
         let mut rng = SimRng::stream(1, 1);
-        let c = ctx(b"192.168.0.2 round=1 length=32", &mut rng);
+        let st = stack();
+        let c = ctx(b"192.168.0.2 round=1 length=32", &mut rng, &st);
         assert_eq!(
             c.param_tokens(),
             vec!["192.168.0.2", "round=1", "length=32"]
@@ -340,21 +323,24 @@ mod tests {
     fn empty_params_like_nul_buffer() {
         // "If no parameter is supplied, the buffer will start with \0".
         let mut rng = SimRng::stream(1, 1);
-        let c = ctx(b"", &mut rng);
+        let st = stack();
+        let c = ctx(b"", &mut rng, &st);
         assert!(c.param_tokens().is_empty());
     }
 
     #[test]
     fn invalid_utf8_params_are_no_tokens() {
         let mut rng = SimRng::stream(1, 1);
-        let c = ctx(&[0xFF, 0xFE], &mut rng);
+        let st = stack();
+        let c = ctx(&[0xFF, 0xFE], &mut rng, &st);
         assert!(c.param_tokens().is_empty());
     }
 
     #[test]
     fn effects_accumulate_and_drain() {
         let mut rng = SimRng::stream(1, 1);
-        let mut c = ctx(b"", &mut rng);
+        let st = stack();
+        let mut c = ctx(b"", &mut rng, &st);
         c.send(2, Port::PING, Port::PING, vec![1], false);
         c.set_timer(9, SimDuration::from_millis(500));
         c.log("cmd", "ping issued");

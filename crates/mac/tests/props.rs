@@ -93,7 +93,8 @@ proptest! {
     /// Arbitrary stimulus sequences — spurious acks, stale timers,
     /// out-of-order CCA results, starts while busy — must never panic
     /// the CSMA machine. A state/frame mismatch surfaces as
-    /// `MacAction::Anomaly`, never as an abort (ISSUE 2 bugfix).
+    /// `MacAction::Anomaly`, never as an abort, so one confused node
+    /// cannot take the whole simulation down.
     #[test]
     fn csma_never_panics(
         seed in any::<u64>(),

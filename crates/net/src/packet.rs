@@ -281,9 +281,10 @@ mod tests {
 
     #[test]
     fn frame_at_the_cap_gains_no_further_bytes() {
-        // Regression (ISSUE 2): padding accumulated over many hops must
-        // stop exactly at the 64-byte area, leaving the wire length
-        // frozen no matter how many more hops the packet traverses.
+        // Padding accumulated over many hops must stop exactly at the
+        // 64-byte area, leaving the wire length frozen no matter how
+        // many more hops the packet traverses (an uncapped append would
+        // outgrow the frame).
         let mut p = NetPacket::new(header(), Vec::new());
         while p.append_hop_quality(HopQuality { lqi: 100, rssi: -9 }) {}
         assert_eq!(p.payload.len() + p.padding.len(), PAYLOAD_AREA);

@@ -906,7 +906,8 @@ pub fn characterize_links_agg(runner: &TrialRunner) -> Vec<LinkCharAggRow> {
 
 /// **Failure-injection sweep** — diagnosis outcome on the 8-hop
 /// corridor when a fraction of trials has a fault injected after
-/// warm-up, composing [`crate::failures`] with the trial runner.
+/// warm-up, composing [`FailureMode`](crate::runner::FailureMode)
+/// faults with the trial runner.
 ///
 /// For each plan, every trial builds a fresh corridor, faults it if
 /// [`FailurePlan::applies_to`] says so, gives routing five simulated

@@ -12,11 +12,10 @@
 //!   did.
 //! * [`scenario`] — one-call construction of a ready network: topology +
 //!   routers + LiteView suite + workstation + beacon warm-up.
-//! * [`failures`] — deployment-phase failure injection: dead nodes,
-//!   broken and asymmetric links, attenuation, node moves.
-//! * [`dynamics`] — the time-varying half of failure injection: seeded
-//!   schedules of link-degradation ramps, interference bursts, node
-//!   churn, and reconfiguration, replayed bit-identically per seed.
+//! * [`dynamics`] — failure injection: seeded schedules of link breaks
+//!   and degradation ramps, interference bursts, node churn, and
+//!   reconfiguration (node moves included), replayed bit-identically
+//!   per seed through the network's event queue.
 //! * [`experiments`] — the drivers that regenerate every figure and
 //!   in-text number of Section V (see `DESIGN.md` §4 for the index).
 //! * [`runner`] — the parallel multi-trial engine: deterministic seed
@@ -28,7 +27,6 @@
 pub mod diagnosis;
 pub mod dynamics;
 pub mod experiments;
-pub mod failures;
 pub mod map;
 pub mod results;
 pub mod runner;

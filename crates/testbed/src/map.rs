@@ -106,13 +106,11 @@ mod tests {
         }
     }
 
-    /// Every way of killing a node — the failure helper, a raw medium
-    /// kill, and a scheduled churn event — shows up in the map legend
-    /// and in the node's stats.
+    /// Both ways of killing a node — a raw medium kill and a scheduled
+    /// churn event — show up in the map legend and in the node's stats.
     #[test]
     fn dead_nodes_marked() {
-        let kills: [fn(&mut lv_kernel::Network); 3] = [
-            |net| crate::failures::kill_node(net, 1),
+        let kills: [fn(&mut lv_kernel::Network); 2] = [
             |net| net.medium.set_dead(1, true),
             |net| {
                 net.schedule_dynamics(net.now(), lv_kernel::DynamicsAction::NodeDown { id: 1 });

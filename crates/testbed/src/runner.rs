@@ -18,14 +18,13 @@
 //!    downstream aggregation folds them in trial order and float math
 //!    is bit-identical regardless of the worker count.
 //!
-//! The failure-injection sweep mode ([`FailurePlan`]) composes the
-//! [`crate::failures`] helpers with the runner: a configurable
+//! The failure-injection sweep mode ([`FailurePlan`]) composes
+//! [`lv_kernel::DynamicsAction`] faults with the runner: a configurable
 //! fraction of trials has a fault injected after warm-up, which turns
 //! "does diagnosis still work when the deployment is broken?" into an
 //! aggregate number with a confidence interval.
 
-use crate::failures;
-use lv_kernel::Network;
+use lv_kernel::{DynamicsAction, Network};
 use lv_sim::rng::derive_seed;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -169,15 +168,16 @@ impl TrialRunner {
 /// What to break in a failure-injection trial.
 ///
 /// Node and link coordinates refer to the scenario's topology node
-/// ids. Composes the [`crate::failures`] helpers.
+/// ids. Each mode is one or two [`DynamicsAction`]s.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum FailureMode {
-    /// Power off one node ([`failures::kill_node`]).
+    /// Power off one node ([`DynamicsAction::NodeDown`]).
     KillNode {
         /// The node to power off.
         id: u16,
     },
-    /// Hard-break both directions of a link ([`failures::break_link`]).
+    /// Hard-break both directions of a link (a blocking
+    /// [`DynamicsAction::SetLinkLoss`] each way).
     BreakLink {
         /// One endpoint.
         a: u16,
@@ -185,7 +185,7 @@ pub enum FailureMode {
         b: u16,
     },
     /// Attenuate one direction of a link
-    /// ([`failures::attenuate_link`]).
+    /// ([`DynamicsAction::SetLinkLoss`]).
     AttenuateLink {
         /// Transmitting side.
         from: u16,
@@ -197,13 +197,33 @@ pub enum FailureMode {
 }
 
 impl FailureMode {
-    /// Apply the fault to a running network.
+    /// Schedule the fault on a running network at its current time; it
+    /// takes effect as the network's next event.
     pub fn apply(&self, net: &mut Network) {
+        let now = net.now();
         match *self {
-            FailureMode::KillNode { id } => failures::kill_node(net, id),
-            FailureMode::BreakLink { a, b } => failures::break_link(net, a, b),
+            FailureMode::KillNode { id } => {
+                net.schedule_dynamics(now, DynamicsAction::NodeDown { id });
+            }
+            FailureMode::BreakLink { a, b } => {
+                for (from, to) in [(a, b), (b, a)] {
+                    let action = DynamicsAction::SetLinkLoss {
+                        from,
+                        to,
+                        extra_loss_db: 0.0,
+                        blocked: true,
+                    };
+                    net.schedule_dynamics(now, action);
+                }
+            }
             FailureMode::AttenuateLink { from, to, loss_db } => {
-                failures::attenuate_link(net, from, to, loss_db)
+                let action = DynamicsAction::SetLinkLoss {
+                    from,
+                    to,
+                    extra_loss_db: loss_db,
+                    blocked: false,
+                };
+                net.schedule_dynamics(now, action);
             }
         }
     }

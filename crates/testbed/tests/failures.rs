@@ -3,9 +3,10 @@
 //! not just the medium's internal state.
 
 use liteview::{CommandRequest, CommandResult};
+use lv_kernel::DynamicsAction;
 use lv_net::packet::Port;
 use lv_sim::SimDuration;
-use lv_testbed::{failures, Scenario, ScenarioConfig, Topology};
+use lv_testbed::{DynamicsPlan, FailureMode, Scenario, ScenarioConfig, Topology};
 
 fn corridor(n: usize, seed: u64) -> Scenario {
     Scenario::build(ScenarioConfig::new(
@@ -54,7 +55,7 @@ fn killing_a_relay_breaks_the_trace_and_revival_restores_it() {
     assert!(trace_reaches(&mut s, 4), "healthy corridor must trace");
 
     // Node 2 is the only path in a corridor: killing it severs it.
-    failures::kill_node(&mut s.net, 2);
+    FailureMode::KillNode { id: 2 }.apply(&mut s.net);
     s.net.run_for(SimDuration::from_secs(5));
     assert!(
         !trace_reaches(&mut s, 4),
@@ -62,7 +63,8 @@ fn killing_a_relay_breaks_the_trace_and_revival_restores_it() {
     );
 
     // Power it back on and let beacons rebuild the neighbor tables.
-    failures::revive_node(&mut s.net, 2);
+    s.net
+        .schedule_dynamics(s.net.now(), DynamicsAction::NodeUp { id: 2 });
     s.net.run_for(SimDuration::from_secs(30));
     assert!(trace_reaches(&mut s, 4), "revived relay must route again");
 }
@@ -73,7 +75,7 @@ fn breaking_a_link_stops_pings_and_repair_restores_them() {
     s.ws.cd(&s.net, "192.168.0.1").unwrap();
     assert!(ping_received(&mut s, 2) >= 1, "healthy path must ping");
 
-    failures::break_link(&mut s.net, 1, 2);
+    FailureMode::BreakLink { a: 1, b: 2 }.apply(&mut s.net);
     s.net.run_for(SimDuration::from_secs(2));
     assert_eq!(
         ping_received(&mut s, 2),
@@ -81,7 +83,9 @@ fn breaking_a_link_stops_pings_and_repair_restores_them() {
         "no replies can cross a hard-broken link"
     );
 
-    failures::repair_link(&mut s.net, 1, 2);
+    DynamicsPlan::new()
+        .link_repair(1, 2, s.net.now())
+        .schedule(&mut s.net);
     s.net.run_for(SimDuration::from_secs(2));
     assert!(ping_received(&mut s, 2) >= 1, "repaired link must ping");
 }
@@ -104,7 +108,12 @@ fn attenuation_shows_up_in_the_ping_rssi_report() {
     // 12 dB of extra loss on the probe's direction (0 → 1): the
     // forward RSSI the operator reads must drop by about that much
     // (the register quantizes, shadowing is frozen per link).
-    failures::attenuate_link(&mut s.net, 0, 1, 12.0);
+    FailureMode::AttenuateLink {
+        from: 0,
+        to: 1,
+        loss_db: 12.0,
+    }
+    .apply(&mut s.net);
     let after = rssi(&mut s);
     let drop = before as i16 - after as i16;
     assert!(

@@ -53,9 +53,9 @@ fn failure_sweep_is_bit_identical_across_worker_counts() {
     assert_eq!(a[0].faulted, 4);
 }
 
-/// Aggregate drivers report ≥8 trials with a mean and a 95% CI
-/// (ISSUE acceptance criterion). Fig. 7 rows must cover all 8 path
-/// lengths with every trial contributing.
+/// Aggregate drivers report ≥8 trials with a mean and a 95% CI, so
+/// every figure point carries an error bar. Fig. 7 rows must cover all
+/// 8 path lengths with every trial contributing.
 #[test]
 fn fig7_aggregate_covers_all_path_lengths() {
     let runner = TrialRunner::new(11, 8);

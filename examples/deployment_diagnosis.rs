@@ -12,10 +12,10 @@
 //! verifies the repair — all without touching the deployed application.
 
 use liteview_repro::liteview::{CommandRequest, CommandResult, Workstation};
+use liteview_repro::lv_kernel::DynamicsAction;
 use liteview_repro::lv_net::packet::Port;
 use liteview_repro::lv_sim::SimDuration;
-use liteview_repro::lv_testbed::failures;
-use liteview_repro::lv_testbed::{Scenario, ScenarioConfig, Topology};
+use liteview_repro::lv_testbed::{DynamicsPlan, Scenario, ScenarioConfig, Topology};
 
 fn main() {
     // A 6-node corridor; the operator starts near node 0.
@@ -30,9 +30,17 @@ fn main() {
     // --- Sabotage (unknown to the operator) -------------------------
     // Node 4's antenna got bent: it still receives everything, but its
     // own transmissions toward node 3 die — an asymmetric break.
-    failures::break_link_oneway(&mut s.net, 4, 3);
+    let now = s.net.now();
+    let bent = DynamicsAction::SetLinkLoss {
+        from: 4,
+        to: 3,
+        extra_loss_db: 0.0,
+        blocked: true,
+    };
+    s.net.schedule_dynamics(now, bent);
     // And node 5's batteries are dead.
-    failures::kill_node(&mut s.net, 5);
+    s.net
+        .schedule_dynamics(now, DynamicsAction::NodeDown { id: 5 });
     // Let estimators and neighbor tables notice.
     s.net.run_for(SimDuration::from_secs(30));
 
@@ -109,7 +117,9 @@ fn main() {
 
     // Step 5: fix the antenna and verify interactively.
     println!("\n(operator straightens node .5's antenna)");
-    failures::repair_link(&mut s.net, 4, 3);
+    DynamicsPlan::new()
+        .link_repair(4, 3, s.net.now())
+        .schedule(&mut s.net);
     s.net.run_for(SimDuration::from_secs(20)); // estimators recover
     println!("$traceroute 192.168.0.5 round=1 length=32 port=10   (from node .1)");
     s.ws.clear_transcript();

@@ -17,7 +17,7 @@ use liteview_repro::lv_kernel::{Network, Process, RxMeta, SysCtx};
 use liteview_repro::lv_net::packet::{NetPacket, Port};
 use liteview_repro::lv_sim::SimDuration;
 use liteview_repro::lv_testbed::scenario::{Protocols, Scenario, ScenarioConfig};
-use liteview_repro::lv_testbed::{failures, Topology};
+use liteview_repro::lv_testbed::{FailureMode, Topology};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -126,7 +126,7 @@ fn main() {
     // Break the first corridor link: the tree below the break is orphaned
     // (a corridor has no alternate path) — and LiteView shows exactly that.
     println!("\n(link 1↔2 breaks — a cabinet moved into the corridor)");
-    failures::break_link(&mut s.net, 1, 2);
+    FailureMode::BreakLink { a: 1, b: 2 }.apply(&mut s.net);
     let before: Vec<u32> = arrivals.borrow().clone();
     s.net.run_for(SimDuration::from_secs(20));
     let after: Vec<u32> = arrivals.borrow().clone();

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Full verification gate, the whole of what a PR must pass: formatting,
 # every test in the workspace, clippy and rustdoc with warnings promoted
-# to errors, lv-lint, the digest and diagnosis gates, and the release
-# lv-serve fleet smoke. Run before sending a PR.
+# to errors, lv-lint, the digest and diagnosis gates, a run of every
+# example, and the release lv-serve fleet smoke. Run before sending a PR.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -35,6 +35,17 @@ cargo run --release -q -p lv-bench --bin figures -- --check-digests goldens/figu
 
 echo "== diagnosis sweep gate (precision/recall + detect-before-fail) =="
 cargo run --release -q -p lv-bench --bin figures -- --diagnosis
+
+# `cargo test` only compiles the examples. Run each one to the end with
+# stdin closed (the interactive shell exits at EOF), so an example that
+# panics or exits non-zero fails the gate.
+echo "== examples (release, stdin closed) =="
+cargo build --release -q --examples
+for example in examples/*.rs; do
+    name=$(basename "$example" .rs)
+    echo "-- $name"
+    cargo run --release -q --example "$name" </dev/null >/dev/null
+done
 
 # The release daemon's flag parsing and exit code: 16 concurrent
 # scripted sessions over loopback UDP must all complete and shut down

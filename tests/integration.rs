@@ -2,11 +2,12 @@
 //! model up through the LiteView workstation, exercised together.
 
 use liteview_repro::liteview::{CommandRequest, CommandResult, Workstation};
+use liteview_repro::lv_kernel::DynamicsAction;
 use liteview_repro::lv_net::packet::Port;
 use liteview_repro::lv_radio::PowerLevel;
 use liteview_repro::lv_sim::SimDuration;
 use liteview_repro::lv_testbed::scenario::{Protocols, Scenario, ScenarioConfig};
-use liteview_repro::lv_testbed::{failures, topology, Topology};
+use liteview_repro::lv_testbed::{topology, DynamicsPlan, Topology};
 
 #[test]
 fn thirty_node_testbed_boots_and_is_manageable() {
@@ -95,7 +96,13 @@ fn diagnosis_workflow_end_to_end() {
         wall_loss_db: 40.0,
     };
     let mut s = Scenario::build(ScenarioConfig::new(topo, 7));
-    failures::break_link_oneway(&mut s.net, 3, 2);
+    let block = DynamicsAction::SetLinkLoss {
+        from: 3,
+        to: 2,
+        extra_loss_db: 0.0,
+        blocked: true,
+    };
+    s.net.schedule_dynamics(s.net.now(), block);
     s.net.run_for(SimDuration::from_secs(30));
     s.ws.cd(&s.net, "192.168.0.1").unwrap();
     // Traceroute stops before the destination.
@@ -112,7 +119,9 @@ fn diagnosis_workflow_end_to_end() {
     // The victim vanished from its upstream neighbor's table.
     assert!(s.net.node(2).stack.neighbors.get(3).is_none());
     // Repair and verify.
-    failures::repair_link(&mut s.net, 3, 2);
+    DynamicsPlan::new()
+        .link_repair(3, 2, s.net.now())
+        .schedule(&mut s.net);
     s.net.run_for(SimDuration::from_secs(20));
     let exec =
         s.ws.exec(
