@@ -174,7 +174,7 @@ pub struct TraceHop {
 }
 
 /// A finished traceroute command.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TraceOutcome {
     /// Carrying protocol name ("geographic forwarding").
     pub protocol: Option<String>,

@@ -19,12 +19,13 @@
 //!   node pays only this controller's footprint ("zero extra overhead
 //!   if not activated").
 
+use crate::commands::Command;
 use crate::ping::PingProcess;
 use crate::protocol::{BatchSender, SendStep};
 use crate::traceroute::{TrHopProcess, TrSourceProcess};
 use crate::wire::{
-    BatchMsg, MgmtCommand, MgmtReply, MgmtRequest, MgmtResponse, PingProbe, PingReply, TrProbe,
-    TrProbeReply, TrTask, WireLogEntry, WireNeighbor,
+    BatchMsg, MgmtReply, MgmtRequest, MgmtResponse, PingProbe, PingReply, TrProbe, TrProbeReply,
+    TrTask, WireLogEntry, WireNeighbor,
 };
 use lv_kernel::{Process, ProcessImage, RxMeta, SysCtx};
 use lv_net::neighbors::NeighborEntry;
@@ -185,10 +186,38 @@ impl RuntimeController {
             .collect()
     }
 
+    /// Stream `rows` back to the requester through the batch protocol,
+    /// `per_chunk` rows per chunk (one empty chunk for no rows).
+    fn send_rows<T>(
+        &mut self,
+        ctx: &mut SysCtx<'_>,
+        req: &MgmtRequest,
+        rows: &[T],
+        per_chunk: usize,
+        encode: fn(&[T]) -> Vec<u8>,
+    ) {
+        let mut chunks: Vec<Vec<u8>> = rows.chunks(per_chunk).map(encode).collect();
+        if chunks.is_empty() {
+            chunks.push(encode(&[]));
+        }
+        let mut sender = BatchSender::new(req.req_id, chunks);
+        let steps = sender.start();
+        self.batches.insert(
+            req.req_id,
+            BatchTx {
+                sender,
+                dst: req.reply_node,
+                app: Port(req.reply_port),
+                timer_token: 0,
+            },
+        );
+        self.run_batch_steps(ctx, req.req_id, steps);
+    }
+
     fn handle_request(&mut self, ctx: &mut SysCtx<'_>, req: MgmtRequest) {
         ctx.log("mgmt", format!("request {:?}", req.cmd));
-        match req.cmd.clone() {
-            MgmtCommand::GetStatus => {
+        match req.cmd {
+            Command::Status | Command::GroupStatus => {
                 let reply = MgmtReply::Status {
                     power: ctx.power.level(),
                     channel: ctx.channel.number(),
@@ -197,11 +226,11 @@ impl RuntimeController {
                 };
                 self.respond(ctx, &req, reply);
             }
-            MgmtCommand::GetPower => {
+            Command::GetPower => {
                 let reply = MgmtReply::Power(ctx.power.level());
                 self.respond(ctx, &req, reply);
             }
-            MgmtCommand::SetPower(level) => match PowerLevel::new(level) {
+            Command::SetPower(level) => match PowerLevel::new(level) {
                 Some(p) => {
                     ctx.set_power(p);
                     self.respond(ctx, &req, MgmtReply::Ok);
@@ -210,11 +239,11 @@ impl RuntimeController {
                     self.respond(ctx, &req, MgmtReply::Error(1));
                 }
             },
-            MgmtCommand::GetChannel => {
+            Command::GetChannel => {
                 let reply = MgmtReply::Channel(ctx.channel.number());
                 self.respond(ctx, &req, reply);
             }
-            MgmtCommand::SetChannel(number) => match Channel::new(number) {
+            Command::SetChannel(number) => match Channel::new(number) {
                 Some(c) => {
                     // The reply must still leave on the *old* channel —
                     // the workstation would otherwise lose contact — so
@@ -229,68 +258,53 @@ impl RuntimeController {
                     self.respond(ctx, &req, MgmtReply::Error(1));
                 }
             },
-            MgmtCommand::NeighborList { with_quality } => {
+            Command::NeighborList { with_quality } => {
                 let rows = Self::neighbor_rows(ctx.neighbors, with_quality);
-                let chunks: Vec<Vec<u8>> = if rows.is_empty() {
-                    vec![WireNeighbor::encode_list(&[])]
-                } else {
-                    rows.chunks(ROWS_PER_CHUNK)
-                        .map(WireNeighbor::encode_list)
-                        .collect()
-                };
-                let mut sender = BatchSender::new(req.req_id, chunks);
-                let steps = sender.start();
-                self.batches.insert(
-                    req.req_id,
-                    BatchTx {
-                        sender,
-                        dst: req.reply_node,
-                        app: Port(req.reply_port),
-                        timer_token: 0,
-                    },
-                );
-                self.run_batch_steps(ctx, req.req_id, steps);
+                self.send_rows(ctx, &req, &rows, ROWS_PER_CHUNK, WireNeighbor::encode_list);
             }
-            MgmtCommand::Blacklist { id, add } => {
-                let known = ctx.neighbors.iter().any(|n| n.id == id);
+            Command::Blacklist { neighbor, add } => {
+                let known = ctx.neighbors.iter().any(|n| n.id == neighbor);
                 if known {
-                    ctx.blacklist(id, add);
+                    ctx.blacklist(neighbor, add);
                     self.respond(ctx, &req, MgmtReply::Ok);
                 } else {
                     self.respond(ctx, &req, MgmtReply::Error(3));
                 }
             }
-            MgmtCommand::UpdateBeacon { period_ms } => {
-                if period_ms == 0 {
+            Command::UpdateBeacon { period } => {
+                if period.is_zero() {
                     self.respond(ctx, &req, MgmtReply::Error(1));
                 } else {
-                    ctx.set_beacon_period(SimDuration::from_millis(period_ms as u64));
+                    ctx.set_beacon_period(period);
                     self.respond(ctx, &req, MgmtReply::Ok);
                 }
             }
-            MgmtCommand::SetLogging(on) => {
+            Command::SetLogging(on) => {
                 ctx.set_logging(on);
                 self.respond(ctx, &req, MgmtReply::Ok);
             }
-            MgmtCommand::Ping {
+            Command::Ping {
                 dst,
                 rounds,
                 length,
                 port,
             } => {
-                if port != 0 && ctx.router_name(Port(port)).is_none() {
+                if port.is_some_and(|p| ctx.router_name(p).is_none()) {
                     self.respond(ctx, &req, MgmtReply::Error(2));
                     return;
                 }
                 let session = self.alloc_session(ctx);
                 let params = format!(
-                    "{dst} {rounds} {length} {port} {session} {} {} {}",
-                    req.reply_node, req.reply_port, req.req_id
+                    "{dst} {rounds} {length} {} {session} {} {} {}",
+                    port.map_or(0, |p| p.0),
+                    req.reply_node,
+                    req.reply_port,
+                    req.req_id
                 );
                 ctx.spawn(Box::new(PingProcess::new()), params.into_bytes());
             }
-            MgmtCommand::Traceroute { dst, length, port } => {
-                let Some(protocol) = ctx.router_name(Port(port)) else {
+            Command::Traceroute { dst, length, port } => {
+                let Some(protocol) = ctx.router_name(port) else {
                     self.respond(ctx, &req, MgmtReply::Error(2));
                     return;
                 };
@@ -308,12 +322,12 @@ impl RuntimeController {
                 ctx.send(req.reply_node, app, app, resp.encode(), false);
                 let session = self.alloc_session(ctx);
                 let params = format!(
-                    "{dst} {length} {port} {session} {} {} {}",
-                    req.reply_node, req.reply_port, req.req_id
+                    "{dst} {length} {} {session} {} {} {}",
+                    port.0, req.reply_node, req.reply_port, req.req_id
                 );
                 ctx.spawn(Box::new(TrSourceProcess::new()), params.into_bytes());
             }
-            MgmtCommand::ReadLog { max } => {
+            Command::ReadLog { max } => {
                 let take = (max as usize).min(ctx.log_entries.len());
                 let start = ctx.log_entries.len() - take;
                 let rows: Vec<WireLogEntry> = ctx.log_entries[start..]
@@ -324,25 +338,7 @@ impl RuntimeController {
                         detail: e.detail.clone(),
                     })
                     .collect();
-                let chunks: Vec<Vec<u8>> = if rows.is_empty() {
-                    vec![WireLogEntry::encode_list(&[])]
-                } else {
-                    rows.chunks(LOGS_PER_CHUNK)
-                        .map(WireLogEntry::encode_list)
-                        .collect()
-                };
-                let mut sender = BatchSender::new(req.req_id, chunks);
-                let steps = sender.start();
-                self.batches.insert(
-                    req.req_id,
-                    BatchTx {
-                        sender,
-                        dst: req.reply_node,
-                        app: Port(req.reply_port),
-                        timer_token: 0,
-                    },
-                );
-                self.run_batch_steps(ctx, req.req_id, steps);
+                self.send_rows(ctx, &req, &rows, LOGS_PER_CHUNK, WireLogEntry::encode_list);
             }
         }
     }

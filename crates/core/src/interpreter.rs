@@ -9,161 +9,146 @@
 //! controller … following a reliable one-hop communication protocol."
 //!
 //! In the simulation, the interpreter runs as a process on the
-//! workstation's bridge mote, sharing its state with the external
-//! [`Workstation`](crate::workstation::Workstation) driver through an
-//! `Rc<RefCell<…>>` (single-threaded event loop, so this is the direct
-//! analogue of the serial cable between PC and base-station mote).
+//! workstation's bridge mote, sharing the command in flight with the
+//! external [`Workstation`](crate::workstation::Workstation) driver
+//! through an `Rc<RefCell<…>>` (single-threaded event loop, so this is
+//! the direct analogue of the serial cable between PC and base-station
+//! mote).
 
-use crate::commands::{Command, StatusRow, WORKSTATION_PORT};
+use crate::commands::{
+    Command, CommandResult, StatusRow, TraceHop, TraceOutcome, WORKSTATION_PORT,
+};
 use crate::protocol::BatchReceiver;
 use crate::wire::{
-    BatchMsg, HopRecord, MgmtCommand, MgmtReply, MgmtRequest, MgmtResponse, PingSummary,
-    WireLogEntry, WireNeighbor,
+    BatchMsg, MgmtReply, MgmtRequest, MgmtResponse, WireError, WireLogEntry, WireNeighbor,
 };
 use lv_kernel::{Process, ProcessImage, RxMeta, SysCtx};
 use lv_net::packet::{NetPacket, Port};
 use lv_sim::SimTime;
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::rc::Rc;
 
-/// Timer token the workstation driver pokes to start queued commands.
+/// Timer token the workstation driver pokes to send the command in
+/// flight.
 pub const KICK: u32 = 0;
 
-/// An issued command awaiting transmission.
+/// The one command in flight: what was asked, and its result, which
+/// each reply updates as it lands.
 #[derive(Debug)]
-pub struct QueuedCommand {
-    /// Target node.
-    pub target: u16,
-    /// The command.
-    pub command: Command,
-    /// Request id assigned by the driver.
-    pub req_id: u8,
-}
-
-/// Progress of the in-flight command.
-#[derive(Debug, Default)]
 pub struct InFlight {
-    /// Request id.
-    pub req_id: u8,
-    /// Whether batch chunks carry log records (vs neighbor rows).
-    pub expect_log: bool,
-    /// Whether this is a group survey (replies accumulate per node).
-    pub group: bool,
-    /// Collected group rows.
-    pub group_rows: Vec<StatusRow>,
-    /// When the request hit the air.
-    pub issued_at: SimTime,
-    /// Terminal single-packet reply, once received.
-    pub reply: Option<MgmtReply>,
-    /// Ping summary (ping has its own reply type to keep arrival time).
-    pub ping: Option<PingSummary>,
-    /// Traceroute: protocol name.
-    pub protocol: Option<String>,
-    /// Traceroute: hop records with arrival timestamps.
-    pub hops: Vec<(HopRecord, SimTime)>,
-    /// Traceroute: completion signal.
-    pub tr_done: Option<(u8, bool)>,
-    /// Neighbor-list reassembly.
-    pub batch: Option<BatchReceiver>,
-    /// Decoded neighbor rows.
-    pub neighbors: Option<Vec<WireNeighbor>>,
-    /// Decoded log records.
-    pub log: Option<Vec<WireLogEntry>>,
-    /// Completion flag (variable-latency commands).
-    pub done: bool,
-    /// When the command completed.
-    pub completed_at: Option<SimTime>,
+    /// Target node ([`crate::commands::GROUP_TARGET`] for a survey).
+    target: u16,
+    /// The command.
+    command: Command,
+    /// Request id; a reply carrying any other id is stale.
+    req_id: u8,
+    /// When the driver issued the command; traceroute hop arrivals are
+    /// measured from here.
+    issued_at: SimTime,
+    /// Reassembly of a multi-packet reply (neighbor table, event log).
+    batch: Option<BatchReceiver>,
+    /// The result so far: [`CommandResult::Timeout`] until a reply
+    /// lands, or a survey's rows once its request went out.
+    pub(crate) result: CommandResult,
+    /// When a terminal reply landed.
+    pub(crate) completed_at: Option<SimTime>,
 }
 
-/// Interpreter state shared with the workstation driver.
-#[derive(Debug, Default)]
-pub struct WsState {
-    /// Commands queued by the driver.
-    pub queue: VecDeque<QueuedCommand>,
-    /// The in-flight command's progress.
-    pub current: Option<InFlight>,
-}
-
-/// Shared handle type.
-pub type SharedWsState = Rc<RefCell<WsState>>;
-
-/// The interpreter process.
-pub struct Interpreter {
-    state: SharedWsState,
-}
-
-impl Interpreter {
-    /// Create an interpreter around shared state.
-    pub fn new(state: SharedWsState) -> Self {
-        Interpreter { state }
-    }
-
-    fn mark_done(fl: &mut InFlight, now: SimTime) {
-        fl.done = true;
-        fl.completed_at.get_or_insert(now);
-    }
-
-    fn handle_response(&mut self, ctx: &mut SysCtx<'_>, resp: MgmtResponse) {
-        let mut st = self.state.borrow_mut();
-        let Some(fl) = st.current.as_mut() else {
-            return;
-        };
-        if resp.req_id != fl.req_id {
-            return; // stale response from an earlier command
+impl InFlight {
+    /// `command` for `target`, issued at `issued_at` under `req_id`.
+    pub(crate) fn new(target: u16, command: Command, req_id: u8, issued_at: SimTime) -> InFlight {
+        InFlight {
+            target,
+            command,
+            req_id,
+            issued_at,
+            batch: None,
+            result: CommandResult::Timeout,
+            completed_at: None,
         }
-        let now = ctx.now;
-        if fl.group {
+    }
+
+    fn complete(&mut self, result: CommandResult, now: SimTime) {
+        self.result = result;
+        self.completed_at.get_or_insert(now);
+    }
+
+    /// Update the traceroute outcome. The protocol banner or the first
+    /// hop report starts it, whichever lands first: either may be lost.
+    fn trace(&mut self, update: impl FnOnce(&mut TraceOutcome)) {
+        let mut outcome = match std::mem::replace(&mut self.result, CommandResult::Timeout) {
+            CommandResult::Traceroute(t) => t,
+            _ => TraceOutcome::default(),
+        };
+        update(&mut outcome);
+        self.result = CommandResult::Traceroute(outcome);
+    }
+
+    /// Fold one reply from node `from`, landed at `now`, into the result.
+    fn land(&mut self, from: u16, reply: MgmtReply, now: SimTime) {
+        if let CommandResult::GroupStatus(rows) = &mut self.result {
+            // A survey gathers one status row per node, in node order,
+            // and runs to its deadline: nothing else it hears counts.
             if let MgmtReply::Status {
                 power,
                 channel,
                 queue,
                 neighbors,
-            } = resp.reply
+            } = reply
             {
-                // One node answers once; duplicates (MAC-level) ignored.
-                if !fl.group_rows.iter().any(|r| r.node == resp.from) {
-                    fl.group_rows.push(StatusRow {
-                        node: resp.from,
+                if let Err(at) = rows.binary_search_by_key(&from, |r| r.node) {
+                    let row = StatusRow {
+                        node: from,
                         power,
                         channel,
                         queue,
                         neighbors,
-                    });
+                    };
+                    rows.insert(at, row);
                 }
             }
             return;
         }
-        match resp.reply {
-            MgmtReply::PingSummary(s) => {
-                fl.ping = Some(s);
-                Self::mark_done(fl, now);
-            }
+        let result = match reply {
             MgmtReply::TracerouteInfo { protocol } => {
-                fl.protocol = Some(protocol);
+                return self.trace(|t| t.protocol = Some(protocol));
             }
-            MgmtReply::TracerouteHop(h) => {
-                fl.hops.push((h, now));
+            MgmtReply::TracerouteHop(record) => {
+                let arrival = now.saturating_since(self.issued_at);
+                return self.trace(|t| t.hops.push(TraceHop { record, arrival }));
             }
-            MgmtReply::TracerouteDone { hops, reached } => {
-                fl.tr_done = Some((hops, reached));
-                Self::mark_done(fl, now);
+            MgmtReply::TracerouteDone { reached, .. } => {
+                // A done signal with no banner and no hop report is
+                // still a timeout.
+                let mut result = std::mem::replace(&mut self.result, CommandResult::Timeout);
+                if let CommandResult::Traceroute(t) = &mut result {
+                    t.reached = reached;
+                }
+                result
             }
-            MgmtReply::Error(code) => {
-                // Errors are terminal for every command shape.
-                fl.reply = Some(MgmtReply::Error(code));
-                Self::mark_done(fl, now);
-            }
-            other => {
-                fl.reply = Some(other);
-                fl.completed_at.get_or_insert(now);
-                // Fixed-window commands keep `done` false: the driver
-                // deliberately waits out the full 500 ms window.
-            }
-        }
+            MgmtReply::Ok => CommandResult::Ok,
+            MgmtReply::Status {
+                power,
+                channel,
+                queue,
+                neighbors,
+            } => CommandResult::Status {
+                power,
+                channel,
+                queue,
+                neighbors,
+            },
+            MgmtReply::Power(p) => CommandResult::Power(p),
+            MgmtReply::Channel(c) => CommandResult::Channel(c),
+            MgmtReply::PingSummary(outcome) => CommandResult::Ping(outcome),
+            MgmtReply::Error(code) => CommandResult::Error(code),
+        };
+        self.complete(result, now);
     }
 
-    fn handle_batch(&mut self, ctx: &mut SysCtx<'_>, packet: &NetPacket, msg: BatchMsg) {
+    /// Take one chunk of a multi-packet reply and return the ack to
+    /// send, if one is due. The decoded rows complete the command.
+    fn land_chunk(&mut self, msg: BatchMsg, now: SimTime) -> Option<BatchMsg> {
         let BatchMsg::Data {
             req_id,
             seq,
@@ -172,59 +157,56 @@ impl Interpreter {
             payload,
         } = msg
         else {
-            return; // the interpreter never receives acks
+            return None; // the interpreter never receives acks
         };
-        let mut st = self.state.borrow_mut();
-        let Some(fl) = st.current.as_mut() else {
-            return;
-        };
-        if req_id != fl.req_id {
-            return;
+        if req_id != self.req_id {
+            return None; // a stale chunk from an earlier command
         }
-        let expect_log = fl.expect_log;
-        let rx = fl.batch.get_or_insert_with(|| BatchReceiver::new(req_id));
+        let rx = self.batch.get_or_insert_with(|| BatchReceiver::new(req_id));
         let ack = rx.on_data(req_id, seq, total, ack_after, payload);
-        let complete = rx.is_complete();
-        if complete && fl.neighbors.is_none() && fl.log.is_none() {
-            if expect_log {
-                let mut rows = Vec::new();
-                let mut ok = true;
-                for chunk in rx.assemble().unwrap_or_default() {
-                    match WireLogEntry::decode_list(&chunk) {
-                        Ok(mut r) => rows.append(&mut r),
-                        Err(_) => ok = false,
+        if self.completed_at.is_none() {
+            if let Some(chunks) = rx.assemble() {
+                let result = match self.command {
+                    Command::ReadLog { .. } => {
+                        decode_rows(&chunks, WireLogEntry::decode_list).map(CommandResult::Log)
                     }
-                }
-                if ok {
-                    fl.log = Some(rows);
-                    Self::mark_done(fl, ctx.now);
-                }
-            } else {
-                let mut rows = Vec::new();
-                let mut ok = true;
-                for chunk in rx.assemble().unwrap_or_default() {
-                    match WireNeighbor::decode_list(&chunk) {
-                        Ok(mut r) => rows.append(&mut r),
-                        Err(_) => ok = false,
-                    }
-                }
-                if ok {
-                    fl.neighbors = Some(rows);
-                    Self::mark_done(fl, ctx.now);
+                    _ => decode_rows(&chunks, WireNeighbor::decode_list)
+                        .map(CommandResult::Neighbors),
+                };
+                if let Some(result) = result {
+                    self.complete(result, now);
                 }
             }
         }
-        drop(st);
-        if let Some(ack) = ack {
-            // Acks flow back on the management port, one hop.
-            ctx.send(
-                packet.header.origin,
-                Port::MANAGEMENT,
-                Port::MANAGEMENT,
-                ack.encode(),
-                false,
-            );
-        }
+        ack
+    }
+}
+
+/// The rows of every chunk in order, or `None` if any chunk is
+/// malformed.
+fn decode_rows<T>(
+    chunks: &[Vec<u8>],
+    decode: fn(&[u8]) -> Result<Vec<T>, WireError>,
+) -> Option<Vec<T>> {
+    let mut rows = Vec::new();
+    for chunk in chunks {
+        rows.append(&mut decode(chunk).ok()?);
+    }
+    Some(rows)
+}
+
+/// The slot the workstation driver and the interpreter process share.
+pub type SharedInFlight = Rc<RefCell<Option<InFlight>>>;
+
+/// The interpreter process.
+pub struct Interpreter {
+    in_flight: SharedInFlight,
+}
+
+impl Interpreter {
+    /// Create an interpreter around the shared slot.
+    pub fn new(in_flight: SharedInFlight) -> Self {
+        Interpreter { in_flight }
     }
 }
 
@@ -250,79 +232,59 @@ impl Process for Interpreter {
         if token != KICK {
             return;
         }
-        let queued = {
-            let mut st = self.state.borrow_mut();
-            let Some(q) = st.queue.pop_front() else {
-                return;
-            };
-            st.current = Some(InFlight {
-                req_id: q.req_id,
-                issued_at: ctx.now,
-                expect_log: matches!(q.command, Command::ReadLog { .. }),
-                group: matches!(q.command, Command::GroupStatus),
-                ..Default::default()
-            });
-            q
+        let mut slot = self.in_flight.borrow_mut();
+        let Some(fl) = slot.as_mut() else {
+            return;
         };
-        let cmd = match queued.command {
-            Command::Status | Command::GroupStatus => MgmtCommand::GetStatus,
-            Command::GetPower => MgmtCommand::GetPower,
-            Command::SetPower(p) => MgmtCommand::SetPower(p),
-            Command::GetChannel => MgmtCommand::GetChannel,
-            Command::SetChannel(c) => MgmtCommand::SetChannel(c),
-            Command::NeighborList { with_quality } => MgmtCommand::NeighborList { with_quality },
-            Command::Blacklist { neighbor, add } => MgmtCommand::Blacklist { id: neighbor, add },
-            Command::UpdateBeacon { period } => MgmtCommand::UpdateBeacon {
-                period_ms: period.as_millis().max(1).min(u32::MAX as u64) as u32,
-            },
-            Command::SetLogging(on) => MgmtCommand::SetLogging(on),
-            Command::ReadLog { max } => MgmtCommand::ReadLog { max },
-            Command::Ping {
-                dst,
-                rounds,
-                length,
-                port,
-            } => MgmtCommand::Ping {
-                dst,
-                rounds,
-                length,
-                port: port.map_or(0, |p| p.0),
-            },
-            Command::Traceroute { dst, length, port } => MgmtCommand::Traceroute {
-                dst,
-                length,
-                port: port.0,
-            },
-        };
+        if fl.command == Command::GroupStatus {
+            // A survey that went out answers with the rows it gathers,
+            // even none.
+            fl.result = CommandResult::GroupStatus(Vec::new());
+        }
         let req = MgmtRequest {
-            req_id: queued.req_id,
+            req_id: fl.req_id,
             reply_node: ctx.node_id,
             reply_port: WORKSTATION_PORT.0,
-            cmd,
+            cmd: fl.command.clone(),
         };
         // One hop to the target's runtime controller (GROUP_TARGET is
         // the link-layer broadcast: every controller in range answers,
         // each after its own random backoff).
         ctx.send(
-            queued.target,
+            fl.target,
             Port::MANAGEMENT,
             Port::MANAGEMENT,
             req.encode(),
             false,
         );
-        ctx.log("ws", format!("issued req {}", queued.req_id));
+        ctx.log("ws", format!("issued req {}", fl.req_id));
     }
 
     fn on_packet(&mut self, ctx: &mut SysCtx<'_>, packet: &NetPacket, _meta: RxMeta) {
+        let mut slot = self.in_flight.borrow_mut();
         match packet.payload.first() {
             Some(&MgmtResponse::TAG) => {
-                if let Ok(resp) = MgmtResponse::decode(&packet.payload) {
-                    self.handle_response(ctx, resp);
+                let Ok(resp) = MgmtResponse::decode(&packet.payload) else {
+                    return;
+                };
+                if let Some(fl) = slot.as_mut().filter(|fl| fl.req_id == resp.req_id) {
+                    fl.land(resp.from, resp.reply, ctx.now);
                 }
             }
             Some(0x40) => {
-                if let Ok(msg) = BatchMsg::decode(&packet.payload) {
-                    self.handle_batch(ctx, packet, msg);
+                let Ok(msg) = BatchMsg::decode(&packet.payload) else {
+                    return;
+                };
+                let ack = slot.as_mut().and_then(|fl| fl.land_chunk(msg, ctx.now));
+                if let Some(ack) = ack {
+                    // Acks flow back on the management port, one hop.
+                    ctx.send(
+                        packet.header.origin,
+                        Port::MANAGEMENT,
+                        Port::MANAGEMENT,
+                        ack.encode(),
+                        false,
+                    );
                 }
             }
             _ => {}

@@ -15,8 +15,8 @@
 //! with link-quality padding enabled so the reply carries the per-hop
 //! forward profile and accumulates the backward profile on its way home.
 
-use crate::commands::session_port;
-use crate::wire::{MgmtReply, MgmtResponse, PingProbe, PingReply, PingRound, PingSummary};
+use crate::commands::{session_port, PingOutcome};
+use crate::wire::{MgmtReply, MgmtResponse, PingProbe, PingReply, PingRound};
 use lv_kernel::{Process, ProcessImage, RxMeta, SysCtx};
 use lv_net::packet::{NetPacket, Port};
 use lv_sim::{SimDuration, SimTime};
@@ -117,7 +117,7 @@ impl PingProcess {
 
     fn finish(&mut self, ctx: &mut SysCtx<'_>) {
         let Some(cfg) = self.cfg.as_ref() else { return };
-        let mut summary = PingSummary {
+        let mut summary = PingOutcome {
             target: cfg.dst,
             sent: self.sent,
             received: self.received,

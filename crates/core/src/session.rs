@@ -28,7 +28,7 @@ use crate::shell::ShellCommand;
 use crate::transport::{frame, PeerId};
 use crate::workstation::{CommandRequest, ExecError, Workstation};
 use lv_kernel::{shell_path, Network};
-use lv_sim::SimDuration;
+use lv_sim::SimTime;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -300,14 +300,6 @@ pub struct SessionHost {
     stats: ServerStats,
 }
 
-fn exec_error(e: &ExecError) -> String {
-    match e {
-        ExecError::NoSuchNode(name) => format!("no such node: {name}"),
-        ExecError::NoCwd => "no current node — cd into one first".to_owned(),
-        ExecError::UnknownNode(id) => format!("unknown node id: {id}"),
-    }
-}
-
 impl SessionHost {
     /// An empty host under the default [`ServerConfig`].
     pub fn new() -> SessionHost {
@@ -480,25 +472,21 @@ impl SessionHost {
                     let path = shell_path(&net.node(id).name);
                     reply(ResponseBody::Cwd { node: id, path })
                 };
-                let no_cwd = || {
-                    let message = exec_error(&ExecError::NoCwd);
-                    reply(ResponseBody::Error { message })
-                };
+                let error = |message: String| reply(ResponseBody::Error { message });
+                let no_cwd = || error(ExecError::NoCwd.to_string());
                 match body {
                     RequestBody::Cd { node } => match net.resolve(node) {
                         Some(id) => {
                             state.cwd = Some(id);
                             cwd(id)
                         }
-                        None => reply(ResponseBody::Error {
-                            message: format!("no such node: {node}"),
-                        }),
+                        None => error(ExecError::NoSuchNode(node.clone()).to_string()),
                     },
                     RequestBody::Pwd => state.cwd.map_or_else(no_cwd, cwd),
                     RequestBody::Exec { command } => {
                         let resolved = match command.resolve(net) {
                             Ok(c) => c,
-                            Err(e) => return reply(ResponseBody::Error { message: e.0 }),
+                            Err(e) => return error(e.0),
                         };
                         // Aim at the broadcast group for surveys, else at
                         // the *session's* current node — many sessions
@@ -514,13 +502,14 @@ impl SessionHost {
                                 let lines = output::render(net, &execution);
                                 reply(ResponseBody::Done { execution, lines })
                             }
-                            Err(e) => reply(ResponseBody::Error {
-                                message: exec_error(&e),
-                            }),
+                            Err(e) => error(e.to_string()),
                         }
                     }
                     RequestBody::Run { nanos } => {
-                        net.run_for(SimDuration::from_nanos(*nanos));
+                        let Some(until) = net.now().as_nanos().checked_add(*nanos) else {
+                            return error(format!("run: {nanos} ns is past the end of time"));
+                        };
+                        net.run_until(SimTime::from_nanos(until));
                         reply(ResponseBody::Ran {
                             now_ns: net.now().as_nanos(),
                         })
@@ -534,9 +523,9 @@ impl SessionHost {
                     // Hello/Bye are consumed by the session layer
                     // before dispatch ever reaches here; answer with a
                     // protocol error instead of aborting the host.
-                    RequestBody::Hello { .. } | RequestBody::Bye => reply(ResponseBody::Error {
-                        message: String::from("hello/bye are session-layer messages"),
-                    }),
+                    RequestBody::Hello { .. } | RequestBody::Bye => {
+                        error(String::from("hello/bye are session-layer messages"))
+                    }
                 }
             }
         }
@@ -549,6 +538,7 @@ mod tests {
     use crate::install_suite;
     use lv_kernel::Network;
     use lv_radio::{Medium, Position, PropagationConfig};
+    use lv_sim::SimDuration;
 
     fn tiny_net() -> (Network, Workstation) {
         let medium = Medium::new(
@@ -757,6 +747,55 @@ mod tests {
             panic!("expected Error");
         };
         assert!(message.contains("cd"), "{message}");
+    }
+
+    /// Open session 1 on a fresh tiny world, `cd` into node 0, and
+    /// apply `body` as its third request.
+    fn after_login(body: RequestBody) -> (Network, ResponseBody) {
+        let (mut net, mut ws) = tiny_net();
+        let mut host = SessionHost::new();
+        for (seq, login) in [(1, hello()), (2, cd())] {
+            host.apply(&mut net, &mut ws, PEER, &req(1, seq, login));
+        }
+        let r = host.apply(&mut net, &mut ws, PEER, &req(1, 3, body));
+        (net, r.body)
+    }
+
+    fn update(period_ms: u64) -> RequestBody {
+        RequestBody::Exec {
+            command: ShellCommand::Update { period_ms },
+        }
+    }
+
+    #[test]
+    fn update_to_a_zero_period_is_refused() {
+        let (net, r) = after_login(update(0));
+        assert!(matches!(r, ResponseBody::Error { .. }), "{r:?}");
+        let period = net.node(0).stack.config().beacon_period;
+        assert_eq!(period, SimDuration::from_secs(2));
+    }
+
+    #[test]
+    fn update_to_a_period_the_wire_cannot_carry_is_refused() {
+        // Past u32::MAX ms; from 18_446_744_073_710 ms on, the period
+        // does not even fit `SimDuration`.
+        for period_ms in [1 << 32, 18_446_744_073_710, u64::MAX] {
+            let (net, r) = after_login(update(period_ms));
+            assert!(matches!(r, ResponseBody::Error { .. }), "{r:?}");
+            let period = net.node(0).stack.config().beacon_period;
+            assert_eq!(period, SimDuration::from_secs(2));
+        }
+        let (_, r) = after_login(update(u64::from(u32::MAX)));
+        assert!(matches!(r, ResponseBody::Done { .. }), "{r:?}");
+    }
+
+    #[test]
+    fn run_past_the_end_of_time_is_refused() {
+        let (net, r) = after_login(RequestBody::Run { nanos: u64::MAX });
+        assert!(matches!(r, ResponseBody::Error { .. }), "{r:?}");
+        let room = u64::MAX - net.now().as_nanos();
+        let (_, r) = after_login(RequestBody::Run { nanos: room + 1 });
+        assert!(matches!(r, ResponseBody::Error { .. }), "{r:?}");
     }
 
     #[test]

@@ -265,9 +265,6 @@ pub fn parse_line(line: &str) -> Result<ShellInput, ParseError> {
                 .trim_end_matches("ms")
                 .parse()
                 .map_err(|_| ParseError("update: bad period".into()))?;
-            if period_ms == 0 {
-                return Err(ParseError("update: period must be positive".into()));
-            }
             Ok(ShellInput::Command(ShellCommand::Update { period_ms }))
         }
         "power" => match rest.first() {
@@ -310,7 +307,10 @@ pub fn parse_line(line: &str) -> Result<ShellInput, ParseError> {
 
 impl ShellCommand {
     /// Resolve node names against the deployment and produce the typed
-    /// [`Command`] the workstation executes.
+    /// [`Command`] the workstation executes. Both front ends (the local
+    /// shell and `lv-serve` clients) cross here, so this is where values
+    /// the wire cannot carry are refused: a beacon period travels as
+    /// whole milliseconds in `1..=u32::MAX`.
     pub fn resolve(&self, net: &Network) -> Result<Command, ParseError> {
         let resolve_name = |name: &str| {
             net.resolve(name)
@@ -340,8 +340,15 @@ impl ShellCommand {
                 neighbor: resolve_name(name)?,
                 add: *add,
             },
-            ShellCommand::Update { period_ms } => Command::UpdateBeacon {
-                period: SimDuration::from_millis(*period_ms),
+            ShellCommand::Update { period_ms } => match u32::try_from(*period_ms) {
+                Ok(0) => return Err(ParseError("update: period must be positive".into())),
+                Ok(ms) => Command::UpdateBeacon {
+                    period: SimDuration::from_millis(u64::from(ms)),
+                },
+                Err(_) => {
+                    let max = u32::MAX;
+                    return Err(ParseError(format!("update: period above {max} ms")));
+                }
             },
             ShellCommand::GetPower => Command::GetPower,
             ShellCommand::SetPower(level) => Command::SetPower(*level),
@@ -477,7 +484,12 @@ mod tests {
             ShellInput::Command(ShellCommand::Update { period_ms: 1500 })
         );
         assert!(parse_line("update").is_err());
-        assert!(parse_line("update period=0").is_err());
+        // The range check is `ShellCommand::resolve`'s, which both front
+        // ends cross (see the session tests).
+        assert_eq!(
+            parse_line("update period=0").unwrap(),
+            ShellInput::Command(ShellCommand::Update { period_ms: 0 })
+        );
     }
 
     #[test]

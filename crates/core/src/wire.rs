@@ -16,7 +16,10 @@
 //! All formats are length-checked on decode and fit the stack's 64-byte
 //! payload area.
 
+use crate::commands::{Command, PingOutcome};
+use lv_net::packet::Port;
 use lv_net::padding::HopQuality;
+use lv_sim::SimDuration;
 use serde::{Deserialize, Serialize};
 
 /// Errors shared by every decoder.
@@ -48,71 +51,11 @@ fn u16_at(buf: &[u8], off: usize) -> u16 {
 }
 
 // ---------------------------------------------------------------------
-// Management commands
+// Management requests
 // ---------------------------------------------------------------------
 
-/// A management operation the workstation can request.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MgmtCommand {
-    /// Read power, channel and queue state in one round trip.
-    GetStatus,
-    /// Read the radio power level.
-    GetPower,
-    /// Set the radio power level (CC2420 `PA_LEVEL`).
-    SetPower(u8),
-    /// Read the radio channel.
-    GetChannel,
-    /// Set the radio channel (11–26).
-    SetChannel(u8),
-    /// Dump the kernel neighbor table (the `list` command), with or
-    /// without link-quality columns.
-    NeighborList {
-        /// Include quality columns.
-        with_quality: bool,
-    },
-    /// Add/remove a node to/from the blacklist.
-    Blacklist {
-        /// Neighbor id.
-        id: u16,
-        /// `true` = blacklist, `false` = un-blacklist.
-        add: bool,
-    },
-    /// Reconfigure the beacon exchange frequency (the `update` command).
-    UpdateBeacon {
-        /// New period in milliseconds.
-        period_ms: u32,
-    },
-    /// Enable/disable the node's event logging.
-    SetLogging(bool),
-    /// Launch the ping command on the node.
-    Ping {
-        /// Destination node.
-        dst: u16,
-        /// Number of probe rounds.
-        rounds: u8,
-        /// Probe length in bytes.
-        length: u8,
-        /// Carrying port for multi-hop probes; 0 = one-hop.
-        port: u8,
-    },
-    /// Launch the traceroute command on the node.
-    Traceroute {
-        /// Destination node.
-        dst: u16,
-        /// Probe length in bytes.
-        length: u8,
-        /// Carrying port naming the routing protocol (required).
-        port: u8,
-    },
-    /// Retrieve the node's on-demand event log (most recent entries,
-    /// streamed through the batch protocol).
-    ReadLog {
-        /// Maximum entries to return.
-        max: u8,
-    },
-}
-
-/// A framed management request.
+/// A framed management request: the user's [`Command`] on its way to
+/// the target's runtime controller.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MgmtRequest {
     /// Correlates replies with requests.
@@ -122,7 +65,7 @@ pub struct MgmtRequest {
     /// Port replies go to (the interpreter's port).
     pub reply_port: u8,
     /// The operation.
-    pub cmd: MgmtCommand,
+    pub cmd: Command,
 }
 
 impl MgmtRequest {
@@ -130,42 +73,46 @@ impl MgmtRequest {
     /// the management port.
     pub const TAG: u8 = 0x20;
 
-    /// Serialize.
+    /// Serialize. A survey travels as a status request (its broadcast
+    /// address is what makes it a survey), the beacon period as whole
+    /// milliseconds clamped to `1..=u32::MAX`, and a one-hop ping as
+    /// carrying port 0.
     pub fn encode(&self) -> Vec<u8> {
         let mut b = vec![Self::TAG];
         b.push(self.req_id);
         b.extend_from_slice(&self.reply_node.to_be_bytes());
         b.push(self.reply_port);
         match &self.cmd {
-            MgmtCommand::GetStatus => b.push(0x01),
-            MgmtCommand::GetPower => b.push(0x02),
-            MgmtCommand::SetPower(p) => {
+            Command::Status | Command::GroupStatus => b.push(0x01),
+            Command::GetPower => b.push(0x02),
+            Command::SetPower(p) => {
                 b.push(0x03);
                 b.push(*p);
             }
-            MgmtCommand::GetChannel => b.push(0x04),
-            MgmtCommand::SetChannel(c) => {
+            Command::GetChannel => b.push(0x04),
+            Command::SetChannel(c) => {
                 b.push(0x05);
                 b.push(*c);
             }
-            MgmtCommand::NeighborList { with_quality } => {
+            Command::NeighborList { with_quality } => {
                 b.push(0x06);
                 b.push(u8::from(*with_quality));
             }
-            MgmtCommand::Blacklist { id, add } => {
+            Command::Blacklist { neighbor, add } => {
                 b.push(0x07);
-                b.extend_from_slice(&id.to_be_bytes());
+                b.extend_from_slice(&neighbor.to_be_bytes());
                 b.push(u8::from(*add));
             }
-            MgmtCommand::UpdateBeacon { period_ms } => {
+            Command::UpdateBeacon { period } => {
+                let period_ms = period.as_millis().clamp(1, u64::from(u32::MAX)) as u32;
                 b.push(0x08);
                 b.extend_from_slice(&period_ms.to_be_bytes());
             }
-            MgmtCommand::SetLogging(on) => {
+            Command::SetLogging(on) => {
                 b.push(0x09);
                 b.push(u8::from(*on));
             }
-            MgmtCommand::Ping {
+            Command::Ping {
                 dst,
                 rounds,
                 length,
@@ -175,15 +122,15 @@ impl MgmtRequest {
                 b.extend_from_slice(&dst.to_be_bytes());
                 b.push(*rounds);
                 b.push(*length);
-                b.push(*port);
+                b.push(port.map_or(0, |p| p.0));
             }
-            MgmtCommand::Traceroute { dst, length, port } => {
+            Command::Traceroute { dst, length, port } => {
                 b.push(0x0B);
                 b.extend_from_slice(&dst.to_be_bytes());
                 b.push(*length);
-                b.push(*port);
+                b.push(port.0);
             }
-            MgmtCommand::ReadLog { max } => {
+            Command::ReadLog { max } => {
                 b.push(0x0C);
                 b.push(*max);
             }
@@ -191,7 +138,9 @@ impl MgmtRequest {
         b
     }
 
-    /// Parse.
+    /// Parse. The command comes back in its decoded form: a status
+    /// request is [`Command::Status`], and carrying port 0 is a one-hop
+    /// ping.
     pub fn decode(buf: &[u8]) -> WireResult<MgmtRequest> {
         need(buf, 6)?;
         if buf[0] != Self::TAG {
@@ -203,60 +152,61 @@ impl MgmtRequest {
         let tag = buf[5];
         let rest = &buf[6..];
         let cmd = match tag {
-            0x01 => MgmtCommand::GetStatus,
-            0x02 => MgmtCommand::GetPower,
+            0x01 => Command::Status,
+            0x02 => Command::GetPower,
             0x03 => {
                 need(rest, 1)?;
-                MgmtCommand::SetPower(rest[0])
+                Command::SetPower(rest[0])
             }
-            0x04 => MgmtCommand::GetChannel,
+            0x04 => Command::GetChannel,
             0x05 => {
                 need(rest, 1)?;
-                MgmtCommand::SetChannel(rest[0])
+                Command::SetChannel(rest[0])
             }
             0x06 => {
                 need(rest, 1)?;
-                MgmtCommand::NeighborList {
+                Command::NeighborList {
                     with_quality: rest[0] != 0,
                 }
             }
             0x07 => {
                 need(rest, 3)?;
-                MgmtCommand::Blacklist {
-                    id: u16_at(rest, 0),
+                Command::Blacklist {
+                    neighbor: u16_at(rest, 0),
                     add: rest[2] != 0,
                 }
             }
             0x08 => {
                 need(rest, 4)?;
-                MgmtCommand::UpdateBeacon {
-                    period_ms: u32::from_be_bytes([rest[0], rest[1], rest[2], rest[3]]),
+                let ms = u32::from_be_bytes([rest[0], rest[1], rest[2], rest[3]]);
+                Command::UpdateBeacon {
+                    period: SimDuration::from_millis(u64::from(ms)),
                 }
             }
             0x09 => {
                 need(rest, 1)?;
-                MgmtCommand::SetLogging(rest[0] != 0)
+                Command::SetLogging(rest[0] != 0)
             }
             0x0A => {
                 need(rest, 5)?;
-                MgmtCommand::Ping {
+                Command::Ping {
                     dst: u16_at(rest, 0),
                     rounds: rest[2],
                     length: rest[3],
-                    port: rest[4],
+                    port: (rest[4] != 0).then_some(Port(rest[4])),
                 }
             }
             0x0B => {
                 need(rest, 4)?;
-                MgmtCommand::Traceroute {
+                Command::Traceroute {
                     dst: u16_at(rest, 0),
                     length: rest[2],
-                    port: rest[3],
+                    port: Port(rest[3]),
                 }
             }
             0x0C => {
                 need(rest, 1)?;
-                MgmtCommand::ReadLog { max: rest[0] }
+                Command::ReadLog { max: rest[0] }
             }
             _ => return Err(WireError::BadTag),
         };
@@ -437,25 +387,8 @@ impl PingRound {
     }
 }
 
-/// The ping command's summary back to the workstation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PingSummary {
-    /// Probed node.
-    pub target: u16,
-    /// Probes sent.
-    pub sent: u8,
-    /// Replies received.
-    pub received: u8,
-    /// The prober's power level (printed in the sample output).
-    pub power: u8,
-    /// The prober's channel.
-    pub channel: u8,
-    /// Measured rounds (lost rounds are simply absent).
-    pub rounds: Vec<PingRound>,
-}
-
-impl PingSummary {
-    /// Truncate the summary so its enclosing [`MgmtResponse`] fits the
+impl PingOutcome {
+    /// Truncate the outcome so its enclosing [`MgmtResponse`] fits the
     /// 64-byte payload area: rounds are kept in order, per-round hop
     /// lists shrink first (forward kept preferentially — that is the
     /// path profile the user asked for), then whole rounds are dropped.
@@ -577,8 +510,9 @@ pub enum MgmtReply {
     Power(u8),
     /// Current channel.
     Channel(u8),
-    /// Ping finished.
-    PingSummary(PingSummary),
+    /// Ping finished: the outcome the workstation returns, cut to fit
+    /// the payload area by [`PingOutcome::fit_to_wire`].
+    PingSummary(PingOutcome),
     /// Traceroute accepted; names the carrying protocol.
     TracerouteInfo {
         /// e.g. "geographic forwarding".
@@ -709,7 +643,7 @@ impl MgmtResponse {
                     rounds.push(r);
                     off += used;
                 }
-                MgmtReply::PingSummary(PingSummary {
+                MgmtReply::PingSummary(PingOutcome {
                     target,
                     sent,
                     received,
@@ -1194,30 +1128,41 @@ mod tests {
     #[test]
     fn mgmt_request_round_trip_all_variants() {
         let cmds = vec![
-            MgmtCommand::GetStatus,
-            MgmtCommand::GetPower,
-            MgmtCommand::SetPower(10),
-            MgmtCommand::GetChannel,
-            MgmtCommand::SetChannel(17),
-            MgmtCommand::NeighborList { with_quality: true },
-            MgmtCommand::NeighborList {
+            Command::Status,
+            Command::GetPower,
+            Command::SetPower(10),
+            Command::GetChannel,
+            Command::SetChannel(17),
+            Command::NeighborList { with_quality: true },
+            Command::NeighborList {
                 with_quality: false,
             },
-            MgmtCommand::Blacklist { id: 300, add: true },
-            MgmtCommand::UpdateBeacon { period_ms: 1500 },
-            MgmtCommand::SetLogging(true),
-            MgmtCommand::Ping {
+            Command::Blacklist {
+                neighbor: 300,
+                add: true,
+            },
+            Command::UpdateBeacon {
+                period: SimDuration::from_millis(1500),
+            },
+            Command::SetLogging(true),
+            Command::Ping {
                 dst: 2,
                 rounds: 3,
                 length: 32,
-                port: 0,
+                port: None,
             },
-            MgmtCommand::Traceroute {
+            Command::Ping {
+                dst: 8,
+                rounds: 1,
+                length: 32,
+                port: Some(Port(10)),
+            },
+            Command::Traceroute {
                 dst: 8,
                 length: 32,
-                port: 10,
+                port: Port(10),
             },
-            MgmtCommand::ReadLog { max: 24 },
+            Command::ReadLog { max: 24 },
         ];
         for cmd in cmds {
             let req = MgmtRequest {
@@ -1232,6 +1177,41 @@ mod tests {
     }
 
     #[test]
+    fn mgmt_request_encodes_commands_in_wire_form() {
+        let decode = |cmd: Command| {
+            let req = MgmtRequest {
+                req_id: 1,
+                reply_node: 0,
+                reply_port: 4,
+                cmd,
+            };
+            MgmtRequest::decode(&req.encode()).unwrap().cmd
+        };
+        // A survey is a status request; the broadcast address makes it one.
+        assert_eq!(decode(Command::GroupStatus), Command::Status);
+        // Carrying port 0 is the one-hop ping.
+        let ping = |port| Command::Ping {
+            dst: 2,
+            rounds: 1,
+            length: 32,
+            port,
+        };
+        assert_eq!(decode(ping(Some(Port(0)))), ping(None));
+        // The beacon period travels as whole milliseconds in 1..=u32::MAX.
+        let update = |period| Command::UpdateBeacon { period };
+        let ms = |ms| update(SimDuration::from_millis(ms));
+        assert_eq!(
+            decode(update(SimDuration::from_micros(1_500_700))),
+            ms(1500)
+        );
+        assert_eq!(decode(update(SimDuration::ZERO)), ms(1));
+        assert_eq!(
+            decode(update(SimDuration::from_secs(5_000_000))),
+            ms(u64::from(u32::MAX))
+        );
+    }
+
+    #[test]
     fn mgmt_response_round_trip_all_variants() {
         let replies = vec![
             MgmtReply::Ok,
@@ -1243,7 +1223,7 @@ mod tests {
             },
             MgmtReply::Power(25),
             MgmtReply::Channel(11),
-            MgmtReply::PingSummary(PingSummary {
+            MgmtReply::PingSummary(PingOutcome {
                 target: 2,
                 sent: 2,
                 received: 1,
@@ -1480,7 +1460,7 @@ mod tests {
         let summary = MgmtResponse {
             req_id: 1,
             from: 2,
-            reply: MgmtReply::PingSummary(PingSummary {
+            reply: MgmtReply::PingSummary(PingOutcome {
                 target: 2,
                 sent: 1,
                 received: 1,

@@ -8,18 +8,15 @@
 //! experiences ("By default, all commands have a response delay of 500
 //! milliseconds").
 
-use crate::commands::{
-    Command, CommandResult, Execution, PingOutcome, TraceHop, TraceOutcome, GROUP_TARGET,
-};
+use crate::commands::{Command, CommandResult, Execution, GROUP_TARGET};
 use crate::diagnose::{DiagnosisConfig, DiagnosisEngine, DiagnosisLog};
-use crate::interpreter::{Interpreter, QueuedCommand, SharedWsState, WsState, KICK};
+use crate::interpreter::{InFlight, Interpreter, SharedInFlight, KICK};
 use crate::observe::{NodeDelta, ObservabilityReport};
 use crate::output;
-use crate::wire::MgmtReply;
 use lv_kernel::{shell_path, Network};
 use lv_net::packet::Port;
 use lv_net::ports::ProcessId;
-use lv_sim::{Counters, Ring, SimDuration, SimTime, Trace, TraceLevel};
+use lv_sim::{Counters, Ring, SimDuration, Trace, TraceLevel};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -43,7 +40,7 @@ pub const TRANSCRIPT_CAPACITY: usize = 8192;
 pub struct Workstation {
     bridge: u16,
     pid: ProcessId,
-    state: SharedWsState,
+    in_flight: SharedInFlight,
     cwd: Option<u16>,
     next_req: u8,
     transcript: Ring<String>,
@@ -236,12 +233,13 @@ impl Workstation {
         if !net.trace.accepts(TraceLevel::Info) {
             net.trace = Trace::enabled(TraceLevel::Packet, FLIGHT_RECORDER_CAPACITY);
         }
-        let state: SharedWsState = Rc::new(RefCell::new(WsState::default()));
+        let in_flight: SharedInFlight = Rc::new(RefCell::new(None));
         // The bridge mote is freshly provisioned, so the spawn cannot
         // fail in practice; if it ever does, fall back to an inert
         // driver (commands time out) instead of aborting the host.
+        let interpreter = Interpreter::new(in_flight.clone());
         let pid = net
-            .spawn_process(bridge, Box::new(Interpreter::new(state.clone())), vec![])
+            .spawn_process(bridge, Box::new(interpreter), vec![])
             .unwrap_or_else(|_| {
                 debug_assert!(false, "interpreter install failed on bridge {bridge}");
                 lv_net::ports::KERNEL_PID
@@ -251,7 +249,7 @@ impl Workstation {
         Workstation {
             bridge,
             pid,
-            state,
+            in_flight,
             cwd: None,
             next_req: 1,
             transcript: Ring::new(TRANSCRIPT_CAPACITY),
@@ -391,19 +389,17 @@ impl Workstation {
         c
     }
 
-    /// Drive one validated command through the interpreter.
+    /// Drive one validated command through the interpreter: put it in
+    /// flight, run the simulation to its deadline (a traceroute stops
+    /// once it completes), and take its result out.
     fn dispatch(&mut self, net: &mut Network, target: u16, command: Command) -> Execution {
         let req_id = self.alloc_req();
-        {
-            let mut st = self.state.borrow_mut();
-            st.queue.push_back(QueuedCommand {
-                target,
-                command: command.clone(),
-                req_id,
-            });
-            st.current = None;
-        }
         let issued_at = net.now();
+        let window = command.window();
+        let deadline = issued_at + window + command.grace();
+        let early = command.completes_early();
+        let fl = InFlight::new(target, command.clone(), req_id, issued_at);
+        *self.in_flight.borrow_mut() = Some(fl);
         // Flight-recorder baselines: global and per-node counters at
         // issue time, so the execution can report exactly what moved.
         let global_baseline = net.counters.clone();
@@ -411,123 +407,48 @@ impl Workstation {
             .map(|id| Self::node_counters(net, id))
             .collect();
         net.poke(self.bridge, self.pid, KICK);
-        let window = command.window();
-        let deadline = issued_at + window + command.grace();
-        let early = command.completes_early();
         while net.now() < deadline {
             net.run_for(POLL_SLICE);
-            if early && self.state.borrow().current.as_ref().is_some_and(|c| c.done) {
+            let fl = self.in_flight.borrow();
+            if early && fl.as_ref().is_some_and(|fl| fl.completed_at.is_some()) {
                 break;
             }
         }
-        let mut execution = self.collect(net, target, command, issued_at, window);
-        execution.timeline = net.trace.events_since(issued_at).cloned().collect();
-        execution.counter_delta = net.counters.diff(&global_baseline);
-        execution.node_deltas = node_baselines
-            .iter()
-            .enumerate()
-            .filter_map(|(id, baseline)| {
-                let delta = Self::node_counters(net, id as u16).diff(baseline);
-                (!delta.is_empty()).then_some(NodeDelta {
-                    node: id as u16,
-                    counters: delta,
-                })
-            })
-            .collect();
-        self.transcript.extend(output::render(net, &execution));
-        self.history.push(execution.clone());
-        execution
-    }
-
-    fn collect(
-        &mut self,
-        net: &Network,
-        target: u16,
-        command: Command,
-        issued_at: SimTime,
-        window: SimDuration,
-    ) -> Execution {
-        let mut st = self.state.borrow_mut();
-        let fl = st.current.take();
-        let (result, completed_at) = match fl {
-            None => (CommandResult::Timeout, None),
-            Some(fl) => {
-                let completed = fl.completed_at;
-                let result = if fl.group {
-                    let mut rows = fl.group_rows;
-                    rows.sort_by_key(|r| r.node);
-                    CommandResult::GroupStatus(rows)
-                } else if let Some(s) = fl.ping {
-                    CommandResult::Ping(PingOutcome {
-                        target: s.target,
-                        sent: s.sent,
-                        received: s.received,
-                        power: s.power,
-                        channel: s.channel,
-                        rounds: s.rounds,
-                    })
-                } else if let Some(MgmtReply::Error(code)) = fl.reply {
-                    CommandResult::Error(code)
-                } else if matches!(command, Command::Traceroute { .. }) {
-                    if fl.protocol.is_none() && fl.hops.is_empty() {
-                        CommandResult::Timeout
-                    } else {
-                        CommandResult::Traceroute(TraceOutcome {
-                            protocol: fl.protocol,
-                            hops: fl
-                                .hops
-                                .into_iter()
-                                .map(|(record, at)| TraceHop {
-                                    record,
-                                    arrival: at.saturating_since(issued_at),
-                                })
-                                .collect(),
-                            reached: fl.tr_done.is_some_and(|(_, r)| r),
-                        })
-                    }
-                } else if let Some(rows) = fl.neighbors {
-                    CommandResult::Neighbors(rows)
-                } else if let Some(rows) = fl.log {
-                    CommandResult::Log(rows)
-                } else {
-                    match fl.reply {
-                        Some(MgmtReply::Ok) => CommandResult::Ok,
-                        Some(MgmtReply::Power(p)) => CommandResult::Power(p),
-                        Some(MgmtReply::Channel(c)) => CommandResult::Channel(c),
-                        Some(MgmtReply::Status {
-                            power,
-                            channel,
-                            queue,
-                            neighbors,
-                        }) => CommandResult::Status {
-                            power,
-                            channel,
-                            queue,
-                            neighbors,
-                        },
-                        _ => CommandResult::Timeout,
-                    }
-                };
-                (result, completed)
-            }
-        };
+        let (result, completed_at) = self
+            .in_flight
+            .borrow_mut()
+            .take()
+            .map_or((CommandResult::Timeout, None), |fl| {
+                (fl.result, fl.completed_at)
+            });
         // Fixed-window commands report the full window (the paper's
         // constant 500 ms); early-completing ones report actual latency.
-        let response_delay = if command.completes_early() {
-            completed_at.map_or(window, |t| t.saturating_since(issued_at))
-        } else {
-            window
+        let response_delay = match completed_at {
+            Some(t) if early => t.saturating_since(issued_at),
+            _ => window,
         };
-        let _ = net;
-        Execution {
+        let execution = Execution {
             command,
             target,
             issued_at,
             response_delay,
             result,
-            timeline: Vec::new(),
-            counter_delta: Counters::new(),
-            node_deltas: Vec::new(),
-        }
+            timeline: net.trace.events_since(issued_at).cloned().collect(),
+            counter_delta: net.counters.diff(&global_baseline),
+            node_deltas: node_baselines
+                .iter()
+                .enumerate()
+                .filter_map(|(id, baseline)| {
+                    let delta = Self::node_counters(net, id as u16).diff(baseline);
+                    (!delta.is_empty()).then_some(NodeDelta {
+                        node: id as u16,
+                        counters: delta,
+                    })
+                })
+                .collect(),
+        };
+        self.transcript.extend(output::render(net, &execution));
+        self.history.push(execution.clone());
+        execution
     }
 }

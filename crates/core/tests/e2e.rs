@@ -828,3 +828,28 @@ fn history_keeps_the_most_recent_window() {
         assert_eq!(record.command, "power");
     }
 }
+
+/// A command issued while the bridge is down never leaves it and times
+/// out. Once the bridge is back, the next command gets its own reply:
+/// the lost one is not sent in its place.
+#[test]
+fn command_lost_on_a_down_bridge_does_not_answer_the_next() {
+    use lv_kernel::DynamicsAction;
+    let mut net = line_network(2, 5.0, 35);
+    let mut ws = Workstation::install(&mut net, 0);
+    net.schedule_dynamics(net.now(), DynamicsAction::NodeDown { id: 0 });
+    net.run_for(SimDuration::from_millis(1));
+    let lost = ws
+        .exec(&mut net, CommandRequest::get_power().on(1))
+        .unwrap();
+    assert_eq!(lost.result, CommandResult::Timeout);
+
+    net.schedule_dynamics(net.now(), DynamicsAction::NodeUp { id: 0 });
+    net.run_for(SimDuration::from_millis(1));
+    for _ in 0..2 {
+        let exec = ws
+            .exec(&mut net, CommandRequest::get_channel().on(1))
+            .unwrap();
+        assert_eq!(exec.result, CommandResult::Channel(17));
+    }
+}

@@ -2,37 +2,53 @@
 //! protocol.
 
 use liteview::protocol::{BatchReceiver, BatchSender, SendStep};
-use liteview::session::{Request, Response};
+use liteview::session::{Request, RequestBody, Response, ResponseBody, PROTOCOL_VERSION};
+use liteview::shell::ShellCommand;
 use liteview::wire::{
-    BatchMsg, HopRecord, MgmtCommand, MgmtReply, MgmtRequest, MgmtResponse, PingProbe, PingReply,
-    PingRound, PingSummary, TrProbe, TrProbeReply, TrReport, TrTask,
+    BatchMsg, HopRecord, MgmtReply, MgmtRequest, MgmtResponse, PingProbe, PingReply, PingRound,
+    TrProbe, TrProbeReply, TrReport, TrTask,
 };
-use lv_net::packet::PAYLOAD_AREA;
+use liteview::{install_suite, Command, PingOutcome, SessionHost, Workstation};
+use lv_kernel::Network;
+use lv_net::packet::{Port, PAYLOAD_AREA};
 use lv_net::padding::HopQuality;
+use lv_radio::{Medium, Position, PropagationConfig};
+use lv_sim::SimDuration;
 use proptest::prelude::*;
 
-fn arb_cmd() -> impl Strategy<Value = MgmtCommand> {
+/// Any command in the form the request decoder yields: a survey decodes
+/// as a plain status request, the beacon period as whole milliseconds in
+/// `1..=u32::MAX`, and carrying port 0 as a one-hop ping.
+fn arb_cmd() -> impl Strategy<Value = Command> {
     prop_oneof![
-        Just(MgmtCommand::GetStatus),
-        Just(MgmtCommand::GetPower),
-        any::<u8>().prop_map(MgmtCommand::SetPower),
-        Just(MgmtCommand::GetChannel),
-        any::<u8>().prop_map(MgmtCommand::SetChannel),
-        any::<bool>().prop_map(|with_quality| MgmtCommand::NeighborList { with_quality }),
-        (any::<u16>(), any::<bool>()).prop_map(|(id, add)| MgmtCommand::Blacklist { id, add }),
-        any::<u32>().prop_map(|period_ms| MgmtCommand::UpdateBeacon { period_ms }),
-        any::<bool>().prop_map(MgmtCommand::SetLogging),
+        Just(Command::Status),
+        Just(Command::GetPower),
+        any::<u8>().prop_map(Command::SetPower),
+        Just(Command::GetChannel),
+        any::<u8>().prop_map(Command::SetChannel),
+        any::<bool>().prop_map(|with_quality| Command::NeighborList { with_quality }),
+        (any::<u16>(), any::<bool>())
+            .prop_map(|(neighbor, add)| Command::Blacklist { neighbor, add }),
+        (1..=u32::MAX).prop_map(|ms| Command::UpdateBeacon {
+            period: SimDuration::from_millis(u64::from(ms))
+        }),
+        any::<bool>().prop_map(Command::SetLogging),
         (any::<u16>(), any::<u8>(), any::<u8>(), any::<u8>()).prop_map(
-            |(dst, rounds, length, port)| MgmtCommand::Ping {
+            |(dst, rounds, length, port)| Command::Ping {
                 dst,
                 rounds,
                 length,
-                port
+                port: (port != 0).then_some(Port(port)),
             }
         ),
-        (any::<u16>(), any::<u8>(), any::<u8>())
-            .prop_map(|(dst, length, port)| { MgmtCommand::Traceroute { dst, length, port } }),
-        any::<u8>().prop_map(|max| MgmtCommand::ReadLog { max }),
+        (any::<u16>(), any::<u8>(), any::<u8>()).prop_map(|(dst, length, port)| {
+            Command::Traceroute {
+                dst,
+                length,
+                port: Port(port),
+            }
+        }),
+        any::<u8>().prop_map(|max| Command::ReadLog { max }),
     ]
 }
 
@@ -154,7 +170,7 @@ proptest! {
             0..6
         ),
     ) {
-        let mut summary = PingSummary {
+        let mut summary = PingOutcome {
             target,
             sent: rounds.len() as u8,
             received: rounds.len() as u8,
@@ -371,7 +387,7 @@ proptest! {
         port in 1u8..30,
         shuffle in any::<bool>(),
     ) {
-        use liteview::shell::{parse_line, ShellCommand, ShellInput};
+        use liteview::shell::{parse_line, ShellInput};
         let opts = if shuffle {
             format!("port={port} length={length} round={rounds}")
         } else {
@@ -390,5 +406,84 @@ proptest! {
         prop_assert_eq!(r, rounds);
         prop_assert_eq!(l, length);
         prop_assert_eq!(p, Some(port));
+    }
+}
+
+fn arb_node_name() -> impl Strategy<Value = String> {
+    prop_oneof![
+        Just(String::from("192.168.0.1")),
+        Just(String::from("192.168.0.2")),
+        Just(String::from("nowhere")),
+    ]
+}
+
+/// Any parsed command a session client can send, `parse_line`'s own
+/// checks skipped: names in or out of the deployment, any numbers.
+fn arb_shell_command() -> impl Strategy<Value = ShellCommand> {
+    prop_oneof![
+        (
+            arb_node_name(),
+            any::<u8>(),
+            any::<u8>(),
+            any::<bool>(),
+            any::<u8>()
+        )
+            .prop_map(|(dst, rounds, length, carried, port)| ShellCommand::Ping {
+                dst,
+                rounds,
+                length,
+                port: carried.then_some(port),
+            }),
+        (arb_node_name(), any::<u8>(), any::<u8>())
+            .prop_map(|(dst, length, port)| ShellCommand::Traceroute { dst, length, port }),
+        any::<bool>().prop_map(|quality| ShellCommand::List { quality }),
+        (arb_node_name(), any::<bool>())
+            .prop_map(|(name, add)| ShellCommand::Blacklist { name, add }),
+        prop_oneof![any::<u64>(), 0u64..3000]
+            .prop_map(|period_ms| ShellCommand::Update { period_ms }),
+        Just(ShellCommand::GetPower),
+        any::<u8>().prop_map(ShellCommand::SetPower),
+        Just(ShellCommand::GetChannel),
+        any::<u8>().prop_map(ShellCommand::SetChannel),
+        Just(ShellCommand::Status),
+        Just(ShellCommand::Survey),
+        any::<bool>().prop_map(ShellCommand::SetLogging),
+        any::<u8>().prop_map(|max| ShellCommand::ReadLog { max }),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Whatever commands a client sends, the session host answers each
+    /// with `Done` or `Error`: it never panics and never answers with
+    /// anything else.
+    #[test]
+    fn session_exec_answers_done_or_error(
+        commands in proptest::collection::vec(arb_shell_command(), 1..4),
+    ) {
+        let medium = Medium::new(
+            vec![Position::new(0.0, 0.0), Position::new(5.0, 0.0)],
+            PropagationConfig::default(),
+            42,
+        );
+        let mut net = Network::new(medium, 42);
+        install_suite(&mut net);
+        net.run_for(SimDuration::from_secs(10));
+        let mut ws = Workstation::install(&mut net, 0);
+        let mut host = SessionHost::new();
+        let mut apply = |seq: u32, body: RequestBody| {
+            let request = Request { session: 1, seq, body };
+            host.apply(&mut net, &mut ws, 1, &request).body
+        };
+        apply(1, RequestBody::Hello { version: PROTOCOL_VERSION });
+        apply(2, RequestBody::Cd { node: String::from("192.168.0.2") });
+        for (seq, command) in (3..).zip(commands) {
+            let r = apply(seq, RequestBody::Exec { command });
+            prop_assert!(
+                matches!(r, ResponseBody::Done { .. } | ResponseBody::Error { .. }),
+                "{r:?}"
+            );
+        }
     }
 }

@@ -379,14 +379,16 @@ impl TxTable {
 /// tiny map every transmission costs more than it saves.
 const ACTIVE_PRUNE_MIN: usize = 32;
 
+/// Modeled CPU cost of handling one packet / syscall batch on the
+/// 7.37 MHz ATmega128.
+const CPU_COST: SimDuration = SimDuration::from_micros(100);
+
+/// Neighbor-table housekeeping period.
+const HOUSEKEEPING_PERIOD: SimDuration = SimDuration::from_secs(2);
+
 /// Loop tunables.
 #[derive(Debug, Clone, Copy)]
 pub struct NetworkConfig {
-    /// Modeled CPU cost of handling one packet / syscall batch on the
-    /// 7.37 MHz ATmega128.
-    pub cpu_cost: SimDuration,
-    /// Neighbor-table housekeeping period.
-    pub housekeeping_period: SimDuration,
     /// Whether nodes emit neighbor beacons.
     pub beacons_enabled: bool,
 }
@@ -394,8 +396,6 @@ pub struct NetworkConfig {
 impl Default for NetworkConfig {
     fn default() -> Self {
         NetworkConfig {
-            cpu_cost: SimDuration::from_micros(100),
-            housekeeping_period: SimDuration::from_secs(2),
             beacons_enabled: true,
         }
     }
@@ -519,9 +519,10 @@ impl Network {
                     SimDuration::from_nanos(net.nodes[i as usize].rng.below(period.as_nanos()));
                 net.queue.push(net.now + offset, Event::Beacon { node: i });
             }
-            let hk = net.config.housekeeping_period;
-            net.queue
-                .push(net.now + hk, Event::Housekeeping { node: i });
+            net.queue.push(
+                net.now + HOUSEKEEPING_PERIOD,
+                Event::Housekeeping { node: i },
+            );
         }
         net
     }
@@ -628,10 +629,8 @@ impl Network {
         params: Vec<u8>,
     ) -> Result<ProcessId, ResourceError> {
         let pid = self.nodes[node as usize].register_process(process, params)?;
-        self.queue.push(
-            self.now + self.config.cpu_cost,
-            Event::ProcessStart { node, pid },
-        );
+        self.queue
+            .push(self.now + CPU_COST, Event::ProcessStart { node, pid });
         Ok(pid)
     }
 
@@ -835,8 +834,8 @@ impl Network {
                 let idx = node as usize;
                 let now = self.now;
                 self.nodes[idx].stack.housekeeping(now);
-                let hk = self.config.housekeeping_period;
-                self.queue.push(self.now + hk, Event::Housekeeping { node });
+                self.queue
+                    .push(self.now + HOUSEKEEPING_PERIOD, Event::Housekeeping { node });
             }
             Event::Dynamics { action } => {
                 let Some(action) = self.arena.dynamics.take(action) else {
@@ -1592,7 +1591,7 @@ impl Network {
                     match out {
                         Out::Actions(actions) => self.exec_mac_actions(node, actions),
                         Out::Local(pid, packet) => {
-                            let at = self.now + self.config.cpu_cost;
+                            let at = self.now + CPU_COST;
                             let packet = self.arena.packets.insert(packet);
                             self.queue
                                 .push(at, Event::LocalDeliver { node, pid, packet });
@@ -1615,7 +1614,7 @@ impl Network {
                 Effect::Spawn { process, params } => {
                     match self.nodes[idx].register_process(process, params) {
                         Ok(child) => {
-                            let at = self.now + self.config.cpu_cost;
+                            let at = self.now + CPU_COST;
                             self.queue
                                 .push(at, Event::ProcessStart { node, pid: child });
                         }
@@ -1987,7 +1986,6 @@ mod tests {
             7,
             NetworkConfig {
                 beacons_enabled: false,
-                ..NetworkConfig::default()
             },
         );
         let received = Rc::new(RefCell::new(Vec::new()));
@@ -2041,7 +2039,6 @@ mod tests {
                 seed,
                 NetworkConfig {
                     beacons_enabled: false,
-                    ..NetworkConfig::default()
                 },
             );
             let received = Rc::new(RefCell::new(Vec::new()));
@@ -2227,7 +2224,6 @@ mod tests {
                 13,
                 NetworkConfig {
                     beacons_enabled: false,
-                    ..NetworkConfig::default()
                 },
             );
             net.set_audit(true);
@@ -2269,7 +2265,6 @@ mod tests {
             17,
             NetworkConfig {
                 beacons_enabled: false,
-                ..NetworkConfig::default()
             },
         );
         net.set_audit(true);
@@ -2373,7 +2368,6 @@ mod collision_tests {
             seed,
             NetworkConfig {
                 beacons_enabled: false,
-                ..NetworkConfig::default()
             },
         );
         net.spawn_process(0, Box::new(Burster { rounds: 0 }), vec![])
@@ -2448,7 +2442,6 @@ mod collision_tests {
             seed,
             NetworkConfig {
                 beacons_enabled: false,
-                ..NetworkConfig::default()
             },
         );
         net.spawn_process(0, Box::new(Burster { rounds: 0 }), vec![])

@@ -135,7 +135,6 @@ proptest! {
             seed,
             NetworkConfig {
                 beacons_enabled: false,
-                ..NetworkConfig::default()
             },
         );
         net.run_for(SimDuration::from_secs(10));

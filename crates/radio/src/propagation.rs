@@ -22,10 +22,9 @@
 use crate::units::{Dbm, Meters};
 use lv_sim::rng::derive_seed;
 use lv_sim::SimRng;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the log-distance model.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct PropagationConfig {
     /// Path-loss exponent `n`. ~2 free space, 2.5–4 indoors.
     pub exponent: f64,

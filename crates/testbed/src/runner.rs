@@ -26,7 +26,6 @@
 
 use lv_kernel::{DynamicsAction, Network};
 use lv_sim::rng::derive_seed;
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Stream label namespace for trial seeds (disjoint from the
@@ -169,7 +168,7 @@ impl TrialRunner {
 ///
 /// Node and link coordinates refer to the scenario's topology node
 /// ids. Each mode is one or two [`DynamicsAction`]s.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FailureMode {
     /// Power off one node ([`DynamicsAction::NodeDown`]).
     KillNode {
@@ -241,7 +240,7 @@ impl FailureMode {
 }
 
 /// A failure mode applied to a deterministic fraction of trials.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FailurePlan {
     /// What breaks.
     pub mode: FailureMode,
@@ -363,20 +362,5 @@ mod tests {
             .label(),
             "attenuate-4-5-20dB"
         );
-    }
-
-    #[test]
-    fn failure_plan_serializes() {
-        let plan = FailurePlan::new(
-            FailureMode::AttenuateLink {
-                from: 1,
-                to: 2,
-                loss_db: 25.0,
-            },
-            0.25,
-        );
-        let json = serde_json::to_string(&plan).unwrap();
-        let back: FailurePlan = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, plan);
     }
 }

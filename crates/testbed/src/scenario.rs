@@ -6,15 +6,14 @@
 
 use crate::topology::Topology;
 use liteview::{install_suite, Workstation};
-use lv_kernel::{Network, NetworkConfig};
+use lv_kernel::Network;
 use lv_net::packet::Port;
 use lv_net::routing::{CollectionTree, Flooding, Geographic};
 use lv_radio::propagation::PropagationConfig;
 use lv_sim::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Which routing protocols to install on every node.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Protocols {
     /// Greedy geographic forwarding on port 10 (the paper's example).
     pub geographic: bool,
@@ -35,17 +34,15 @@ impl Default for Protocols {
 }
 
 /// Everything needed to build a scenario deterministically.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ScenarioConfig {
     /// The deployment layout.
     pub topology: Topology,
     /// Root seed (drives propagation, MAC backoffs, jitters …).
     pub seed: u64,
     /// Propagation parameters.
-    #[serde(default = "PropagationConfig::default")]
     pub propagation: PropagationConfig,
     /// Protocols installed on every node.
-    #[serde(default)]
     pub protocols: Protocols,
     /// Beacon warm-up before the experiment starts.
     pub warmup: SimDuration,
@@ -94,16 +91,8 @@ pub struct Scenario {
 impl Scenario {
     /// Build and warm up.
     pub fn build(config: ScenarioConfig) -> Scenario {
-        Self::build_with_network_config(config, NetworkConfig::default())
-    }
-
-    /// Build with a custom kernel/network config.
-    pub fn build_with_network_config(
-        config: ScenarioConfig,
-        net_config: NetworkConfig,
-    ) -> Scenario {
         let medium = config.topology.medium(config.propagation, config.seed);
-        let mut net = Network::with_config(medium, config.seed, net_config);
+        let mut net = Network::new(medium, config.seed);
         for i in 0..net.node_count() as u16 {
             if config.protocols.geographic {
                 net.install_router(i, Box::new(Geographic::new(Port::GEOGRAPHIC)))
@@ -171,15 +160,6 @@ mod tests {
         assert_eq!(report.executions.len(), 1);
         assert!(!report.executions[0].timeline.is_empty());
         assert!(liteview::ObservabilityReport::from_json(&report.to_json()).is_some());
-    }
-
-    #[test]
-    fn config_serializes() {
-        let cfg = ScenarioConfig::new(Topology::eight_hop_corridor(), 7);
-        let json = serde_json::to_string(&cfg).unwrap();
-        let back: ScenarioConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.seed, 7);
-        assert_eq!(back.topology.node_count(), 9);
     }
 
     #[test]

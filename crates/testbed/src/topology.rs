@@ -5,10 +5,9 @@ use lv_radio::propagation::PropagationConfig;
 use lv_radio::units::Position;
 use lv_radio::{Medium, PowerLevel};
 use lv_sim::SimRng;
-use serde::{Deserialize, Serialize};
 
 /// A generated deployment layout.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum Topology {
     /// `n` nodes on a straight line, `spacing` meters apart.
     Line {

@@ -3,7 +3,8 @@
 //! in order — traceroute's per-hop LQI/RSSI drops on the injected hop
 //! while end-to-end ping still works (detect), the finished ramp kills
 //! ping while eviction and degradation blacklisting fire (fail), and
-//! the repaired link recovers (recover).
+//! the repaired link recovers (recover) — with the kernel's invariant
+//! auditor silent throughout.
 
 use lv_testbed::experiments::dynamics_soak;
 
@@ -33,6 +34,10 @@ fn soak_arc_detect_fail_recover() {
     assert!(r.evictions > 0, "no neighbor evictions fired");
     assert!(r.blacklists > 0, "degradation blacklisting never fired");
     assert!(r.dyn_trace_events > 0, "no dynamics mutations recorded");
+
+    // The kernel's invariant auditor ran through the whole soak and saw
+    // nothing wrong (`figures --dynamics` fails on the same count).
+    assert_eq!(r.audit_violations, 0, "kernel audit violations in the soak");
 
     // Per-hop signal quality on the injected hop visibly drops from its
     // pre-ramp baseline before the path fails outright.

@@ -275,6 +275,73 @@ fn figure_traceroutes_match_pinned_digests() {
     }
 }
 
+/// End-to-end guard for the command path (shell line → `Command` →
+/// management request on the air → controller → replies → the
+/// `Execution`): one session on the seed-42 corridor, logged into the
+/// bridge's one-hop neighbour, runs every command kind and every refusal
+/// code, and the JSON of all its `Execution`s (results, response delays,
+/// timelines, counter deltas) is pinned to FNV-1a.
+///
+/// The literal was first computed while the interpreter still
+/// translated `Command` into a wire enum of its own
+/// (`0xd94a_69b1_375e_5b93`). It moved once, on purpose, when the
+/// node's `mgmt` log line began rendering the decoded `Command`: the
+/// `readlog` row that logs the survey's status request reads `request
+/// Status` where it read `request GetStatus`, so that log chunk leaves
+/// three bytes shorter (`len=50`, not 53) and the rest of the `readlog`
+/// window runs 96 µs earlier. Nothing else in the JSON changed.
+#[test]
+fn command_path_matches_pinned_digest() {
+    use liteview::shell::{parse_line, ShellInput};
+    use liteview::{Command, CommandRequest, CommandResult};
+    use lv_testbed::{Scenario, ScenarioConfig, Topology};
+
+    let mut s = Scenario::build(ScenarioConfig::new(Topology::eight_hop_corridor(), 42));
+    s.ws.cd(&s.net, "192.168.0.2").unwrap();
+    let script = [
+        "status",
+        "power",
+        "power 25",
+        "power 99",
+        "channel",
+        "list quality",
+        "blacklist add 192.168.0.3",
+        "blacklist remove 192.168.0.3",
+        "blacklist add 192.168.0.6",
+        "update period=1500ms",
+        "log on",
+        "survey",
+        "readlog",
+        "ping 192.168.0.3",
+        "ping 192.168.0.4 port=10",
+        "traceroute 192.168.0.9",
+        "traceroute 192.168.0.9 port=99",
+    ];
+    let executions: Vec<_> = script
+        .iter()
+        .map(|line| {
+            let Ok(ShellInput::Command(cmd)) = parse_line(line) else {
+                panic!("not a command: {line}");
+            };
+            let request = match cmd.resolve(&s.net).unwrap() {
+                Command::GroupStatus => CommandRequest::survey(),
+                command => CommandRequest::new(command),
+            };
+            s.ws.exec(&mut s.net, request).unwrap()
+        })
+        .collect();
+    // The refusals: a power level past 31, a non-neighbour blacklisted,
+    // and a traceroute on a port with no router.
+    for (line, code) in [(3, 1), (8, 3), (16, 2)] {
+        assert_eq!(executions[line].result, CommandResult::Error(code));
+    }
+    let json = serde_json::to_string(&executions).unwrap();
+    let got = json.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    assert_eq!(got, 0x1634_72b9_e0e9_76d9, "command path: {got:#018x}");
+}
+
 #[test]
 fn link_characterization_has_three_regions() {
     let rows = characterize_links(42);

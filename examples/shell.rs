@@ -174,6 +174,7 @@ fn main() {
                     ResponseBody::Ran { now_ns } => {
                         println!("(advanced {secs} s; now t = {now_ns} ns)")
                     }
+                    ResponseBody::Error { message } => println!("{message}"),
                     other => println!("unexpected response: {other:?}"),
                 }
             }
