@@ -379,16 +379,6 @@ impl Workstation {
         Ok(self.dispatch(net, target, request.command))
     }
 
-    /// Merged MAC + network-layer counters of one node, as a baseline
-    /// or endpoint for per-command deltas.
-    fn node_counters(net: &Network, id: u16) -> Counters {
-        let n = net.node(id);
-        let mut c = Counters::new();
-        c.merge(n.mac.counters());
-        c.merge(n.stack.counters());
-        c
-    }
-
     /// Drive one validated command through the interpreter: put it in
     /// flight, run the simulation to its deadline (a traceroute stops
     /// once it completes), and take its result out.
@@ -404,7 +394,7 @@ impl Workstation {
         // issue time, so the execution can report exactly what moved.
         let global_baseline = net.counters.clone();
         let node_baselines: Vec<Counters> = (0..net.node_count() as u16)
-            .map(|id| Self::node_counters(net, id))
+            .map(|id| net.node(id).counters())
             .collect();
         net.poke(self.bridge, self.pid, KICK);
         while net.now() < deadline {
@@ -439,7 +429,7 @@ impl Workstation {
                 .iter()
                 .enumerate()
                 .filter_map(|(id, baseline)| {
-                    let delta = Self::node_counters(net, id as u16).diff(baseline);
+                    let delta = net.node(id as u16).counters().diff(baseline);
                     (!delta.is_empty()).then_some(NodeDelta {
                         node: id as u16,
                         counters: delta,

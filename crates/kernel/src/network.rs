@@ -185,6 +185,61 @@ impl DynamicsAction {
             | DynamicsAction::MoveNode { id, .. } => [Some(id), None],
         }
     }
+
+    /// The `dyn.*` counter an applied action ticks.
+    fn counter_id(&self) -> CounterId {
+        match self {
+            DynamicsAction::SetLinkLoss { .. } | DynamicsAction::ClearLinkLoss { .. } => {
+                CounterId::DynLinkOverride
+            }
+            DynamicsAction::SetChannelNoise { .. } | DynamicsAction::ClearChannelNoise { .. } => {
+                CounterId::DynChannelNoise
+            }
+            DynamicsAction::NodeDown { .. } => CounterId::DynNodeDown,
+            DynamicsAction::NodeUp { .. } => CounterId::DynNodeUp,
+            DynamicsAction::SetNodeChannel { .. }
+            | DynamicsAction::SetNodePower { .. }
+            | DynamicsAction::MoveNode { .. } => CounterId::DynReconfig,
+        }
+    }
+}
+
+/// The flight-recorder line of an applied action.
+impl std::fmt::Display for DynamicsAction {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            DynamicsAction::SetLinkLoss {
+                from,
+                to,
+                extra_loss_db,
+                blocked,
+            } => write!(
+                f,
+                "dyn.link {from}->{to} loss={extra_loss_db:.1}dB{}",
+                if blocked { " blocked" } else { "" }
+            ),
+            DynamicsAction::ClearLinkLoss { from, to } => {
+                write!(f, "dyn.link {from}->{to} cleared")
+            }
+            DynamicsAction::SetChannelNoise { channel, delta_db } => {
+                write!(f, "dyn.noise ch={} +{delta_db:.1}dB", channel.number())
+            }
+            DynamicsAction::ClearChannelNoise { channel } => {
+                write!(f, "dyn.noise ch={} cleared", channel.number())
+            }
+            DynamicsAction::NodeDown { .. } => f.write_str("dyn.node down"),
+            DynamicsAction::NodeUp { .. } => f.write_str("dyn.node up (reboot)"),
+            DynamicsAction::SetNodeChannel { channel, .. } => {
+                write!(f, "dyn.reconfig channel={}", channel.number())
+            }
+            DynamicsAction::SetNodePower { power, .. } => {
+                write!(f, "dyn.reconfig power={}", power.level())
+            }
+            DynamicsAction::MoveNode { position, .. } => {
+                write!(f, "dyn.reconfig move=({:.1},{:.1})", position.x, position.y)
+            }
+        }
+    }
 }
 
 /// A slab with a LIFO free list: O(1) insert/take, stable `u32` slot
@@ -769,7 +824,7 @@ impl Network {
             }
             Event::LocalDeliver { node, pid, packet } => {
                 let Some(packet) = self.arena.packets.take(packet) else {
-                    self.counters.incr("kernel.arena_miss");
+                    self.counters.incr_id(CounterId::KernelArenaMiss);
                     return;
                 };
                 let meta = RxMeta {
@@ -824,7 +879,7 @@ impl Network {
             }
             Event::TxStart { node, frame } => {
                 let Some(frame) = self.arena.frames.take(frame) else {
-                    self.counters.incr("kernel.arena_miss");
+                    self.counters.incr_id(CounterId::KernelArenaMiss);
                     return;
                 };
                 self.begin_transmission(node, frame);
@@ -839,7 +894,7 @@ impl Network {
             }
             Event::Dynamics { action } => {
                 let Some(action) = self.arena.dynamics.take(action) else {
-                    self.counters.incr("kernel.arena_miss");
+                    self.counters.incr_id(CounterId::KernelArenaMiss);
                     return;
                 };
                 self.apply_dynamics(action);
@@ -849,6 +904,23 @@ impl Network {
                     let _ = self.check_invariants();
                 }
             }
+        }
+    }
+
+    /// Record one kernel event: count it under `id` and, only when the
+    /// trace keeps `level`, emit `text()` at the current time, so an
+    /// event the trace drops never builds its text.
+    #[inline]
+    fn observe(
+        &mut self,
+        node: u16,
+        id: CounterId,
+        level: TraceLevel,
+        text: impl FnOnce() -> String,
+    ) {
+        self.counters.incr_id(id);
+        if self.trace.accepts(level) {
+            self.trace.emit(self.now, node, level, text());
         }
     }
 
@@ -868,25 +940,17 @@ impl Network {
     }
 
     fn apply_dynamics(&mut self, action: DynamicsAction) {
-        let now = self.now;
         let n = self.nodes.len();
-        if action
-            .node_ids()
-            .into_iter()
-            .flatten()
-            .any(|id| id as usize >= n)
-        {
+        let ids = action.node_ids();
+        if ids.into_iter().flatten().any(|id| id as usize >= n) {
             // A plan naming a node this network does not have: drop the
             // action rather than panic the event loop.
-            self.counters.incr("dyn.invalid");
-            if self.trace.accepts(TraceLevel::Warn) {
-                self.trace.emit(
-                    now,
-                    Trace::NO_NODE,
-                    TraceLevel::Warn,
-                    format!("dyn.invalid {action:?} dropped: only {n} nodes"),
-                );
-            }
+            self.observe(
+                Trace::NO_NODE,
+                CounterId::DynInvalid,
+                TraceLevel::Warn,
+                || format!("dyn.invalid {action:?} dropped: only {n} nodes"),
+            );
             return;
         }
         match action {
@@ -904,110 +968,34 @@ impl Network {
                         blocked,
                     },
                 );
-                self.counters.incr_id(CounterId::DynLinkOverride);
-                if self.trace.accepts(TraceLevel::Info) {
-                    self.trace.emit(
-                        now,
-                        from,
-                        TraceLevel::Info,
-                        format!(
-                            "dyn.link {from}->{to} loss={extra_loss_db:.1}dB{}",
-                            if blocked { " blocked" } else { "" }
-                        ),
-                    );
-                }
             }
-            DynamicsAction::ClearLinkLoss { from, to } => {
-                self.medium.clear_override(from, to);
-                self.counters.incr_id(CounterId::DynLinkOverride);
-                if self.trace.accepts(TraceLevel::Info) {
-                    self.trace.emit(
-                        now,
-                        from,
-                        TraceLevel::Info,
-                        format!("dyn.link {from}->{to} cleared"),
-                    );
-                }
-            }
+            DynamicsAction::ClearLinkLoss { from, to } => self.medium.clear_override(from, to),
             DynamicsAction::SetChannelNoise { channel, delta_db } => {
                 self.medium.set_channel_noise(channel, delta_db);
-                self.counters.incr_id(CounterId::DynChannelNoise);
-                if self.trace.accepts(TraceLevel::Info) {
-                    self.trace.emit(
-                        now,
-                        Trace::NO_NODE,
-                        TraceLevel::Info,
-                        format!("dyn.noise ch={} +{delta_db:.1}dB", channel.number()),
-                    );
-                }
             }
             DynamicsAction::ClearChannelNoise { channel } => {
-                self.medium.clear_channel_noise(channel);
-                self.counters.incr_id(CounterId::DynChannelNoise);
-                if self.trace.accepts(TraceLevel::Info) {
-                    self.trace.emit(
-                        now,
-                        Trace::NO_NODE,
-                        TraceLevel::Info,
-                        format!("dyn.noise ch={} cleared", channel.number()),
-                    );
-                }
+                self.medium.clear_channel_noise(channel)
             }
             DynamicsAction::NodeDown { id } => {
                 self.medium.set_dead(id, true);
                 self.abort_transmissions_of(id);
-                self.counters.incr_id(CounterId::DynNodeDown);
-                if self.trace.accepts(TraceLevel::Info) {
-                    self.trace
-                        .emit(now, id, TraceLevel::Info, "dyn.node down".to_owned());
-                }
             }
             DynamicsAction::NodeUp { id } => {
                 self.medium.set_dead(id, false);
                 self.nodes[id as usize].reboot();
-                self.counters.incr_id(CounterId::DynNodeUp);
-                if self.trace.accepts(TraceLevel::Info) {
-                    self.trace
-                        .emit(now, id, TraceLevel::Info, "dyn.node up (reboot)".to_owned());
-                }
             }
             DynamicsAction::SetNodeChannel { id, channel } => {
                 self.nodes[id as usize].channel = channel;
-                self.counters.incr_id(CounterId::DynReconfig);
-                if self.trace.accepts(TraceLevel::Info) {
-                    self.trace.emit(
-                        now,
-                        id,
-                        TraceLevel::Info,
-                        format!("dyn.reconfig channel={}", channel.number()),
-                    );
-                }
             }
-            DynamicsAction::SetNodePower { id, power } => {
-                self.nodes[id as usize].power = power;
-                self.counters.incr_id(CounterId::DynReconfig);
-                if self.trace.accepts(TraceLevel::Info) {
-                    self.trace.emit(
-                        now,
-                        id,
-                        TraceLevel::Info,
-                        format!("dyn.reconfig power={}", power.level()),
-                    );
-                }
-            }
-            DynamicsAction::MoveNode { id, position } => {
-                self.medium.set_position(id, position);
-                self.counters.incr_id(CounterId::DynReconfig);
-                if self.trace.accepts(TraceLevel::Info) {
-                    self.trace.emit(
-                        now,
-                        id,
-                        TraceLevel::Info,
-                        format!("dyn.reconfig move=({:.1},{:.1})", position.x, position.y),
-                    );
-                }
-            }
+            DynamicsAction::SetNodePower { id, power } => self.nodes[id as usize].power = power,
+            DynamicsAction::MoveNode { id, position } => self.medium.set_position(id, position),
         }
+        self.observe(
+            ids[0].unwrap_or(Trace::NO_NODE),
+            action.counter_id(),
+            TraceLevel::Info,
+            || action.to_string(),
+        );
     }
 
     /// Abort every in-flight transmission by `node`: drop its entries
@@ -1148,16 +1136,9 @@ impl Network {
         let airtime = self.timing.frame_airtime(wire_len);
         self.nodes[idx].energy.charge_rx(airtime);
         if !a.delivered {
-            self.counters.incr_id(CounterId::RxCorrupt);
-            if self.trace.accepts(TraceLevel::Debug) {
-                let at = self.now;
-                self.trace.emit(
-                    at,
-                    node,
-                    TraceLevel::Debug,
-                    format!("rx.corrupt from={tx_sender} len={wire_len}"),
-                );
-            }
+            self.observe(node, CounterId::RxCorrupt, TraceLevel::Debug, || {
+                format!("rx.corrupt from={tx_sender} len={wire_len}")
+            });
             return;
         }
         self.counters.incr_id(CounterId::RxFrames);
@@ -1187,7 +1168,6 @@ impl Network {
             FrameKind::Beacon => {
                 if let Some(b) = BeaconPayload::decode(&frame.payload) {
                     self.nodes[idx].stack.on_beacon(frame.src, &b, now);
-                    self.counters.incr_id(CounterId::RxBeacon);
                     self.record_link_obs(LinkObs {
                         at: now,
                         tx: frame.src,
@@ -1196,14 +1176,9 @@ impl Network {
                         rssi: rx.rssi,
                         beacon: true,
                     });
-                    if self.trace.accepts(TraceLevel::Debug) {
-                        self.trace.emit(
-                            now,
-                            node,
-                            TraceLevel::Debug,
-                            format!("rx.beacon from={} seq={}", frame.src, b.seq),
-                        );
-                    }
+                    self.observe(node, CounterId::RxBeacon, TraceLevel::Debug, || {
+                        format!("rx.beacon from={} seq={}", frame.src, b.seq)
+                    });
                 }
             }
             FrameKind::Data => {
@@ -1223,98 +1198,65 @@ impl Network {
                     lqi: rx.lqi,
                     rssi: rx.rssi,
                 };
-                enum Next {
-                    Deliver(ProcessId, NetPacket),
-                    Sent(Vec<MacAction>),
-                    Dropped,
-                }
-                let next = {
+                let action = {
                     let medium = &self.medium;
-                    let nn = &mut self.nodes[idx];
                     let pos = medium.position(node);
                     let count = medium.node_count();
                     let locs = move |id: u16| ((id as usize) < count).then(|| medium.position(id));
-                    match nn.stack.on_receive(pkt, hop, pos, &locs) {
-                        RxAction::DeliverTo { pid, packet } => Next::Deliver(pid, packet),
-                        RxAction::Forward { next_hop, packet } => {
-                            let payload = packet.encode();
-                            let (mac, rng) = (&mut nn.mac, &mut nn.rng);
-                            let (ok, actions) = mac.send(FrameKind::Data, next_hop, payload, rng);
-                            if !ok {
-                                self.counters.incr_id(CounterId::NetQueueDrop);
-                            } else {
-                                self.counters.incr_id(CounterId::NetForward);
-                            }
-                            if self.trace.accepts(TraceLevel::Packet) {
-                                self.trace.emit(
-                                    now,
-                                    node,
-                                    TraceLevel::Packet,
-                                    format!(
-                                        "net.forward next_hop={next_hop} origin={} dst={}{}",
-                                        packet.header.origin,
-                                        packet.header.dst,
-                                        if ok { "" } else { " (queue full)" },
-                                    ),
-                                );
-                            }
-                            Next::Sent(actions)
-                        }
-                        RxAction::Drop { reason } => {
-                            self.counters.incr_id(reason.counter_id());
-                            if self.trace.accepts(TraceLevel::Debug) {
-                                self.trace.emit(
-                                    now,
-                                    node,
-                                    TraceLevel::Debug,
-                                    format!("net.drop reason={reason:?}"),
-                                );
-                            }
-                            Next::Dropped
-                        }
-                    }
+                    self.nodes[idx].stack.on_receive(pkt, hop, pos, &locs)
                 };
-                match next {
-                    Next::Deliver(pid, packet) => {
+                match action {
+                    RxAction::DeliverTo { pid, packet } => {
                         let meta = RxMeta {
                             from: frame.src,
                             rssi: rx.rssi,
                             lqi: rx.lqi,
                         };
-                        self.counters.incr_id(CounterId::NetDeliver);
-                        if self.trace.accepts(TraceLevel::Packet) {
-                            self.trace.emit(
-                                now,
-                                node,
-                                TraceLevel::Packet,
-                                format!(
-                                    "net.deliver pid={pid} origin={} app_port={}",
-                                    packet.header.origin, packet.header.app_port.0
-                                ),
-                            );
-                        }
+                        self.observe(node, CounterId::NetDeliver, TraceLevel::Packet, || {
+                            format!(
+                                "net.deliver pid={pid} origin={} app_port={}",
+                                packet.header.origin, packet.header.app_port.0
+                            )
+                        });
                         self.run_hook(node, pid, |p, ctx| p.on_packet(ctx, &packet, meta));
                     }
-                    Next::Sent(actions) => self.exec_mac_actions(node, actions),
-                    Next::Dropped => {}
+                    RxAction::Forward { next_hop, packet } => {
+                        let payload = packet.encode();
+                        let nn = &mut self.nodes[idx];
+                        let (mac, rng) = (&mut nn.mac, &mut nn.rng);
+                        let (ok, actions) = mac.send(FrameKind::Data, next_hop, payload, rng);
+                        let id = if ok {
+                            CounterId::NetForward
+                        } else {
+                            CounterId::NetQueueDrop
+                        };
+                        self.observe(node, id, TraceLevel::Packet, || {
+                            format!(
+                                "net.forward next_hop={next_hop} origin={} dst={}{}",
+                                packet.header.origin,
+                                packet.header.dst,
+                                if ok { "" } else { " (queue full)" },
+                            )
+                        });
+                        self.exec_mac_actions(node, actions);
+                    }
+                    RxAction::Drop { reason } => {
+                        self.observe(node, reason.counter_id(), TraceLevel::Debug, || {
+                            format!("net.drop reason={reason:?}")
+                        });
+                    }
                 }
             }
             FrameKind::Ack => {
                 // The MAC consumes acks in its rx path; one surfacing
                 // here means the layering slipped. Count it and drop
                 // the frame rather than aborting the whole simulation.
-                self.counters.incr_id(CounterId::MacAnomaly);
-                if self.trace.accepts(TraceLevel::Packet) {
-                    self.trace.emit(
-                        now,
-                        node,
-                        TraceLevel::Packet,
-                        format!(
-                            "mac.anomaly stray ack reached network layer from {} seq={}",
-                            frame.src, frame.seq
-                        ),
-                    );
-                }
+                self.observe(node, CounterId::MacAnomaly, TraceLevel::Packet, || {
+                    format!(
+                        "mac.anomaly stray ack reached network layer from {} seq={}",
+                        frame.src, frame.seq
+                    )
+                });
             }
         }
     }
@@ -1359,19 +1301,12 @@ impl Network {
                     }
                 }
                 MacAction::Failed { frame, reason } => {
-                    self.counters.incr_id(reason.counter_id());
-                    if self.trace.accepts(TraceLevel::Debug) {
-                        let at = self.now;
-                        self.trace.emit(
-                            at,
-                            node,
-                            TraceLevel::Debug,
-                            format!(
-                                "mac.failed dst={} seq={} reason={reason:?}",
-                                frame.dst, frame.seq
-                            ),
-                        );
-                    }
+                    self.observe(node, reason.counter_id(), TraceLevel::Debug, || {
+                        format!(
+                            "mac.failed dst={} seq={} reason={reason:?}",
+                            frame.dst, frame.seq
+                        )
+                    });
                     if !frame.is_broadcast() {
                         self.nodes[node as usize]
                             .stack
@@ -1383,16 +1318,9 @@ impl Network {
                     // A spurious ack or stale timer the CSMA machine
                     // cannot match to its state: counted, traced, frame
                     // dropped, node alive — never a panic of the loop.
-                    self.counters.incr_id(CounterId::MacAnomaly);
-                    if self.trace.accepts(TraceLevel::Debug) {
-                        let at = self.now;
-                        self.trace.emit(
-                            at,
-                            node,
-                            TraceLevel::Debug,
-                            format!("mac.anomaly: {context}"),
-                        );
-                    }
+                    self.observe(node, CounterId::MacAnomaly, TraceLevel::Debug, || {
+                        format!("mac.anomaly: {context}")
+                    });
                 }
             }
         }
@@ -1427,21 +1355,20 @@ impl Network {
         let (tx_power, tx_channel) = (self.nodes[idx].power, self.nodes[idx].channel);
         self.tx_busy_until[idx] = end;
         self.nodes[idx].energy.charge_tx(airtime, tx_power);
-        let (kind_id, kind) = match frame.kind {
-            FrameKind::Data => (CounterId::TxData, "tx.data"),
-            FrameKind::Ack => (CounterId::TxAck, "tx.ack"),
-            FrameKind::Beacon => (CounterId::TxBeacon, "tx.beacon"),
+        let kind = match frame.kind {
+            FrameKind::Data => CounterId::TxData,
+            FrameKind::Ack => CounterId::TxAck,
+            FrameKind::Beacon => CounterId::TxBeacon,
         };
-        self.counters.incr_id(kind_id);
+        self.observe(node, kind, TraceLevel::Packet, || {
+            format!(
+                "{} dst={} seq={} len={wire_len}",
+                kind.name(),
+                frame.dst,
+                frame.seq
+            )
+        });
         self.counters.add_id(CounterId::TxBytes, wire_len as u64);
-        if self.trace.accepts(TraceLevel::Packet) {
-            self.trace.emit(
-                start,
-                node,
-                TraceLevel::Packet,
-                format!("{kind} dst={} seq={} len={wire_len}", frame.dst, frame.seq),
-            );
-        }
         let tx_id = self.next_tx;
         self.next_tx += 1;
         // Schedule receptions first so that, at the same instant, every
@@ -2147,9 +2074,125 @@ mod tests {
         assert_eq!(net.counters.get("dyn.invalid"), 2);
         assert_eq!(net.counters.get("dyn.node_down"), 1);
         assert_eq!(net.counters.get("dyn.reconfig"), 0);
-        let warnings = net.trace.find("dyn.invalid");
+        let warnings: Vec<&lv_sim::TraceEvent> = net
+            .trace
+            .events()
+            .iter()
+            .filter(|e| e.message.starts_with("dyn.invalid"))
+            .collect();
         assert_eq!(warnings.len(), 2);
-        assert!(warnings.iter().all(|e| e.level == TraceLevel::Warn));
+        assert!(warnings
+            .iter()
+            .all(|e| e.level == TraceLevel::Warn && e.node == Trace::NO_NODE));
+    }
+
+    /// Each dynamics action ticks its own `dyn.*` counter once and
+    /// leaves exactly one `Info` line with its text, attributed to the
+    /// first node it names (`Trace::NO_NODE` when it names none).
+    #[test]
+    fn every_dynamics_action_is_counted_and_traced() {
+        let mut net = Network::with_config(
+            line_medium(2, 5.0, 7),
+            7,
+            NetworkConfig {
+                beacons_enabled: false,
+            },
+        );
+        net.trace = Trace::enabled(TraceLevel::Info, 64);
+        let ch17 = Channel::new(17).unwrap();
+        let cases = [
+            (
+                DynamicsAction::SetLinkLoss {
+                    from: 0,
+                    to: 1,
+                    extra_loss_db: 25.0,
+                    blocked: true,
+                },
+                "dyn.link_override",
+                0,
+                "dyn.link 0->1 loss=25.0dB blocked",
+            ),
+            (
+                DynamicsAction::ClearLinkLoss { from: 1, to: 0 },
+                "dyn.link_override",
+                1,
+                "dyn.link 1->0 cleared",
+            ),
+            (
+                DynamicsAction::SetChannelNoise {
+                    channel: ch17,
+                    delta_db: 6.0,
+                },
+                "dyn.channel_noise",
+                Trace::NO_NODE,
+                "dyn.noise ch=17 +6.0dB",
+            ),
+            (
+                DynamicsAction::ClearChannelNoise { channel: ch17 },
+                "dyn.channel_noise",
+                Trace::NO_NODE,
+                "dyn.noise ch=17 cleared",
+            ),
+            (
+                DynamicsAction::NodeDown { id: 1 },
+                "dyn.node_down",
+                1,
+                "dyn.node down",
+            ),
+            (
+                DynamicsAction::NodeUp { id: 1 },
+                "dyn.node_up",
+                1,
+                "dyn.node up (reboot)",
+            ),
+            (
+                DynamicsAction::SetNodeChannel {
+                    id: 0,
+                    channel: ch17,
+                },
+                "dyn.reconfig",
+                0,
+                "dyn.reconfig channel=17",
+            ),
+            (
+                DynamicsAction::SetNodePower {
+                    id: 1,
+                    power: lv_radio::PowerLevel::new(10).unwrap(),
+                },
+                "dyn.reconfig",
+                1,
+                "dyn.reconfig power=10",
+            ),
+            (
+                DynamicsAction::MoveNode {
+                    id: 0,
+                    position: Position::new(3.0, 4.5),
+                },
+                "dyn.reconfig",
+                0,
+                "dyn.reconfig move=(3.0,4.5)",
+            ),
+        ];
+        for (action, counter, node, text) in cases {
+            let (count, dyn_total) = (net.counters.get(counter), net.counters.sum_prefix("dyn."));
+            let seen = net.trace.events().len();
+            let at = net.now();
+            net.schedule_dynamics(at, action);
+            net.run_for(SimDuration::from_millis(1));
+            assert_eq!(net.counters.get(counter), count + 1, "{text}");
+            assert_eq!(net.counters.sum_prefix("dyn."), dyn_total + 1, "{text}");
+            let events = &net.trace.events()[seen..];
+            assert_eq!(events.len(), 1, "{text}: {events:?}");
+            assert_eq!(
+                (
+                    events[0].at,
+                    events[0].node,
+                    events[0].level,
+                    events[0].message.as_str()
+                ),
+                (at, node, TraceLevel::Info, text)
+            );
+        }
     }
     // ------------------------------------------------------------------
     // Runtime invariant auditor (crate::audit)

@@ -146,13 +146,17 @@ impl Node {
         }
     }
 
-    /// Snapshot this node's health and traffic counters (MAC and
-    /// network layers merged into one namespace). Liveness is the
-    /// medium's dead bit, so the caller passes it in.
-    pub fn stats(&self, alive: bool) -> NodeStats {
-        let mut counters = Counters::new();
-        counters.merge(self.mac.counters());
+    /// This node's counters: the MAC's and the network stack's, merged
+    /// into one namespace.
+    pub fn counters(&self) -> Counters {
+        let mut counters = self.mac.counters().clone();
         counters.merge(self.stack.counters());
+        counters
+    }
+
+    /// Snapshot this node's health and traffic counters. Liveness is
+    /// the medium's dead bit, so the caller passes it in.
+    pub fn stats(&self, alive: bool) -> NodeStats {
         NodeStats {
             id: self.id,
             name: self.name.clone(),
@@ -161,7 +165,7 @@ impl Node {
             neighbor_count: self.stack.neighbors.len(),
             process_count: self.processes.len(),
             energy_mj: self.energy.active_joules() * 1e3,
-            counters,
+            counters: self.counters(),
         }
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! Crates are identified by their directory name under `crates/`, with
 //! `root` naming the workspace's top-level `src/`. [`RULES`] is the one
-//! policy table (DESIGN.md §12): every scoping decision of all eight
+//! policy table (DESIGN.md §12): every scoping decision of all six
 //! rules is a field of its rows. The CLI lints under it, and so do the
 //! tests, which filter findings by rule.
 
@@ -54,7 +54,7 @@ pub struct RuleScope {
     pub sinks: &'static [(SinkKind, Scope, bool)],
 }
 
-/// Every rule, in reporting order: the four per-file rules of
+/// Every rule, in reporting order: the two per-file rules of
 /// [`crate::rules`], then the four reach rules of [`crate::interproc`].
 ///
 /// The live-transport crate (`serve`) is outside the determinism scope
@@ -71,18 +71,6 @@ pub const RULES: &[RuleScope] = &[
         name: "hash-type",
         summary: "no std HashMap/HashSet in sim-path crates (BTreeMap/BTreeSet instead)",
         crates: SIM_PATH,
-        sinks: &[],
-    },
-    RuleScope {
-        name: "counter-name",
-        summary: "counter ids must be namespaced: `ns.name` (e.g. dyn.node_down)",
-        crates: Scope::All,
-        sinks: &[],
-    },
-    RuleScope {
-        name: "trace-coverage",
-        summary: "kernel functions counting dyn.* mutations must emit a trace event",
-        crates: Scope::Only(&["kernel"]),
         sinks: &[],
     },
     RuleScope {
@@ -185,10 +173,10 @@ mod tests {
     /// sim-path crate keeps the full determinism set.
     #[test]
     fn live_crate_scoping() {
-        for rule in ["determinism", "hash-type", "trace-coverage"] {
+        for rule in ["determinism", "hash-type"] {
             assert!(!scope_of(rule).contains("serve"), "{rule} covers serve");
         }
-        for rule in ["no-panic", "counter-name", "pub-doc", "hot-path-alloc"] {
+        for rule in ["no-panic", "pub-doc", "hot-path-alloc"] {
             assert!(scope_of(rule).contains("serve"), "{rule} skips serve");
         }
         for key in ["sim", "radio", "mac", "net", "kernel", "core"] {

@@ -8,7 +8,7 @@
 //! sinks from the token stream without a full Rust grammar; the call
 //! graph ([`graph`]) links the functions across crates, and the reach
 //! rules ([`interproc`]) walk it. One policy table ([`config`]) scopes
-//! all eight rules:
+//! all six rules:
 //!
 //! * **determinism** — no wall-clock reads or OS entropy in the
 //!   simulation-path crates, no iteration over hash containers
@@ -21,9 +21,8 @@
 //!   tagged `// lv-lint: hot`.
 //! * **shard-readiness** — no shared mutable statics or locks in
 //!   event-loop-reachable code.
-//! * **conventions** — no std hash containers on the sim path,
-//!   namespaced counter ids, trace-event coverage for kernel state
-//!   mutations, docs on `pub` items.
+//! * **conventions** — no std hash containers on the sim path, docs on
+//!   `pub` items.
 //!
 //! The one escape hatch is an inline `// lv-lint: allow(<rule>)`
 //! directive on the offending line or the line above. The binary exits
@@ -167,7 +166,7 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// Lint every workspace source under `root` with all eight rules,
+/// Lint every workspace source under `root` with all six rules,
 /// returning findings sorted by `(path, line, col, rule)`.
 pub fn lint_workspace(root: &Path) -> Vec<Finding> {
     let (sources, mut findings) = read_sources(root);

@@ -273,12 +273,8 @@ type Check = fn(&FileContext<'_>, &mut Vec<Finding>);
 
 /// The per-file rules, in reporting order; [`crate::config::RULES`]
 /// scopes them.
-pub(crate) const CHECKS: &[(&str, Check)] = &[
-    ("hash-type", check_hash_type),
-    ("counter-name", check_counter_name),
-    ("trace-coverage", check_trace_coverage),
-    ("pub-doc", check_pub_doc),
-];
+pub(crate) const CHECKS: &[(&str, Check)] =
+    &[("hash-type", check_hash_type), ("pub-doc", check_pub_doc)];
 
 /// Run every per-file rule whose scope covers the file's crate.
 pub fn check_file(ctx: &FileContext<'_>) -> Vec<Finding> {
@@ -312,117 +308,6 @@ fn check_hash_type(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
 // ---------------------------------------------------------------------
 // Convention rules
 // ---------------------------------------------------------------------
-
-/// Counter ids must look like `ns.part` (possibly more dots): a
-/// lowercase namespace, then one or more dot-separated components, as
-/// in `dyn.node_down`, `padding.capped`, `net.drop.NoRoute`.
-fn counter_name_ok(name: &str) -> bool {
-    let mut parts = name.split('.');
-    let Some(ns) = parts.next() else { return false };
-    let ns_ok = !ns.is_empty()
-        && ns.chars().next().is_some_and(|c| c.is_ascii_lowercase())
-        && ns
-            .chars()
-            .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_');
-    let mut rest = 0;
-    let rest_ok = parts.all(|p| {
-        rest += 1;
-        !p.is_empty() && p.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
-    });
-    ns_ok && rest_ok && rest >= 1
-}
-
-fn check_counter_name(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
-    for i in 0..ctx.sig.len() {
-        let Some(t) = ctx.sig_tok(i) else { break };
-        if t.kind != TokenKind::Ident || (t.text != "incr" && t.text != "add") {
-            continue;
-        }
-        if i < 1 || ctx.sig_text(i - 1) != "." || ctx.sig_text(i + 1) != "(" {
-            continue;
-        }
-        let Some(arg) = ctx.sig_tok(i + 2) else {
-            continue;
-        };
-        if arg.kind != TokenKind::Str || !arg.text.starts_with('"') {
-            continue;
-        }
-        let lit = arg.text.trim_matches('"');
-        if !counter_name_ok(lit) {
-            ctx.push(
-                out,
-                "counter-name",
-                arg,
-                format!(
-                    "counter id `{lit}` is not namespaced; use `ns.name` like `dyn.node_down` \
-                     or `padding.capped`"
-                ),
-            );
-        }
-    }
-}
-
-fn check_trace_coverage(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
-    // Walk function bodies: a body that counts a `CounterId::Dyn*`
-    // state mutation must also emit a trace event (`.emit(`).
-    let mut i = 0usize;
-    while i < ctx.sig.len() {
-        if ctx.sig_text(i) != "fn" {
-            i += 1;
-            continue;
-        }
-        // Body = first `{` at paren depth 0 after the signature.
-        let mut j = i + 1;
-        let mut paren = 0i32;
-        let body_open = loop {
-            if j >= ctx.sig.len() {
-                break None;
-            }
-            match ctx.sig_text(j) {
-                "(" => paren += 1,
-                ")" => paren -= 1,
-                "{" if paren == 0 => break Some(j),
-                ";" if paren == 0 => break None, // trait method decl
-                _ => {}
-            }
-            j += 1;
-        };
-        let Some(open) = body_open else {
-            i = j + 1;
-            continue;
-        };
-        let close = ctx.matching(open, "{", "}");
-        let mut dyn_tok: Option<&Token<'_>> = None;
-        let mut has_emit = false;
-        for k in open..=close {
-            let Some(t) = ctx.sig_tok(k) else { break };
-            if t.text == "CounterId"
-                && ctx.sig_text(k + 1) == ":"
-                && ctx.sig_text(k + 2) == ":"
-                && ctx.sig_text(k + 3).starts_with("Dyn")
-                && dyn_tok.is_none()
-            {
-                dyn_tok = ctx.sig_tok(k + 3);
-            }
-            if t.text == "emit" && ctx.sig_text(k - 1) == "." {
-                has_emit = true;
-            }
-        }
-        if let (Some(t), false) = (dyn_tok, has_emit) {
-            ctx.push(
-                out,
-                "trace-coverage",
-                t,
-                format!(
-                    "this function counts `CounterId::{}` but emits no trace event; kernel \
-                     state mutations must be visible on the flight-recorder timeline",
-                    t.text
-                ),
-            );
-        }
-        i = close + 1;
-    }
-}
 
 fn check_pub_doc(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
     // Binaries are not API surface: their `pub` is incidental.
@@ -576,16 +461,6 @@ mod tests {
     }
 
     #[test]
-    fn counter_names_validated() {
-        let good = "fn f(c: &mut Counters) { c.incr(\"dyn.node_down\"); c.add(\"net.drop.NoRoute\", 2); }\n";
-        assert!(lines("counter-name", "crates/net/src/x.rs", good).is_empty());
-        let bad = "fn f(c: &mut Counters) { c.incr(\"NodeDown\"); }\n";
-        let f = lint_source("crates/net/src/x.rs", bad);
-        assert_eq!(f.len(), 1);
-        assert!(f[0].message.contains("NodeDown"));
-    }
-
-    #[test]
     fn pub_doc_requires_docs_outside_bodies() {
         let src = "/// Documented.\npub fn a() {}\npub fn b() {}\n\
                    fn c() { let pub_ish = 1; }\n";
@@ -607,18 +482,6 @@ mod tests {
     fn pub_doc_accepts_doc_attr_and_skips_pub_crate() {
         let src = "#[doc = \"x\"]\npub fn a() {}\npub(crate) fn b() {}\npub use other::Thing;\n";
         assert!(lint_source("crates/sim/src/x.rs", src).is_empty());
-    }
-
-    #[test]
-    fn trace_coverage_pairs_dyn_counters_with_emit() {
-        let bad = "fn f(&mut self) { self.counters.incr_id(CounterId::DynNodeDown); }\n";
-        assert_eq!(
-            lines("trace-coverage", "crates/kernel/src/x.rs", bad),
-            vec![1]
-        );
-        let good = "fn f(&mut self) { self.counters.incr_id(CounterId::DynNodeDown); \
-                    self.trace.emit(now, id, lvl, msg); }\n";
-        assert!(lint_source("crates/kernel/src/x.rs", good).is_empty());
     }
 
     #[test]

@@ -90,26 +90,6 @@ fn hot_path_alloc_fixture() {
 }
 
 #[test]
-fn counter_name_fixture() {
-    let lines = finding_lines(
-        "counter_name.rs",
-        "counter-name",
-        "crates/net/src/fixture.rs",
-    );
-    assert_eq!(lines, vec![5, 9]);
-}
-
-#[test]
-fn trace_coverage_fixture() {
-    let lines = finding_lines(
-        "trace_coverage.rs",
-        "trace-coverage",
-        "crates/kernel/src/fixture.rs",
-    );
-    assert_eq!(lines, vec![6]);
-}
-
-#[test]
 fn pub_doc_fixture() {
     let lines = finding_lines("pub_doc.rs", "pub-doc", "crates/sim/src/fixture.rs");
     assert_eq!(
@@ -275,8 +255,6 @@ fn binary_lists_all_rules() {
         listed,
         vec![
             "hash-type",
-            "counter-name",
-            "trace-coverage",
             "pub-doc",
             "determinism",
             "no-panic",
@@ -300,8 +278,6 @@ fn fixtures_are_single_rule_specimens() {
         ("hash_iter.rs", "determinism"),
         ("no_panic.rs", "no-panic"),
         ("hot_path_alloc.rs", "hot-path-alloc"),
-        ("counter_name.rs", "counter-name"),
-        ("trace_coverage.rs", "trace-coverage"),
         ("pub_doc.rs", "pub-doc"),
         ("interproc_taint.rs", "determinism"),
         ("interproc_panic.rs", "no-panic"),

@@ -100,23 +100,10 @@ impl Trace {
         self.events.dropped()
     }
 
-    /// Retained events whose message contains `needle`.
-    pub fn find(&self, needle: &str) -> Vec<&TraceEvent> {
-        self.events()
-            .iter()
-            .filter(|e| e.message.contains(needle))
-            .collect()
-    }
-
     /// Retained events at or after `at`, oldest first — the causal
     /// timeline of whatever started at `at` (a command dispatch, say).
     pub fn events_since(&self, at: SimTime) -> impl Iterator<Item = &TraceEvent> {
         self.events().iter().filter(move |e| e.at >= at)
-    }
-
-    /// Retained events attributed to `node`, oldest first.
-    pub fn events_for(&self, node: u16) -> impl Iterator<Item = &TraceEvent> {
-        self.events().iter().filter(move |e| e.node == node)
     }
 
     /// Discard all retained events (the level gate is unchanged).
@@ -175,29 +162,16 @@ mod tests {
         let msgs: Vec<&str> = t.events().iter().map(|e| e.message.as_str()).collect();
         assert_eq!(msgs, vec!["e96", "e97", "e98", "e99"]);
         assert_eq!(t.dropped(), 96);
-        assert_eq!(t.find("e97").len(), 1);
         assert_eq!(t.events_since(SimTime::from_nanos(98)).count(), 2);
     }
 
     #[test]
-    fn find_matches_substring() {
-        let mut t = Trace::enabled(TraceLevel::Debug, 16);
-        t.emit(SimTime::ZERO, 3, TraceLevel::Packet, "tx seq=4");
-        t.emit(SimTime::ZERO, 3, TraceLevel::Packet, "rx seq=4");
-        t.emit(SimTime::ZERO, 3, TraceLevel::Packet, "drop crc");
-        assert_eq!(t.find("seq=4").len(), 2);
-        assert_eq!(t.find("drop").len(), 1);
-        assert_eq!(t.find("nothing").len(), 0);
-    }
-
-    #[test]
-    fn since_and_for_node_filters() {
+    fn since_and_clear() {
         let mut t = Trace::enabled(TraceLevel::Debug, 16);
         t.emit(SimTime::from_millis(1), 1, TraceLevel::Info, "early");
         t.emit(SimTime::from_millis(5), 2, TraceLevel::Info, "late a");
         t.emit(SimTime::from_millis(9), 1, TraceLevel::Info, "late b");
         assert_eq!(t.events_since(SimTime::from_millis(5)).count(), 2);
-        assert_eq!(t.events_for(1).count(), 2);
         t.clear();
         assert!(t.events().is_empty());
         assert_eq!(t.dropped(), 0);
