@@ -1125,6 +1125,285 @@ mod tests {
         ]
     }
 
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// One encoding of every message shape, byte for byte. The
+    /// round-trip tests also pass after a symmetric layout change; this
+    /// table does not. A deliberate layout change regenerates it in a
+    /// commit of its own that names the reason.
+    #[test]
+    fn golden_bytes() {
+        let req = |cmd| {
+            MgmtRequest {
+                req_id: 7,
+                reply_node: 0x0102,
+                reply_port: 4,
+                cmd,
+            }
+            .encode()
+        };
+        let resp = |reply| {
+            MgmtResponse {
+                req_id: 9,
+                from: 0x0304,
+                reply,
+            }
+            .encode()
+        };
+        let ping_probe = |length| {
+            PingProbe {
+                session: 0x1234,
+                seq: 3,
+                reply_port: 101,
+            }
+            .encode(length)
+        };
+        let tr_probe = |length| {
+            TrProbe {
+                session: 0x1234,
+                seq: 3,
+                reply_port: 101,
+            }
+            .encode(length)
+        };
+        let neighbors = WireNeighbor::encode_list(&[
+            WireNeighbor {
+                id: 3,
+                inbound_q: 240,
+                outbound_q: Some(200),
+                blacklisted: false,
+                tree_hops: 2,
+                name: "192.168.0.4".into(),
+            },
+            WireNeighbor {
+                id: 0x0109,
+                inbound_q: 90,
+                outbound_q: None,
+                blacklisted: true,
+                tree_hops: 255,
+                name: "gateway-192.168.0.9".into(),
+            },
+        ]);
+        let log = WireLogEntry::encode_list(&[
+            WireLogEntry {
+                time_ms: 25_000,
+                code: "mgmt".into(),
+                detail: "request GetPower".into(),
+            },
+            WireLogEntry {
+                time_ms: 0x0102_0304,
+                code: "traceroute".into(),
+                detail: "queue → full: ✓✓".into(),
+            },
+        ]);
+        let record = HopRecord {
+            hop_index: 2,
+            far: 3,
+            reached_dst: true,
+            no_route: false,
+            probe_lost: false,
+            rtt_us: 4900,
+            lqi_fwd: 106,
+            lqi_bwd: 107,
+            rssi_fwd: -3,
+            rssi_bwd: 2,
+            queue_fwd: 1,
+            queue_bwd: 0,
+        };
+        let lost = HopRecord {
+            hop_index: 3,
+            far: 4,
+            reached_dst: false,
+            no_route: false,
+            probe_lost: true,
+            rtt_us: 0,
+            lqi_fwd: 0,
+            lqi_bwd: 0,
+            rssi_fwd: 0,
+            rssi_bwd: 0,
+            queue_fwd: 0,
+            queue_bwd: 0,
+        };
+        let summary = PingOutcome {
+            target: 2,
+            sent: 2,
+            received: 1,
+            power: 31,
+            channel: 17,
+            rounds: vec![PingRound {
+                seq: 0,
+                rtt_us: 4700,
+                lqi_fwd: 108,
+                lqi_bwd: 106,
+                rssi_fwd: -1,
+                rssi_bwd: 8,
+                queue_fwd: 0,
+                queue_bwd: 1,
+                fwd_hops: hops(),
+                bwd_hops: vec![HopQuality { lqi: 99, rssi: -40 }],
+            }],
+        };
+        let cases: Vec<(Vec<u8>, &str)> = vec![
+            (req(Command::Status), "200701020401"),
+            (req(Command::GroupStatus), "200701020401"),
+            (req(Command::GetPower), "200701020402"),
+            (req(Command::SetPower(10)), "2007010204030a"),
+            (req(Command::GetChannel), "200701020404"),
+            (req(Command::SetChannel(17)), "20070102040511"),
+            (req(Command::NeighborList { with_quality: true }), "20070102040601"),
+            (
+                req(Command::Blacklist {
+                    neighbor: 0x0304,
+                    add: true,
+                }),
+                "200701020407030401",
+            ),
+            (
+                req(Command::UpdateBeacon {
+                    period: SimDuration::from_millis(1500),
+                }),
+                "200701020408000005dc",
+            ),
+            (req(Command::SetLogging(true)), "20070102040901"),
+            (
+                req(Command::Ping {
+                    dst: 2,
+                    rounds: 3,
+                    length: 32,
+                    port: None,
+                }),
+                "20070102040a0002032000",
+            ),
+            (
+                req(Command::Ping {
+                    dst: 8,
+                    rounds: 1,
+                    length: 32,
+                    port: Some(Port(10)),
+                }),
+                "20070102040a000801200a",
+            ),
+            (
+                req(Command::Traceroute {
+                    dst: 8,
+                    length: 32,
+                    port: Port(10),
+                }),
+                "20070102040b0008200a",
+            ),
+            (req(Command::ReadLog { max: 24 }), "20070102040c18"),
+            (resp(MgmtReply::Ok), "3009030480"),
+            (
+                resp(MgmtReply::Status {
+                    power: 31,
+                    channel: 17,
+                    queue: 0,
+                    neighbors: 5,
+                }),
+                "30090304811f110005",
+            ),
+            (resp(MgmtReply::Power(25)), "300903048219"),
+            (resp(MgmtReply::Channel(11)), "30090304830b"),
+            (resp(MgmtReply::PingSummary(summary)), "3009030484000202011f1101000000125c6c6aff080001026cff69080163d8"),
+            (
+                resp(MgmtReply::TracerouteInfo {
+                    protocol: "geographic forwarding".into(),
+                }),
+                "30090304851567656f6772617068696320666f7277617264696e67",
+            ),
+            (resp(MgmtReply::TracerouteHop(record)), "300903048602000301000013246a6bfd020100"),
+            (
+                resp(MgmtReply::TracerouteDone {
+                    hops: 8,
+                    reached: true,
+                }),
+                "30090304870801",
+            ),
+            (resp(MgmtReply::Error(3)), "30090304ff03"),
+            (neighbors, "020003f0c802020b3139322e3136382e302e3401095a0001ff0f676174657761792d3139322e313638"),
+            (log, "02000061a8046d676d74107265717565737420476574506f776572010203040a7472616365726f75746510717565756520e286922066756c6c3a20"),
+            (
+                BatchMsg::Data {
+                    req_id: 1,
+                    seq: 2,
+                    total: 5,
+                    ack_after: true,
+                    payload: vec![1, 2, 3],
+                }
+                .encode(),
+                "4001020501010203",
+            ),
+            (
+                BatchMsg::Ack {
+                    req_id: 1,
+                    missing: vec![0, 3],
+                }
+                .encode(),
+                "4101020003",
+            ),
+            (ping_probe(0), "5012340365"),
+            (ping_probe(5), "5012340365"),
+            (ping_probe(32), "5012340365000000000000000000000000000000000000000000000000000000"),
+            (ping_probe(64), "50123403650000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000"),
+            (ping_probe(90), "50123403650000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000"),
+            (tr_probe(0), "6012340365"),
+            (tr_probe(5), "6012340365"),
+            (tr_probe(32), "6012340365000000000000000000000000000000000000000000000000000000"),
+            (tr_probe(64), "60123403650000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000"),
+            (tr_probe(90), "60123403650000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000"),
+            (
+                PingReply {
+                    session: 0x1234,
+                    seq: 3,
+                    lqi_in: 108,
+                    rssi_in: -1,
+                    queue: 2,
+                    fwd_hops: hops(),
+                }
+                .encode(),
+                "511234036cff02026cff6908",
+            ),
+            (
+                TrProbeReply {
+                    session: 0x1234,
+                    seq: 2,
+                    lqi_in: 105,
+                    rssi_in: -3,
+                    queue: 1,
+                }
+                .encode(),
+                "6112340269fd01",
+            ),
+            (
+                TrTask {
+                    session: 0x1234,
+                    origin: 1,
+                    origin_port: 120,
+                    dst: 8,
+                    carry_port: 10,
+                    hop_index: 3,
+                    length: 32,
+                }
+                .encode(),
+                "62123400017800080a0320",
+            ),
+            (
+                TrReport {
+                    session: 0x1234,
+                    record: lost,
+                }
+                .encode(),
+                "6312340300040400000000000000000000",
+            ),
+        ];
+        assert_eq!(cases.len(), 41);
+        for (i, (bytes, golden)) in cases.iter().enumerate() {
+            assert_eq!(hex(bytes), *golden, "case {i}");
+        }
+    }
+
     #[test]
     fn mgmt_request_round_trip_all_variants() {
         let cmds = vec![
