@@ -24,8 +24,8 @@ use crate::ping::PingProcess;
 use crate::protocol::{BatchSender, SendStep};
 use crate::traceroute::{TrHopProcess, TrSourceProcess};
 use crate::wire::{
-    BatchMsg, MgmtReply, MgmtRequest, MgmtResponse, PingProbe, PingReply, TrProbe, TrProbeReply,
-    TrTask, WireLogEntry, WireNeighbor,
+    encode_rows, BatchMsg, MgmtReply, MgmtRequest, MgmtResponse, Msg, PingReply, Probe, Row,
+    TrProbeReply, TrTask, WireLogEntry, WireNeighbor,
 };
 use lv_kernel::{Process, ProcessImage, RxMeta, SysCtx};
 use lv_net::neighbors::NeighborEntry;
@@ -128,11 +128,11 @@ impl RuntimeController {
         req: &MgmtRequest,
         reply: MgmtReply,
     ) -> SimDuration {
-        let resp = MgmtResponse {
+        let resp = Msg::Response(MgmtResponse {
             req_id: req.req_id,
             from: ctx.node_id,
             reply,
-        };
+        });
         self.reply_later(ctx, req.reply_node, Port(req.reply_port), resp.encode())
     }
 
@@ -146,7 +146,7 @@ impl RuntimeController {
         for step in steps {
             match step {
                 SendStep::Transmit(msg) => {
-                    ctx.send(dst, app, app, msg.encode(), false);
+                    ctx.send(dst, app, app, Msg::Batch(msg).encode(), false);
                 }
                 SendStep::ArmTimer => arm = true,
                 SendStep::Done | SendStep::Abort => finished = true,
@@ -188,17 +188,16 @@ impl RuntimeController {
 
     /// Stream `rows` back to the requester through the batch protocol,
     /// `per_chunk` rows per chunk (one empty chunk for no rows).
-    fn send_rows<T>(
+    fn send_rows<T: Row>(
         &mut self,
         ctx: &mut SysCtx<'_>,
         req: &MgmtRequest,
         rows: &[T],
         per_chunk: usize,
-        encode: fn(&[T]) -> Vec<u8>,
     ) {
-        let mut chunks: Vec<Vec<u8>> = rows.chunks(per_chunk).map(encode).collect();
+        let mut chunks: Vec<Vec<u8>> = rows.chunks(per_chunk).map(encode_rows).collect();
         if chunks.is_empty() {
-            chunks.push(encode(&[]));
+            chunks.push(encode_rows::<T>(&[]));
         }
         let mut sender = BatchSender::new(req.req_id, chunks);
         let steps = sender.start();
@@ -260,7 +259,7 @@ impl RuntimeController {
             },
             Command::NeighborList { with_quality } => {
                 let rows = Self::neighbor_rows(ctx.neighbors, with_quality);
-                self.send_rows(ctx, &req, &rows, ROWS_PER_CHUNK, WireNeighbor::encode_list);
+                self.send_rows(ctx, &req, &rows, ROWS_PER_CHUNK);
             }
             Command::Blacklist { neighbor, add } => {
                 let known = ctx.neighbors.iter().any(|n| n.id == neighbor);
@@ -311,13 +310,13 @@ impl RuntimeController {
                 // Sent immediately (not jittered): the first hop reports
                 // can arrive within milliseconds and the protocol banner
                 // must precede them.
-                let resp = MgmtResponse {
+                let resp = Msg::Response(MgmtResponse {
                     req_id: req.req_id,
                     from: ctx.node_id,
                     reply: MgmtReply::TracerouteInfo {
                         protocol: protocol.to_owned(),
                     },
-                };
+                });
                 let app = Port(req.reply_port);
                 ctx.send(req.reply_node, app, app, resp.encode(), false);
                 let session = self.alloc_session(ctx);
@@ -338,23 +337,20 @@ impl RuntimeController {
                         detail: e.detail.clone(),
                     })
                     .collect();
-                self.send_rows(ctx, &req, &rows, LOGS_PER_CHUNK, WireLogEntry::encode_list);
+                self.send_rows(ctx, &req, &rows, LOGS_PER_CHUNK);
             }
         }
     }
 
-    fn handle_ping_probe(&mut self, ctx: &mut SysCtx<'_>, packet: &NetPacket, meta: RxMeta) {
-        let Ok(probe) = PingProbe::decode(&packet.payload) else {
-            return;
-        };
-        let reply = PingReply {
+    fn handle_ping_probe(ctx: &mut SysCtx<'_>, packet: &NetPacket, meta: RxMeta, probe: Probe) {
+        let reply = Msg::PingReply(PingReply {
             session: probe.session,
             seq: probe.seq,
             lqi_in: meta.lqi,
             rssi_in: meta.rssi,
             queue: ctx.queue_len.min(255) as u8,
             fwd_hops: packet.hop_qualities(),
-        };
+        });
         // Replies return over the same carrying port the probe used, so
         // multi-hop pings are answered over the same routing protocol.
         ctx.send(
@@ -366,17 +362,14 @@ impl RuntimeController {
         );
     }
 
-    fn handle_tr_probe(&mut self, ctx: &mut SysCtx<'_>, packet: &NetPacket, meta: RxMeta) {
-        let Ok(probe) = TrProbe::decode(&packet.payload) else {
-            return;
-        };
-        let reply = TrProbeReply {
+    fn handle_tr_probe(ctx: &mut SysCtx<'_>, packet: &NetPacket, meta: RxMeta, probe: Probe) {
+        let reply = Msg::TrProbeReply(TrProbeReply {
             session: probe.session,
             seq: probe.seq,
             lqi_in: meta.lqi,
             rssi_in: meta.rssi,
             queue: ctx.queue_len.min(255) as u8,
-        };
+        });
         ctx.send(
             packet.header.origin,
             packet.header.port,
@@ -386,7 +379,7 @@ impl RuntimeController {
         );
     }
 
-    fn handle_tr_task(&mut self, ctx: &mut SysCtx<'_>, task: TrTask) {
+    fn handle_tr_task(ctx: &mut SysCtx<'_>, task: TrTask) {
         let params = format!(
             "{} {} {} {} {} {} {}",
             task.session,
@@ -428,34 +421,24 @@ impl Process for RuntimeController {
     }
 
     fn on_packet(&mut self, ctx: &mut SysCtx<'_>, packet: &NetPacket, meta: RxMeta) {
-        match packet.header.app_port {
-            Port::MANAGEMENT => match packet.payload.first() {
-                Some(&MgmtRequest::TAG) => {
-                    if let Ok(req) = MgmtRequest::decode(&packet.payload) {
-                        self.handle_request(ctx, req);
-                    }
+        let Ok(msg) = Msg::decode(&packet.payload) else {
+            return;
+        };
+        match (packet.header.app_port, msg) {
+            (Port::MANAGEMENT, Msg::Request(req)) => self.handle_request(ctx, req),
+            (Port::MANAGEMENT, Msg::Batch(BatchMsg::Ack { req_id, missing })) => {
+                if let Some(batch) = self.batches.get_mut(&req_id) {
+                    let steps = batch.sender.on_ack(&missing);
+                    self.run_batch_steps(ctx, req_id, steps);
                 }
-                Some(0x41) => {
-                    if let Ok(BatchMsg::Ack { req_id, missing }) = BatchMsg::decode(&packet.payload)
-                    {
-                        if let Some(batch) = self.batches.get_mut(&req_id) {
-                            let steps = batch.sender.on_ack(&missing);
-                            self.run_batch_steps(ctx, req_id, steps);
-                        }
-                    }
-                }
-                _ => {}
-            },
-            Port::PING => self.handle_ping_probe(ctx, packet, meta),
-            Port::TRACEROUTE => match packet.payload.first() {
-                Some(0x60) => self.handle_tr_probe(ctx, packet, meta),
-                Some(0x62) => {
-                    if let Ok(task) = TrTask::decode(&packet.payload) {
-                        self.handle_tr_task(ctx, task);
-                    }
-                }
-                _ => {}
-            },
+            }
+            (Port::PING, Msg::PingProbe(probe)) => {
+                Self::handle_ping_probe(ctx, packet, meta, probe)
+            }
+            (Port::TRACEROUTE, Msg::TrProbe(probe)) => {
+                Self::handle_tr_probe(ctx, packet, meta, probe);
+            }
+            (Port::TRACEROUTE, Msg::TrTask(task)) => Self::handle_tr_task(ctx, task),
             _ => {}
         }
     }

@@ -19,9 +19,7 @@ use crate::commands::{
     Command, CommandResult, StatusRow, TraceHop, TraceOutcome, WORKSTATION_PORT,
 };
 use crate::protocol::BatchReceiver;
-use crate::wire::{
-    BatchMsg, MgmtReply, MgmtRequest, MgmtResponse, WireError, WireLogEntry, WireNeighbor,
-};
+use crate::wire::{decode_rows, BatchMsg, MgmtReply, MgmtRequest, Msg};
 use lv_kernel::{Process, ProcessImage, RxMeta, SysCtx};
 use lv_net::packet::{NetPacket, Port};
 use lv_sim::SimTime;
@@ -167,32 +165,16 @@ impl InFlight {
         if self.completed_at.is_none() {
             if let Some(chunks) = rx.assemble() {
                 let result = match self.command {
-                    Command::ReadLog { .. } => {
-                        decode_rows(&chunks, WireLogEntry::decode_list).map(CommandResult::Log)
-                    }
-                    _ => decode_rows(&chunks, WireNeighbor::decode_list)
-                        .map(CommandResult::Neighbors),
+                    Command::ReadLog { .. } => decode_rows(&chunks).map(CommandResult::Log),
+                    _ => decode_rows(&chunks).map(CommandResult::Neighbors),
                 };
-                if let Some(result) = result {
+                if let Ok(result) = result {
                     self.complete(result, now);
                 }
             }
         }
         ack
     }
-}
-
-/// The rows of every chunk in order, or `None` if any chunk is
-/// malformed.
-fn decode_rows<T>(
-    chunks: &[Vec<u8>],
-    decode: fn(&[u8]) -> Result<Vec<T>, WireError>,
-) -> Option<Vec<T>> {
-    let mut rows = Vec::new();
-    for chunk in chunks {
-        rows.append(&mut decode(chunk).ok()?);
-    }
-    Some(rows)
 }
 
 /// The slot the workstation driver and the interpreter process share.
@@ -241,12 +223,12 @@ impl Process for Interpreter {
             // even none.
             fl.result = CommandResult::GroupStatus(Vec::new());
         }
-        let req = MgmtRequest {
+        let req = Msg::Request(MgmtRequest {
             req_id: fl.req_id,
             reply_node: ctx.node_id,
             reply_port: WORKSTATION_PORT.0,
             cmd: fl.command.clone(),
-        };
+        });
         // One hop to the target's runtime controller (GROUP_TARGET is
         // the link-layer broadcast: every controller in range answers,
         // each after its own random backoff).
@@ -262,27 +244,21 @@ impl Process for Interpreter {
 
     fn on_packet(&mut self, ctx: &mut SysCtx<'_>, packet: &NetPacket, _meta: RxMeta) {
         let mut slot = self.in_flight.borrow_mut();
-        match packet.payload.first() {
-            Some(&MgmtResponse::TAG) => {
-                let Ok(resp) = MgmtResponse::decode(&packet.payload) else {
-                    return;
-                };
-                if let Some(fl) = slot.as_mut().filter(|fl| fl.req_id == resp.req_id) {
-                    fl.land(resp.from, resp.reply, ctx.now);
-                }
+        let Some(fl) = slot.as_mut() else {
+            return;
+        };
+        match Msg::decode(&packet.payload) {
+            Ok(Msg::Response(resp)) if resp.req_id == fl.req_id => {
+                fl.land(resp.from, resp.reply, ctx.now);
             }
-            Some(0x40) => {
-                let Ok(msg) = BatchMsg::decode(&packet.payload) else {
-                    return;
-                };
-                let ack = slot.as_mut().and_then(|fl| fl.land_chunk(msg, ctx.now));
-                if let Some(ack) = ack {
+            Ok(Msg::Batch(chunk)) => {
+                if let Some(ack) = fl.land_chunk(chunk, ctx.now) {
                     // Acks flow back on the management port, one hop.
                     ctx.send(
                         packet.header.origin,
                         Port::MANAGEMENT,
                         Port::MANAGEMENT,
-                        ack.encode(),
+                        Msg::Batch(ack).encode(),
                         false,
                     );
                 }

@@ -16,7 +16,7 @@
 //! forward profile and accumulates the backward profile on its way home.
 
 use crate::commands::{session_port, PingOutcome};
-use crate::wire::{MgmtReply, MgmtResponse, PingProbe, PingReply, PingRound};
+use crate::wire::{MgmtReply, MgmtResponse, Msg, PingRound, Probe};
 use lv_kernel::{Process, ProcessImage, RxMeta, SysCtx};
 use lv_net::packet::{NetPacket, Port};
 use lv_sim::{SimDuration, SimTime};
@@ -85,23 +85,18 @@ impl PingProcess {
         // Start always configures before probing; an unconfigured
         // process simply stays idle instead of aborting the node.
         let Some(cfg) = self.cfg.as_ref() else { return };
-        let probe = PingProbe {
+        let probe = Msg::PingProbe(Probe {
             session: cfg.session,
             seq: self.current_seq,
             reply_port: session_port(cfg.session).0,
-        };
+            length: cfg.length,
+        });
         let carrying = cfg.carry.unwrap_or(Port::PING);
         // Padding is only meaningful over multiple hops.
         let padding = cfg.carry.is_some();
         self.sent_at = ctx.now;
         self.sent += 1;
-        ctx.send(
-            cfg.dst,
-            carrying,
-            Port::PING,
-            probe.encode(cfg.length as usize),
-            padding,
-        );
+        ctx.send(cfg.dst, carrying, Port::PING, probe.encode(), padding);
         ctx.set_timer(self.current_seq as u32, ROUND_TIMEOUT);
     }
 
@@ -126,11 +121,11 @@ impl PingProcess {
             rounds: self.rounds.clone(),
         };
         summary.fit_to_wire();
-        let resp = MgmtResponse {
+        let resp = Msg::Response(MgmtResponse {
             req_id: self.req_id,
             from: ctx.node_id,
             reply: MgmtReply::PingSummary(summary),
-        };
+        });
         let app = Port(cfg.reply_port);
         ctx.send(cfg.reply_node, app, app, resp.encode(), false);
         ctx.log("ping", format!("done: {}/{}", self.received, self.sent));
@@ -169,7 +164,7 @@ impl Process for PingProcess {
 
     fn on_packet(&mut self, ctx: &mut SysCtx<'_>, packet: &NetPacket, meta: RxMeta) {
         let Some(cfg) = self.cfg.as_ref() else { return };
-        let Ok(reply) = PingReply::decode(&packet.payload) else {
+        let Ok(Msg::PingReply(reply)) = Msg::decode(&packet.payload) else {
             return;
         };
         if reply.session != cfg.session || reply.seq != self.current_seq {

@@ -25,7 +25,7 @@
 //!   passes the task onward, and exits.
 
 use crate::commands::session_port;
-use crate::wire::{HopRecord, MgmtReply, MgmtResponse, TrProbe, TrProbeReply, TrReport, TrTask};
+use crate::wire::{HopRecord, MgmtReply, MgmtResponse, Msg, Probe, TrProbeReply, TrReport, TrTask};
 use lv_kernel::{Process, ProcessImage, RxMeta, SysCtx};
 use lv_net::packet::{NetPacket, Port};
 use lv_sim::{SimDuration, SimTime};
@@ -74,11 +74,12 @@ impl HopTask {
         match ctx.next_hop(self.carry, self.dst) {
             Some(next) => {
                 self.next = Some(next);
-                let probe = TrProbe {
+                let probe = Msg::TrProbe(Probe {
                     session: self.session,
                     seq: self.hop_index,
                     reply_port: session_port(self.session).0,
-                };
+                    length: self.length,
+                });
                 self.sent_at = ctx.now;
                 // Probes are strictly one-hop: carried on the traceroute
                 // port itself, answered by the neighbor's controller.
@@ -86,7 +87,7 @@ impl HopTask {
                     next,
                     Port::TRACEROUTE,
                     Port::TRACEROUTE,
-                    probe.encode(self.length as usize),
+                    probe.encode(),
                     false,
                 );
                 ctx.set_timer(TOKEN_PROBE, PROBE_TIMEOUT);
@@ -99,17 +100,8 @@ impl HopTask {
     fn no_route_record(&self) -> HopRecord {
         HopRecord {
             hop_index: self.hop_index,
-            far: 0,
-            reached_dst: false,
             no_route: true,
-            probe_lost: false,
-            rtt_us: 0,
-            lqi_fwd: 0,
-            lqi_bwd: 0,
-            rssi_fwd: 0,
-            rssi_bwd: 0,
-            queue_fwd: 0,
-            queue_bwd: 0,
+            ..HopRecord::default()
         }
     }
 
@@ -117,16 +109,8 @@ impl HopTask {
         HopRecord {
             hop_index: self.hop_index,
             far: self.next.unwrap_or(0),
-            reached_dst: false,
-            no_route: false,
             probe_lost: true,
-            rtt_us: 0,
-            lqi_fwd: 0,
-            lqi_bwd: 0,
-            rssi_fwd: 0,
-            rssi_bwd: 0,
-            queue_fwd: 0,
-            queue_bwd: 0,
+            ..HopRecord::default()
         }
     }
 
@@ -162,7 +146,7 @@ impl HopTask {
     /// Hand the task to the next node ("initiate a new traceroute task").
     fn hand_off(&self, ctx: &mut SysCtx<'_>, origin: u16, origin_port: u8) {
         let Some(next) = self.next else { return };
-        let task = TrTask {
+        let task = Msg::TrTask(TrTask {
             session: self.session,
             origin,
             origin_port,
@@ -170,7 +154,7 @@ impl HopTask {
             carry_port: self.carry.0,
             hop_index: self.hop_index + 1,
             length: self.length,
-        };
+        });
         ctx.send(
             next,
             Port::TRACEROUTE,
@@ -206,10 +190,10 @@ impl TrHopProcess {
         let Some(task) = self.task.as_ref() else {
             return;
         };
-        let report = TrReport {
+        let report = Msg::TrReport(TrReport {
             session: task.session,
             record,
-        };
+        });
         // Reports travel back over the carrying protocol (multi-hop).
         ctx.send(
             self.origin,
@@ -271,7 +255,7 @@ impl Process for TrHopProcess {
     }
 
     fn on_packet(&mut self, ctx: &mut SysCtx<'_>, packet: &NetPacket, meta: RxMeta) {
-        let Ok(reply) = TrProbeReply::decode(&packet.payload) else {
+        let Ok(Msg::TrProbeReply(reply)) = Msg::decode(&packet.payload) else {
             return;
         };
         let Some(task) = self.task.as_mut() else {
@@ -350,11 +334,11 @@ impl TrSourceProcess {
             self.reached = true;
         }
         let terminal = record.reached_dst || record.no_route || record.probe_lost;
-        let resp = MgmtResponse {
+        let resp = Msg::Response(MgmtResponse {
             req_id: cfg.req_id,
             from: ctx.node_id,
             reply: MgmtReply::TracerouteHop(record),
-        };
+        });
         let app = Port(cfg.reply_port);
         ctx.send(cfg.reply_node, app, app, resp.encode(), false);
         if terminal {
@@ -370,14 +354,14 @@ impl TrSourceProcess {
         }
         self.finished = true;
         let Some(cfg) = self.cfg.as_ref() else { return };
-        let resp = MgmtResponse {
+        let resp = Msg::Response(MgmtResponse {
             req_id: cfg.req_id,
             from: ctx.node_id,
             reply: MgmtReply::TracerouteDone {
                 hops: self.hops_relayed,
                 reached: self.reached,
             },
-        };
+        });
         let app = Port(cfg.reply_port);
         ctx.send(cfg.reply_node, app, app, resp.encode(), false);
         ctx.log("traceroute", format!("done: {} hops", self.hops_relayed));
@@ -437,12 +421,9 @@ impl Process for TrSourceProcess {
     }
 
     fn on_packet(&mut self, ctx: &mut SysCtx<'_>, packet: &NetPacket, meta: RxMeta) {
-        match packet.payload.first() {
+        match Msg::decode(&packet.payload) {
             // Reply to our own hop-1 probe.
-            Some(0x61) => {
-                let Ok(reply) = TrProbeReply::decode(&packet.payload) else {
-                    return;
-                };
+            Ok(Msg::TrProbeReply(reply)) => {
                 let Some(task) = self.task.as_mut() else {
                     return;
                 };
@@ -458,17 +439,13 @@ impl Process for TrSourceProcess {
                 self.relay(ctx, record);
             }
             // A report from a downstream hop.
-            Some(0x63) => {
-                let Ok(report) = TrReport::decode(&packet.payload) else {
-                    return;
-                };
+            Ok(Msg::TrReport(report))
                 if self
                     .task
                     .as_ref()
-                    .is_some_and(|t| t.session == report.session)
-                {
-                    self.relay(ctx, report.record);
-                }
+                    .is_some_and(|t| t.session == report.session) =>
+            {
+                self.relay(ctx, report.record);
             }
             _ => {}
         }

@@ -3,21 +3,29 @@
 //! "The command interpreter … translates each user command into a
 //! sequence of radio messages. Each message header corresponds to one
 //! unique type, while the command parameters are embedded into message
-//! bodies." (Section IV.B.) This module is those message types:
+//! bodies." (Section IV.B.) [`Msg`] is those messages, one variant per
+//! header (tag) byte:
 //!
-//! * [`MgmtRequest`] / [`MgmtResponse`] — workstation ↔ runtime
-//!   controller exchanges on the management port.
-//! * [`BatchMsg`] — the reliable batched transfer for multi-packet
-//!   replies (neighbor tables), with per-batch acknowledgements.
-//! * Probe formats for ping ([`PingProbe`], [`PingReply`]) and
-//!   traceroute ([`TrProbe`], [`TrProbeReply`], [`TrTask`],
-//!   [`TrReport`]).
+//! | Tag | Variant | Port | Carries |
+//! |---|---|---|---|
+//! | `0x20` | [`Msg::Request`] | management | a [`Command`] for a runtime controller |
+//! | `0x30` | [`Msg::Response`] | interpreter | one [`MgmtReply`] |
+//! | `0x40` / `0x41` | [`Msg::Batch`] | interpreter / management | a chunk / an ack of a multi-packet reply |
+//! | `0x50` / `0x51` | [`Msg::PingProbe`] / [`Msg::PingReply`] | ping / session | one ping round |
+//! | `0x60` / `0x61` | [`Msg::TrProbe`] / [`Msg::TrProbeReply`] | traceroute / session | one traceroute hop probe |
+//! | `0x62` / `0x63` | [`Msg::TrTask`] / [`Msg::TrReport`] | traceroute / session | a hop task handoff / a hop report |
 //!
-//! All formats are length-checked on decode and fit the stack's 64-byte
-//! payload area.
+//! [`Msg::encode`] and [`Msg::decode`] are the only code that writes or
+//! reads a tag. Every body is read through one bounds-checked cursor, so
+//! a short or inconsistent buffer decodes as [`WireError::Truncated`],
+//! never as a panic, and bytes past the end of a message are ignored.
+//! The chunks of a `list` or `readlog` reply carry [`Row`]s
+//! ([`encode_rows`], [`decode_rows`]). Every message fits the stack's
+//! 64-byte payload area.
 
 use crate::commands::{Command, PingOutcome};
-use lv_net::packet::Port;
+use cursor::{Field, Reader};
+use lv_net::packet::{Port, PAYLOAD_AREA};
 use lv_net::padding::HopQuality;
 use lv_sim::SimDuration;
 use serde::{Deserialize, Serialize};
@@ -33,29 +41,282 @@ pub enum WireError {
 
 type WireResult<T> = Result<T, WireError>;
 
-fn need(buf: &[u8], n: usize) -> WireResult<()> {
-    if buf.len() < n {
-        Err(WireError::Truncated)
-    } else {
-        Ok(())
+/// The one reader of message bodies, and the codec of the parts
+/// messages share. A private module, so that the public [`Row`] can
+/// name [`Field`] as its supertrait without exporting either.
+mod cursor {
+    use super::{HopQuality, WireError, WireResult};
+
+    /// A bounds-checked cursor over a message: every read past the end
+    /// is [`WireError::Truncated`].
+    pub struct Reader<'a>(pub &'a [u8]);
+
+    impl<'a> Reader<'a> {
+        /// The next `n` bytes.
+        fn bytes(&mut self, n: usize) -> WireResult<&'a [u8]> {
+            if n > self.0.len() {
+                return Err(WireError::Truncated);
+            }
+            let (head, rest) = self.0.split_at(n);
+            self.0 = rest;
+            Ok(head)
+        }
+
+        fn array<const N: usize>(&mut self) -> WireResult<[u8; N]> {
+            self.bytes(N)?.try_into().map_err(|_| WireError::Truncated)
+        }
+
+        /// The next byte.
+        pub fn u8(&mut self) -> WireResult<u8> {
+            self.array().map(u8::from_be_bytes)
+        }
+
+        /// The next byte, signed.
+        pub fn i8(&mut self) -> WireResult<i8> {
+            self.array().map(i8::from_be_bytes)
+        }
+
+        /// A flag byte: any non-zero value is `true`.
+        pub fn bool(&mut self) -> WireResult<bool> {
+            Ok(self.u8()? != 0)
+        }
+
+        /// The next two bytes, big-endian.
+        pub fn u16(&mut self) -> WireResult<u16> {
+            self.array().map(u16::from_be_bytes)
+        }
+
+        /// The next four bytes, big-endian.
+        pub fn u32(&mut self) -> WireResult<u32> {
+            self.array().map(u32::from_be_bytes)
+        }
+
+        /// A count byte, then that many items of `width` bytes each.
+        pub fn counted(&mut self, width: usize) -> WireResult<&'a [u8]> {
+            let n = usize::from(self.u8()?);
+            self.bytes(n * width)
+        }
+
+        /// A length-prefixed UTF-8 string.
+        pub fn str(&mut self) -> WireResult<String> {
+            String::from_utf8(self.counted(1)?.to_vec()).map_err(|_| WireError::Truncated)
+        }
+
+        /// A counted list of per-hop qualities.
+        pub fn hops(&mut self) -> WireResult<Vec<HopQuality>> {
+            Ok(HopQuality::parse_all(self.counted(HopQuality::WIRE_BYTES)?))
+        }
+
+        /// A counted list of fields.
+        pub fn list<T: Field>(&mut self) -> WireResult<Vec<T>> {
+            let n = self.u8()?;
+            (0..n).map(|_| T::read(self)).collect()
+        }
+
+        /// Everything left.
+        pub fn rest(&mut self) -> &'a [u8] {
+            std::mem::take(&mut self.0)
+        }
+    }
+
+    /// A part of a message body with one layout wherever it appears.
+    pub trait Field: Sized {
+        /// Append the bytes.
+        fn put(&self, b: &mut Vec<u8>);
+        /// Read the bytes `put` wrote.
+        fn read(r: &mut Reader<'_>) -> WireResult<Self>;
     }
 }
 
-fn u16_at(buf: &[u8], off: usize) -> u16 {
-    // Callers `need()` the length first; a short slice decodes as 0
-    // rather than aborting the mote.
-    match buf.get(off..off + 2) {
-        Some(b) => u16::from_be_bytes([b[0], b[1]]),
-        None => 0,
+/// Write a count byte, then `bytes` cut to `cap` bytes.
+fn put_counted(b: &mut Vec<u8>, bytes: &[u8], cap: usize) {
+    let bytes = bytes.get(..cap).unwrap_or(bytes);
+    b.push(bytes.len() as u8);
+    b.extend_from_slice(bytes);
+}
+
+/// Write a count byte, then two bytes per hop.
+fn put_hops(b: &mut Vec<u8>, hops: &[HopQuality]) {
+    b.push(hops.len() as u8);
+    for h in hops {
+        h.append_to(b);
+    }
+}
+
+/// Truncate a string at a char boundary within `max` bytes.
+fn truncate_utf8(s: &str, max: usize) -> &str {
+    if s.len() <= max {
+        return s;
+    }
+    let mut end = max;
+    while end > 0 && !s.is_char_boundary(end) {
+        end -= 1;
+    }
+    &s[..end]
+}
+
+// ---------------------------------------------------------------------
+// Messages
+// ---------------------------------------------------------------------
+
+/// One radio message of the management plane: one variant per tag byte.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Msg {
+    /// `0x20`: a management request.
+    Request(MgmtRequest),
+    /// `0x30`: a management response.
+    Response(MgmtResponse),
+    /// `0x40` (a chunk) / `0x41` (an ack): the batched transfer of a
+    /// multi-packet reply.
+    Batch(BatchMsg),
+    /// `0x50`: a ping probe.
+    PingProbe(Probe),
+    /// `0x51`: a ping reply.
+    PingReply(PingReply),
+    /// `0x60`: a traceroute one-hop probe.
+    TrProbe(Probe),
+    /// `0x61`: the reply to a traceroute probe.
+    TrProbeReply(TrProbeReply),
+    /// `0x62`: the per-hop traceroute task handoff.
+    TrTask(TrTask),
+    /// `0x63`: a hop report on its way back to the source.
+    TrReport(TrReport),
+}
+
+impl Msg {
+    /// Serialize: the tag byte, then the body.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut b = Vec::with_capacity(PAYLOAD_AREA);
+        match self {
+            Msg::Request(m) => {
+                b.extend([0x20, m.req_id]);
+                b.extend(m.reply_node.to_be_bytes());
+                b.push(m.reply_port);
+                m.cmd.put(&mut b);
+            }
+            Msg::Response(m) => {
+                b.extend([0x30, m.req_id]);
+                b.extend(m.from.to_be_bytes());
+                m.reply.put(&mut b);
+            }
+            Msg::Batch(BatchMsg::Data {
+                req_id,
+                seq,
+                total,
+                ack_after,
+                payload,
+            }) => {
+                b.extend([0x40, *req_id, *seq, *total, u8::from(*ack_after)]);
+                b.extend_from_slice(payload);
+            }
+            Msg::Batch(BatchMsg::Ack { req_id, missing }) => {
+                b.extend([0x41, *req_id]);
+                put_counted(&mut b, missing, usize::MAX);
+            }
+            Msg::PingProbe(m) | Msg::TrProbe(m) => {
+                let ping = matches!(self, Msg::PingProbe(_));
+                b.push(if ping { 0x50 } else { 0x60 });
+                b.extend(m.session.to_be_bytes());
+                b.extend([m.seq, m.reply_port]);
+                // Zeros up to `length`: never below the header, nor past the area.
+                b.resize(usize::from(m.length).min(PAYLOAD_AREA).max(b.len()), 0);
+            }
+            Msg::PingReply(m) => {
+                b.push(0x51);
+                b.extend(m.session.to_be_bytes());
+                b.extend([m.seq, m.lqi_in, m.rssi_in as u8, m.queue]);
+                put_hops(&mut b, &m.fwd_hops);
+            }
+            Msg::TrProbeReply(m) => {
+                b.push(0x61);
+                b.extend(m.session.to_be_bytes());
+                b.extend([m.seq, m.lqi_in, m.rssi_in as u8, m.queue]);
+            }
+            Msg::TrTask(m) => {
+                b.push(0x62);
+                b.extend(m.session.to_be_bytes());
+                b.extend(m.origin.to_be_bytes());
+                b.push(m.origin_port);
+                b.extend(m.dst.to_be_bytes());
+                b.extend([m.carry_port, m.hop_index, m.length]);
+            }
+            Msg::TrReport(m) => {
+                b.push(0x63);
+                b.extend(m.session.to_be_bytes());
+                m.record.put(&mut b);
+            }
+        }
+        b
+    }
+
+    /// Parse. Fields are read in the order the struct literals below
+    /// name them, which is their order on the wire.
+    pub fn decode(buf: &[u8]) -> WireResult<Msg> {
+        let r = &mut Reader(buf);
+        Ok(match r.u8()? {
+            0x20 => Msg::Request(MgmtRequest {
+                req_id: r.u8()?,
+                reply_node: r.u16()?,
+                reply_port: r.u8()?,
+                cmd: Command::read(r)?,
+            }),
+            0x30 => Msg::Response(MgmtResponse {
+                req_id: r.u8()?,
+                from: r.u16()?,
+                reply: MgmtReply::read(r)?,
+            }),
+            0x40 => Msg::Batch(BatchMsg::Data {
+                req_id: r.u8()?,
+                seq: r.u8()?,
+                total: r.u8()?,
+                ack_after: r.bool()?,
+                payload: r.rest().to_vec(),
+            }),
+            0x41 => Msg::Batch(BatchMsg::Ack {
+                req_id: r.u8()?,
+                missing: r.counted(1)?.to_vec(),
+            }),
+            0x50 => Msg::PingProbe(Probe::read(r, buf.len())?),
+            0x51 => Msg::PingReply(PingReply {
+                session: r.u16()?,
+                seq: r.u8()?,
+                lqi_in: r.u8()?,
+                rssi_in: r.i8()?,
+                queue: r.u8()?,
+                fwd_hops: r.hops()?,
+            }),
+            0x60 => Msg::TrProbe(Probe::read(r, buf.len())?),
+            0x61 => Msg::TrProbeReply(TrProbeReply {
+                session: r.u16()?,
+                seq: r.u8()?,
+                lqi_in: r.u8()?,
+                rssi_in: r.i8()?,
+                queue: r.u8()?,
+            }),
+            0x62 => Msg::TrTask(TrTask {
+                session: r.u16()?,
+                origin: r.u16()?,
+                origin_port: r.u8()?,
+                dst: r.u16()?,
+                carry_port: r.u8()?,
+                hop_index: r.u8()?,
+                length: r.u8()?,
+            }),
+            0x63 => Msg::TrReport(TrReport {
+                session: r.u16()?,
+                record: HopRecord::read(r)?,
+            }),
+            _ => return Err(WireError::BadTag),
+        })
     }
 }
 
 // ---------------------------------------------------------------------
-// Management requests
+// Management requests and replies
 // ---------------------------------------------------------------------
 
-/// A framed management request: the user's [`Command`] on its way to
-/// the target's runtime controller.
+/// A management request: the user's [`Command`] on its way to the
+/// target's runtime controller.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MgmtRequest {
     /// Correlates replies with requests.
@@ -68,50 +329,31 @@ pub struct MgmtRequest {
     pub cmd: Command,
 }
 
-impl MgmtRequest {
-    /// Outer frame tag distinguishing requests from batch acks sharing
-    /// the management port.
-    pub const TAG: u8 = 0x20;
-
-    /// Serialize. A survey travels as a status request (its broadcast
-    /// address is what makes it a survey), the beacon period as whole
-    /// milliseconds clamped to `1..=u32::MAX`, and a one-hop ping as
-    /// carrying port 0.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut b = vec![Self::TAG];
-        b.push(self.req_id);
-        b.extend_from_slice(&self.reply_node.to_be_bytes());
-        b.push(self.reply_port);
-        match &self.cmd {
+/// A command travels in its wire form: a survey as a status request
+/// (its broadcast address is what makes it a survey), the beacon period
+/// as whole milliseconds clamped to `1..=u32::MAX`, and a one-hop ping
+/// as carrying port 0. So a status request decodes as
+/// [`Command::Status`], and carrying port 0 as `port: None`.
+impl Field for Command {
+    fn put(&self, b: &mut Vec<u8>) {
+        match *self {
             Command::Status | Command::GroupStatus => b.push(0x01),
             Command::GetPower => b.push(0x02),
-            Command::SetPower(p) => {
-                b.push(0x03);
-                b.push(*p);
-            }
+            Command::SetPower(p) => b.extend([0x03, p]),
             Command::GetChannel => b.push(0x04),
-            Command::SetChannel(c) => {
-                b.push(0x05);
-                b.push(*c);
-            }
-            Command::NeighborList { with_quality } => {
-                b.push(0x06);
-                b.push(u8::from(*with_quality));
-            }
+            Command::SetChannel(c) => b.extend([0x05, c]),
+            Command::NeighborList { with_quality } => b.extend([0x06, u8::from(with_quality)]),
             Command::Blacklist { neighbor, add } => {
                 b.push(0x07);
-                b.extend_from_slice(&neighbor.to_be_bytes());
-                b.push(u8::from(*add));
+                b.extend(neighbor.to_be_bytes());
+                b.push(u8::from(add));
             }
             Command::UpdateBeacon { period } => {
                 let period_ms = period.as_millis().clamp(1, u64::from(u32::MAX)) as u32;
                 b.push(0x08);
-                b.extend_from_slice(&period_ms.to_be_bytes());
+                b.extend(period_ms.to_be_bytes());
             }
-            Command::SetLogging(on) => {
-                b.push(0x09);
-                b.push(u8::from(*on));
-            }
+            Command::SetLogging(on) => b.extend([0x09, u8::from(on)]),
             Command::Ping {
                 dst,
                 rounds,
@@ -119,375 +361,63 @@ impl MgmtRequest {
                 port,
             } => {
                 b.push(0x0A);
-                b.extend_from_slice(&dst.to_be_bytes());
-                b.push(*rounds);
-                b.push(*length);
-                b.push(port.map_or(0, |p| p.0));
+                b.extend(dst.to_be_bytes());
+                b.extend([rounds, length, port.map_or(0, |p| p.0)]);
             }
             Command::Traceroute { dst, length, port } => {
                 b.push(0x0B);
-                b.extend_from_slice(&dst.to_be_bytes());
-                b.push(*length);
-                b.push(port.0);
+                b.extend(dst.to_be_bytes());
+                b.extend([length, port.0]);
             }
-            Command::ReadLog { max } => {
-                b.push(0x0C);
-                b.push(*max);
-            }
+            Command::ReadLog { max } => b.extend([0x0C, max]),
         }
-        b
     }
 
-    /// Parse. The command comes back in its decoded form: a status
-    /// request is [`Command::Status`], and carrying port 0 is a one-hop
-    /// ping.
-    pub fn decode(buf: &[u8]) -> WireResult<MgmtRequest> {
-        need(buf, 6)?;
-        if buf[0] != Self::TAG {
-            return Err(WireError::BadTag);
-        }
-        let req_id = buf[1];
-        let reply_node = u16_at(buf, 2);
-        let reply_port = buf[4];
-        let tag = buf[5];
-        let rest = &buf[6..];
-        let cmd = match tag {
+    fn read(r: &mut Reader<'_>) -> WireResult<Command> {
+        Ok(match r.u8()? {
             0x01 => Command::Status,
             0x02 => Command::GetPower,
-            0x03 => {
-                need(rest, 1)?;
-                Command::SetPower(rest[0])
-            }
+            0x03 => Command::SetPower(r.u8()?),
             0x04 => Command::GetChannel,
-            0x05 => {
-                need(rest, 1)?;
-                Command::SetChannel(rest[0])
-            }
-            0x06 => {
-                need(rest, 1)?;
-                Command::NeighborList {
-                    with_quality: rest[0] != 0,
-                }
-            }
-            0x07 => {
-                need(rest, 3)?;
-                Command::Blacklist {
-                    neighbor: u16_at(rest, 0),
-                    add: rest[2] != 0,
-                }
-            }
-            0x08 => {
-                need(rest, 4)?;
-                let ms = u32::from_be_bytes([rest[0], rest[1], rest[2], rest[3]]);
-                Command::UpdateBeacon {
-                    period: SimDuration::from_millis(u64::from(ms)),
-                }
-            }
-            0x09 => {
-                need(rest, 1)?;
-                Command::SetLogging(rest[0] != 0)
-            }
-            0x0A => {
-                need(rest, 5)?;
-                Command::Ping {
-                    dst: u16_at(rest, 0),
-                    rounds: rest[2],
-                    length: rest[3],
-                    port: (rest[4] != 0).then_some(Port(rest[4])),
-                }
-            }
-            0x0B => {
-                need(rest, 4)?;
-                Command::Traceroute {
-                    dst: u16_at(rest, 0),
-                    length: rest[2],
-                    port: Port(rest[3]),
-                }
-            }
-            0x0C => {
-                need(rest, 1)?;
-                Command::ReadLog { max: rest[0] }
-            }
+            0x05 => Command::SetChannel(r.u8()?),
+            0x06 => Command::NeighborList {
+                with_quality: r.bool()?,
+            },
+            0x07 => Command::Blacklist {
+                neighbor: r.u16()?,
+                add: r.bool()?,
+            },
+            0x08 => Command::UpdateBeacon {
+                period: SimDuration::from_millis(u64::from(r.u32()?)),
+            },
+            0x09 => Command::SetLogging(r.bool()?),
+            0x0A => Command::Ping {
+                dst: r.u16()?,
+                rounds: r.u8()?,
+                length: r.u8()?,
+                port: Some(Port(r.u8()?)).filter(|p| p.0 != 0),
+            },
+            0x0B => Command::Traceroute {
+                dst: r.u16()?,
+                length: r.u8()?,
+                port: Port(r.u8()?),
+            },
+            0x0C => Command::ReadLog { max: r.u8()? },
             _ => return Err(WireError::BadTag),
-        };
-        Ok(MgmtRequest {
-            req_id,
-            reply_node,
-            reply_port,
-            cmd,
         })
     }
 }
 
-// ---------------------------------------------------------------------
-// Management replies
-// ---------------------------------------------------------------------
-
-/// A neighbor-table row on the wire.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct WireNeighbor {
-    /// Neighbor id.
-    pub id: u16,
-    /// Inbound quality byte (0–255).
-    pub inbound_q: u8,
-    /// Outbound quality byte, if known.
-    pub outbound_q: Option<u8>,
-    /// Blacklist bit.
-    pub blacklisted: bool,
-    /// Advertised tree gradient.
-    pub tree_hops: u8,
-    /// Neighbor name (≤ 15 bytes).
-    pub name: String,
-}
-
-impl WireNeighbor {
-    fn encode_into(&self, b: &mut Vec<u8>) {
-        b.extend_from_slice(&self.id.to_be_bytes());
-        b.push(self.inbound_q);
-        b.push(self.outbound_q.unwrap_or(0));
-        let mut flags = 0u8;
-        if self.blacklisted {
-            flags |= 1;
-        }
-        if self.outbound_q.is_some() {
-            flags |= 2;
-        }
-        b.push(flags);
-        b.push(self.tree_hops);
-        let name = &self.name.as_bytes()[..self.name.len().min(15)];
-        b.push(name.len() as u8);
-        b.extend_from_slice(name);
-    }
-
-    fn decode_from(buf: &[u8]) -> WireResult<(WireNeighbor, usize)> {
-        need(buf, 7)?;
-        let id = u16_at(buf, 0);
-        let inbound_q = buf[2];
-        let out_raw = buf[3];
-        let flags = buf[4];
-        let tree_hops = buf[5];
-        let name_len = buf[6] as usize;
-        need(buf, 7 + name_len)?;
-        let name =
-            String::from_utf8(buf[7..7 + name_len].to_vec()).map_err(|_| WireError::Truncated)?;
-        Ok((
-            WireNeighbor {
-                id,
-                inbound_q,
-                outbound_q: (flags & 2 != 0).then_some(out_raw),
-                blacklisted: flags & 1 != 0,
-                tree_hops,
-                name,
-            },
-            7 + name_len,
-        ))
-    }
-
-    /// Encode a run of rows.
-    pub fn encode_list(rows: &[WireNeighbor]) -> Vec<u8> {
-        let mut b = vec![rows.len() as u8];
-        for r in rows {
-            r.encode_into(&mut b);
-        }
-        b
-    }
-
-    /// Decode a run of rows.
-    pub fn decode_list(buf: &[u8]) -> WireResult<Vec<WireNeighbor>> {
-        need(buf, 1)?;
-        let n = buf[0] as usize;
-        let mut off = 1;
-        let mut rows = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (row, used) = Self::decode_from(&buf[off..])?;
-            rows.push(row);
-            off += used;
-        }
-        Ok(rows)
-    }
-}
-
-/// One measured ping round.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PingRound {
-    /// Probe sequence number.
-    pub seq: u8,
-    /// Round-trip time in microseconds.
-    pub rtt_us: u32,
-    /// LQI of the forward direction (measured at the responder).
-    pub lqi_fwd: u8,
-    /// LQI of the backward direction (measured at the prober).
-    pub lqi_bwd: u8,
-    /// RSSI forward.
-    pub rssi_fwd: i8,
-    /// RSSI backward.
-    pub rssi_bwd: i8,
-    /// Responder transmit-queue occupancy at probe time.
-    pub queue_fwd: u8,
-    /// Prober transmit-queue occupancy at reply time.
-    pub queue_bwd: u8,
-    /// Per-hop forward qualities (multi-hop ping padding data).
-    pub fwd_hops: Vec<HopQuality>,
-    /// Per-hop backward qualities.
-    pub bwd_hops: Vec<HopQuality>,
-}
-
-impl PingRound {
-    fn encode_into(&self, b: &mut Vec<u8>) {
-        b.push(self.seq);
-        b.extend_from_slice(&self.rtt_us.to_be_bytes());
-        b.push(self.lqi_fwd);
-        b.push(self.lqi_bwd);
-        b.push(self.rssi_fwd as u8);
-        b.push(self.rssi_bwd as u8);
-        b.push(self.queue_fwd);
-        b.push(self.queue_bwd);
-        b.push(self.fwd_hops.len() as u8);
-        for h in &self.fwd_hops {
-            h.append_to(b);
-        }
-        b.push(self.bwd_hops.len() as u8);
-        for h in &self.bwd_hops {
-            h.append_to(b);
-        }
-    }
-
-    fn decode_from(buf: &[u8]) -> WireResult<(PingRound, usize)> {
-        need(buf, 12)?;
-        let seq = buf[0];
-        let rtt_us = u32::from_be_bytes([buf[1], buf[2], buf[3], buf[4]]);
-        let lqi_fwd = buf[5];
-        let lqi_bwd = buf[6];
-        let rssi_fwd = buf[7] as i8;
-        let rssi_bwd = buf[8] as i8;
-        let queue_fwd = buf[9];
-        let queue_bwd = buf[10];
-        let nf = buf[11] as usize;
-        need(buf, 12 + 2 * nf + 1)?;
-        let fwd_hops = HopQuality::parse_all(&buf[12..12 + 2 * nf]);
-        let off = 12 + 2 * nf;
-        let nb = buf[off] as usize;
-        need(buf, off + 1 + 2 * nb)?;
-        let bwd_hops = HopQuality::parse_all(&buf[off + 1..off + 1 + 2 * nb]);
-        Ok((
-            PingRound {
-                seq,
-                rtt_us,
-                lqi_fwd,
-                lqi_bwd,
-                rssi_fwd,
-                rssi_bwd,
-                queue_fwd,
-                queue_bwd,
-                fwd_hops,
-                bwd_hops,
-            },
-            off + 1 + 2 * nb,
-        ))
-    }
-}
-
-impl PingOutcome {
-    /// Truncate the outcome so its enclosing [`MgmtResponse`] fits the
-    /// 64-byte payload area: rounds are kept in order, per-round hop
-    /// lists shrink first (forward kept preferentially — that is the
-    /// path profile the user asked for), then whole rounds are dropped.
-    /// The full hop data still reached the prober over the air; only
-    /// this last workstation-bound packet is bounded.
-    pub fn fit_to_wire(&mut self) {
-        // MgmtResponse framing (5) + summary header (7).
-        const BUDGET: usize = lv_net::packet::PAYLOAD_AREA - 12;
-        let mut used = 0usize;
-        let mut kept = 0usize;
-        for r in self.rounds.iter_mut() {
-            let base = 13; // seq + rtt + lqi×2 + rssi×2 + queue×2 + 2 counts
-            if used + base > BUDGET {
-                break;
-            }
-            let hop_budget = (BUDGET - used - base) / HopQuality::WIRE_BYTES;
-            if r.fwd_hops.len() > hop_budget {
-                r.fwd_hops.truncate(hop_budget);
-            }
-            let rest = hop_budget - r.fwd_hops.len();
-            if r.bwd_hops.len() > rest {
-                r.bwd_hops.truncate(rest);
-            }
-            used += base + HopQuality::WIRE_BYTES * (r.fwd_hops.len() + r.bwd_hops.len());
-            kept += 1;
-        }
-        self.rounds.truncate(kept);
-    }
-}
-
-/// One traceroute hop record.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct HopRecord {
-    /// 1-based hop index along the path.
-    pub hop_index: u8,
-    /// The far end of this hop (the node that replied).
-    pub far: u16,
-    /// Whether the far end is the final destination.
-    pub reached_dst: bool,
-    /// The hop task found no next hop.
-    pub no_route: bool,
-    /// The probe or its reply was lost.
-    pub probe_lost: bool,
-    /// Per-hop round-trip time in microseconds.
-    pub rtt_us: u32,
-    /// LQI forward / backward.
-    pub lqi_fwd: u8,
-    /// LQI backward.
-    pub lqi_bwd: u8,
-    /// RSSI forward.
-    pub rssi_fwd: i8,
-    /// RSSI backward.
-    pub rssi_bwd: i8,
-    /// Queue occupancy at the far end / near end.
-    pub queue_fwd: u8,
-    /// Near-end queue occupancy.
-    pub queue_bwd: u8,
-}
-
-impl HopRecord {
-    fn flags(&self) -> u8 {
-        u8::from(self.reached_dst)
-            | (u8::from(self.no_route) << 1)
-            | (u8::from(self.probe_lost) << 2)
-    }
-
-    fn encode_into(&self, b: &mut Vec<u8>) {
-        b.push(self.hop_index);
-        b.extend_from_slice(&self.far.to_be_bytes());
-        b.push(self.flags());
-        b.extend_from_slice(&self.rtt_us.to_be_bytes());
-        b.push(self.lqi_fwd);
-        b.push(self.lqi_bwd);
-        b.push(self.rssi_fwd as u8);
-        b.push(self.rssi_bwd as u8);
-        b.push(self.queue_fwd);
-        b.push(self.queue_bwd);
-    }
-
-    fn decode_from(buf: &[u8]) -> WireResult<HopRecord> {
-        need(buf, 14)?;
-        Ok(HopRecord {
-            hop_index: buf[0],
-            far: u16_at(buf, 1),
-            reached_dst: buf[3] & 1 != 0,
-            no_route: buf[3] & 2 != 0,
-            probe_lost: buf[3] & 4 != 0,
-            rtt_us: u32::from_be_bytes([buf[4], buf[5], buf[6], buf[7]]),
-            lqi_fwd: buf[8],
-            lqi_bwd: buf[9],
-            rssi_fwd: buf[10] as i8,
-            rssi_bwd: buf[11] as i8,
-            queue_fwd: buf[12],
-            queue_bwd: buf[13],
-        })
-    }
-
-    /// Byte size of one record.
-    pub const WIRE_BYTES: usize = 14;
+/// A management response: one reply, flowing back to the
+/// workstation's interpreter port.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MgmtResponse {
+    /// Echoed request id.
+    pub req_id: u8,
+    /// The replying node.
+    pub from: u16,
+    /// The payload.
+    pub reply: MgmtReply,
 }
 
 /// Replies flowing back to the workstation's interpreter port.
@@ -531,242 +461,224 @@ pub enum MgmtReply {
     Error(u8),
 }
 
-/// A framed management response.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MgmtResponse {
-    /// Echoed request id.
-    pub req_id: u8,
-    /// The replying node.
-    pub from: u16,
-    /// The payload.
-    pub reply: MgmtReply,
-}
-
-impl MgmtResponse {
-    /// Outer frame tag distinguishing responses from batch data sharing
-    /// the workstation port.
-    pub const TAG: u8 = 0x30;
-
-    /// Serialize.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut b = vec![Self::TAG, self.req_id];
-        b.extend_from_slice(&self.from.to_be_bytes());
-        match &self.reply {
+impl Field for MgmtReply {
+    fn put(&self, b: &mut Vec<u8>) {
+        match self {
             MgmtReply::Ok => b.push(0x80),
             MgmtReply::Status {
                 power,
                 channel,
                 queue,
                 neighbors,
-            } => {
-                b.push(0x81);
-                b.extend_from_slice(&[*power, *channel, *queue, *neighbors]);
-            }
-            MgmtReply::Power(p) => {
-                b.push(0x82);
-                b.push(*p);
-            }
-            MgmtReply::Channel(c) => {
-                b.push(0x83);
-                b.push(*c);
-            }
+            } => b.extend([0x81, *power, *channel, *queue, *neighbors]),
+            MgmtReply::Power(p) => b.extend([0x82, *p]),
+            MgmtReply::Channel(c) => b.extend([0x83, *c]),
             MgmtReply::PingSummary(s) => {
                 b.push(0x84);
-                b.extend_from_slice(&s.target.to_be_bytes());
-                b.extend_from_slice(&[s.sent, s.received, s.power, s.channel]);
-                b.push(s.rounds.len() as u8);
-                for r in &s.rounds {
-                    r.encode_into(&mut b);
+                b.extend(s.target.to_be_bytes());
+                b.extend([s.sent, s.received, s.power, s.channel, s.rounds.len() as u8]);
+                for round in &s.rounds {
+                    round.put(b);
                 }
             }
             MgmtReply::TracerouteInfo { protocol } => {
                 b.push(0x85);
-                let name = &protocol.as_bytes()[..protocol.len().min(30)];
-                b.push(name.len() as u8);
-                b.extend_from_slice(name);
+                put_counted(b, protocol.as_bytes(), 30);
             }
             MgmtReply::TracerouteHop(h) => {
                 b.push(0x86);
-                h.encode_into(&mut b);
+                h.put(b);
             }
             MgmtReply::TracerouteDone { hops, reached } => {
-                b.push(0x87);
-                b.push(*hops);
-                b.push(u8::from(*reached));
+                b.extend([0x87, *hops, u8::from(*reached)]);
             }
-            MgmtReply::Error(code) => {
-                b.push(0xFF);
-                b.push(*code);
-            }
+            MgmtReply::Error(code) => b.extend([0xFF, *code]),
         }
-        b
     }
 
-    /// Parse.
-    pub fn decode(buf: &[u8]) -> WireResult<MgmtResponse> {
-        need(buf, 5)?;
-        if buf[0] != Self::TAG {
-            return Err(WireError::BadTag);
-        }
-        let req_id = buf[1];
-        let from = u16_at(buf, 2);
-        let tag = buf[4];
-        let rest = &buf[5..];
-        let reply = match tag {
+    fn read(r: &mut Reader<'_>) -> WireResult<MgmtReply> {
+        Ok(match r.u8()? {
             0x80 => MgmtReply::Ok,
-            0x81 => {
-                need(rest, 4)?;
-                MgmtReply::Status {
-                    power: rest[0],
-                    channel: rest[1],
-                    queue: rest[2],
-                    neighbors: rest[3],
-                }
-            }
-            0x82 => {
-                need(rest, 1)?;
-                MgmtReply::Power(rest[0])
-            }
-            0x83 => {
-                need(rest, 1)?;
-                MgmtReply::Channel(rest[0])
-            }
-            0x84 => {
-                need(rest, 7)?;
-                let target = u16_at(rest, 0);
-                let (sent, received, power, channel) = (rest[2], rest[3], rest[4], rest[5]);
-                let n = rest[6] as usize;
-                let mut off = 7;
-                let mut rounds = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let (r, used) = PingRound::decode_from(&rest[off..])?;
-                    rounds.push(r);
-                    off += used;
-                }
-                MgmtReply::PingSummary(PingOutcome {
-                    target,
-                    sent,
-                    received,
-                    power,
-                    channel,
-                    rounds,
-                })
-            }
-            0x85 => {
-                need(rest, 1)?;
-                let n = rest[0] as usize;
-                need(rest, 1 + n)?;
-                MgmtReply::TracerouteInfo {
-                    protocol: String::from_utf8(rest[1..1 + n].to_vec())
-                        .map_err(|_| WireError::Truncated)?,
-                }
-            }
-            0x86 => MgmtReply::TracerouteHop(HopRecord::decode_from(rest)?),
-            0x87 => {
-                need(rest, 2)?;
-                MgmtReply::TracerouteDone {
-                    hops: rest[0],
-                    reached: rest[1] != 0,
-                }
-            }
-            0xFF => {
-                need(rest, 1)?;
-                MgmtReply::Error(rest[0])
-            }
+            0x81 => MgmtReply::Status {
+                power: r.u8()?,
+                channel: r.u8()?,
+                queue: r.u8()?,
+                neighbors: r.u8()?,
+            },
+            0x82 => MgmtReply::Power(r.u8()?),
+            0x83 => MgmtReply::Channel(r.u8()?),
+            0x84 => MgmtReply::PingSummary(PingOutcome {
+                target: r.u16()?,
+                sent: r.u8()?,
+                received: r.u8()?,
+                power: r.u8()?,
+                channel: r.u8()?,
+                rounds: r.list()?,
+            }),
+            0x85 => MgmtReply::TracerouteInfo { protocol: r.str()? },
+            0x86 => MgmtReply::TracerouteHop(HopRecord::read(r)?),
+            0x87 => MgmtReply::TracerouteDone {
+                hops: r.u8()?,
+                reached: r.bool()?,
+            },
+            0xFF => MgmtReply::Error(r.u8()?),
             _ => return Err(WireError::BadTag),
-        };
-        Ok(MgmtResponse {
-            req_id,
-            from,
-            reply,
         })
     }
 }
 
-/// One event-log record on the wire (fields truncated to mote-scale
-/// budgets: the log exists for diagnosis, not archival).
+/// One measured ping round.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct WireLogEntry {
-    /// Event time in milliseconds since node boot.
-    pub time_ms: u32,
-    /// Short event code (≤ 10 bytes on the wire).
-    pub code: String,
-    /// Detail text (≤ 18 bytes on the wire).
-    pub detail: String,
+pub struct PingRound {
+    /// Probe sequence number.
+    pub seq: u8,
+    /// Round-trip time in microseconds.
+    pub rtt_us: u32,
+    /// LQI of the forward direction (measured at the responder).
+    pub lqi_fwd: u8,
+    /// LQI of the backward direction (measured at the prober).
+    pub lqi_bwd: u8,
+    /// RSSI forward.
+    pub rssi_fwd: i8,
+    /// RSSI backward.
+    pub rssi_bwd: i8,
+    /// Responder transmit-queue occupancy at probe time.
+    pub queue_fwd: u8,
+    /// Prober transmit-queue occupancy at reply time.
+    pub queue_bwd: u8,
+    /// Per-hop forward qualities (multi-hop ping padding data).
+    pub fwd_hops: Vec<HopQuality>,
+    /// Per-hop backward qualities.
+    pub bwd_hops: Vec<HopQuality>,
 }
 
-impl WireLogEntry {
-    /// Wire caps.
-    pub const MAX_CODE: usize = 10;
-    /// Detail cap.
-    pub const MAX_DETAIL: usize = 18;
-
-    fn encode_into(&self, b: &mut Vec<u8>) {
-        b.extend_from_slice(&self.time_ms.to_be_bytes());
-        let code = &self.code.as_bytes()[..self.code.len().min(Self::MAX_CODE)];
-        b.push(code.len() as u8);
-        b.extend_from_slice(code);
-        let detail = truncate_utf8(&self.detail, Self::MAX_DETAIL);
-        b.push(detail.len() as u8);
-        b.extend_from_slice(detail.as_bytes());
+impl Field for PingRound {
+    fn put(&self, b: &mut Vec<u8>) {
+        b.push(self.seq);
+        b.extend(self.rtt_us.to_be_bytes());
+        b.extend([
+            self.lqi_fwd,
+            self.lqi_bwd,
+            self.rssi_fwd as u8,
+            self.rssi_bwd as u8,
+        ]);
+        b.extend([self.queue_fwd, self.queue_bwd]);
+        put_hops(b, &self.fwd_hops);
+        put_hops(b, &self.bwd_hops);
     }
 
-    fn decode_from(buf: &[u8]) -> WireResult<(WireLogEntry, usize)> {
-        need(buf, 5)?;
-        let time_ms = u32::from_be_bytes([buf[0], buf[1], buf[2], buf[3]]);
-        let code_len = buf[4] as usize;
-        need(buf, 5 + code_len + 1)?;
-        let code =
-            String::from_utf8(buf[5..5 + code_len].to_vec()).map_err(|_| WireError::Truncated)?;
-        let off = 5 + code_len;
-        let detail_len = buf[off] as usize;
-        need(buf, off + 1 + detail_len)?;
-        let detail = String::from_utf8(buf[off + 1..off + 1 + detail_len].to_vec())
-            .map_err(|_| WireError::Truncated)?;
-        Ok((
-            WireLogEntry {
-                time_ms,
-                code,
-                detail,
-            },
-            off + 1 + detail_len,
-        ))
-    }
-
-    /// Encode a run of records.
-    pub fn encode_list(rows: &[WireLogEntry]) -> Vec<u8> {
-        let mut b = vec![rows.len() as u8];
-        for r in rows {
-            r.encode_into(&mut b);
-        }
-        b
-    }
-
-    /// Decode a run of records.
-    pub fn decode_list(buf: &[u8]) -> WireResult<Vec<WireLogEntry>> {
-        need(buf, 1)?;
-        let n = buf[0] as usize;
-        let mut off = 1;
-        let mut rows = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (row, used) = Self::decode_from(&buf[off..])?;
-            rows.push(row);
-            off += used;
-        }
-        Ok(rows)
+    fn read(r: &mut Reader<'_>) -> WireResult<PingRound> {
+        Ok(PingRound {
+            seq: r.u8()?,
+            rtt_us: r.u32()?,
+            lqi_fwd: r.u8()?,
+            lqi_bwd: r.u8()?,
+            rssi_fwd: r.i8()?,
+            rssi_bwd: r.i8()?,
+            queue_fwd: r.u8()?,
+            queue_bwd: r.u8()?,
+            fwd_hops: r.hops()?,
+            bwd_hops: r.hops()?,
+        })
     }
 }
 
-/// Truncate a string at a char boundary within `max` bytes.
-fn truncate_utf8(s: &str, max: usize) -> &str {
-    if s.len() <= max {
-        return s;
+impl PingOutcome {
+    /// Truncate the outcome so its enclosing [`Msg::Response`] fits the
+    /// 64-byte payload area: rounds are kept in order, per-round hop
+    /// lists shrink first (forward kept preferentially — that is the
+    /// path profile the user asked for), then whole rounds are dropped.
+    /// The full hop data still reached the prober over the air; only
+    /// this last workstation-bound packet is bounded.
+    pub fn fit_to_wire(&mut self) {
+        // Response framing (5) + summary header (7).
+        const BUDGET: usize = PAYLOAD_AREA - 12;
+        let mut used = 0usize;
+        let mut kept = 0usize;
+        for r in self.rounds.iter_mut() {
+            let base = 13; // seq + rtt + lqi×2 + rssi×2 + queue×2 + 2 counts
+            if used + base > BUDGET {
+                break;
+            }
+            let hop_budget = (BUDGET - used - base) / HopQuality::WIRE_BYTES;
+            if r.fwd_hops.len() > hop_budget {
+                r.fwd_hops.truncate(hop_budget);
+            }
+            let rest = hop_budget - r.fwd_hops.len();
+            if r.bwd_hops.len() > rest {
+                r.bwd_hops.truncate(rest);
+            }
+            used += base + HopQuality::WIRE_BYTES * (r.fwd_hops.len() + r.bwd_hops.len());
+            kept += 1;
+        }
+        self.rounds.truncate(kept);
     }
-    let mut end = max;
-    while end > 0 && !s.is_char_boundary(end) {
-        end -= 1;
+}
+
+/// One traceroute hop record.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct HopRecord {
+    /// 1-based hop index along the path.
+    pub hop_index: u8,
+    /// The far end of this hop (the node that replied).
+    pub far: u16,
+    /// Whether the far end is the final destination.
+    pub reached_dst: bool,
+    /// The hop task found no next hop.
+    pub no_route: bool,
+    /// The probe or its reply was lost.
+    pub probe_lost: bool,
+    /// Per-hop round-trip time in microseconds.
+    pub rtt_us: u32,
+    /// LQI forward / backward.
+    pub lqi_fwd: u8,
+    /// LQI backward.
+    pub lqi_bwd: u8,
+    /// RSSI forward.
+    pub rssi_fwd: i8,
+    /// RSSI backward.
+    pub rssi_bwd: i8,
+    /// Queue occupancy at the far end / near end.
+    pub queue_fwd: u8,
+    /// Near-end queue occupancy.
+    pub queue_bwd: u8,
+}
+
+impl Field for HopRecord {
+    fn put(&self, b: &mut Vec<u8>) {
+        let flags = u8::from(self.reached_dst)
+            | (u8::from(self.no_route) << 1)
+            | (u8::from(self.probe_lost) << 2);
+        b.push(self.hop_index);
+        b.extend(self.far.to_be_bytes());
+        b.push(flags);
+        b.extend(self.rtt_us.to_be_bytes());
+        b.extend([
+            self.lqi_fwd,
+            self.lqi_bwd,
+            self.rssi_fwd as u8,
+            self.rssi_bwd as u8,
+        ]);
+        b.extend([self.queue_fwd, self.queue_bwd]);
     }
-    &s[..end]
+
+    fn read(r: &mut Reader<'_>) -> WireResult<HopRecord> {
+        let (hop_index, far, flags) = (r.u8()?, r.u16()?, r.u8()?);
+        Ok(HopRecord {
+            hop_index,
+            far,
+            reached_dst: flags & 1 != 0,
+            no_route: flags & 2 != 0,
+            probe_lost: flags & 4 != 0,
+            rtt_us: r.u32()?,
+            lqi_fwd: r.u8()?,
+            lqi_bwd: r.u8()?,
+            rssi_fwd: r.i8()?,
+            rssi_bwd: r.i8()?,
+            queue_fwd: r.u8()?,
+            queue_bwd: r.u8()?,
+        })
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -798,96 +710,137 @@ pub enum BatchMsg {
     },
 }
 
-impl BatchMsg {
-    /// Serialize.
-    pub fn encode(&self) -> Vec<u8> {
-        match self {
-            BatchMsg::Data {
-                req_id,
-                seq,
-                total,
-                ack_after,
-                payload,
-            } => {
-                let mut b = vec![0x40, *req_id, *seq, *total, u8::from(*ack_after)];
-                b.extend_from_slice(payload);
-                b
-            }
-            BatchMsg::Ack { req_id, missing } => {
-                let mut b = vec![0x41, *req_id, missing.len() as u8];
-                b.extend_from_slice(missing);
-                b
-            }
-        }
+/// A row of a multi-packet reply: a neighbor-table row or an event-log
+/// record. A chunk of rows is a count, then each row.
+pub trait Row: Field {}
+
+impl Row for WireNeighbor {}
+impl Row for WireLogEntry {}
+
+/// Encode one chunk of rows.
+pub fn encode_rows<T: Row>(rows: &[T]) -> Vec<u8> {
+    let mut b = vec![rows.len() as u8];
+    for row in rows {
+        row.put(&mut b);
+    }
+    b
+}
+
+/// Decode the rows of every chunk, in order.
+pub fn decode_rows<T: Row>(chunks: &[Vec<u8>]) -> WireResult<Vec<T>> {
+    let mut rows = Vec::new();
+    for chunk in chunks {
+        rows.append(&mut Reader(chunk).list()?);
+    }
+    Ok(rows)
+}
+
+/// A neighbor-table row on the wire.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct WireNeighbor {
+    /// Neighbor id.
+    pub id: u16,
+    /// Inbound quality byte (0–255).
+    pub inbound_q: u8,
+    /// Outbound quality byte, if known.
+    pub outbound_q: Option<u8>,
+    /// Blacklist bit.
+    pub blacklisted: bool,
+    /// Advertised tree gradient.
+    pub tree_hops: u8,
+    /// Neighbor name (≤ 15 bytes).
+    pub name: String,
+}
+
+impl Field for WireNeighbor {
+    fn put(&self, b: &mut Vec<u8>) {
+        let flags = u8::from(self.blacklisted) | (u8::from(self.outbound_q.is_some()) << 1);
+        b.extend(self.id.to_be_bytes());
+        b.extend([
+            self.inbound_q,
+            self.outbound_q.unwrap_or(0),
+            flags,
+            self.tree_hops,
+        ]);
+        put_counted(b, self.name.as_bytes(), 15);
     }
 
-    /// Parse.
-    pub fn decode(buf: &[u8]) -> WireResult<BatchMsg> {
-        need(buf, 2)?;
-        match buf[0] {
-            0x40 => {
-                need(buf, 5)?;
-                Ok(BatchMsg::Data {
-                    req_id: buf[1],
-                    seq: buf[2],
-                    total: buf[3],
-                    ack_after: buf[4] != 0,
-                    payload: buf[5..].to_vec(),
-                })
-            }
-            0x41 => {
-                need(buf, 3)?;
-                let n = buf[2] as usize;
-                need(buf, 3 + n)?;
-                Ok(BatchMsg::Ack {
-                    req_id: buf[1],
-                    missing: buf[3..3 + n].to_vec(),
-                })
-            }
-            _ => Err(WireError::BadTag),
-        }
+    fn read(r: &mut Reader<'_>) -> WireResult<WireNeighbor> {
+        let (id, inbound_q, outbound_q, flags) = (r.u16()?, r.u8()?, r.u8()?, r.u8()?);
+        Ok(WireNeighbor {
+            id,
+            inbound_q,
+            outbound_q: (flags & 2 != 0).then_some(outbound_q),
+            blacklisted: flags & 1 != 0,
+            tree_hops: r.u8()?,
+            name: r.str()?,
+        })
+    }
+}
+
+/// One event-log record on the wire (fields truncated to mote-scale
+/// budgets: the log exists for diagnosis, not archival).
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct WireLogEntry {
+    /// Event time in milliseconds since node boot.
+    pub time_ms: u32,
+    /// Short event code (≤ 10 bytes on the wire).
+    pub code: String,
+    /// Detail text (≤ 18 bytes on the wire).
+    pub detail: String,
+}
+
+impl WireLogEntry {
+    /// Wire caps.
+    pub const MAX_CODE: usize = 10;
+    /// Detail cap.
+    pub const MAX_DETAIL: usize = 18;
+}
+
+impl Field for WireLogEntry {
+    fn put(&self, b: &mut Vec<u8>) {
+        b.extend(self.time_ms.to_be_bytes());
+        put_counted(b, self.code.as_bytes(), Self::MAX_CODE);
+        let detail = truncate_utf8(&self.detail, Self::MAX_DETAIL);
+        put_counted(b, detail.as_bytes(), Self::MAX_DETAIL);
+    }
+
+    fn read(r: &mut Reader<'_>) -> WireResult<WireLogEntry> {
+        Ok(WireLogEntry {
+            time_ms: r.u32()?,
+            code: r.str()?,
+            detail: r.str()?,
+        })
     }
 }
 
 // ---------------------------------------------------------------------
-// Ping probes
+// Ping and traceroute
 // ---------------------------------------------------------------------
 
-/// A ping probe (padded with zeros to the requested length).
+/// A ping or traceroute probe: [`Msg::PingProbe`] or [`Msg::TrProbe`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PingProbe {
+pub struct Probe {
     /// Prober-chosen session id.
     pub session: u16,
-    /// Round number.
+    /// Round number (ping) or hop index being probed (traceroute).
     pub seq: u8,
     /// Port the reply should target on the prober.
     pub reply_port: u8,
+    /// Payload length on the air: the probe is padded with zeros to
+    /// this many bytes, at least its 5-byte header and at most the
+    /// payload area. A decoded probe's length is the bytes it arrived
+    /// in.
+    pub length: u8,
 }
 
-impl PingProbe {
-    /// Serialize, padding the payload with zeros to `length` bytes
-    /// (minimum: the 5-byte header).
-    pub fn encode(&self, length: usize) -> Vec<u8> {
-        let mut b = vec![0x50];
-        b.extend_from_slice(&self.session.to_be_bytes());
-        b.push(self.seq);
-        b.push(self.reply_port);
-        while b.len() < length.min(lv_net::packet::PAYLOAD_AREA) {
-            b.push(0);
-        }
-        b
-    }
-
-    /// Parse.
-    pub fn decode(buf: &[u8]) -> WireResult<PingProbe> {
-        need(buf, 5)?;
-        if buf[0] != 0x50 {
-            return Err(WireError::BadTag);
-        }
-        Ok(PingProbe {
-            session: u16_at(buf, 1),
-            seq: buf[3],
-            reply_port: buf[4],
+impl Probe {
+    fn read(r: &mut Reader<'_>, len: usize) -> WireResult<Probe> {
+        Ok(Probe {
+            session: r.u16()?,
+            seq: r.u8()?,
+            reply_port: r.u8()?,
+            length: u8::try_from(len).unwrap_or(u8::MAX),
         })
     }
 }
@@ -910,83 +863,6 @@ pub struct PingReply {
     pub fwd_hops: Vec<HopQuality>,
 }
 
-impl PingReply {
-    /// Serialize.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut b = vec![0x51];
-        b.extend_from_slice(&self.session.to_be_bytes());
-        b.push(self.seq);
-        b.push(self.lqi_in);
-        b.push(self.rssi_in as u8);
-        b.push(self.queue);
-        b.push(self.fwd_hops.len() as u8);
-        for h in &self.fwd_hops {
-            h.append_to(&mut b);
-        }
-        b
-    }
-
-    /// Parse.
-    pub fn decode(buf: &[u8]) -> WireResult<PingReply> {
-        need(buf, 8)?;
-        if buf[0] != 0x51 {
-            return Err(WireError::BadTag);
-        }
-        let n = buf[7] as usize;
-        need(buf, 8 + 2 * n)?;
-        Ok(PingReply {
-            session: u16_at(buf, 1),
-            seq: buf[3],
-            lqi_in: buf[4],
-            rssi_in: buf[5] as i8,
-            queue: buf[6],
-            fwd_hops: HopQuality::parse_all(&buf[8..8 + 2 * n]),
-        })
-    }
-}
-
-// ---------------------------------------------------------------------
-// Traceroute messages
-// ---------------------------------------------------------------------
-
-/// A traceroute one-hop probe.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TrProbe {
-    /// Session id.
-    pub session: u16,
-    /// Hop index being probed.
-    pub seq: u8,
-    /// Port the reply targets on the probing node.
-    pub reply_port: u8,
-}
-
-impl TrProbe {
-    /// Serialize (padded to `length`).
-    pub fn encode(&self, length: usize) -> Vec<u8> {
-        let mut b = vec![0x60];
-        b.extend_from_slice(&self.session.to_be_bytes());
-        b.push(self.seq);
-        b.push(self.reply_port);
-        while b.len() < length.min(lv_net::packet::PAYLOAD_AREA) {
-            b.push(0);
-        }
-        b
-    }
-
-    /// Parse.
-    pub fn decode(buf: &[u8]) -> WireResult<TrProbe> {
-        need(buf, 5)?;
-        if buf[0] != 0x60 {
-            return Err(WireError::BadTag);
-        }
-        Ok(TrProbe {
-            session: u16_at(buf, 1),
-            seq: buf[3],
-            reply_port: buf[4],
-        })
-    }
-}
-
 /// The immediate reply to a traceroute probe.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TrProbeReply {
@@ -1000,36 +876,6 @@ pub struct TrProbeReply {
     pub rssi_in: i8,
     /// Far-end queue occupancy.
     pub queue: u8,
-}
-
-impl TrProbeReply {
-    /// Serialize.
-    pub fn encode(&self) -> Vec<u8> {
-        vec![
-            0x61,
-            (self.session >> 8) as u8,
-            self.session as u8,
-            self.seq,
-            self.lqi_in,
-            self.rssi_in as u8,
-            self.queue,
-        ]
-    }
-
-    /// Parse.
-    pub fn decode(buf: &[u8]) -> WireResult<TrProbeReply> {
-        need(buf, 7)?;
-        if buf[0] != 0x61 {
-            return Err(WireError::BadTag);
-        }
-        Ok(TrProbeReply {
-            session: u16_at(buf, 1),
-            seq: buf[3],
-            lqi_in: buf[4],
-            rssi_in: buf[5] as i8,
-            queue: buf[6],
-        })
-    }
 }
 
 /// The per-hop task handoff ("initiate a new traceroute task").
@@ -1051,38 +897,6 @@ pub struct TrTask {
     pub length: u8,
 }
 
-impl TrTask {
-    /// Serialize.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut b = vec![0x62];
-        b.extend_from_slice(&self.session.to_be_bytes());
-        b.extend_from_slice(&self.origin.to_be_bytes());
-        b.push(self.origin_port);
-        b.extend_from_slice(&self.dst.to_be_bytes());
-        b.push(self.carry_port);
-        b.push(self.hop_index);
-        b.push(self.length);
-        b
-    }
-
-    /// Parse.
-    pub fn decode(buf: &[u8]) -> WireResult<TrTask> {
-        need(buf, 11)?;
-        if buf[0] != 0x62 {
-            return Err(WireError::BadTag);
-        }
-        Ok(TrTask {
-            session: u16_at(buf, 1),
-            origin: u16_at(buf, 3),
-            origin_port: buf[5],
-            dst: u16_at(buf, 6),
-            carry_port: buf[8],
-            hop_index: buf[9],
-            length: buf[10],
-        })
-    }
-}
-
 /// A hop report on its way back to the source.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TrReport {
@@ -1090,28 +904,6 @@ pub struct TrReport {
     pub session: u16,
     /// The record.
     pub record: HopRecord,
-}
-
-impl TrReport {
-    /// Serialize.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut b = vec![0x63];
-        b.extend_from_slice(&self.session.to_be_bytes());
-        self.record.encode_into(&mut b);
-        b
-    }
-
-    /// Parse.
-    pub fn decode(buf: &[u8]) -> WireResult<TrReport> {
-        need(buf, 3 + HopRecord::WIRE_BYTES)?;
-        if buf[0] != 0x63 {
-            return Err(WireError::BadTag);
-        }
-        Ok(TrReport {
-            session: u16_at(buf, 1),
-            record: HopRecord::decode_from(&buf[3..])?,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -1136,39 +928,31 @@ mod tests {
     #[test]
     fn golden_bytes() {
         let req = |cmd| {
-            MgmtRequest {
+            Msg::Request(MgmtRequest {
                 req_id: 7,
                 reply_node: 0x0102,
                 reply_port: 4,
                 cmd,
-            }
+            })
             .encode()
         };
         let resp = |reply| {
-            MgmtResponse {
+            Msg::Response(MgmtResponse {
                 req_id: 9,
                 from: 0x0304,
                 reply,
-            }
+            })
             .encode()
         };
-        let ping_probe = |length| {
-            PingProbe {
-                session: 0x1234,
-                seq: 3,
-                reply_port: 101,
-            }
-            .encode(length)
+        let probe = |length| Probe {
+            session: 0x1234,
+            seq: 3,
+            reply_port: 101,
+            length,
         };
-        let tr_probe = |length| {
-            TrProbe {
-                session: 0x1234,
-                seq: 3,
-                reply_port: 101,
-            }
-            .encode(length)
-        };
-        let neighbors = WireNeighbor::encode_list(&[
+        let ping_probe = |length| Msg::PingProbe(probe(length)).encode();
+        let tr_probe = |length| Msg::TrProbe(probe(length)).encode();
+        let neighbors = encode_rows(&[
             WireNeighbor {
                 id: 3,
                 inbound_q: 240,
@@ -1186,7 +970,7 @@ mod tests {
                 name: "gateway-192.168.0.9".into(),
             },
         ]);
-        let log = WireLogEntry::encode_list(&[
+        let log = encode_rows(&[
             WireLogEntry {
                 time_ms: 25_000,
                 code: "mgmt".into(),
@@ -1325,21 +1109,21 @@ mod tests {
             (neighbors, "020003f0c802020b3139322e3136382e302e3401095a0001ff0f676174657761792d3139322e313638"),
             (log, "02000061a8046d676d74107265717565737420476574506f776572010203040a7472616365726f75746510717565756520e286922066756c6c3a20"),
             (
-                BatchMsg::Data {
-                    req_id: 1,
-                    seq: 2,
-                    total: 5,
-                    ack_after: true,
-                    payload: vec![1, 2, 3],
-                }
+                Msg::Batch(BatchMsg::Data {
+                        req_id: 1,
+                        seq: 2,
+                        total: 5,
+                        ack_after: true,
+                        payload: vec![1, 2, 3],
+                    })
                 .encode(),
                 "4001020501010203",
             ),
             (
-                BatchMsg::Ack {
-                    req_id: 1,
-                    missing: vec![0, 3],
-                }
+                Msg::Batch(BatchMsg::Ack {
+                        req_id: 1,
+                        missing: vec![0, 3],
+                    })
                 .encode(),
                 "4101020003",
             ),
@@ -1354,46 +1138,46 @@ mod tests {
             (tr_probe(64), "60123403650000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000"),
             (tr_probe(90), "60123403650000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000"),
             (
-                PingReply {
-                    session: 0x1234,
-                    seq: 3,
-                    lqi_in: 108,
-                    rssi_in: -1,
-                    queue: 2,
-                    fwd_hops: hops(),
-                }
+                Msg::PingReply(PingReply {
+                        session: 0x1234,
+                        seq: 3,
+                        lqi_in: 108,
+                        rssi_in: -1,
+                        queue: 2,
+                        fwd_hops: hops(),
+                    })
                 .encode(),
                 "511234036cff02026cff6908",
             ),
             (
-                TrProbeReply {
-                    session: 0x1234,
-                    seq: 2,
-                    lqi_in: 105,
-                    rssi_in: -3,
-                    queue: 1,
-                }
+                Msg::TrProbeReply(TrProbeReply {
+                        session: 0x1234,
+                        seq: 2,
+                        lqi_in: 105,
+                        rssi_in: -3,
+                        queue: 1,
+                    })
                 .encode(),
                 "6112340269fd01",
             ),
             (
-                TrTask {
-                    session: 0x1234,
-                    origin: 1,
-                    origin_port: 120,
-                    dst: 8,
-                    carry_port: 10,
-                    hop_index: 3,
-                    length: 32,
-                }
+                Msg::TrTask(TrTask {
+                        session: 0x1234,
+                        origin: 1,
+                        origin_port: 120,
+                        dst: 8,
+                        carry_port: 10,
+                        hop_index: 3,
+                        length: 32,
+                    })
                 .encode(),
                 "62123400017800080a0320",
             ),
             (
-                TrReport {
-                    session: 0x1234,
-                    record: lost,
-                }
+                Msg::TrReport(TrReport {
+                        session: 0x1234,
+                        record: lost,
+                    })
                 .encode(),
                 "6312340300040400000000000000000000",
             ),
@@ -1402,6 +1186,10 @@ mod tests {
         for (i, (bytes, golden)) in cases.iter().enumerate() {
             assert_eq!(hex(bytes), *golden, "case {i}");
         }
+    }
+
+    fn round_trip(msg: Msg) {
+        assert_eq!(Msg::decode(&msg.encode()), Ok(msg.clone()), "{msg:?}");
     }
 
     #[test]
@@ -1444,27 +1232,28 @@ mod tests {
             Command::ReadLog { max: 24 },
         ];
         for cmd in cmds {
-            let req = MgmtRequest {
+            round_trip(Msg::Request(MgmtRequest {
                 req_id: 7,
                 reply_node: 0,
                 reply_port: 4,
-                cmd: cmd.clone(),
-            };
-            let decoded = MgmtRequest::decode(&req.encode()).unwrap();
-            assert_eq!(decoded, req, "{cmd:?}");
+                cmd,
+            }));
         }
     }
 
     #[test]
     fn mgmt_request_encodes_commands_in_wire_form() {
         let decode = |cmd: Command| {
-            let req = MgmtRequest {
+            let req = Msg::Request(MgmtRequest {
                 req_id: 1,
                 reply_node: 0,
                 reply_port: 4,
                 cmd,
-            };
-            MgmtRequest::decode(&req.encode()).unwrap().cmd
+            });
+            match Msg::decode(&req.encode()) {
+                Ok(Msg::Request(req)) => req.cmd,
+                other => panic!("{other:?}"),
+            }
         };
         // A survey is a status request; the broadcast address makes it one.
         assert_eq!(decode(Command::GroupStatus), Command::Status);
@@ -1528,15 +1317,12 @@ mod tests {
                 hop_index: 2,
                 far: 3,
                 reached_dst: true,
-                no_route: false,
-                probe_lost: false,
                 rtt_us: 4900,
                 lqi_fwd: 106,
                 lqi_bwd: 107,
                 rssi_fwd: 1,
                 rssi_bwd: 2,
-                queue_fwd: 0,
-                queue_bwd: 0,
+                ..HopRecord::default()
             }),
             MgmtReply::TracerouteDone {
                 hops: 8,
@@ -1545,13 +1331,11 @@ mod tests {
             MgmtReply::Error(3),
         ];
         for reply in replies {
-            let resp = MgmtResponse {
+            round_trip(Msg::Response(MgmtResponse {
                 req_id: 9,
                 from: 4,
-                reply: reply.clone(),
-            };
-            let decoded = MgmtResponse::decode(&resp.encode()).unwrap();
-            assert_eq!(decoded, resp, "{reply:?}");
+                reply,
+            }));
         }
     }
 
@@ -1575,8 +1359,7 @@ mod tests {
                 name: "".into(),
             },
         ];
-        let decoded = WireNeighbor::decode_list(&WireNeighbor::encode_list(&rows)).unwrap();
-        assert_eq!(decoded, rows);
+        assert_eq!(decode_rows(&[encode_rows(&rows)]), Ok(rows));
     }
 
     #[test]
@@ -1593,8 +1376,7 @@ mod tests {
                 detail: "done: 1/1".into(),
             },
         ];
-        let decoded = WireLogEntry::decode_list(&WireLogEntry::encode_list(&rows)).unwrap();
-        assert_eq!(decoded, rows);
+        assert_eq!(decode_rows(&[encode_rows(&rows)]), Ok(rows));
     }
 
     #[test]
@@ -1604,79 +1386,65 @@ mod tests {
             code: "a-code-name-way-too-long".into(),
             detail: "a very long detail string exceeding the cap".into(),
         };
-        let decoded = WireLogEntry::decode_list(&WireLogEntry::encode_list(&[row])).unwrap();
+        let decoded: Vec<WireLogEntry> = decode_rows(&[encode_rows(&[row])]).unwrap();
         assert_eq!(decoded[0].code.len(), WireLogEntry::MAX_CODE);
         assert_eq!(decoded[0].detail.len(), WireLogEntry::MAX_DETAIL);
     }
 
     #[test]
     fn batch_round_trip() {
-        let msgs = vec![
-            BatchMsg::Data {
-                req_id: 1,
-                seq: 2,
-                total: 5,
-                ack_after: true,
-                payload: vec![1, 2, 3],
-            },
-            BatchMsg::Ack {
-                req_id: 1,
-                missing: vec![0, 3],
-            },
-            BatchMsg::Ack {
-                req_id: 1,
-                missing: vec![],
-            },
-        ];
-        for m in msgs {
-            assert_eq!(BatchMsg::decode(&m.encode()).unwrap(), m);
-        }
+        round_trip(Msg::Batch(BatchMsg::Data {
+            req_id: 1,
+            seq: 2,
+            total: 5,
+            ack_after: true,
+            payload: vec![1, 2, 3],
+        }));
+        round_trip(Msg::Batch(BatchMsg::Ack {
+            req_id: 1,
+            missing: vec![0, 3],
+        }));
+        round_trip(Msg::Batch(BatchMsg::Ack {
+            req_id: 1,
+            missing: vec![],
+        }));
     }
 
     #[test]
-    fn ping_probe_padding_to_length() {
-        let p = PingProbe {
+    fn probe_padding_to_length() {
+        let probe = |length| Probe {
             session: 0x1234,
             seq: 3,
             reply_port: 101,
+            length,
         };
-        let bytes = p.encode(32);
+        let bytes = Msg::PingProbe(probe(32)).encode();
         assert_eq!(bytes.len(), 32);
-        assert_eq!(PingProbe::decode(&bytes).unwrap(), p);
-        // Length below the header floor keeps the header.
-        assert_eq!(p.encode(2).len(), 5);
+        assert_eq!(Msg::decode(&bytes), Ok(Msg::PingProbe(probe(32))));
+        // Length below the header floor keeps the header; above the
+        // payload area, the area.
+        assert_eq!(Msg::TrProbe(probe(2)).encode().len(), 5);
+        assert_eq!(Msg::TrProbe(probe(90)).encode().len(), PAYLOAD_AREA);
     }
 
     #[test]
-    fn ping_reply_round_trip() {
-        let r = PingReply {
+    fn probe_replies_task_and_report_round_trip() {
+        round_trip(Msg::PingReply(PingReply {
             session: 7,
             seq: 0,
             lqi_in: 108,
             rssi_in: -1,
             queue: 0,
             fwd_hops: hops(),
-        };
-        assert_eq!(PingReply::decode(&r.encode()).unwrap(), r);
-    }
-
-    #[test]
-    fn traceroute_messages_round_trip() {
-        let probe = TrProbe {
-            session: 55,
-            seq: 2,
-            reply_port: 120,
-        };
-        assert_eq!(TrProbe::decode(&probe.encode(32)).unwrap(), probe);
-        let reply = TrProbeReply {
+        }));
+        round_trip(Msg::TrProbeReply(TrProbeReply {
             session: 55,
             seq: 2,
             lqi_in: 105,
             rssi_in: -3,
             queue: 1,
-        };
-        assert_eq!(TrProbeReply::decode(&reply.encode()).unwrap(), reply);
-        let task = TrTask {
+        }));
+        round_trip(Msg::TrTask(TrTask {
             session: 55,
             origin: 1,
             origin_port: 120,
@@ -1684,59 +1452,47 @@ mod tests {
             carry_port: 10,
             hop_index: 3,
             length: 32,
-        };
-        assert_eq!(TrTask::decode(&task.encode()).unwrap(), task);
-        let report = TrReport {
+        }));
+        round_trip(Msg::TrReport(TrReport {
             session: 55,
             record: HopRecord {
                 hop_index: 3,
                 far: 4,
-                reached_dst: false,
-                no_route: false,
                 probe_lost: true,
-                rtt_us: 0,
-                lqi_fwd: 0,
-                lqi_bwd: 0,
-                rssi_fwd: 0,
-                rssi_bwd: 0,
-                queue_fwd: 0,
-                queue_bwd: 0,
+                ..HopRecord::default()
             },
-        };
-        assert_eq!(TrReport::decode(&report.encode()).unwrap(), report);
+        }));
     }
 
     #[test]
     fn decoders_reject_garbage() {
-        assert_eq!(MgmtRequest::decode(&[]), Err(WireError::Truncated));
+        assert_eq!(Msg::decode(&[]), Err(WireError::Truncated));
+        assert_eq!(Msg::decode(&[0x99, 0]), Err(WireError::BadTag));
+        // An unknown command or reply tag inside a known message.
         assert_eq!(
-            MgmtRequest::decode(&[0x20, 1, 0, 0, 4, 0x7E]),
+            Msg::decode(&[0x20, 1, 0, 0, 4, 0x7E]),
             Err(WireError::BadTag)
         );
+        assert_eq!(Msg::decode(&[0x30, 0, 0, 0, 0x20]), Err(WireError::BadTag));
+        // Short bodies, and counts that run past the end.
+        assert_eq!(Msg::decode(&[0x20, 1, 0, 0, 4]), Err(WireError::Truncated));
+        assert_eq!(Msg::decode(&[0x62, 0]), Err(WireError::Truncated));
+        assert_eq!(Msg::decode(&[0x41, 1, 3, 0]), Err(WireError::Truncated));
         assert_eq!(
-            MgmtRequest::decode(&[0x21, 1, 0, 0, 4, 0x01]),
-            Err(WireError::BadTag)
+            decode_rows::<WireNeighbor>(&[vec![]]),
+            Err(WireError::Truncated)
         );
+        // A string that is not UTF-8.
         assert_eq!(
-            MgmtResponse::decode(&[0x30, 0, 0, 0, 0x20]),
-            Err(WireError::BadTag)
+            Msg::decode(&[0x30, 0, 0, 0, 0x85, 1, 0xFF]),
+            Err(WireError::Truncated)
         );
-        assert_eq!(
-            MgmtResponse::decode(&[0x31, 0, 0, 0, 0x80]),
-            Err(WireError::BadTag)
-        );
-        assert_eq!(BatchMsg::decode(&[0x99, 0]), Err(WireError::BadTag));
-        assert_eq!(
-            PingProbe::decode(&[0x51, 0, 0, 0, 0]),
-            Err(WireError::BadTag)
-        );
-        assert_eq!(TrTask::decode(&[0x62, 0]), Err(WireError::Truncated));
     }
 
     #[test]
     fn everything_fits_payload_area() {
         // The fattest messages must fit 64 bytes.
-        let summary = MgmtResponse {
+        let summary = Msg::Response(MgmtResponse {
             req_id: 1,
             from: 2,
             reply: MgmtReply::PingSummary(PingOutcome {
@@ -1758,17 +1514,15 @@ mod tests {
                     bwd_hops: vec![HopQuality { lqi: 0, rssi: 0 }; 8],
                 }],
             }),
-        };
-        assert!(summary.encode().len() <= lv_net::packet::PAYLOAD_AREA);
-        let hop = MgmtResponse {
+        });
+        assert!(summary.encode().len() <= PAYLOAD_AREA);
+        let hop = Msg::Response(MgmtResponse {
             req_id: 1,
             from: 2,
             reply: MgmtReply::TracerouteHop(HopRecord {
                 hop_index: 8,
                 far: 9,
                 reached_dst: true,
-                no_route: false,
-                probe_lost: false,
                 rtt_us: u32::MAX,
                 lqi_fwd: 110,
                 lqi_bwd: 110,
@@ -1776,8 +1530,9 @@ mod tests {
                 rssi_bwd: -50,
                 queue_fwd: 8,
                 queue_bwd: 8,
+                ..HopRecord::default()
             }),
-        };
-        assert!(hop.encode().len() <= lv_net::packet::PAYLOAD_AREA);
+        });
+        assert!(hop.encode().len() <= PAYLOAD_AREA);
     }
 }

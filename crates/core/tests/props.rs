@@ -5,8 +5,8 @@ use liteview::protocol::{BatchReceiver, BatchSender, SendStep};
 use liteview::session::{Request, RequestBody, Response, ResponseBody, PROTOCOL_VERSION};
 use liteview::shell::ShellCommand;
 use liteview::wire::{
-    BatchMsg, HopRecord, MgmtReply, MgmtRequest, MgmtResponse, PingProbe, PingReply, PingRound,
-    TrProbe, TrProbeReply, TrReport, TrTask,
+    decode_rows, encode_rows, BatchMsg, HopRecord, MgmtReply, MgmtRequest, MgmtResponse, Msg,
+    PingReply, PingRound, Probe, TrProbeReply, TrReport, TrTask, WireLogEntry, WireNeighbor,
 };
 use liteview::{install_suite, Command, PingOutcome, SessionHost, Workstation};
 use lv_kernel::Network;
@@ -91,132 +91,293 @@ fn arb_hops(max: usize) -> impl Strategy<Value = Vec<HopQuality>> {
     )
 }
 
+/// Any ping outcome, up to five rounds of up to 30 hops each way: far
+/// more than the payload area holds until `fit_to_wire` cuts it.
+fn arb_ping_outcome() -> impl Strategy<Value = PingOutcome> {
+    let round = (
+        any::<u8>(),
+        any::<u32>(),
+        (any::<u8>(), any::<u8>()),
+        (any::<i8>(), any::<i8>()),
+        (any::<u8>(), any::<u8>()),
+        arb_hops(30),
+        arb_hops(30),
+    )
+        .prop_map(
+            |(seq, rtt_us, lqi, rssi, queue, fwd_hops, bwd_hops)| PingRound {
+                seq,
+                rtt_us,
+                lqi_fwd: lqi.0,
+                lqi_bwd: lqi.1,
+                rssi_fwd: rssi.0,
+                rssi_bwd: rssi.1,
+                queue_fwd: queue.0,
+                queue_bwd: queue.1,
+                fwd_hops,
+                bwd_hops,
+            },
+        );
+    (
+        any::<u16>(),
+        (any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>()),
+        proptest::collection::vec(round, 0..6),
+    )
+        .prop_map(
+            |(target, (sent, received, power, channel), rounds)| PingOutcome {
+                target,
+                sent,
+                received,
+                power,
+                channel,
+                rounds,
+            },
+        )
+}
+
+/// Any reply in the form the response decoder yields: a ping summary
+/// already cut by `fit_to_wire`, a protocol name within its 30 bytes.
+fn arb_reply() -> impl Strategy<Value = MgmtReply> {
+    prop_oneof![
+        Just(MgmtReply::Ok),
+        (any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>()).prop_map(
+            |(power, channel, queue, neighbors)| MgmtReply::Status {
+                power,
+                channel,
+                queue,
+                neighbors,
+            }
+        ),
+        any::<u8>().prop_map(MgmtReply::Power),
+        any::<u8>().prop_map(MgmtReply::Channel),
+        arb_ping_outcome().prop_map(|mut outcome| {
+            outcome.fit_to_wire();
+            MgmtReply::PingSummary(outcome)
+        }),
+        "[a-z ]{0,30}".prop_map(|protocol| MgmtReply::TracerouteInfo { protocol }),
+        arb_hop_record().prop_map(MgmtReply::TracerouteHop),
+        (any::<u8>(), any::<bool>())
+            .prop_map(|(hops, reached)| MgmtReply::TracerouteDone { hops, reached }),
+        any::<u8>().prop_map(MgmtReply::Error),
+    ]
+}
+
+/// Any probe whose length survives the round trip: 5..=64 bytes.
+fn arb_probe() -> impl Strategy<Value = Probe> {
+    (any::<u16>(), any::<u8>(), any::<u8>(), 5u8..=64).prop_map(
+        |(session, seq, reply_port, length)| Probe {
+            session,
+            seq,
+            reply_port,
+            length,
+        },
+    )
+}
+
+/// Any message in the form `Msg::decode` yields, sized to fit the
+/// payload area.
+fn arb_msg() -> impl Strategy<Value = Msg> {
+    prop_oneof![
+        (any::<u8>(), any::<u16>(), any::<u8>(), arb_cmd()).prop_map(
+            |(req_id, reply_node, reply_port, cmd)| Msg::Request(MgmtRequest {
+                req_id,
+                reply_node,
+                reply_port,
+                cmd,
+            })
+        ),
+        (any::<u8>(), any::<u16>(), arb_reply()).prop_map(|(req_id, from, reply)| {
+            Msg::Response(MgmtResponse {
+                req_id,
+                from,
+                reply,
+            })
+        }),
+        (
+            (any::<u8>(), any::<u8>(), any::<u8>(), any::<bool>()),
+            proptest::collection::vec(any::<u8>(), 0..=59),
+        )
+            .prop_map(|((req_id, seq, total, ack_after), payload)| {
+                Msg::Batch(BatchMsg::Data {
+                    req_id,
+                    seq,
+                    total,
+                    ack_after,
+                    payload,
+                })
+            }),
+        (any::<u8>(), proptest::collection::vec(any::<u8>(), 0..=61))
+            .prop_map(|(req_id, missing)| Msg::Batch(BatchMsg::Ack { req_id, missing })),
+        arb_probe().prop_map(Msg::PingProbe),
+        (
+            (
+                any::<u16>(),
+                any::<u8>(),
+                any::<u8>(),
+                any::<i8>(),
+                any::<u8>()
+            ),
+            arb_hops(28),
+        )
+            .prop_map(|((session, seq, lqi_in, rssi_in, queue), fwd_hops)| {
+                Msg::PingReply(PingReply {
+                    session,
+                    seq,
+                    lqi_in,
+                    rssi_in,
+                    queue,
+                    fwd_hops,
+                })
+            }),
+        arb_probe().prop_map(Msg::TrProbe),
+        (
+            any::<u16>(),
+            any::<u8>(),
+            any::<u8>(),
+            any::<i8>(),
+            any::<u8>()
+        )
+            .prop_map(|(session, seq, lqi_in, rssi_in, queue)| Msg::TrProbeReply(
+                TrProbeReply {
+                    session,
+                    seq,
+                    lqi_in,
+                    rssi_in,
+                    queue,
+                }
+            )),
+        (
+            (any::<u16>(), any::<u16>(), any::<u8>(), any::<u16>()),
+            (any::<u8>(), any::<u8>(), any::<u8>()),
+        )
+            .prop_map(
+                |((session, origin, origin_port, dst), (carry_port, hop_index, length))| {
+                    Msg::TrTask(TrTask {
+                        session,
+                        origin,
+                        origin_port,
+                        dst,
+                        carry_port,
+                        hop_index,
+                        length,
+                    })
+                }
+            ),
+        (any::<u16>(), arb_hop_record())
+            .prop_map(|(session, record)| Msg::TrReport(TrReport { session, record })),
+    ]
+}
+
+/// Any neighbor row within the wire's caps.
+fn arb_neighbor() -> impl Strategy<Value = WireNeighbor> {
+    (
+        (any::<u16>(), any::<u8>(), any::<bool>(), any::<u8>()),
+        (any::<bool>(), any::<u8>()),
+        "[a-z0-9.]{0,15}",
+    )
+        .prop_map(
+            |((id, inbound_q, known, outbound), (blacklisted, tree_hops), name)| WireNeighbor {
+                id,
+                inbound_q,
+                outbound_q: known.then_some(outbound),
+                blacklisted,
+                tree_hops,
+                name,
+            },
+        )
+}
+
+/// Any event-log record within the wire's caps.
+fn arb_log_entry() -> impl Strategy<Value = WireLogEntry> {
+    (any::<u32>(), "[a-z.]{0,10}", "[a-z0-9 /:]{0,18}").prop_map(|(time_ms, code, detail)| {
+        WireLogEntry {
+            time_ms,
+            code,
+            detail,
+        }
+    })
+}
+
+/// The tag byte of every message.
+const TAGS: [u8; 10] = [0x20, 0x30, 0x40, 0x41, 0x50, 0x51, 0x60, 0x61, 0x62, 0x63];
+
+/// `bytes` cut short at `at`, or with the byte there replaced by `byte`.
+fn mutate(mut bytes: Vec<u8>, at: u16, byte: u8, cut: bool) -> Vec<u8> {
+    if !bytes.is_empty() {
+        let at = usize::from(at) % bytes.len();
+        if cut {
+            bytes.truncate(at);
+        } else {
+            bytes[at] = byte;
+        }
+    }
+    bytes
+}
+
+/// Bytes a decoder must survive, drawn so most of them reach a decoder
+/// body: random bytes behind a known tag (nine times in ten; any first
+/// byte otherwise), or a message or a row chunk cut short or with one
+/// byte changed.
+fn arb_wire_bytes() -> impl Strategy<Value = Vec<u8>> {
+    let edit = || (any::<u16>(), any::<u8>(), any::<bool>());
+    let rows = prop_oneof![
+        proptest::collection::vec(arb_neighbor(), 0..4).prop_map(|rows| encode_rows(&rows)),
+        proptest::collection::vec(arb_log_entry(), 0..4).prop_map(|rows| encode_rows(&rows)),
+    ];
+    prop_oneof![
+        (any::<u8>(), proptest::collection::vec(any::<u8>(), 0..96)).prop_map(
+            |(pick, mut bytes)| {
+                if pick % 10 != 0 {
+                    bytes.insert(0, TAGS[usize::from(pick) % TAGS.len()]);
+                }
+                bytes
+            }
+        ),
+        (arb_msg(), edit()).prop_map(|(msg, (at, byte, cut))| mutate(msg.encode(), at, byte, cut)),
+        (rows, edit()).prop_map(|(rows, (at, byte, cut))| mutate(rows, at, byte, cut)),
+    ]
+}
+
 proptest! {
-    /// Every management request round-trips for every command shape.
+    /// Every message round-trips, every command and reply shape
+    /// included, and fits the payload area.
     #[test]
-    fn mgmt_request_round_trip(
-        req_id in any::<u8>(),
-        reply_node in any::<u16>(),
-        reply_port in any::<u8>(),
-        cmd in arb_cmd(),
-    ) {
-        let req = MgmtRequest { req_id, reply_node, reply_port, cmd };
-        let bytes = req.encode();
-        prop_assert!(bytes.len() <= PAYLOAD_AREA);
-        prop_assert_eq!(MgmtRequest::decode(&bytes).expect("round trip"), req);
+    fn msg_round_trip(msg in arb_msg()) {
+        let bytes = msg.encode();
+        prop_assert!(bytes.len() <= PAYLOAD_AREA, "encoded {} bytes", bytes.len());
+        prop_assert_eq!(Msg::decode(&bytes), Ok(msg));
     }
 
-    /// Traceroute hop responses round-trip for arbitrary records.
+    /// Probes honor the requested length, clamped to 5..=64 bytes.
     #[test]
-    fn hop_record_round_trip(req_id in any::<u8>(), from in any::<u16>(), record in arb_hop_record()) {
-        let resp = MgmtResponse { req_id, from, reply: MgmtReply::TracerouteHop(record) };
-        let bytes = resp.encode();
-        prop_assert!(bytes.len() <= PAYLOAD_AREA);
-        prop_assert_eq!(MgmtResponse::decode(&bytes).expect("round trip"), resp);
-    }
-
-    /// Probe and reply formats round-trip; probes honor the requested
-    /// length (clamped to the payload area).
-    #[test]
-    fn probe_round_trips(
-        session in any::<u16>(),
-        seq in any::<u8>(),
-        reply_port in any::<u8>(),
-        length in 0usize..=120,
-        hops in arb_hops(20),
-        lqi in any::<u8>(),
-        rssi in any::<i8>(),
-        queue in any::<u8>(),
-    ) {
-        let probe = PingProbe { session, seq, reply_port };
-        let bytes = probe.encode(length);
+    fn probe_length_is_clamped(probe in arb_probe(), length in any::<u8>()) {
+        let bytes = Msg::TrProbe(Probe { length, ..probe }).encode();
         prop_assert!(bytes.len() >= 5 && bytes.len() <= PAYLOAD_AREA);
-        prop_assert_eq!(PingProbe::decode(&bytes).expect("probe"), probe);
-
-        let reply = PingReply { session, seq, lqi_in: lqi, rssi_in: rssi, queue, fwd_hops: hops };
-        prop_assert_eq!(PingReply::decode(&reply.encode()).expect("reply"), reply);
-
-        let tr = TrProbe { session, seq, reply_port };
-        prop_assert_eq!(TrProbe::decode(&tr.encode(length)).expect("tr probe"), tr);
-        let trr = TrProbeReply { session, seq, lqi_in: lqi, rssi_in: rssi, queue };
-        prop_assert_eq!(TrProbeReply::decode(&trr.encode()).expect("tr reply"), trr);
+        prop_assert_eq!(bytes.len(), usize::from(length).clamp(5, PAYLOAD_AREA));
     }
 
-    /// Task and report messages round-trip.
+    /// Row chunks round-trip.
     #[test]
-    fn task_report_round_trips(
-        session in any::<u16>(),
-        origin in any::<u16>(),
-        origin_port in any::<u8>(),
-        dst in any::<u16>(),
-        carry_port in any::<u8>(),
-        hop_index in any::<u8>(),
-        length in any::<u8>(),
-        record in arb_hop_record(),
+    fn rows_round_trip(
+        neighbors in proptest::collection::vec(arb_neighbor(), 0..4),
+        log in proptest::collection::vec(arb_log_entry(), 0..4),
     ) {
-        let task = TrTask { session, origin, origin_port, dst, carry_port, hop_index, length };
-        prop_assert_eq!(TrTask::decode(&task.encode()).expect("task"), task);
-        let report = TrReport { session, record };
-        prop_assert_eq!(TrReport::decode(&report.encode()).expect("report"), report);
+        prop_assert_eq!(decode_rows(&[encode_rows(&neighbors)]), Ok(neighbors));
+        prop_assert_eq!(decode_rows(&[encode_rows(&log)]), Ok(log));
     }
 
     /// `fit_to_wire` always produces a summary whose framed response
     /// fits the 64-byte payload area, for ANY pile of rounds.
     #[test]
-    fn ping_summary_always_fits(
-        target in any::<u16>(),
-        rounds in proptest::collection::vec(
-            (any::<u8>(), any::<u32>(), arb_hops(30), arb_hops(30)),
-            0..6
-        ),
-    ) {
-        let mut summary = PingOutcome {
-            target,
-            sent: rounds.len() as u8,
-            received: rounds.len() as u8,
-            power: 31,
-            channel: 17,
-            rounds: rounds
-                .into_iter()
-                .map(|(seq, rtt_us, fwd, bwd)| PingRound {
-                    seq,
-                    rtt_us,
-                    lqi_fwd: 100,
-                    lqi_bwd: 100,
-                    rssi_fwd: 0,
-                    rssi_bwd: 0,
-                    queue_fwd: 0,
-                    queue_bwd: 0,
-                    fwd_hops: fwd,
-                    bwd_hops: bwd,
-                })
-                .collect(),
-        };
+    fn ping_summary_always_fits(mut summary in arb_ping_outcome()) {
         summary.fit_to_wire();
-        let resp = MgmtResponse {
+        let resp = Msg::Response(MgmtResponse {
             req_id: 1,
             from: 2,
             reply: MgmtReply::PingSummary(summary),
-        };
+        });
         let bytes = resp.encode();
         prop_assert!(bytes.len() <= PAYLOAD_AREA, "encoded {} bytes", bytes.len());
-        prop_assert!(MgmtResponse::decode(&bytes).is_ok());
-    }
-
-    /// Decoders never panic on arbitrary bytes.
-    #[test]
-    fn decoders_total(bytes in proptest::collection::vec(any::<u8>(), 0..96)) {
-        let _ = MgmtRequest::decode(&bytes);
-        let _ = MgmtResponse::decode(&bytes);
-        let _ = BatchMsg::decode(&bytes);
-        let _ = PingProbe::decode(&bytes);
-        let _ = PingReply::decode(&bytes);
-        let _ = TrProbe::decode(&bytes);
-        let _ = TrProbeReply::decode(&bytes);
-        let _ = TrTask::decode(&bytes);
-        let _ = TrReport::decode(&bytes);
-        let _ = Request::decode(&bytes);
-        let _ = Response::decode(&bytes);
+        prop_assert!(Msg::decode(&bytes).is_ok());
     }
 
     /// The session codec round-trips any string unchanged: escapes,
@@ -368,6 +529,22 @@ proptest! {
         if rx.is_complete() {
             prop_assert_eq!(rx.assemble().unwrap(), chunks);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// Decoders never panic, whatever the bytes: the management-plane
+    /// messages, the row codec and the session codec.
+    #[test]
+    fn decoders_total(bytes in arb_wire_bytes()) {
+        let _ = Msg::decode(&bytes);
+        let _ = Request::decode(&bytes);
+        let _ = Response::decode(&bytes);
+        let chunks = [bytes];
+        let _ = decode_rows::<WireNeighbor>(&chunks);
+        let _ = decode_rows::<WireLogEntry>(&chunks);
     }
 }
 

@@ -671,7 +671,7 @@ impl Parser<'_, '_> {
     /// Scan a fn body for calls and nested fns, and note whether it
     /// drives `TrialRunner::run`. Returns the names the body guards:
     /// `x.len(` / `x.is_empty(` / `x.get(` bound-check the receiver,
-    /// and passing `x` as a bare argument (`need(x, 6)?`, `parse(x)`)
+    /// and passing `x` as a bare argument (`Reader(x)`, `parse(x)`)
     /// delegates validation to the callee.
     fn scan_body(
         &mut self,

@@ -7,7 +7,7 @@
 use crate::results::*;
 use crate::scenario::{Scenario, ScenarioConfig};
 use crate::topology::Topology;
-use liteview::wire::PingReply;
+use liteview::wire::{Msg, Probe};
 use liteview::{Command, CommandRequest, CommandResult, TraceOutcome};
 use lv_kernel::{Network, Process, ProcessImage, RxMeta, SysCtx};
 use lv_net::packet::{NetPacket, Port, PAYLOAD_AREA};
@@ -209,21 +209,16 @@ impl Process for PadProbe {
     }
     fn on_start(&mut self, ctx: &mut SysCtx<'_>) {
         ctx.subscribe(Port(99));
-        let probe = liteview::wire::PingProbe {
+        let probe = Msg::PingProbe(Probe {
             session: 0x7AD,
             seq: 0,
             reply_port: 99,
-        };
-        ctx.send(
-            self.dst,
-            Port::GEOGRAPHIC,
-            Port::PING,
-            probe.encode(self.length as usize),
-            true,
-        );
+            length: self.length,
+        });
+        ctx.send(self.dst, Port::GEOGRAPHIC, Port::PING, probe.encode(), true);
     }
     fn on_packet(&mut self, _ctx: &mut SysCtx<'_>, packet: &NetPacket, _meta: RxMeta) {
-        if let Ok(reply) = PingReply::decode(&packet.payload) {
+        if let Ok(Msg::PingReply(reply)) = Msg::decode(&packet.payload) {
             *self.observed.borrow_mut() = Some(reply.fwd_hops.len());
         }
     }
