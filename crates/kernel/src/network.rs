@@ -20,7 +20,7 @@ use lv_net::beacon::BeaconPayload;
 use lv_net::packet::NetPacket;
 use lv_net::padding::HopQuality;
 use lv_net::ports::ProcessId;
-use lv_net::routing::Router;
+use lv_net::routing::{DropReason, Router};
 use lv_net::stack::RxAction;
 use lv_radio::timing::PhyTiming;
 use lv_radio::{Channel, Medium};
@@ -1483,7 +1483,8 @@ impl Network {
                     enum Out {
                         Actions(Vec<MacAction>),
                         Local(ProcessId, NetPacket),
-                        None,
+                        Refused { next_hop: u16 },
+                        Drop(DropReason),
                     }
                     let out = {
                         let medium = &self.medium;
@@ -1504,17 +1505,15 @@ impl Network {
                                     self.counters.incr_id(CounterId::NetOriginate);
                                     Out::Actions(actions)
                                 } else {
-                                    self.counters.incr_id(CounterId::NetQueueDrop);
-                                    Out::None
+                                    Out::Refused { next_hop }
                                 }
                             }
                             RxAction::DeliverTo { pid, packet } => Out::Local(pid, packet),
-                            RxAction::Drop { reason } => {
-                                self.counters.incr_id(reason.counter_id());
-                                Out::None
-                            }
+                            RxAction::Drop { reason } => Out::Drop(reason),
                         }
                     };
+                    // A refused or dropped packet is traced at the
+                    // forward path's levels.
                     match out {
                         Out::Actions(actions) => self.exec_mac_actions(node, actions),
                         Out::Local(pid, packet) => {
@@ -1523,7 +1522,16 @@ impl Network {
                             self.queue
                                 .push(at, Event::LocalDeliver { node, pid, packet });
                         }
-                        Out::None => {}
+                        Out::Refused { next_hop } => {
+                            self.observe(node, CounterId::NetQueueDrop, TraceLevel::Packet, || {
+                                format!("net.originate next_hop={next_hop} dst={dst} (queue full)")
+                            });
+                        }
+                        Out::Drop(reason) => {
+                            self.observe(node, reason.counter_id(), TraceLevel::Debug, || {
+                                format!("net.drop reason={reason:?}")
+                            });
+                        }
                     }
                 }
                 Effect::Timer { token, after } => {
@@ -1777,6 +1785,59 @@ mod tests {
             assert!(!packet.hop_qualities().is_empty());
             *self.got_reply.borrow_mut() += 1;
         }
+    }
+
+    #[test]
+    fn originated_drop_is_traced() {
+        // Node 1 is out of range, so node 0's router has no next hop.
+        let mut net = Network::new(line_medium(2, 400.0, 3), 3);
+        net.install_router(
+            0,
+            Box::new(lv_net::routing::Geographic::new(Port::GEOGRAPHIC)),
+        )
+        .unwrap();
+        net.trace = Trace::enabled(TraceLevel::Debug, 4096);
+        let got_reply = Rc::new(RefCell::new(0));
+        net.spawn_process(0, Box::new(OneShotRouted { dst: 1, got_reply }), vec![])
+            .unwrap();
+        net.run_for(SimDuration::from_millis(100));
+        assert_eq!(net.counters.get("net.drop.NoRoute"), 1);
+        let traced = net
+            .trace
+            .events()
+            .iter()
+            .filter(|e| e.node == 0 && e.message == "net.drop reason=NoRoute")
+            .count();
+        assert_eq!(traced, 1);
+    }
+
+    #[test]
+    fn originated_queue_refusal_is_traced() {
+        /// Sends more one-hop packets in one hook than the MAC queue holds.
+        struct Burst;
+        impl Process for Burst {
+            fn name(&self) -> &str {
+                "burst"
+            }
+            fn on_start(&mut self, ctx: &mut SysCtx<'_>) {
+                for _ in 0..lv_mac::TxQueue::DEFAULT_CAPACITY + 3 {
+                    ctx.send(1, Port(30), Port(30), vec![1, 2, 3], false);
+                }
+            }
+        }
+        let mut net = Network::new(line_medium(2, 5.0, 7), 7);
+        net.trace = Trace::enabled(TraceLevel::Packet, 4096);
+        net.spawn_process(0, Box::new(Burst), vec![]).unwrap();
+        net.run_for(SimDuration::from_millis(10));
+        let refused = net.counters.get("net.queue_drop");
+        assert!(refused >= 1, "the burst must overflow the queue");
+        let traced = net
+            .trace
+            .events()
+            .iter()
+            .filter(|e| e.node == 0 && e.message == "net.originate next_hop=1 dst=1 (queue full)")
+            .count();
+        assert_eq!(traced as u64, refused);
     }
 
     #[test]
