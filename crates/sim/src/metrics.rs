@@ -492,7 +492,7 @@ impl Histogram {
 /// pushes them one by one in that order, which keeps the float
 /// arithmetic — and therefore the reported statistics — bit-identical
 /// no matter how many worker threads ran the trials.
-#[derive(Debug, Default, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Summary {
     count: u64,
     mean: f64,
@@ -565,6 +565,13 @@ impl Summary {
         } else {
             1.96 * self.stddev() / (self.count as f64).sqrt()
         }
+    }
+}
+
+impl Default for Summary {
+    /// An empty summary, the same as [`Summary::new`].
+    fn default() -> Self {
+        Summary::new()
     }
 }
 
@@ -794,5 +801,15 @@ mod tests {
         assert_eq!(s.min(), None);
         assert_eq!(s.max(), None);
         assert_eq!(s.ci95_half_width(), 0.0);
+    }
+
+    #[test]
+    fn default_summary_is_empty() {
+        // A derived `Default` would start `max` at 0.0 and report it
+        // for an all-negative sample set (RSSI readings).
+        let mut s = Summary::default();
+        s.push(-5.0);
+        assert_eq!(s.max(), Some(-5.0));
+        assert_eq!(s.min(), Some(-5.0));
     }
 }
