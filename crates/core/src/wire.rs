@@ -27,6 +27,7 @@ use crate::commands::{Command, PingOutcome};
 use cursor::{Field, Reader};
 use lv_net::packet::{Port, PAYLOAD_AREA};
 use lv_net::padding::HopQuality;
+use lv_net::truncate_utf8;
 use lv_sim::SimDuration;
 use serde::{Deserialize, Serialize};
 
@@ -128,11 +129,15 @@ mod cursor {
     }
 }
 
-/// Write a count byte, then `bytes` cut to `cap` bytes.
-fn put_counted(b: &mut Vec<u8>, bytes: &[u8], cap: usize) {
-    let bytes = bytes.get(..cap).unwrap_or(bytes);
+/// Write a count byte, then `bytes`.
+fn put_counted(b: &mut Vec<u8>, bytes: &[u8]) {
     b.push(bytes.len() as u8);
     b.extend_from_slice(bytes);
+}
+
+/// Write `s` cut at a char boundary to at most `cap` bytes, counted.
+fn put_str(b: &mut Vec<u8>, s: &str, cap: usize) {
+    put_counted(b, truncate_utf8(s, cap).as_bytes());
 }
 
 /// Write a count byte, then two bytes per hop.
@@ -141,18 +146,6 @@ fn put_hops(b: &mut Vec<u8>, hops: &[HopQuality]) {
     for h in hops {
         h.append_to(b);
     }
-}
-
-/// Truncate a string at a char boundary within `max` bytes.
-fn truncate_utf8(s: &str, max: usize) -> &str {
-    if s.len() <= max {
-        return s;
-    }
-    let mut end = max;
-    while end > 0 && !s.is_char_boundary(end) {
-        end -= 1;
-    }
-    &s[..end]
 }
 
 // ---------------------------------------------------------------------
@@ -211,7 +204,7 @@ impl Msg {
             }
             Msg::Batch(BatchMsg::Ack { req_id, missing }) => {
                 b.extend([0x41, *req_id]);
-                put_counted(&mut b, missing, usize::MAX);
+                put_counted(&mut b, missing);
             }
             Msg::PingProbe(m) | Msg::TrProbe(m) => {
                 let ping = matches!(self, Msg::PingProbe(_));
@@ -483,7 +476,7 @@ impl Field for MgmtReply {
             }
             MgmtReply::TracerouteInfo { protocol } => {
                 b.push(0x85);
-                put_counted(b, protocol.as_bytes(), 30);
+                put_str(b, protocol, 30);
             }
             MgmtReply::TracerouteHop(h) => {
                 b.push(0x86);
@@ -762,7 +755,7 @@ impl Field for WireNeighbor {
             flags,
             self.tree_hops,
         ]);
-        put_counted(b, self.name.as_bytes(), 15);
+        put_str(b, &self.name, 15);
     }
 
     fn read(r: &mut Reader<'_>) -> WireResult<WireNeighbor> {
@@ -800,9 +793,8 @@ impl WireLogEntry {
 impl Field for WireLogEntry {
     fn put(&self, b: &mut Vec<u8>) {
         b.extend(self.time_ms.to_be_bytes());
-        put_counted(b, self.code.as_bytes(), Self::MAX_CODE);
-        let detail = truncate_utf8(&self.detail, Self::MAX_DETAIL);
-        put_counted(b, detail.as_bytes(), Self::MAX_DETAIL);
+        put_str(b, &self.code, Self::MAX_CODE);
+        put_str(b, &self.detail, Self::MAX_DETAIL);
     }
 
     fn read(r: &mut Reader<'_>) -> WireResult<WireLogEntry> {
@@ -1360,6 +1352,22 @@ mod tests {
             },
         ];
         assert_eq!(decode_rows(&[encode_rows(&rows)]), Ok(rows));
+    }
+
+    #[test]
+    fn neighbor_name_is_cut_at_a_char_boundary() {
+        // `é` takes bytes 14 and 15 of the name: a byte cut at 15 would
+        // leave half of it, and the chunk would not decode.
+        let row = WireNeighbor {
+            id: 10,
+            inbound_q: 200,
+            outbound_q: None,
+            blacklisted: false,
+            tree_hops: 1,
+            name: "192.168.0.10-né".into(),
+        };
+        let decoded: Vec<WireNeighbor> = decode_rows(&[encode_rows(&[row])]).unwrap();
+        assert_eq!(decoded[0].name, "192.168.0.10-n");
     }
 
     #[test]

@@ -47,9 +47,10 @@ pub struct BeaconPayload {
 }
 
 impl BeaconPayload {
-    /// Serialize. Name and link list are truncated to their caps.
+    /// Serialize. Name and link list are truncated to their caps, the
+    /// name at a char boundary.
     pub fn encode(&self) -> Vec<u8> {
-        let name = &self.name.as_bytes()[..self.name.len().min(MAX_NAME_LEN)];
+        let name = crate::truncate_utf8(&self.name, MAX_NAME_LEN).as_bytes();
         let links = &self.links[..self.links.len().min(MAX_LINK_ENTRIES)];
         let mut buf = Vec::with_capacity(13 + name.len() + 3 * links.len());
         buf.extend_from_slice(&self.seq.to_be_bytes());
@@ -153,6 +154,17 @@ mod tests {
         let d = BeaconPayload::decode(&b.encode()).unwrap();
         assert_eq!(d.name.len(), MAX_NAME_LEN);
         assert_eq!(d.links.len(), MAX_LINK_ENTRIES);
+    }
+
+    #[test]
+    fn name_is_cut_at_a_char_boundary() {
+        // `é` takes bytes 14 and 15: a cut at byte 15 would split it.
+        let b = BeaconPayload {
+            name: "192.168.0.10-né".into(),
+            ..beacon()
+        };
+        let d = BeaconPayload::decode(&b.encode()).expect("decodes");
+        assert_eq!(d.name, "192.168.0.10-n");
     }
 
     #[test]

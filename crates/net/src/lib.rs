@@ -50,3 +50,17 @@ pub use padding::HopQuality;
 pub use ports::PortMap;
 pub use routing::{DropReason, RouteCtx, RouteDecision, Router};
 pub use stack::{RxAction, Stack, StackConfig};
+
+/// The longest prefix of `s` that fits in `max` bytes and ends on a
+/// char boundary: a name or a text field cut for the wire stays valid
+/// UTF-8, so the receiver can decode it.
+pub fn truncate_utf8(s: &str, max: usize) -> &str {
+    if s.len() <= max {
+        return s;
+    }
+    let mut end = max;
+    while !s.is_char_boundary(end) {
+        end -= 1;
+    }
+    &s[..end]
+}
