@@ -236,7 +236,7 @@ impl BatchReceiver {
             return Vec::new();
         };
         (0..=max)
-            .filter(|&s| self.chunks.get(s as usize).is_none_or(|c| c.is_none()))
+            .filter(|&s| self.chunks.get(s as usize).map_or(true, |c| c.is_none()))
             .collect()
     }
 

@@ -70,7 +70,7 @@ impl Geographic {
                 continue; // must make strict progress
             }
             let metric = (my_dist - d) * e.bidirectional();
-            if best.is_none_or(|(_, bm)| metric > bm) {
+            if best.map_or(true, |(_, bm)| metric > bm) {
                 best = Some((e.id, metric));
             }
         }

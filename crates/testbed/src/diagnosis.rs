@@ -202,7 +202,7 @@ fn run_scenario(seed: u64, sc: &DiagnosisScenario) -> DiagnosisSweepRow {
             true_positives += 1;
             latency_sum += e.detect_latency_ms;
             let at = e.opened_at.as_millis_f64();
-            if first_detect.is_none_or(|f| at < f) {
+            if first_detect.map_or(true, |f| at < f) {
                 first_detect = Some(at);
             }
         }

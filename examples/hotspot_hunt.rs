@@ -100,7 +100,7 @@ fn main() {
                     r.queue_fwd,
                     r.queue_bwd
                 );
-                if worst.is_none_or(|(_, w)| rtt / (hop as f64) > w) {
+                if worst.map_or(true, |(_, w)| rtt / (hop as f64) > w) {
                     worst = Some((hop, rtt / hop as f64));
                 }
             } else {
