@@ -3,13 +3,13 @@
 //! One EWMA baseline per *directed* link, fed by the kernel's passive
 //! [`LinkObs`] tap. Three alarm classes:
 //!
-//! * **rssi-drift** — the sample RSSI sits `rssi_drop_db` below the
-//!   baseline for `confirm` consecutive samples (attenuation ramps,
+//! * **rssi-drift** — the sample RSSI sits `RSSI_DROP_DB` below the
+//!   baseline for `CONFIRM` consecutive samples (attenuation ramps,
 //!   antenna damage, obstructions);
 //! * **lqi-drift** — likewise for LQI (SNR degradation: interference
 //!   and noise bursts move LQI long before RSSI);
 //! * **silence** — a link with an established baseline has not been
-//!   heard from for `silence_after` (node death, hard blocks).
+//!   heard from for `SILENCE_AFTER` (node death, hard blocks).
 //!
 //! The baseline *freezes* while a link is drifting (any deviation past
 //! half the alarm threshold): a slow ramp must not drag the EWMA down
@@ -21,39 +21,24 @@ use lv_kernel::LinkObs;
 use lv_sim::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 
-/// Detector tuning. Defaults are sized for the repo's radio model:
-/// per-packet RSSI fading is σ ≈ 1 dB and LQI jitter σ ≈ 1.2 units, so
-/// the default thresholds sit at ~6σ with two-sample confirmation.
-#[derive(Debug, Clone)]
-pub struct DetectorConfig {
-    /// EWMA smoothing factor (weight of the newest sample).
-    pub alpha: f64,
-    /// Samples needed before a baseline is considered established.
-    pub min_samples: u32,
-    /// RSSI deviation below baseline (dB) that raises an alarm.
-    pub rssi_drop_db: f64,
-    /// LQI deviation below baseline (units) that raises an alarm.
-    pub lqi_drop: f64,
-    /// Consecutive over-threshold samples required to alarm.
-    pub confirm: u32,
-    /// Quiet time after which an established link is declared silent.
-    pub silence_after: SimDuration,
-}
+// Tuning, sized for the repo's radio model: per-packet RSSI fading is
+// σ ≈ 1 dB and LQI jitter σ ≈ 1.2 units, so the thresholds sit at ~6σ
+// with two-sample confirmation.
 
-impl Default for DetectorConfig {
-    fn default() -> Self {
-        DetectorConfig {
-            alpha: 0.15,
-            min_samples: 8,
-            rssi_drop_db: 7.5,
-            lqi_drop: 18.0,
-            confirm: 2,
-            // Beacons default to one per 2 s; six missed periods is
-            // decisive even with a lossy link.
-            silence_after: SimDuration::from_secs(12),
-        }
-    }
-}
+/// EWMA smoothing factor (weight of the newest sample).
+const ALPHA: f64 = 0.15;
+/// Samples needed before a baseline is considered established.
+const MIN_SAMPLES: u32 = 8;
+/// RSSI deviation below baseline (dB) that raises an alarm.
+pub(super) const RSSI_DROP_DB: f64 = 7.5;
+/// LQI deviation below baseline (units) that raises an alarm.
+pub(super) const LQI_DROP: f64 = 18.0;
+/// Consecutive over-threshold samples required to alarm.
+const CONFIRM: u32 = 2;
+/// Quiet time after which an established link is declared silent.
+/// Beacons default to one per 2 s; six missed periods is decisive even
+/// with a lossy link.
+const SILENCE_AFTER: SimDuration = SimDuration::from_secs(12);
 
 /// What tripped the detector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,19 +95,15 @@ struct LinkBaseline {
 }
 
 /// The online anomaly detector over every directed link.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct LinkDetector {
-    cfg: DetectorConfig,
     links: BTreeMap<(u16, u16), LinkBaseline>,
 }
 
 impl LinkDetector {
-    /// An empty detector with the given tuning.
-    pub fn new(cfg: DetectorConfig) -> LinkDetector {
-        LinkDetector {
-            cfg,
-            links: BTreeMap::new(),
-        }
+    /// An empty detector.
+    pub fn new() -> LinkDetector {
+        LinkDetector::default()
     }
 
     /// Directed links with a tracked baseline.
@@ -134,13 +115,12 @@ impl LinkDetector {
     /// if established.
     pub fn baseline(&self, tx: u16, rx: u16) -> Option<(f64, f64)> {
         let e = self.links.get(&(tx, rx))?;
-        (e.samples >= self.cfg.min_samples).then_some((e.ewma_rssi, e.ewma_lqi))
+        (e.samples >= MIN_SAMPLES).then_some((e.ewma_rssi, e.ewma_lqi))
     }
 
     /// Feed one passive observation; returns an alarm if this sample
     /// confirms a drift past threshold.
     pub fn observe(&mut self, o: &LinkObs) -> Option<Suspicion> {
-        let cfg = self.cfg.clone();
         let e = self.links.entry((o.tx, o.rx)).or_insert(LinkBaseline {
             ewma_rssi: o.rssi as f64,
             ewma_lqi: o.lqi as f64,
@@ -153,15 +133,15 @@ impl LinkDetector {
         e.last_heard = o.at;
         e.silenced = false;
         e.samples = e.samples.saturating_add(1);
-        if e.samples < cfg.min_samples {
+        if e.samples < MIN_SAMPLES {
             // Warm-up: absorb unconditionally.
-            e.ewma_rssi += cfg.alpha * (o.rssi as f64 - e.ewma_rssi);
-            e.ewma_lqi += cfg.alpha * (o.lqi as f64 - e.ewma_lqi);
+            e.ewma_rssi += ALPHA * (o.rssi as f64 - e.ewma_rssi);
+            e.ewma_lqi += ALPHA * (o.lqi as f64 - e.ewma_lqi);
             return None;
         }
         let dev_rssi = e.ewma_rssi - o.rssi as f64;
         let dev_lqi = e.ewma_lqi - o.lqi as f64;
-        let drifting = dev_rssi >= cfg.rssi_drop_db * 0.5 || dev_lqi >= cfg.lqi_drop * 0.5;
+        let drifting = dev_rssi >= RSSI_DROP_DB * 0.5 || dev_lqi >= LQI_DROP * 0.5;
         if drifting {
             // Freeze the baseline so a gradual ramp cannot chase the
             // EWMA down and mask itself.
@@ -171,14 +151,14 @@ impl LinkDetector {
         } else {
             e.first_drift_at = None;
             e.over_streak = 0;
-            e.ewma_rssi += cfg.alpha * (o.rssi as f64 - e.ewma_rssi);
-            e.ewma_lqi += cfg.alpha * (o.lqi as f64 - e.ewma_lqi);
+            e.ewma_rssi += ALPHA * (o.rssi as f64 - e.ewma_rssi);
+            e.ewma_lqi += ALPHA * (o.lqi as f64 - e.ewma_lqi);
         }
-        let over_rssi = dev_rssi >= cfg.rssi_drop_db;
-        let over_lqi = dev_lqi >= cfg.lqi_drop;
+        let over_rssi = dev_rssi >= RSSI_DROP_DB;
+        let over_lqi = dev_lqi >= LQI_DROP;
         if over_rssi || over_lqi {
             e.over_streak += 1;
-            if e.over_streak >= cfg.confirm {
+            if e.over_streak >= CONFIRM {
                 e.over_streak = 0;
                 let (kind, baseline, observed) = if over_rssi {
                     (DriftKind::Rssi, e.ewma_rssi, o.rssi as f64)
@@ -204,16 +184,15 @@ impl LinkDetector {
     }
 
     /// Raise a silence alarm for every established link that has been
-    /// quiet longer than `silence_after`. Each link alarms once per
+    /// quiet longer than `SILENCE_AFTER`. Each link alarms once per
     /// quiet spell (hearing it again re-arms the alarm).
     pub fn sweep_silent(&mut self, now: SimTime) -> Vec<Suspicion> {
-        let cfg = &self.cfg;
         let mut out = Vec::new();
         for (&(tx, rx), e) in self.links.iter_mut() {
-            if e.samples < cfg.min_samples || e.silenced {
+            if e.samples < MIN_SAMPLES || e.silenced {
                 continue;
             }
-            if now.saturating_since(e.last_heard) <= cfg.silence_after {
+            if now.saturating_since(e.last_heard) <= SILENCE_AFTER {
                 continue;
             }
             e.silenced = true;
@@ -257,7 +236,7 @@ mod tests {
 
     #[test]
     fn stable_link_never_alarms() {
-        let mut det = LinkDetector::new(DetectorConfig::default());
+        let mut det = LinkDetector::new();
         let mut t = 0;
         // ±1 dB / ±2 LQI jitter around a stable point.
         for i in 0..200u64 {
@@ -273,7 +252,7 @@ mod tests {
 
     #[test]
     fn rssi_step_alarms_after_confirmation() {
-        let mut det = LinkDetector::new(DetectorConfig::default());
+        let mut det = LinkDetector::new();
         let mut t = warmed(&mut det, -60, 106);
         // A 10 dB drop: first over-threshold sample arms, second fires.
         assert!(det.observe(&obs(1, 2, t, -70, 106)).is_none());
@@ -290,7 +269,7 @@ mod tests {
 
     #[test]
     fn gradual_ramp_cannot_outrun_a_frozen_baseline() {
-        let mut det = LinkDetector::new(DetectorConfig::default());
+        let mut det = LinkDetector::new();
         let mut t = warmed(&mut det, -60, 106);
         // 2 dB per sample: slow enough that an unfrozen EWMA with
         // alpha 0.15 would track it down without ever alarming.
@@ -309,7 +288,7 @@ mod tests {
 
     #[test]
     fn lqi_collapse_alarms_without_rssi_movement() {
-        let mut det = LinkDetector::new(DetectorConfig::default());
+        let mut det = LinkDetector::new();
         let mut t = warmed(&mut det, -60, 108);
         // Noise burst: RSSI unchanged, LQI falls to the floor.
         assert!(det.observe(&obs(1, 2, t, -60, 55)).is_none());
@@ -320,7 +299,7 @@ mod tests {
 
     #[test]
     fn silence_fires_once_per_quiet_spell() {
-        let mut det = LinkDetector::new(DetectorConfig::default());
+        let mut det = LinkDetector::new();
         let end = warmed(&mut det, -60, 106);
         // Not silent yet at +10 s…
         assert!(det
@@ -348,7 +327,7 @@ mod tests {
 
     #[test]
     fn warmup_links_do_not_alarm_on_silence() {
-        let mut det = LinkDetector::new(DetectorConfig::default());
+        let mut det = LinkDetector::new();
         det.observe(&obs(3, 4, 0, -70, 90));
         assert!(det.sweep_silent(SimTime::from_millis(60_000)).is_empty());
     }

@@ -28,7 +28,7 @@
 mod detector;
 mod report;
 
-pub use detector::{DetectorConfig, DriftKind, LinkDetector, Suspicion};
+pub use detector::{DriftKind, LinkDetector, Suspicion};
 pub use report::{BlacklistSuggestion, DiagnosisEvidence, DiagnosisLog, DiagnosisReport};
 
 use crate::commands::{CommandResult, TraceOutcome};
@@ -38,46 +38,25 @@ use lv_net::packet::Port;
 use lv_sim::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 
-/// Engine tuning: the detector plus probe-ladder policy.
-#[derive(Debug, Clone)]
-pub struct DiagnosisConfig {
-    /// Detector thresholds.
-    pub detector: DetectorConfig,
-    /// Capacity of the kernel link-observation ring the engine arms.
-    pub obs_capacity: usize,
-    /// Minimum spacing between episodes on the same undirected link.
-    pub cooldown: SimDuration,
-    /// Ping rounds per confirmation probe.
-    pub probe_rounds: u8,
-    /// Probe payload length (bytes).
-    pub probe_length: u8,
-    /// Routing port the probes travel on.
-    pub probe_port: Port,
-    /// Hard cap on episodes per engine lifetime.
-    pub max_episodes: usize,
-}
-
-impl Default for DiagnosisConfig {
-    fn default() -> Self {
-        DiagnosisConfig {
-            detector: DetectorConfig::default(),
-            obs_capacity: 8192,
-            cooldown: SimDuration::from_secs(60),
-            probe_rounds: 2,
-            probe_length: 32,
-            probe_port: Port::GEOGRAPHIC,
-            max_episodes: 64,
-        }
-    }
-}
+/// Capacity of the kernel link-observation ring the engine arms.
+pub(crate) const OBS_CAPACITY: usize = 8192;
+/// Minimum spacing between episodes on the same undirected link.
+const COOLDOWN: SimDuration = SimDuration::from_secs(60);
+/// Ping rounds per confirmation probe.
+const PROBE_ROUNDS: u8 = 2;
+/// Probe payload length (bytes).
+const PROBE_LENGTH: u8 = 32;
+/// Routing port the probes travel on.
+const PROBE_PORT: Port = Port::GEOGRAPHIC;
+/// Hard cap on episodes per engine lifetime.
+const MAX_EPISODES: usize = 64;
 
 /// The closed-loop diagnosis engine. Create one with
 /// [`Workstation::arm_diagnosis`] and drive it with
 /// [`Workstation::poll_diagnosis`]; or hold one directly and call
 /// [`DiagnosisEngine::poll`] from a custom driver.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct DiagnosisEngine {
-    cfg: DiagnosisConfig,
     detector: LinkDetector,
     episodes: Vec<DiagnosisReport>,
     cooldown_until: BTreeMap<(u16, u16), SimTime>,
@@ -94,15 +73,8 @@ impl DiagnosisEngine {
     /// A fresh engine. The kernel tap must be armed separately
     /// ([`Network::set_link_obs`]) — [`Workstation::arm_diagnosis`]
     /// does both.
-    pub fn new(cfg: DiagnosisConfig) -> DiagnosisEngine {
-        DiagnosisEngine {
-            detector: LinkDetector::new(cfg.detector.clone()),
-            cfg,
-            episodes: Vec::new(),
-            cooldown_until: BTreeMap::new(),
-            observations: 0,
-            suspicions: 0,
-        }
+    pub fn new() -> DiagnosisEngine {
+        DiagnosisEngine::default()
     }
 
     /// Closed episodes so far, in open order.
@@ -136,7 +108,7 @@ impl DiagnosisEngine {
         let mut opened = 0;
         for s in alarms {
             self.suspicions += 1;
-            if self.episodes.len() >= self.cfg.max_episodes {
+            if self.episodes.len() >= MAX_EPISODES {
                 continue;
             }
             let key = undirected(s.tx, s.rx);
@@ -148,7 +120,7 @@ impl DiagnosisEngine {
             {
                 continue;
             }
-            self.cooldown_until.insert(key, now + self.cfg.cooldown);
+            self.cooldown_until.insert(key, now + COOLDOWN);
             let episode = self.episodes.len() as u32 + 1;
             let report = self.run_ladder(net, ws, episode, &s);
             self.episodes.push(report);
@@ -199,7 +171,7 @@ impl DiagnosisEngine {
         let mut verdict = Localization::Inconclusive;
         if let Some(trace) = self.probe_trace(net, ws, first_dst, &mut evidence) {
             traceroutes += 1;
-            verdict = localize(&trace, bridge, s, &self.cfg.detector);
+            verdict = localize(&trace, bridge, s);
         }
         // Rung 3: the suspect link may not lie on the path to `tx`
         // (e.g. tx is nearer the bridge than rx). Escalate with a
@@ -209,7 +181,7 @@ impl DiagnosisEngine {
             if second_dst != bridge {
                 if let Some(trace) = self.probe_trace(net, ws, second_dst, &mut evidence) {
                     traceroutes += 1;
-                    verdict = localize(&trace, bridge, s, &self.cfg.detector);
+                    verdict = localize(&trace, bridge, s);
                 }
             }
         }
@@ -269,17 +241,12 @@ impl DiagnosisEngine {
         dst: u16,
         evidence: &mut Vec<DiagnosisEvidence>,
     ) -> (u8, u8) {
-        let req = CommandRequest::ping(
-            dst,
-            self.cfg.probe_rounds,
-            self.cfg.probe_length,
-            Some(self.cfg.probe_port),
-        )
-        .on(ws.bridge());
+        let req =
+            CommandRequest::ping(dst, PROBE_ROUNDS, PROBE_LENGTH, Some(PROBE_PORT)).on(ws.bridge());
         let (sent, received) = match ws.exec(net, req) {
             Ok(e) => match e.result {
                 CommandResult::Ping(o) => (o.sent, o.received),
-                _ => (self.cfg.probe_rounds, 0),
+                _ => (PROBE_ROUNDS, 0),
             },
             Err(_) => (0, 0),
         };
@@ -297,8 +264,7 @@ impl DiagnosisEngine {
         dst: u16,
         evidence: &mut Vec<DiagnosisEvidence>,
     ) -> Option<TraceOutcome> {
-        let req = CommandRequest::traceroute(dst, self.cfg.probe_length, self.cfg.probe_port)
-            .on(ws.bridge());
+        let req = CommandRequest::traceroute(dst, PROBE_LENGTH, PROBE_PORT).on(ws.bridge());
         let outcome = match ws.exec(net, req) {
             Ok(e) => match e.result {
                 CommandResult::Traceroute(t) => Some(t),
@@ -333,12 +299,7 @@ enum Localization {
 /// Read a traceroute's per-hop records against the suspicion: a lost or
 /// measurably degraded leg touching the suspect pair localizes the
 /// fault.
-fn localize(
-    trace: &TraceOutcome,
-    bridge: u16,
-    s: &Suspicion,
-    det: &DetectorConfig,
-) -> Localization {
+fn localize(trace: &TraceOutcome, bridge: u16, s: &Suspicion) -> Localization {
     let suspect = undirected(s.tx, s.rx);
     let touches = |leg: (u16, u16)| {
         leg == suspect || leg.0 == s.tx || leg.0 == s.rx || leg.1 == s.tx || leg.1 == s.rx
@@ -370,10 +331,10 @@ fn localize(
         // the weaker direction against the alarm's frozen baseline.
         let deg = match s.kind {
             DriftKind::Rssi | DriftKind::Silence => {
-                f64::from(r.rssi_fwd.min(r.rssi_bwd)) <= s.baseline - det.rssi_drop_db * 0.5
+                f64::from(r.rssi_fwd.min(r.rssi_bwd)) <= s.baseline - detector::RSSI_DROP_DB * 0.5
             }
             DriftKind::Lqi => {
-                f64::from(r.lqi_fwd.min(r.lqi_bwd)) <= s.baseline - det.lqi_drop * 0.5
+                f64::from(r.lqi_fwd.min(r.lqi_bwd)) <= s.baseline - detector::LQI_DROP * 0.5
             }
         };
         if deg && degraded.is_none() && touches(leg) {
@@ -442,7 +403,7 @@ mod tests {
             reached: false,
         };
         let s = suspicion(3, 2, DriftKind::Silence, -60.0);
-        match localize(&trace, 0, &s, &DetectorConfig::default()) {
+        match localize(&trace, 0, &s) {
             Localization::Localized(leg) => assert_eq!(leg, (2, 3)),
             Localization::Inconclusive => panic!("lost leg not localized"),
         }
@@ -463,7 +424,7 @@ mod tests {
             reached: true,
         };
         let s = suspicion(2, 3, DriftKind::Rssi, -60.0);
-        match localize(&trace, 0, &s, &DetectorConfig::default()) {
+        match localize(&trace, 0, &s) {
             Localization::Localized(leg) => assert_eq!(leg, (2, 3)),
             Localization::Inconclusive => panic!("degraded leg not localized"),
         }
@@ -478,7 +439,7 @@ mod tests {
         };
         let s = suspicion(1, 2, DriftKind::Rssi, -60.0);
         assert!(matches!(
-            localize(&trace, 0, &s, &DetectorConfig::default()),
+            localize(&trace, 0, &s),
             Localization::Inconclusive
         ));
     }
@@ -493,7 +454,7 @@ mod tests {
         // Suspect is far away from the broken first leg.
         let s = suspicion(6, 7, DriftKind::Rssi, -60.0);
         assert!(matches!(
-            localize(&trace, 0, &s, &DetectorConfig::default()),
+            localize(&trace, 0, &s),
             Localization::Inconclusive
         ));
     }

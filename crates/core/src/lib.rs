@@ -75,8 +75,8 @@ pub use commands::{
 };
 pub use controller::RuntimeController;
 pub use diagnose::{
-    BlacklistSuggestion, DetectorConfig, DiagnosisConfig, DiagnosisEngine, DiagnosisLog,
-    DiagnosisReport, DriftKind, LinkDetector, Suspicion,
+    BlacklistSuggestion, DiagnosisEngine, DiagnosisLog, DiagnosisReport, DriftKind, LinkDetector,
+    Suspicion,
 };
 pub use observe::{ExecutionRecord, NodeDelta, ObservabilityReport};
 pub use ping::PingProcess;

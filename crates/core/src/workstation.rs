@@ -9,7 +9,7 @@
 //! milliseconds").
 
 use crate::commands::{Command, CommandResult, Execution, GROUP_TARGET};
-use crate::diagnose::{DiagnosisConfig, DiagnosisEngine, DiagnosisLog};
+use crate::diagnose::{DiagnosisEngine, DiagnosisLog, OBS_CAPACITY};
 use crate::interpreter::{InFlight, Interpreter, SharedInFlight, KICK};
 use crate::observe::{NodeDelta, ObservabilityReport};
 use crate::output;
@@ -324,9 +324,9 @@ impl Workstation {
     /// the kernel's passive link-observation tap and attaches a
     /// [`DiagnosisEngine`] that [`Workstation::poll_diagnosis`] drives.
     /// Re-arming replaces the engine and clears its episode history.
-    pub fn arm_diagnosis(&mut self, net: &mut Network, cfg: DiagnosisConfig) {
-        net.set_link_obs(cfg.obs_capacity);
-        self.diagnosis = Some(DiagnosisEngine::new(cfg));
+    pub fn arm_diagnosis(&mut self, net: &mut Network) {
+        net.set_link_obs(OBS_CAPACITY);
+        self.diagnosis = Some(DiagnosisEngine::new());
     }
 
     /// Drive the armed diagnosis engine one step: drain the kernel tap,

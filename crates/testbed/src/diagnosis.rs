@@ -14,7 +14,7 @@ use crate::experiments::fnv1a64;
 use crate::results::{to_json_lines, DiagnosisSweepReport, DiagnosisSweepRow};
 use crate::scenario::{Scenario, ScenarioConfig};
 use crate::topology::Topology;
-use liteview::{CommandRequest, CommandResult, DiagnosisConfig, DiagnosisReport};
+use liteview::{CommandRequest, CommandResult, DiagnosisReport};
 use lv_net::packet::Port;
 use lv_radio::Channel;
 use lv_sim::{SimDuration, SimTime};
@@ -166,7 +166,7 @@ fn run_scenario(seed: u64, sc: &DiagnosisScenario) -> DiagnosisSweepRow {
     let cfg = ScenarioConfig::new(Topology::eight_hop_corridor(), seed);
     let mut s = Scenario::build(cfg);
     s.ws.cd(&s.net, "192.168.0.1").expect("bridge exists");
-    s.ws.arm_diagnosis(&mut s.net, DiagnosisConfig::default());
+    s.ws.arm_diagnosis(&mut s.net);
     sc.plan.schedule(&mut s.net);
 
     let first_onset = sc.labels.iter().map(|l| l.onset).min();
