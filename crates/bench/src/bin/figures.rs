@@ -45,6 +45,7 @@
 use lv_testbed::experiments as exp;
 use lv_testbed::results::to_json_lines;
 use lv_testbed::{AggregateStats, TrialRunner};
+use serde::Serialize;
 
 struct Args {
     what: Vec<String>,
@@ -120,26 +121,10 @@ fn parse_args() -> Args {
         // sessions, not figures: an empty experiment list stays empty
         // instead of expanding to `all`.
     } else if what.is_empty() || what.iter().any(|w| w == "all") {
-        what = [
-            "fig5",
-            "fig6",
-            "fig7",
-            "tresp",
-            "tping",
-            "tpad",
-            "tfoot",
-            "tovh1",
-            "linkchar",
-            "ablations",
-            "fig5agg",
-            "fig6agg",
-            "fig7agg",
-            "linkcharagg",
-            "failures",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+        what = EXPERIMENTS
+            .iter()
+            .map(|(name, _)| name.to_string())
+            .collect();
     }
     Args {
         what,
@@ -155,6 +140,28 @@ fn parse_args() -> Args {
     }
 }
 
+/// An experiment: its name on the command line and its printer.
+type Experiment = (&'static str, fn(&Args));
+
+/// Every experiment, in the order `all` runs them.
+const EXPERIMENTS: &[Experiment] = &[
+    ("fig5", fig5),
+    ("fig6", fig6),
+    ("fig7", fig7),
+    ("tresp", tresp),
+    ("tping", tping),
+    ("tpad", tpad),
+    ("tfoot", tfoot),
+    ("tovh1", tovh1),
+    ("linkchar", linkchar),
+    ("ablations", ablations),
+    ("fig5agg", fig5agg),
+    ("fig6agg", fig6agg),
+    ("fig7agg", fig7agg),
+    ("linkcharagg", linkcharagg),
+    ("failures", failures),
+];
+
 /// Render pre-formatted rows as a fixed-width text table.
 fn table(title: &str, header: &str, rows: &[String]) -> String {
     let mut out = format!("== {title} ==\n{header}\n");
@@ -165,6 +172,33 @@ fn table(title: &str, header: &str, rows: &[String]) -> String {
         out.push('\n');
     }
     out
+}
+
+/// Print `rows` as JSON lines under `--json`, else as a table titled
+/// `title` with one `line` per row under `header`.
+fn show<R: Serialize>(
+    args: &Args,
+    rows: &[R],
+    title: &str,
+    header: &str,
+    line: impl Fn(&R) -> String,
+) {
+    if args.json {
+        println!("{}", to_json_lines(rows));
+    } else {
+        let lines: Vec<String> = rows.iter().map(line).collect();
+        print!("{}", table(title, header, &lines));
+    }
+}
+
+/// Print a single-row result as JSON under `--json`, else as `title`
+/// over the lines of `text`.
+fn show_one<R: Serialize>(args: &Args, row: &R, title: &str, text: impl Fn(&R) -> String) {
+    if args.json {
+        println!("{}", serde_json::to_string(row).expect("rows serialize"));
+    } else {
+        println!("== {title} ==\n{}", text(row));
+    }
 }
 
 fn main() {
@@ -182,23 +216,9 @@ fn main() {
         diagnosis(&args);
     }
     for what in &args.what {
-        match what.as_str() {
-            "fig5" => fig5(args.seed, args.json),
-            "fig6" => fig6(args.seed, args.json),
-            "fig7" => fig7(args.seed, args.json),
-            "tresp" => tresp(args.seed, args.json),
-            "tping" => tping(args.seed, args.json),
-            "tpad" => tpad(args.seed, args.json),
-            "tfoot" => tfoot(args.json),
-            "tovh1" => tovh1(args.seed, args.json),
-            "linkchar" => linkchar(args.seed, args.json),
-            "ablations" => ablations(args.seed, args.json),
-            "fig5agg" => fig5agg(&args),
-            "fig6agg" => fig6agg(&args),
-            "fig7agg" => fig7agg(&args),
-            "linkcharagg" => linkcharagg(&args),
-            "failures" => failures(&args),
-            other => eprintln!("unknown experiment: {other}"),
+        match EXPERIMENTS.iter().find(|(name, _)| name == what) {
+            Some((_, print)) => print(&args),
+            None => eprintln!("unknown experiment: {what}"),
         }
     }
 }
@@ -211,7 +231,6 @@ fn report(seed: u64) {
     use lv_testbed::{Scenario, ScenarioConfig, Topology};
 
     let mut s = Scenario::build(ScenarioConfig::new(Topology::eight_hop_corridor(), seed));
-    s.ws.cd(&s.net, "192.168.0.1").expect("bridge exists");
     let far = (s.net.node_count() - 1) as u16;
     let _ = s.ws.exec(&mut s.net, CommandRequest::ping(1, 1, 32, None));
     let _ = s.ws.exec(
@@ -233,22 +252,13 @@ fn report(seed: u64) {
 /// goldens and exit non-zero on drift.
 fn digests(args: &Args) {
     let rows = exp::figure_digests(args.seed);
-    if args.json {
-        println!("{}", to_json_lines(&rows));
-    } else {
-        let lines: Vec<String> = rows
-            .iter()
-            .map(|r| format!("{:<6} {}", r.figure, r.digest))
-            .collect();
-        print!(
-            "{}",
-            table(
-                "Determinism digests — FNV-1a over the figure row JSON",
-                "figure digest",
-                &lines
-            )
-        );
-    }
+    show(
+        args,
+        &rows,
+        "Determinism digests — FNV-1a over the figure row JSON",
+        "figure digest",
+        |r| format!("{:<6} {}", r.figure, r.digest),
+    );
     if let Some(path) = &args.check_digests {
         let golden = std::fs::read_to_string(path)
             .unwrap_or_else(|e| panic!("cannot read goldens {path}: {e}"));
@@ -444,162 +454,123 @@ fn diagnosis(args: &Args) {
     }
 }
 
-fn fig5(seed: u64, json: bool) {
-    let rows = exp::fig5_traceroute_delay(seed);
-    if json {
-        println!("{}", to_json_lines(&rows));
-        return;
-    }
-    let lines: Vec<String> = rows
-        .iter()
-        .map(|r| format!("{:>3}   {:>10.1}", r.hop, r.delay_ms))
-        .collect();
-    print!(
-        "{}",
-        table(
-            "Fig. 5 — traceroute response delay per hop (8-hop corridor)",
-            "hop   delay [ms]",
-            &lines
-        )
+fn fig5(args: &Args) {
+    show(
+        args,
+        &exp::fig5_traceroute_delay(args.seed),
+        "Fig. 5 — traceroute response delay per hop (8-hop corridor)",
+        "hop   delay [ms]",
+        |r| format!("{:>3}   {:>10.1}", r.hop, r.delay_ms),
     );
 }
 
-fn fig6(seed: u64, json: bool) {
-    let rows = exp::fig6_rssi_vs_power(seed);
-    if json {
-        println!("{}", to_json_lines(&rows));
-        return;
-    }
-    let lines: Vec<String> = rows
-        .iter()
-        .map(|r| {
+fn fig6(args: &Args) {
+    show(
+        args,
+        &exp::fig6_rssi_vs_power(args.seed),
+        "Fig. 6 — per-hop RSSI readings, forward/backward, power 10 vs 25",
+        "hop   fwd@10   bwd@10     fwd@25   bwd@25",
+        |r| {
             format!(
                 "{:>3}   {:>8} {:>8}   {:>8} {:>8}",
                 r.hop, r.fwd_p10, r.bwd_p10, r.fwd_p25, r.bwd_p25
             )
-        })
-        .collect();
-    print!(
-        "{}",
-        table(
-            "Fig. 6 — per-hop RSSI readings, forward/backward, power 10 vs 25",
-            "hop   fwd@10   bwd@10     fwd@25   bwd@25",
-            &lines
-        )
+        },
     );
 }
 
-fn fig7(seed: u64, json: bool) {
-    let rows = exp::fig7_overhead(seed);
-    if json {
-        println!("{}", to_json_lines(&rows));
-        return;
-    }
-    let lines: Vec<String> = rows
-        .iter()
-        .map(|r| format!("{:>4}   {:>15} {:>8}", r.hops, r.control_packets, r.acks))
-        .collect();
-    print!(
-        "{}",
-        table(
-            "Fig. 7 — traceroute command overhead vs path length",
-            "hops   control packets     acks",
-            &lines
-        )
+fn fig7(args: &Args) {
+    show(
+        args,
+        &exp::fig7_overhead(args.seed),
+        "Fig. 7 — traceroute command overhead vs path length",
+        "hops   control packets     acks",
+        |r| format!("{:>4}   {:>15} {:>8}", r.hops, r.control_packets, r.acks),
     );
 }
 
-fn tresp(seed: u64, json: bool) {
-    let rows = exp::text_response_delays(seed, 10);
-    if json {
-        println!("{}", to_json_lines(&rows));
-        return;
-    }
-    let lines: Vec<String> = rows
-        .iter()
-        .map(|r| {
+fn tresp(args: &Args) {
+    show(
+        args,
+        &exp::text_response_delays(args.seed, 10),
+        "T-resp — fixed-window command response delays",
+        "command              trials  mean[ms]   min[ms]   max[ms]  answered",
+        |r| {
             format!(
                 "{:<20} {:>6} {:>9.1} {:>9.1} {:>9.1} {:>9}",
                 r.command, r.trials, r.mean_ms, r.min_ms, r.max_ms, r.answered
             )
-        })
-        .collect();
-    print!(
-        "{}",
-        table(
-            "T-resp — fixed-window command response delays",
-            "command              trials  mean[ms]   min[ms]   max[ms]  answered",
-            &lines
-        )
+        },
     );
 }
 
-fn tping(seed: u64, json: bool) {
-    let r = exp::text_ping_sample(seed);
-    if json {
-        println!("{}", serde_json::to_string(&r).unwrap());
-        return;
-    }
-    println!("== T-ping — sample one-hop ping (paper §III.B.3) ==");
-    println!(
-        "RTT = {:.1} ms, LQI = {}/{}, RSSI = {}/{}, Queue = {}/{}",
-        r.rtt_ms, r.lqi_fwd, r.lqi_bwd, r.rssi_fwd, r.rssi_bwd, r.queue_fwd, r.queue_bwd
-    );
-    println!("Power = {}, Channel = {}", r.power, r.channel);
-}
-
-fn tpad(seed: u64, json: bool) {
-    let r = exp::text_padding_budget(seed);
-    if json {
-        println!("{}", serde_json::to_string(&r).unwrap());
-        return;
-    }
-    println!("== T-pad — link-quality padding budget (paper §IV.C.3) ==");
-    println!(
-        "probe payload = {} B, {} B/hop, analytic max = {} hops",
-        r.probe_payload, r.bytes_per_hop, r.analytic_max_hops
-    );
-    println!(
-        "path of {} hops → observed {} recorded hop entries",
-        r.path_hops, r.observed_entries
+fn tping(args: &Args) {
+    show_one(
+        args,
+        &exp::text_ping_sample(args.seed),
+        "T-ping — sample one-hop ping (paper §III.B.3)",
+        |r| {
+            format!(
+                "RTT = {:.1} ms, LQI = {}/{}, RSSI = {}/{}, Queue = {}/{}\nPower = {}, Channel = {}",
+                r.rtt_ms,
+                r.lqi_fwd,
+                r.lqi_bwd,
+                r.rssi_fwd,
+                r.rssi_bwd,
+                r.queue_fwd,
+                r.queue_bwd,
+                r.power,
+                r.channel
+            )
+        },
     );
 }
 
-fn tfoot(json: bool) {
-    let rows = exp::text_footprints();
-    if json {
-        println!("{}", to_json_lines(&rows));
-        return;
-    }
-    let lines: Vec<String> = rows
-        .iter()
-        .map(|r| {
+fn tpad(args: &Args) {
+    show_one(
+        args,
+        &exp::text_padding_budget(args.seed),
+        "T-pad — link-quality padding budget (paper §IV.C.3)",
+        |r| {
+            format!(
+                "probe payload = {} B, {} B/hop, analytic max = {} hops\n\
+                 path of {} hops → observed {} recorded hop entries",
+                r.probe_payload,
+                r.bytes_per_hop,
+                r.analytic_max_hops,
+                r.path_hops,
+                r.observed_entries
+            )
+        },
+    );
+}
+
+fn tfoot(args: &Args) {
+    show(
+        args,
+        &exp::text_footprints(),
+        "T-foot — component footprints (paper §IV.C.5/6)",
+        "component              flash[B]   ram[B]",
+        |r| {
             format!(
                 "{:<22} {:>8} {:>8}",
                 r.component, r.flash_bytes, r.ram_bytes
             )
-        })
-        .collect();
-    print!(
-        "{}",
-        table(
-            "T-foot — component footprints (paper §IV.C.5/6)",
-            "component              flash[B]   ram[B]",
-            &lines
-        )
+        },
     );
 }
 
-fn tovh1(seed: u64, json: bool) {
-    let r = exp::text_onehop_overhead(seed);
-    if json {
-        println!("{}", serde_json::to_string(&r).unwrap());
-        return;
-    }
-    println!("== T-ovh1 — one-hop command overhead (paper §V.C) ==");
-    println!(
-        "{}: {} data packets (+{} link acks)",
-        r.command, r.data_packets, r.acks
+fn tovh1(args: &Args) {
+    show_one(
+        args,
+        &exp::text_onehop_overhead(args.seed),
+        "T-ovh1 — one-hop command overhead (paper §V.C)",
+        |r| {
+            format!(
+                "{}: {} data packets (+{} link acks)",
+                r.command, r.data_packets, r.acks
+            )
+        },
     );
 }
 
@@ -613,28 +584,18 @@ fn format_value(v: f64) -> String {
     }
 }
 
-fn linkchar(seed: u64, json: bool) {
-    let rows = exp::characterize_links(seed);
-    if json {
-        println!("{}", to_json_lines(&rows));
-        return;
-    }
-    let lines: Vec<String> = rows
-        .iter()
-        .map(|r| {
+fn linkchar(args: &Args) {
+    show(
+        args,
+        &exp::characterize_links(args.seed),
+        "Link characterization — PRR / RSSI / LQI vs distance (substrate validation)",
+        "  d[m]     PRR       RSSI       LQI",
+        |r| {
             format!(
                 "{:>6.1}   {:>5.2}   {:>8.1}   {:>7.1}",
                 r.distance_m, r.prr, r.mean_rssi, r.mean_lqi
             )
-        })
-        .collect();
-    print!(
-        "{}",
-        table(
-            "Link characterization — PRR / RSSI / LQI vs distance (substrate validation)",
-            "  d[m]     PRR       RSSI       LQI",
-            &lines
-        )
+        },
     );
 }
 
@@ -644,46 +605,35 @@ fn pm(s: &AggregateStats) -> String {
 }
 
 fn fig5agg(args: &Args) {
-    let runner = args.runner();
-    let rows = exp::fig5_traceroute_delay_agg(&runner);
-    if args.json {
-        println!("{}", to_json_lines(&rows));
-        return;
-    }
-    let lines: Vec<String> = rows
-        .iter()
-        .map(|r| {
+    show(
+        args,
+        &exp::fig5_traceroute_delay_agg(&args.runner()),
+        &format!(
+            "Fig. 5 (aggregate) — traceroute delay per hop, {} trials",
+            args.trials
+        ),
+        "hop        n       delay [ms]",
+        |r| {
             format!(
                 "{:>3}   {:>6}   {:>16}",
                 r.hop,
                 r.delay_ms.n,
                 pm(&r.delay_ms)
             )
-        })
-        .collect();
-    print!(
-        "{}",
-        table(
-            &format!(
-                "Fig. 5 (aggregate) — traceroute delay per hop, {} trials",
-                runner.trials()
-            ),
-            "hop        n       delay [ms]",
-            &lines
-        )
+        },
     );
 }
 
 fn fig6agg(args: &Args) {
-    let runner = args.runner();
-    let rows = exp::fig6_rssi_vs_power_agg(&runner);
-    if args.json {
-        println!("{}", to_json_lines(&rows));
-        return;
-    }
-    let lines: Vec<String> = rows
-        .iter()
-        .map(|r| {
+    show(
+        args,
+        &exp::fig6_rssi_vs_power_agg(&args.runner()),
+        &format!(
+            "Fig. 6 (aggregate) — per-hop RSSI, power 10 vs 25, {} trials",
+            args.trials
+        ),
+        "hop          fwd@10        bwd@10          fwd@25        bwd@25",
+        |r| {
             format!(
                 "{:>3}   {:>13} {:>13}   {:>13} {:>13}",
                 r.hop,
@@ -692,62 +642,40 @@ fn fig6agg(args: &Args) {
                 pm(&r.fwd_p25),
                 pm(&r.bwd_p25)
             )
-        })
-        .collect();
-    print!(
-        "{}",
-        table(
-            &format!(
-                "Fig. 6 (aggregate) — per-hop RSSI, power 10 vs 25, {} trials",
-                runner.trials()
-            ),
-            "hop          fwd@10        bwd@10          fwd@25        bwd@25",
-            &lines
-        )
+        },
     );
 }
 
 fn fig7agg(args: &Args) {
-    let runner = args.runner();
-    let rows = exp::fig7_overhead_agg(&runner);
-    if args.json {
-        println!("{}", to_json_lines(&rows));
-        return;
-    }
-    let lines: Vec<String> = rows
-        .iter()
-        .map(|r| {
+    show(
+        args,
+        &exp::fig7_overhead_agg(&args.runner()),
+        &format!(
+            "Fig. 7 (aggregate) — traceroute overhead vs path length, {} trials",
+            args.trials
+        ),
+        "hops    control packets           acks",
+        |r| {
             format!(
                 "{:>4}   {:>16} {:>14}",
                 r.hops,
                 pm(&r.control_packets),
                 pm(&r.acks)
             )
-        })
-        .collect();
-    print!(
-        "{}",
-        table(
-            &format!(
-                "Fig. 7 (aggregate) — traceroute overhead vs path length, {} trials",
-                runner.trials()
-            ),
-            "hops    control packets           acks",
-            &lines
-        )
+        },
     );
 }
 
 fn linkcharagg(args: &Args) {
-    let runner = args.runner();
-    let rows = exp::characterize_links_agg(&runner);
-    if args.json {
-        println!("{}", to_json_lines(&rows));
-        return;
-    }
-    let lines: Vec<String> = rows
-        .iter()
-        .map(|r| {
+    show(
+        args,
+        &exp::characterize_links_agg(&args.runner()),
+        &format!(
+            "Link characterization (aggregate) — PRR / RSSI / LQI vs distance, {} trials",
+            args.trials
+        ),
+        "  d[m]           PRR             RSSI             LQI",
+        |r| {
             format!(
                 "{:>6.1}   {:>11}   {:>14}   {:>13}",
                 r.distance_m,
@@ -755,31 +683,17 @@ fn linkcharagg(args: &Args) {
                 pm(&r.mean_rssi),
                 pm(&r.mean_lqi)
             )
-        })
-        .collect();
-    print!(
-        "{}",
-        table(
-            &format!(
-                "Link characterization (aggregate) — PRR / RSSI / LQI vs distance, {} trials",
-                runner.trials()
-            ),
-            "  d[m]           PRR             RSSI             LQI",
-            &lines
-        )
+        },
     );
 }
 
 fn failures(args: &Args) {
-    let runner = args.runner();
-    let rows = exp::failure_sweep(&runner, &exp::default_failure_plans());
-    if args.json {
-        println!("{}", to_json_lines(&rows));
-        return;
-    }
-    let lines: Vec<String> = rows
-        .iter()
-        .map(|r| {
+    show(
+        args,
+        &exp::failure_sweep(&args.runner(), &exp::default_failure_plans()),
+        "Failure-injection sweep — traceroute diagnosis under faults (8-hop corridor)",
+        "mode                     faulted      reached   hops covered   last report[ms]",
+        |r| {
             format!(
                 "{:<24} {:>4}/{:<4} {:>12} {:>13} {:>16}",
                 r.mode,
@@ -789,19 +703,12 @@ fn failures(args: &Args) {
                 pm(&r.hops_covered),
                 pm(&r.last_report_ms)
             )
-        })
-        .collect();
-    print!(
-        "{}",
-        table(
-            "Failure-injection sweep — traceroute diagnosis under faults (8-hop corridor)",
-            "mode                     faulted      reached   hops covered   last report[ms]",
-            &lines
-        )
+        },
     );
 }
 
-fn ablations(seed: u64, json: bool) {
+fn ablations(args: &Args) {
+    let seed = args.seed;
     let mut rows = Vec::new();
     rows.extend(exp::ablation_traceroute_vs_ping(seed));
     rows.extend(exp::ablation_batch_adaptive(seed));
@@ -810,28 +717,19 @@ fn ablations(seed: u64, json: bool) {
     rows.extend(exp::ablation_energy(seed));
     rows.extend(exp::ablation_neighbor_table());
     rows.extend(exp::ablation_padding(seed));
-    if json {
-        println!("{}", to_json_lines(&rows));
-        return;
-    }
-    let lines: Vec<String> = rows
-        .iter()
-        .map(|r| {
+    show(
+        args,
+        &rows,
+        "Ablations (DESIGN.md §5)",
+        "arm                                metric                        value",
+        |r| {
             format!(
                 "{:<34} {:<22} {:>14}",
                 r.arm,
                 r.metric,
                 format_value(r.value)
             )
-        })
-        .collect();
-    print!(
-        "{}",
-        table(
-            "Ablations (DESIGN.md §5)",
-            "arm                                metric                        value",
-            &lines
-        )
+        },
     );
 }
 

@@ -931,8 +931,11 @@ impl Network {
     /// Schedule a world mutation at virtual time `at`. The mutation is
     /// dispatched by the event loop like any other event, so it
     /// interleaves deterministically with traffic and FIFO tie-breaking
-    /// orders same-instant mutations by scheduling order. Scheduling
-    /// nothing leaves the run bit-identical to a static scenario.
+    /// orders same-instant mutations by scheduling order. A time already
+    /// past counts as now: the mutation fires at once, after the events
+    /// already queued for this instant, so past-time mutations keep
+    /// their scheduling order. Scheduling nothing leaves the run
+    /// bit-identical to a static scenario.
     pub fn schedule_dynamics(&mut self, at: SimTime, action: DynamicsAction) {
         let at = at.max(self.now);
         let action = self.arena.dynamics.insert(action);

@@ -165,7 +165,6 @@ fn episode_matches(episode: &DiagnosisReport, label: &FaultLabel) -> bool {
 fn run_scenario(seed: u64, sc: &DiagnosisScenario) -> DiagnosisSweepRow {
     let cfg = ScenarioConfig::new(Topology::eight_hop_corridor(), seed);
     let mut s = Scenario::build(cfg);
-    s.ws.cd(&s.net, "192.168.0.1").expect("bridge exists");
     s.ws.arm_diagnosis(&mut s.net);
     sc.plan.schedule(&mut s.net);
 

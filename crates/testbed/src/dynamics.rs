@@ -129,6 +129,19 @@ impl DynamicsPlan {
             .link_ramp(b, a, start, step, steps, db_per_step)
     }
 
+    /// Hard-break both directions of the `a ↔ b` link at `at` (a
+    /// blocking override each way), the counterpart of
+    /// [`DynamicsPlan::link_repair`].
+    pub fn link_break(self, a: u16, b: u16, at: SimTime) -> Self {
+        let block = |from, to| DynamicsAction::SetLinkLoss {
+            from,
+            to,
+            extra_loss_db: 0.0,
+            blocked: true,
+        };
+        self.at(at, block(a, b)).at(at, block(b, a))
+    }
+
     /// Remove any override on both directions of the `a ↔ b` link at
     /// `at` (the obstacle is removed; quality recovers).
     pub fn link_repair(self, a: u16, b: u16, at: SimTime) -> Self {
@@ -246,9 +259,10 @@ impl DynamicsPlan {
 
     /// Schedule every event of the plan onto `net`'s event queue.
     /// Events are scheduled in insertion order, so same-instant
-    /// mutations keep their plan order (FIFO tie-breaking). An empty
-    /// plan schedules nothing and leaves the run bit-identical to a
-    /// static scenario.
+    /// mutations keep their plan order (FIFO tie-breaking), and events
+    /// already past fire at once, in plan order. An empty plan
+    /// schedules nothing and leaves the run bit-identical to a static
+    /// scenario.
     pub fn schedule(&self, net: &mut Network) {
         for ev in &self.events {
             net.schedule_dynamics(ev.at, ev.action.clone());

@@ -5,19 +5,33 @@
 //! `EXPERIMENTS.md` quotes them.
 
 use crate::results::*;
+use crate::runner::{FailurePlan, TrialRunner};
 use crate::scenario::{Scenario, ScenarioConfig};
+use crate::stats::AggregateStats;
 use crate::topology::Topology;
 use liteview::wire::{Msg, Probe};
-use liteview::{Command, CommandRequest, CommandResult, TraceOutcome};
+use liteview::{Command, CommandRequest, CommandResult, Execution, TraceOutcome};
 use lv_kernel::{Network, Process, ProcessImage, RxMeta, SysCtx};
 use lv_net::packet::{NetPacket, Port, PAYLOAD_AREA};
 use lv_net::padding::HopQuality;
-use lv_sim::{SimDuration, SimRng};
+use lv_sim::{Counters, SimDuration, SimRng, Summary};
 use std::cell::RefCell;
 use std::rc::Rc;
 
+/// The measured phase of a one-command experiment: build `topology` at
+/// `seed`, zero the counters after warm-up and run `request` on the
+/// bridge. Returns the counters the command moved and its execution.
+fn one_command(topology: Topology, seed: u64, request: CommandRequest) -> (Counters, Execution) {
+    let mut s = Scenario::build(ScenarioConfig::new(topology, seed));
+    s.reset_counters();
+    let exec =
+        s.ws.exec(&mut s.net, request)
+            .expect("the bridge takes commands");
+    (s.net.counters, exec)
+}
+
 /// Run one traceroute over the 8-hop corridor and return the outcome.
-fn corridor_traceroute(seed: u64, power_level: Option<u8>) -> (Scenario, TraceOutcome) {
+fn corridor_traceroute(seed: u64, power_level: Option<u8>) -> TraceOutcome {
     let cfg = ScenarioConfig::new(Topology::eight_hop_corridor(), seed);
     let mut s = Scenario::build(cfg);
     if let Some(level) = power_level {
@@ -28,7 +42,6 @@ fn corridor_traceroute(seed: u64, power_level: Option<u8>) -> (Scenario, TraceOu
         // Let estimators re-settle at the new power.
         s.net.run_for(SimDuration::from_secs(10));
     }
-    s.ws.cd(&s.net, "192.168.0.1").unwrap();
     let exec =
         s.ws.exec(
             &mut s.net,
@@ -38,12 +51,12 @@ fn corridor_traceroute(seed: u64, power_level: Option<u8>) -> (Scenario, TraceOu
     let CommandResult::Traceroute(t) = exec.result else {
         panic!("traceroute failed: {:?}", exec.result);
     };
-    (s, t)
+    t
 }
 
 /// **Fig. 5** — traceroute response delay for each hop of an 8-hop path.
 pub fn fig5_traceroute_delay(seed: u64) -> Vec<Fig5Row> {
-    let (_, t) = corridor_traceroute(seed, None);
+    let t = corridor_traceroute(seed, None);
     t.hops
         .iter()
         .map(|h| Fig5Row {
@@ -55,8 +68,8 @@ pub fn fig5_traceroute_delay(seed: u64) -> Vec<Fig5Row> {
 
 /// **Fig. 6** — per-hop RSSI (both directions) at power levels 10 and 25.
 pub fn fig6_rssi_vs_power(seed: u64) -> Vec<Fig6Row> {
-    let (_, t10) = corridor_traceroute(seed, Some(10));
-    let (_, t25) = corridor_traceroute(seed, Some(25));
+    let t10 = corridor_traceroute(seed, Some(10));
+    let t25 = corridor_traceroute(seed, Some(25));
     let pick = |t: &TraceOutcome, hop: u8| -> Option<(i8, i8)> {
         t.hops
             .iter()
@@ -81,20 +94,13 @@ pub fn fig6_rssi_vs_power(seed: u64) -> Vec<Fig6Row> {
 /// One point of the Fig. 7 sweep: overhead of one traceroute over a
 /// `hops`-hop corridor.
 fn fig7_point(seed: u64, hops: u8) -> Fig7Row {
-    let topo = Topology::Corridor {
-        n: hops as usize + 1,
-        spacing: 5.0,
-        wall_loss_db: 40.0,
-    };
-    let mut s = Scenario::build(ScenarioConfig::new(topo, seed));
-    s.ws.cd(&s.net, "192.168.0.1").unwrap();
-    s.reset_counters();
-    let exec =
-        s.ws.exec(
-            &mut s.net,
-            CommandRequest::traceroute(hops as u16, 32, Port::GEOGRAPHIC),
-        )
-        .unwrap();
+    let (counters, exec) = one_command(
+        Topology::Corridor {
+            n: hops as usize + 1,
+        },
+        seed,
+        CommandRequest::traceroute(hops as u16, 32, Port::GEOGRAPHIC),
+    );
     assert!(
         matches!(exec.result, CommandResult::Traceroute(_)),
         "hops={hops}: {:?}",
@@ -102,8 +108,8 @@ fn fig7_point(seed: u64, hops: u8) -> Fig7Row {
     );
     Fig7Row {
         hops,
-        control_packets: s.net.counters.get("tx.data"),
-        acks: s.net.counters.get("tx.ack"),
+        control_packets: counters.get("tx.data"),
+        acks: counters.get("tx.ack"),
     }
 }
 
@@ -168,12 +174,11 @@ pub fn text_response_delays(seed: u64, trials: u32) -> Vec<TrespRow> {
 
 /// **T-ping** — the sample one-hop ping output (Section III.B.3).
 pub fn text_ping_sample(seed: u64) -> TpingRow {
-    let cfg = ScenarioConfig::new(Topology::Line { n: 2, spacing: 3.0 }, seed);
-    let mut s = Scenario::build(cfg);
-    s.ws.cd(&s.net, "192.168.0.1").unwrap();
-    let exec =
-        s.ws.exec(&mut s.net, CommandRequest::ping(1, 1, 32, None))
-            .unwrap();
+    let (_, exec) = one_command(
+        Topology::Line { n: 2, spacing: 3.0 },
+        seed,
+        CommandRequest::ping(1, 1, 32, None),
+    );
     let CommandResult::Ping(p) = exec.result else {
         panic!("ping failed: {:?}", exec.result);
     };
@@ -228,14 +233,9 @@ impl Process for PadProbe {
 /// 24 hops (Section IV.C.3); beyond that the padding area is full.
 pub fn text_padding_budget(seed: u64) -> TpadRow {
     let n = 27usize; // 26 hops > the 24-hop budget
-    let topo = Topology::Corridor {
-        n,
-        spacing: 5.0,
-        wall_loss_db: 40.0,
-    };
     let cfg = ScenarioConfig {
         warmup: SimDuration::from_secs(30),
-        ..ScenarioConfig::new(topo, seed)
+        ..ScenarioConfig::new(Topology::Corridor { n }, seed)
     };
     let mut s = Scenario::build(cfg);
     let observed = Rc::new(RefCell::new(None));
@@ -291,18 +291,16 @@ pub fn text_footprints() -> Vec<TfootRow> {
 
 /// **T-ovh1** — one-hop ping costs two data packets on the air.
 pub fn text_onehop_overhead(seed: u64) -> TovhRow {
-    let cfg = ScenarioConfig::new(Topology::Line { n: 2, spacing: 5.0 }, seed);
-    let mut s = Scenario::build(cfg);
-    s.ws.cd(&s.net, "192.168.0.1").unwrap();
-    s.reset_counters();
-    let exec =
-        s.ws.exec(&mut s.net, CommandRequest::ping(1, 1, 32, None))
-            .unwrap();
+    let (counters, exec) = one_command(
+        Topology::Line { n: 2, spacing: 5.0 },
+        seed,
+        CommandRequest::ping(1, 1, 32, None),
+    );
     assert!(matches!(exec.result, CommandResult::Ping(_)));
     TovhRow {
         command: "ping (one hop)".into(),
-        data_packets: s.net.counters.get("tx.data"),
-        acks: s.net.counters.get("tx.ack"),
+        data_packets: counters.get("tx.data"),
+        acks: counters.get("tx.ack"),
     }
 }
 
@@ -314,49 +312,29 @@ pub fn text_onehop_overhead(seed: u64) -> TovhRow {
 pub fn ablation_traceroute_vs_ping(seed: u64) -> Vec<AblationRow> {
     let mut rows = Vec::new();
     for hops in [2u8, 4, 6, 8] {
-        let topo = Topology::Corridor {
-            n: hops as usize + 1,
-            spacing: 5.0,
-            wall_loss_db: 40.0,
-        };
-        // Traceroute arm.
-        let mut s = Scenario::build(ScenarioConfig::new(topo.clone(), seed));
-        s.ws.cd(&s.net, "192.168.0.1").unwrap();
-        s.reset_counters();
-        s.ws.exec(
-            &mut s.net,
-            CommandRequest::traceroute(hops as u16, 32, Port::GEOGRAPHIC),
-        )
-        .unwrap();
-        rows.push(AblationRow {
-            arm: format!("traceroute hops={hops}"),
-            metric: "data_packets".into(),
-            value: s.net.counters.get("tx.data") as f64,
-        });
-        rows.push(AblationRow {
-            arm: format!("traceroute hops={hops}"),
-            metric: "bytes".into(),
-            value: s.net.counters.get("tx.bytes") as f64,
-        });
-        // Multi-hop ping arm.
-        let mut s = Scenario::build(ScenarioConfig::new(topo, seed));
-        s.ws.cd(&s.net, "192.168.0.1").unwrap();
-        s.reset_counters();
-        s.ws.exec(
-            &mut s.net,
-            CommandRequest::ping(hops as u16, 1, 16, Some(Port::GEOGRAPHIC)),
-        )
-        .unwrap();
-        rows.push(AblationRow {
-            arm: format!("multihop-ping hops={hops}"),
-            metric: "data_packets".into(),
-            value: s.net.counters.get("tx.data") as f64,
-        });
-        rows.push(AblationRow {
-            arm: format!("multihop-ping hops={hops}"),
-            metric: "bytes".into(),
-            value: s.net.counters.get("tx.bytes") as f64,
-        });
+        let dst = hops as u16;
+        for (arm, request) in [
+            (
+                "traceroute",
+                CommandRequest::traceroute(dst, 32, Port::GEOGRAPHIC),
+            ),
+            (
+                "multihop-ping",
+                CommandRequest::ping(dst, 1, 16, Some(Port::GEOGRAPHIC)),
+            ),
+        ] {
+            let topo = Topology::Corridor {
+                n: hops as usize + 1,
+            };
+            let (counters, _) = one_command(topo, seed, request);
+            for (metric, counter) in [("data_packets", "tx.data"), ("bytes", "tx.bytes")] {
+                rows.push(AblationRow {
+                    arm: format!("{arm} hops={hops}"),
+                    metric: metric.into(),
+                    value: counters.get(counter) as f64,
+                });
+            }
+        }
     }
     rows
 }
@@ -565,20 +543,11 @@ pub fn ablation_padding(seed: u64) -> Vec<AblationRow> {
         ("16B probe (padding room)", 16u8),
         ("64B probe (no room)", 64),
     ] {
-        let topo = Topology::Corridor {
-            n: 5,
-            spacing: 5.0,
-            wall_loss_db: 40.0,
-        };
-        let mut s = Scenario::build(ScenarioConfig::new(topo, seed));
-        s.ws.cd(&s.net, "192.168.0.1").unwrap();
-        s.reset_counters();
-        let exec =
-            s.ws.exec(
-                &mut s.net,
-                CommandRequest::ping(4, 1, length, Some(Port::GEOGRAPHIC)),
-            )
-            .unwrap();
+        let (counters, exec) = one_command(
+            Topology::Corridor { n: 5 },
+            seed,
+            CommandRequest::ping(4, 1, length, Some(Port::GEOGRAPHIC)),
+        );
         // Forward-path entries only: the probe's padding space is what
         // the arm varies (the reply packet has its own, separate room).
         let entries = match &exec.result {
@@ -593,7 +562,7 @@ pub fn ablation_padding(seed: u64) -> Vec<AblationRow> {
         rows.push(AblationRow {
             arm: arm.into(),
             metric: "bytes_on_air".into(),
-            value: s.net.counters.get("tx.bytes") as f64,
+            value: counters.get("tx.bytes") as f64,
         });
     }
     rows
@@ -606,11 +575,7 @@ pub fn ablation_padding(seed: u64) -> Vec<AblationRow> {
 pub fn ablation_beacon_rate(seed: u64) -> Vec<AblationRow> {
     let mut rows = Vec::new();
     for period_ms in [500u64, 2_000, 8_000] {
-        let topo = Topology::Corridor {
-            n: 9,
-            spacing: 5.0,
-            wall_loss_db: 40.0,
-        };
+        let topo = Topology::Corridor { n: 9 };
         let medium = topo.medium(lv_radio::PropagationConfig::default(), seed);
         let mut net = Network::new(medium, seed);
         for i in 0..9u16 {
@@ -670,7 +635,6 @@ pub fn ablation_energy(seed: u64) -> Vec<AblationRow> {
     let mut rows = Vec::new();
     let run = |f: &dyn Fn(&mut Scenario)| -> f64 {
         let mut s = Scenario::build(ScenarioConfig::new(topo(), seed));
-        s.ws.cd(&s.net, "192.168.0.1").unwrap();
         let before = active_sum(&s);
         f(&mut s);
         active_sum(&s) - before
@@ -779,9 +743,33 @@ pub fn characterize_links(seed: u64) -> Vec<LinkCharRow> {
 // Multi-trial aggregates (run through `runner::TrialRunner`)
 // ---------------------------------------------------------------------
 
-use crate::runner::{FailurePlan, TrialRunner};
-use crate::stats::AggregateStats;
-use lv_sim::Summary;
+/// Run `trial` once per trial of `runner` and fold its rows: `sample`
+/// gives each row a key (hop, hop count or distance) and `N` column
+/// values, and each key gets one [`Summary`] per column, fed in trial
+/// order with NaN values skipped. Keys come back in ascending order.
+fn fold<R: Send, K: Copy + PartialOrd, const N: usize>(
+    runner: &TrialRunner,
+    trial: fn(u64) -> Vec<R>,
+    sample: impl Fn(&R) -> (K, [f64; N]),
+) -> Vec<(K, [AggregateStats; N])> {
+    let mut keyed: Vec<(K, [Summary; N])> = Vec::new();
+    for row in runner.run(|t| trial(t.seed)).iter().flatten() {
+        let (key, values) = sample(row);
+        let i = keyed.partition_point(|(k, _)| *k < key);
+        if keyed.get(i).map_or(true, |(k, _)| *k != key) {
+            keyed.insert(i, (key, std::array::from_fn(|_| Summary::new())));
+        }
+        for (summary, v) in keyed[i].1.iter_mut().zip(values) {
+            if !v.is_nan() {
+                summary.push(v);
+            }
+        }
+    }
+    keyed
+        .into_iter()
+        .map(|(key, columns)| (key, columns.map(|c| AggregateStats::from_summary(&c))))
+        .collect()
+}
 
 /// **Fig. 5, aggregate** — per-hop traceroute response delay across
 /// `runner.trials()` independent trials (fresh network per trial).
@@ -789,23 +777,12 @@ use lv_sim::Summary;
 /// Hops whose report was lost in a trial contribute no sample for that
 /// trial, so a row's `delay_ms.n` can be below `trials`.
 pub fn fig5_traceroute_delay_agg(runner: &TrialRunner) -> Vec<Fig5AggRow> {
-    let per_trial = runner.run(|t| fig5_traceroute_delay(t.seed));
-    let mut per_hop: Vec<Summary> = (0..8).map(|_| Summary::new()).collect();
-    for rows in &per_trial {
-        for r in rows {
-            if (1..=8).contains(&r.hop) {
-                per_hop[r.hop as usize - 1].push(r.delay_ms);
-            }
-        }
-    }
-    per_hop
-        .iter()
-        .enumerate()
-        .filter(|(_, s)| s.count() > 0)
-        .map(|(i, s)| Fig5AggRow {
-            hop: i as u8 + 1,
+    fold(runner, fig5_traceroute_delay, |r| (r.hop, [r.delay_ms]))
+        .into_iter()
+        .map(|(hop, [delay_ms])| Fig5AggRow {
+            hop,
             trials: runner.trials() as u64,
-            delay_ms: AggregateStats::from_summary(s),
+            delay_ms,
         })
         .collect()
 }
@@ -815,30 +792,16 @@ pub fn fig5_traceroute_delay_agg(runner: &TrialRunner) -> Vec<Fig5AggRow> {
 /// levels produced a non-lost probe there (same rule as the
 /// single-trial driver).
 pub fn fig6_rssi_vs_power_agg(runner: &TrialRunner) -> Vec<Fig6AggRow> {
-    let per_trial = runner.run(|t| fig6_rssi_vs_power(t.seed));
-    let mut per_hop: Vec<[Summary; 4]> = (0..8).map(|_| Default::default()).collect();
-    for rows in &per_trial {
-        for r in rows {
-            if (1..=8).contains(&r.hop) {
-                let s = &mut per_hop[r.hop as usize - 1];
-                s[0].push(r.fwd_p10 as f64);
-                s[1].push(r.bwd_p10 as f64);
-                s[2].push(r.fwd_p25 as f64);
-                s[3].push(r.bwd_p25 as f64);
-            }
-        }
-    }
-    per_hop
-        .iter()
-        .enumerate()
-        .filter(|(_, s)| s[0].count() > 0)
-        .map(|(i, s)| Fig6AggRow {
-            hop: i as u8 + 1,
+    let rssi = |r: &Fig6Row| [r.fwd_p10, r.bwd_p10, r.fwd_p25, r.bwd_p25].map(f64::from);
+    fold(runner, fig6_rssi_vs_power, |r| (r.hop, rssi(r)))
+        .into_iter()
+        .map(|(hop, [fwd_p10, bwd_p10, fwd_p25, bwd_p25])| Fig6AggRow {
+            hop,
             trials: runner.trials() as u64,
-            fwd_p10: AggregateStats::from_summary(&s[0]),
-            bwd_p10: AggregateStats::from_summary(&s[1]),
-            fwd_p25: AggregateStats::from_summary(&s[2]),
-            bwd_p25: AggregateStats::from_summary(&s[3]),
+            fwd_p10,
+            bwd_p10,
+            fwd_p25,
+            bwd_p25,
         })
         .collect()
 }
@@ -846,21 +809,14 @@ pub fn fig6_rssi_vs_power_agg(runner: &TrialRunner) -> Vec<Fig6AggRow> {
 /// **Fig. 7, aggregate** — traceroute overhead vs path length across
 /// trials, each trial one [`fig7_overhead`] sweep.
 pub fn fig7_overhead_agg(runner: &TrialRunner) -> Vec<Fig7AggRow> {
-    let per_trial = runner.run(|t| fig7_overhead(t.seed));
-    (0..8usize)
-        .map(|i| {
-            let mut control = Summary::new();
-            let mut acks = Summary::new();
-            for rows in &per_trial {
-                control.push(rows[i].control_packets as f64);
-                acks.push(rows[i].acks as f64);
-            }
-            Fig7AggRow {
-                hops: i as u8 + 1,
-                trials: runner.trials() as u64,
-                control_packets: AggregateStats::from_summary(&control),
-                acks: AggregateStats::from_summary(&acks),
-            }
+    let packets = |r: &Fig7Row| [r.control_packets, r.acks].map(|n| n as f64);
+    fold(runner, fig7_overhead, |r| (r.hops, packets(r)))
+        .into_iter()
+        .map(|(hops, [control_packets, acks])| Fig7AggRow {
+            hops,
+            trials: runner.trials() as u64,
+            control_packets,
+            acks,
         })
         .collect()
 }
@@ -869,46 +825,29 @@ pub fn fig7_overhead_agg(runner: &TrialRunner) -> Vec<Fig7AggRow> {
 /// across trials. Trials where a distance saw no receptions contribute
 /// no RSSI/LQI sample there (their per-trial mean is NaN).
 pub fn characterize_links_agg(runner: &TrialRunner) -> Vec<LinkCharAggRow> {
-    let per_trial = runner.run(|t| characterize_links(t.seed));
-    let distances: Vec<f64> = per_trial[0].iter().map(|r| r.distance_m).collect();
-    distances
-        .iter()
-        .enumerate()
-        .map(|(i, &d)| {
-            let mut prr = Summary::new();
-            let mut rssi = Summary::new();
-            let mut lqi = Summary::new();
-            for rows in &per_trial {
-                let r = &rows[i];
-                prr.push(r.prr);
-                if !r.mean_rssi.is_nan() {
-                    rssi.push(r.mean_rssi);
-                }
-                if !r.mean_lqi.is_nan() {
-                    lqi.push(r.mean_lqi);
-                }
-            }
-            LinkCharAggRow {
-                distance_m: d,
-                trials: runner.trials() as u64,
-                prr: AggregateStats::from_summary(&prr),
-                mean_rssi: AggregateStats::from_summary(&rssi),
-                mean_lqi: AggregateStats::from_summary(&lqi),
-            }
+    let columns = |r: &LinkCharRow| (r.distance_m, [r.prr, r.mean_rssi, r.mean_lqi]);
+    fold(runner, characterize_links, columns)
+        .into_iter()
+        .map(|(distance_m, [prr, mean_rssi, mean_lqi])| LinkCharAggRow {
+            distance_m,
+            trials: runner.trials() as u64,
+            prr,
+            mean_rssi,
+            mean_lqi,
         })
         .collect()
 }
 
 /// **Failure-injection sweep** — diagnosis outcome on the 8-hop
 /// corridor when a fraction of trials has a fault injected after
-/// warm-up, composing [`FailureMode`](crate::runner::FailureMode)
-/// faults with the trial runner.
+/// warm-up, composing [`FailurePlan`] faults with the trial runner.
 ///
-/// For each plan, every trial builds a fresh corridor, faults it if
-/// [`FailurePlan::applies_to`] says so, gives routing five simulated
-/// seconds to notice, then traceroutes the far end. The row aggregates
-/// whether the destination was reached (0/1 per trial), how many hops
-/// the trace covered, and when the last hop report arrived.
+/// For each plan, every trial builds a fresh corridor, schedules the
+/// plan's dynamics if [`FailurePlan::applies_to`] says so, gives
+/// routing five simulated seconds to notice, then traceroutes the far
+/// end. The row aggregates whether the destination was reached (0/1
+/// per trial), how many hops the trace covered, and when the last hop
+/// report arrived.
 pub fn failure_sweep(runner: &TrialRunner, plans: &[FailurePlan]) -> Vec<FailureSweepRow> {
     plans
         .iter()
@@ -917,10 +856,9 @@ pub fn failure_sweep(runner: &TrialRunner, plans: &[FailurePlan]) -> Vec<Failure
                 let cfg = ScenarioConfig::new(Topology::eight_hop_corridor(), t.seed);
                 let mut s = Scenario::build(cfg);
                 if plan.applies_to(t.index, t.trials) {
-                    plan.mode.apply(&mut s.net);
+                    plan.dynamics.schedule(&mut s.net);
                     s.net.run_for(SimDuration::from_secs(5));
                 }
-                s.ws.cd(&s.net, "192.168.0.1").unwrap();
                 let exec =
                     s.ws.exec(
                         &mut s.net,
@@ -945,7 +883,7 @@ pub fn failure_sweep(runner: &TrialRunner, plans: &[FailurePlan]) -> Vec<Failure
             });
             let trials = runner.trials();
             FailureSweepRow {
-                mode: plan.mode.label(),
+                mode: plan.label.clone(),
                 fraction: plan.fraction,
                 trials: trials as u64,
                 faulted: plan.affected_count(trials) as u64,
@@ -961,17 +899,25 @@ pub fn failure_sweep(runner: &TrialRunner, plans: &[FailurePlan]) -> Vec<Failure
 /// mid-path node, a hard-broken mid-path link, and a heavily
 /// attenuated (but not severed) mid-path link, each in half the
 /// trials so faulted and healthy aggregates are directly comparable.
+/// Each fires as soon as a trial schedules it.
 pub fn default_failure_plans() -> Vec<FailurePlan> {
-    use crate::runner::FailureMode;
+    use crate::dynamics::DynamicsPlan;
+    use lv_sim::SimTime;
+    let at = SimTime::ZERO;
     vec![
-        FailurePlan::new(FailureMode::KillNode { id: 4 }, 0.5),
-        FailurePlan::new(FailureMode::BreakLink { a: 4, b: 5 }, 0.5),
         FailurePlan::new(
-            FailureMode::AttenuateLink {
-                from: 4,
-                to: 5,
-                loss_db: 25.0,
-            },
+            "kill-node-4",
+            DynamicsPlan::new().node_churn(4, at, None),
+            0.5,
+        ),
+        FailurePlan::new(
+            "break-link-4-5",
+            DynamicsPlan::new().link_break(4, 5, at),
+            0.5,
+        ),
+        FailurePlan::new(
+            "attenuate-4-5-25dB",
+            DynamicsPlan::new().link_ramp(4, 5, at, SimDuration::ZERO, 1, 25.0),
             0.5,
         ),
     ]
@@ -1089,7 +1035,6 @@ pub fn dynamics_soak(seed: u64) -> DynamicsSoakReport {
         .link_repair(SOAK_RAMP_A, SOAK_RAMP_B, repair_at);
     plan.schedule(&mut s.net);
 
-    s.ws.cd(&s.net, "192.168.0.1").expect("bridge exists");
     let horizon = t0 + SimDuration::from_secs(260);
     let mut rounds: Vec<DynamicsSoakRow> = Vec::new();
     let mut baseline_rssi: Option<i8> = None;

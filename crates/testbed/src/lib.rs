@@ -36,7 +36,7 @@ pub mod topology;
 
 pub use diagnosis::{diagnosis_sweep, fault_corpus, DiagnosisScenario, FaultLabel, FaultScope};
 pub use dynamics::{DynamicsEvent, DynamicsPlan};
-pub use runner::{FailureMode, FailurePlan, TrialCtx, TrialRunner};
+pub use runner::{FailurePlan, TrialCtx, TrialRunner};
 pub use scenario::{Scenario, ScenarioConfig};
 pub use stats::AggregateStats;
 pub use topology::Topology;

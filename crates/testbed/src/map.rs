@@ -86,14 +86,7 @@ mod tests {
 
     #[test]
     fn map_shows_every_node_and_links() {
-        let s = Scenario::build(ScenarioConfig::new(
-            Topology::Corridor {
-                n: 4,
-                spacing: 5.0,
-                wall_loss_db: 40.0,
-            },
-            3,
-        ));
+        let s = Scenario::build(ScenarioConfig::new(Topology::Corridor { n: 4 }, 3));
         let map = render_map(&s.net, 40, 8);
         for i in 0..4 {
             assert!(map.contains(&format!("192.168.0.{}", i + 1)), "{map}");

@@ -352,7 +352,7 @@ pub struct LinkCharAggRow {
 /// Failure-injection sweep — diagnosis outcome under one failure plan.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FailureSweepRow {
-    /// Failure mode label (see `runner::FailureMode::label`).
+    /// The plan's label ([`FailurePlan::label`](crate::FailurePlan::label)).
     pub mode: String,
     /// Fraction of trials that received the fault.
     pub fraction: f64,

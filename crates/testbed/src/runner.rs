@@ -19,12 +19,12 @@
 //!    is bit-identical regardless of the worker count.
 //!
 //! The failure-injection sweep mode ([`FailurePlan`]) composes
-//! [`lv_kernel::DynamicsAction`] faults with the runner: a configurable
+//! [`DynamicsPlan`] faults with the runner: a configurable
 //! fraction of trials has a fault injected after warm-up, which turns
 //! "does diagnosis still work when the deployment is broken?" into an
 //! aggregate number with a confidence interval.
 
-use lv_kernel::{DynamicsAction, Network};
+use crate::dynamics::DynamicsPlan;
 use lv_sim::rng::derive_seed;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -164,98 +164,31 @@ impl TrialRunner {
     }
 }
 
-/// What to break in a failure-injection trial.
-///
-/// Node and link coordinates refer to the scenario's topology node
-/// ids. Each mode is one or two [`DynamicsAction`]s.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum FailureMode {
-    /// Power off one node ([`DynamicsAction::NodeDown`]).
-    KillNode {
-        /// The node to power off.
-        id: u16,
-    },
-    /// Hard-break both directions of a link (a blocking
-    /// [`DynamicsAction::SetLinkLoss`] each way).
-    BreakLink {
-        /// One endpoint.
-        a: u16,
-        /// The other endpoint.
-        b: u16,
-    },
-    /// Attenuate one direction of a link
-    /// ([`DynamicsAction::SetLinkLoss`]).
-    AttenuateLink {
-        /// Transmitting side.
-        from: u16,
-        /// Receiving side.
-        to: u16,
-        /// Extra path loss, dB.
-        loss_db: f64,
-    },
-}
-
-impl FailureMode {
-    /// Schedule the fault on a running network at its current time; it
-    /// takes effect as the network's next event.
-    pub fn apply(&self, net: &mut Network) {
-        let now = net.now();
-        match *self {
-            FailureMode::KillNode { id } => {
-                net.schedule_dynamics(now, DynamicsAction::NodeDown { id });
-            }
-            FailureMode::BreakLink { a, b } => {
-                for (from, to) in [(a, b), (b, a)] {
-                    let action = DynamicsAction::SetLinkLoss {
-                        from,
-                        to,
-                        extra_loss_db: 0.0,
-                        blocked: true,
-                    };
-                    net.schedule_dynamics(now, action);
-                }
-            }
-            FailureMode::AttenuateLink { from, to, loss_db } => {
-                let action = DynamicsAction::SetLinkLoss {
-                    from,
-                    to,
-                    extra_loss_db: loss_db,
-                    blocked: false,
-                };
-                net.schedule_dynamics(now, action);
-            }
-        }
-    }
-
-    /// Short human/JSON label for result rows.
-    pub fn label(&self) -> String {
-        match *self {
-            FailureMode::KillNode { id } => format!("kill-node-{id}"),
-            FailureMode::BreakLink { a, b } => format!("break-link-{a}-{b}"),
-            FailureMode::AttenuateLink { from, to, loss_db } => {
-                format!("attenuate-{from}-{to}-{loss_db}dB")
-            }
-        }
-    }
-}
-
-/// A failure mode applied to a deterministic fraction of trials.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// A fault injected into a deterministic fraction of trials.
+#[derive(Debug, Clone, PartialEq)]
 pub struct FailurePlan {
-    /// What breaks.
-    pub mode: FailureMode,
+    /// Short label for result rows (`kill-node-4`).
+    pub label: String,
+    /// What breaks, timed from [`SimTime::ZERO`](lv_sim::SimTime::ZERO).
+    /// A trial schedules it after warm-up, so every event at or before
+    /// that moment fires at once, in plan order.
+    pub dynamics: DynamicsPlan,
     /// Fraction of trials (0.0–1.0) that get the fault.
     pub fraction: f64,
 }
 
 impl FailurePlan {
-    /// Fault `fraction` of trials with `mode`.
-    pub fn new(mode: FailureMode, fraction: f64) -> Self {
+    /// Fault `fraction` of trials with `dynamics`, labelled `label`.
+    pub fn new(label: &str, dynamics: DynamicsPlan, fraction: f64) -> Self {
         assert!(
             (0.0..=1.0).contains(&fraction),
             "fraction must be in [0, 1]"
         );
-        FailurePlan { mode, fraction }
+        FailurePlan {
+            label: label.to_owned(),
+            dynamics,
+            fraction,
+        }
     }
 
     /// How many of `trials` trials are faulted (rounded half-up so a
@@ -335,32 +268,16 @@ mod tests {
 
     #[test]
     fn failure_plan_fraction_arithmetic() {
-        let plan = FailurePlan::new(FailureMode::KillNode { id: 4 }, 0.5);
+        let kill = |fraction| {
+            let dynamics = DynamicsPlan::new().node_churn(4, lv_sim::SimTime::ZERO, None);
+            FailurePlan::new("kill-node-4", dynamics, fraction)
+        };
+        let plan = kill(0.5);
         assert_eq!(plan.affected_count(8), 4);
         assert!(plan.applies_to(0, 8));
         assert!(plan.applies_to(3, 8));
         assert!(!plan.applies_to(4, 8));
-        let none = FailurePlan::new(FailureMode::KillNode { id: 4 }, 0.0);
-        assert_eq!(none.affected_count(8), 0);
-        let all = FailurePlan::new(FailureMode::KillNode { id: 4 }, 1.0);
-        assert_eq!(all.affected_count(8), 8);
-    }
-
-    #[test]
-    fn failure_mode_labels() {
-        assert_eq!(FailureMode::KillNode { id: 4 }.label(), "kill-node-4");
-        assert_eq!(
-            FailureMode::BreakLink { a: 4, b: 5 }.label(),
-            "break-link-4-5"
-        );
-        assert_eq!(
-            FailureMode::AttenuateLink {
-                from: 4,
-                to: 5,
-                loss_db: 20.0
-            }
-            .label(),
-            "attenuate-4-5-20dB"
-        );
+        assert_eq!(kill(0.0).affected_count(8), 0);
+        assert_eq!(kill(1.0).affected_count(8), 8);
     }
 }

@@ -72,7 +72,6 @@ impl ScenarioConfig {
 /// use lv_net::packet::Port;
 ///
 /// let mut s = Scenario::build(ScenarioConfig::new(Topology::eight_hop_corridor(), 42));
-/// s.ws.cd(&s.net, "192.168.0.1").unwrap();
 /// let exec = s
 ///     .ws
 ///     .exec(&mut s.net, CommandRequest::traceroute(8, 32, Port::GEOGRAPHIC))
@@ -89,7 +88,7 @@ pub struct Scenario {
 }
 
 impl Scenario {
-    /// Build and warm up.
+    /// Build and warm up, with the workstation logged into its bridge.
     pub fn build(config: ScenarioConfig) -> Scenario {
         let medium = config.topology.medium(config.propagation, config.seed);
         let mut net = Network::new(medium, config.seed);
@@ -109,7 +108,9 @@ impl Scenario {
         }
         install_suite(&mut net);
         net.run_for(config.warmup);
-        let ws = Workstation::install(&mut net, config.bridge);
+        let mut ws = Workstation::install(&mut net, config.bridge);
+        ws.cd(&net, &net.node(config.bridge).name)
+            .expect("the bridge resolves by its own name");
         Scenario { net, ws, config }
     }
 
@@ -137,7 +138,6 @@ mod tests {
     fn builds_and_pings() {
         let cfg = ScenarioConfig::new(Topology::Line { n: 2, spacing: 5.0 }, 5);
         let mut s = Scenario::build(cfg);
-        s.ws.cd(&s.net, "192.168.0.1").unwrap();
         let exec =
             s.ws.exec(&mut s.net, CommandRequest::ping(1, 1, 32, None))
                 .unwrap();
@@ -153,7 +153,6 @@ mod tests {
         let cfg = ScenarioConfig::new(Topology::Line { n: 2, spacing: 5.0 }, 6);
         let mut s = Scenario::build(cfg);
         assert!(s.net.trace.accepts(TraceLevel::Packet));
-        s.ws.cd(&s.net, "192.168.0.1").unwrap();
         s.ws.exec(&mut s.net, CommandRequest::ping(1, 1, 32, None))
             .unwrap();
         let report = s.report();

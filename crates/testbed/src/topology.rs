@@ -6,6 +6,11 @@ use lv_radio::units::Position;
 use lv_radio::{Medium, PowerLevel};
 use lv_sim::SimRng;
 
+/// Spacing of adjacent corridor nodes, meters.
+const CORRIDOR_SPACING_M: f64 = 5.0;
+/// Extra loss on every non-adjacent corridor link, dB.
+const CORRIDOR_WALL_LOSS_DB: f64 = 40.0;
+
 /// A generated deployment layout.
 #[derive(Debug, Clone)]
 pub enum Topology {
@@ -16,17 +21,14 @@ pub enum Topology {
         /// Inter-node spacing in meters.
         spacing: f64,
     },
-    /// A corridor: a line where only *adjacent* nodes have line of
-    /// sight; skip links are attenuated hard (walls / corners). This is
-    /// how a fixed hop-count path is pinned regardless of TX power —
-    /// the simulated analogue of the authors' 8-hop indoor deployment.
+    /// A corridor: a line of nodes 5 m apart where only *adjacent*
+    /// nodes have line of sight; skip links lose an extra 40 dB (walls /
+    /// corners). This is how a fixed hop-count path is pinned regardless
+    /// of TX power — the simulated analogue of the authors' 8-hop indoor
+    /// deployment.
     Corridor {
         /// Node count (hops = n − 1).
         n: usize,
-        /// Inter-node spacing in meters.
-        spacing: f64,
-        /// Extra loss applied to non-adjacent links, dB.
-        wall_loss_db: f64,
     },
     /// `rows × cols` grid with `spacing` meters pitch.
     Grid {
@@ -54,11 +56,7 @@ impl Topology {
 
     /// The 8-hop-diameter path used for Figs. 5–7.
     pub fn eight_hop_corridor() -> Topology {
-        Topology::Corridor {
-            n: 9,
-            spacing: 5.0,
-            wall_loss_db: 40.0,
-        }
+        Topology::Corridor { n: 9 }
     }
 
     /// Number of nodes this topology yields.
@@ -73,9 +71,14 @@ impl Topology {
     /// Generate node positions (deterministic in `seed`).
     pub fn positions(&self, seed: u64) -> Vec<Position> {
         match *self {
-            Topology::Line { n, spacing } | Topology::Corridor { n, spacing, .. } => (0..n)
+            Topology::Line { n, spacing } => (0..n)
                 .map(|i| Position::new(i as f64 * spacing, 0.0))
                 .collect(),
+            Topology::Corridor { n } => Topology::Line {
+                n,
+                spacing: CORRIDOR_SPACING_M,
+            }
+            .positions(seed),
             Topology::Grid {
                 rows,
                 cols,
@@ -99,10 +102,7 @@ impl Topology {
 
     /// Install the topology's structural link overrides.
     fn with_overrides(&self, mut medium: Medium) -> Medium {
-        if let Topology::Corridor {
-            n, wall_loss_db, ..
-        } = *self
-        {
+        if let Topology::Corridor { n } = *self {
             for i in 0..n as u16 {
                 for j in 0..n as u16 {
                     if i != j && (i as i32 - j as i32).abs() >= 2 {
@@ -110,7 +110,7 @@ impl Topology {
                             i,
                             j,
                             LinkOverride {
-                                extra_loss_db: wall_loss_db,
+                                extra_loss_db: CORRIDOR_WALL_LOSS_DB,
                                 blocked: false,
                             },
                         );

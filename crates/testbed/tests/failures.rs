@@ -6,17 +6,10 @@ use liteview::{CommandRequest, CommandResult};
 use lv_kernel::DynamicsAction;
 use lv_net::packet::Port;
 use lv_sim::SimDuration;
-use lv_testbed::{DynamicsPlan, FailureMode, Scenario, ScenarioConfig, Topology};
+use lv_testbed::{DynamicsPlan, Scenario, ScenarioConfig, Topology};
 
 fn corridor(n: usize, seed: u64) -> Scenario {
-    Scenario::build(ScenarioConfig::new(
-        Topology::Corridor {
-            n,
-            spacing: 5.0,
-            wall_loss_db: 40.0,
-        },
-        seed,
-    ))
+    Scenario::build(ScenarioConfig::new(Topology::Corridor { n }, seed))
 }
 
 /// Traceroute the far end of `s`'s corridor; `true` iff it reports the
@@ -51,11 +44,12 @@ fn ping_received(s: &mut Scenario, dst: u16) -> u8 {
 #[test]
 fn killing_a_relay_breaks_the_trace_and_revival_restores_it() {
     let mut s = corridor(5, 17);
-    s.ws.cd(&s.net, "192.168.0.1").unwrap();
     assert!(trace_reaches(&mut s, 4), "healthy corridor must trace");
 
     // Node 2 is the only path in a corridor: killing it severs it.
-    FailureMode::KillNode { id: 2 }.apply(&mut s.net);
+    DynamicsPlan::new()
+        .node_churn(2, s.net.now(), None)
+        .schedule(&mut s.net);
     s.net.run_for(SimDuration::from_secs(5));
     assert!(
         !trace_reaches(&mut s, 4),
@@ -72,10 +66,11 @@ fn killing_a_relay_breaks_the_trace_and_revival_restores_it() {
 #[test]
 fn breaking_a_link_stops_pings_and_repair_restores_them() {
     let mut s = corridor(3, 23);
-    s.ws.cd(&s.net, "192.168.0.1").unwrap();
     assert!(ping_received(&mut s, 2) >= 1, "healthy path must ping");
 
-    FailureMode::BreakLink { a: 1, b: 2 }.apply(&mut s.net);
+    DynamicsPlan::new()
+        .link_break(1, 2, s.net.now())
+        .schedule(&mut s.net);
     s.net.run_for(SimDuration::from_secs(2));
     assert_eq!(
         ping_received(&mut s, 2),
@@ -93,7 +88,6 @@ fn breaking_a_link_stops_pings_and_repair_restores_them() {
 #[test]
 fn attenuation_shows_up_in_the_ping_rssi_report() {
     let mut s = corridor(2, 29);
-    s.ws.cd(&s.net, "192.168.0.1").unwrap();
     let rssi = |s: &mut Scenario| -> i8 {
         let exec =
             s.ws.exec(&mut s.net, CommandRequest::ping(1, 1, 32, None))
@@ -108,12 +102,17 @@ fn attenuation_shows_up_in_the_ping_rssi_report() {
     // 12 dB of extra loss on the probe's direction (0 → 1): the
     // forward RSSI the operator reads must drop by about that much
     // (the register quantizes, shadowing is frozen per link).
-    FailureMode::AttenuateLink {
-        from: 0,
-        to: 1,
-        loss_db: 12.0,
-    }
-    .apply(&mut s.net);
+    DynamicsPlan::new()
+        .at(
+            s.net.now(),
+            DynamicsAction::SetLinkLoss {
+                from: 0,
+                to: 1,
+                extra_loss_db: 12.0,
+                blocked: false,
+            },
+        )
+        .schedule(&mut s.net);
     let after = rssi(&mut s);
     let drop = before as i16 - after as i16;
     assert!(

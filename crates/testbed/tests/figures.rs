@@ -226,11 +226,7 @@ fn figure_traceroutes_match_pinned_digests() {
     use lv_testbed::{Scenario, ScenarioConfig, Topology};
 
     let trace = |hops: usize, power: Option<u8>| -> String {
-        let topo = Topology::Corridor {
-            n: hops + 1,
-            spacing: 5.0,
-            wall_loss_db: 40.0,
-        };
+        let topo = Topology::Corridor { n: hops + 1 };
         let mut s = Scenario::build(ScenarioConfig::new(topo, 42));
         if let Some(level) = power {
             let p = PowerLevel::new(level).expect("valid level");
@@ -239,7 +235,6 @@ fn figure_traceroutes_match_pinned_digests() {
             }
             s.net.run_for(SimDuration::from_secs(10));
         }
-        s.ws.cd(&s.net, "192.168.0.1").unwrap();
         let exec =
             s.ws.exec(
                 &mut s.net,

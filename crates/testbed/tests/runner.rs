@@ -1,8 +1,9 @@
 //! Integration tests for the multi-trial engine: determinism across
 //! worker counts and wall-clock speedup from the worker pool.
 
+use lv_sim::SimTime;
 use lv_testbed::experiments;
-use lv_testbed::{FailureMode, FailurePlan, TrialRunner};
+use lv_testbed::{DynamicsPlan, FailurePlan, TrialRunner};
 use std::time::{Duration, Instant};
 
 /// Same root seed ⇒ bit-identical aggregates, no matter how many
@@ -43,7 +44,8 @@ fn aggregates_are_bit_identical_across_worker_counts() {
 /// which trials receive the fault.
 #[test]
 fn failure_sweep_is_bit_identical_across_worker_counts() {
-    let plans = [FailurePlan::new(FailureMode::KillNode { id: 4 }, 0.5)];
+    let kill = DynamicsPlan::new().node_churn(4, SimTime::ZERO, None);
+    let plans = [FailurePlan::new("kill-node-4", kill, 0.5)];
     let a = experiments::failure_sweep(&TrialRunner::new(7, 8).workers(1), &plans);
     let b = experiments::failure_sweep(&TrialRunner::new(7, 8).workers(3), &plans);
     assert_eq!(

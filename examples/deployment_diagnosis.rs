@@ -19,11 +19,7 @@ use liteview_repro::lv_testbed::{DynamicsPlan, Scenario, ScenarioConfig, Topolog
 
 fn main() {
     // A 6-node corridor; the operator starts near node 0.
-    let topo = Topology::Corridor {
-        n: 6,
-        spacing: 5.0,
-        wall_loss_db: 40.0,
-    };
+    let topo = Topology::Corridor { n: 6 };
     let mut s = Scenario::build(ScenarioConfig::new(topo, 7));
     println!("deployment up: 6 nodes, geographic forwarding on port 10\n");
 
@@ -45,7 +41,6 @@ fn main() {
     s.net.run_for(SimDuration::from_secs(30));
 
     // --- Diagnosis session ------------------------------------------
-    s.ws.cd(&s.net, "192.168.0.1").unwrap();
     println!("$pwd\n{}", s.ws.pwd(&s.net).unwrap());
 
     // Step 1: is the far end alive at all?

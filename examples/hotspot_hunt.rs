@@ -54,11 +54,7 @@ impl Process for Sink {
 
 fn main() {
     // A corridor where everything must pass node 1 to reach the sink.
-    let topo = Topology::Corridor {
-        n: 6,
-        spacing: 5.0,
-        wall_loss_db: 40.0,
-    };
+    let topo = Topology::Corridor { n: 6 };
     let mut s = Scenario::build(ScenarioConfig::new(topo, 21));
 
     // Deploy the application: nodes 2..=5 stream to node 0 every 60 ms —
@@ -80,7 +76,6 @@ fn main() {
     println!("application running: 4 sources stream reports through the corridor\n");
 
     // The operator pings each node pair along the path and compares.
-    s.ws.cd(&s.net, "192.168.0.1").unwrap();
     println!("{:<24} {:>10} {:>14}", "pair", "RTT [ms]", "queue (f/b)");
     let mut worst: Option<(u16, f64)> = None;
     for hop in 1..6u16 {

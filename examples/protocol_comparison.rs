@@ -27,21 +27,13 @@ fn main() {
         // The operator stands at the far end of the corridor, so the
         // workstation bridges through node 4 (management is one-hop).
         bridge: 4,
-        ..ScenarioConfig::new(
-            Topology::Corridor {
-                n: 5,
-                spacing: 5.0,
-                wall_loss_db: 40.0,
-            },
-            33,
-        )
+        ..ScenarioConfig::new(Topology::Corridor { n: 5 }, 33)
     };
     let mut s = Scenario::build(cfg);
 
     // The operator sits at the far end and measures the path back to
     // the root over each protocol (collection trees only route toward
     // the root, so we ping from node 4 toward node 0).
-    s.ws.cd(&s.net, "192.168.0.5").unwrap();
     println!("three protocols on node 192.168.0.5:");
     for (port, name) in s.net.node(4).stack.router_list() {
         println!("  port {:>2}: {name}", port.0);

@@ -17,7 +17,7 @@ use liteview_repro::lv_kernel::{Network, Process, RxMeta, SysCtx};
 use liteview_repro::lv_net::packet::{NetPacket, Port};
 use liteview_repro::lv_sim::SimDuration;
 use liteview_repro::lv_testbed::scenario::{Protocols, Scenario, ScenarioConfig};
-use liteview_repro::lv_testbed::{FailureMode, Topology};
+use liteview_repro::lv_testbed::{DynamicsPlan, Topology};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -83,14 +83,7 @@ fn main() {
             flooding: false,
             tree: true, // node 0 is the root
         },
-        ..ScenarioConfig::new(
-            Topology::Corridor {
-                n: 5,
-                spacing: 5.0,
-                wall_loss_db: 40.0,
-            },
-            27,
-        )
+        ..ScenarioConfig::new(Topology::Corridor { n: 5 }, 27)
     };
     let mut s = Scenario::build(cfg);
     let arrivals = Rc::new(RefCell::new(vec![0u32; 5]));
@@ -126,7 +119,9 @@ fn main() {
     // Break the first corridor link: the tree below the break is orphaned
     // (a corridor has no alternate path) — and LiteView shows exactly that.
     println!("\n(link 1↔2 breaks — a cabinet moved into the corridor)");
-    FailureMode::BreakLink { a: 1, b: 2 }.apply(&mut s.net);
+    DynamicsPlan::new()
+        .link_break(1, 2, s.net.now())
+        .schedule(&mut s.net);
     let before: Vec<u32> = arrivals.borrow().clone();
     s.net.run_for(SimDuration::from_secs(20));
     let after: Vec<u32> = arrivals.borrow().clone();

@@ -45,7 +45,6 @@ fn power_tuning_changes_measured_rssi() {
     // The deployment-tuning loop: measure, adjust power, re-measure.
     let cfg = ScenarioConfig::new(Topology::Line { n: 2, spacing: 5.0 }, 9);
     let mut s = Scenario::build(cfg);
-    s.ws.cd(&s.net, "192.168.0.1").unwrap();
     let rssi_at = |s: &mut Scenario| -> i8 {
         let exec =
             s.ws.exec(&mut s.net, CommandRequest::ping(1, 1, 32, None))
@@ -90,11 +89,7 @@ fn channel_separation_then_reunion() {
 #[test]
 fn diagnosis_workflow_end_to_end() {
     // Compressed version of the deployment_diagnosis example, asserted.
-    let topo = Topology::Corridor {
-        n: 5,
-        spacing: 5.0,
-        wall_loss_db: 40.0,
-    };
+    let topo = Topology::Corridor { n: 5 };
     let mut s = Scenario::build(ScenarioConfig::new(topo, 7));
     let block = DynamicsAction::SetLinkLoss {
         from: 3,
@@ -104,7 +99,6 @@ fn diagnosis_workflow_end_to_end() {
     };
     s.net.schedule_dynamics(s.net.now(), block);
     s.net.run_for(SimDuration::from_secs(30));
-    s.ws.cd(&s.net, "192.168.0.1").unwrap();
     // Traceroute stops before the destination.
     let exec =
         s.ws.exec(
@@ -243,7 +237,6 @@ fn seeded_runs_are_bit_identical() {
     let run = |seed: u64| {
         let cfg = ScenarioConfig::new(Topology::eight_hop_corridor(), seed);
         let mut s = Scenario::build(cfg);
-        s.ws.cd(&s.net, "192.168.0.1").unwrap();
         let exec =
             s.ws.exec(
                 &mut s.net,
