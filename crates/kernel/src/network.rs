@@ -2562,6 +2562,13 @@ mod collision_tests {
         )
     }
 
+    /// FNV-1a, the hash every pinned run digest is stored as.
+    fn fnv1a(s: &str) -> u64 {
+        s.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
     fn contention_net(seed: u64) -> Network {
         let mut net = Network::with_config(
             hidden_terminal_medium(seed),
@@ -2625,11 +2632,6 @@ mod collision_tests {
                 .map(|_| Position::new(rng.unit() * 40.0, rng.unit() * 40.0))
                 .collect::<Vec<Position>>()
         };
-        let fnv1a = |s: &str| {
-            s.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-            })
-        };
         for (seed, pinned) in [
             (5u64, 0x4220_49d7_6971_962au64),
             (29, 0xcde9_0064_38db_29c5),
@@ -2642,6 +2644,39 @@ mod collision_tests {
             let digest = fnv1a(&run_digest(&net));
             assert_eq!(digest, pinned, "seed {seed}: {digest:#018x}");
         }
+    }
+
+    /// A sparse world pinned the same way: a 10×10 grid at 24 m pitch,
+    /// 500 ms beacons and a geographic router on every node, 20 s from
+    /// time zero. Unlike the dense scatter, most frames here reach
+    /// receivers whose fading draw falls below the sync threshold, so
+    /// the run covers the reception path's three exits: the half-duplex
+    /// return, the frame that does not sync, and the frame that syncs
+    /// and is then lost to noise plus interference. The literal was
+    /// computed when `on_rx_end` still summed interference in the same
+    /// pass as the half-duplex check.
+    #[test]
+    fn weak_link_grid_matches_pinned_digest() {
+        let positions = (0..100)
+            .map(|i| Position::new(f64::from(i % 10) * 24.0, f64::from(i / 10) * 24.0))
+            .collect();
+        let medium = Medium::new(positions, PropagationConfig::default(), 7);
+        let mut net = Network::new(medium, 7);
+        for i in 0..100 {
+            net.install_router(
+                i,
+                Box::new(lv_net::routing::Geographic::new(
+                    lv_net::packet::Port::GEOGRAPHIC,
+                )),
+            )
+            .unwrap();
+            net.node_mut(i).stack.config_mut().beacon_period = SimDuration::from_millis(500);
+        }
+        net.run_for(SimDuration::from_secs(20));
+        assert!(net.counters.get("rx.corrupt") > 0);
+        assert!(net.counters.get("rx.halfduplex_miss") > 0);
+        let digest = fnv1a(&run_digest(&net));
+        assert_eq!(digest, 0x9964_3902_e99b_27e7, "{digest:#018x}");
     }
 
     // ------------------------------------------------------------------
