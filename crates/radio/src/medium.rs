@@ -6,10 +6,14 @@
 //! model, per-directed-link overrides (for failure injection), and the
 //! noise floor into a single deterministic assessment.
 //!
-//! Interference is handled by the caller (the network orchestrator keeps
-//! the list of concurrently active transmissions) and passed in as an
-//! aggregate interference power, so the medium itself stays stateless
-//! about time.
+//! A reception is assessed in two steps. [`Medium::sync_power`] draws the
+//! frame's fading and decides whether the radio locks onto it;
+//! [`Medium::assess_synced`] turns a synced frame's power into SNR, PER
+//! and LQI. Interference is handled by the caller (the network
+//! orchestrator keeps the list of concurrently active transmissions) and
+//! passed to the finish step as an aggregate interference power, so the
+//! medium itself stays stateless about time, and the caller sums it only
+//! for frames that sync. [`Medium::assess_on`] is the two steps in one.
 
 use crate::channel::Channel;
 use crate::grid::SpatialGrid;
@@ -556,7 +560,8 @@ impl Medium {
 
     /// Assess one frame reception attempt on `channel`, drawing fast
     /// fading and the PER Bernoulli from `rng` (use the receiver's
-    /// stream).
+    /// stream): [`Medium::sync_power`], then, for a frame that syncs,
+    /// [`Medium::assess_synced`].
     ///
     /// `interference_mw` is the aggregate power (in mW) of co-channel
     /// transmissions overlapping this frame at the receiver; zero when
@@ -574,6 +579,27 @@ impl Medium {
         channel: Channel,
         rng: &mut SimRng,
     ) -> Option<RxAssessment> {
+        let rx_power = self.sync_power(from, to, power, rng)?;
+        Some(self.assess_synced(rx_power, frame_bytes, interference_mw, channel, rng))
+    }
+
+    /// The sync step of a reception attempt: the received power of a
+    /// frame from `from` at `power`, with one fast-fading draw from
+    /// `rng` (use the receiver's stream), or `None` when the radio never
+    /// locks onto the frame. A dead radio or a blocked link returns
+    /// `None` without drawing; a frame whose draw lands below the sync
+    /// threshold returns `None` after it.
+    ///
+    /// Interference and channel noise move the SNR, not the received
+    /// power, so they cannot change whether a frame syncs: a caller may
+    /// sum interference only for the frames this step passes.
+    pub fn sync_power(
+        &self,
+        from: u16,
+        to: u16,
+        power: PowerLevel,
+        rng: &mut SimRng,
+    ) -> Option<Dbm> {
         if self.dead[from as usize] || self.dead[to as usize] {
             return None;
         }
@@ -588,6 +614,20 @@ impl Medium {
         if rx_power.0 < self.sensitivity.0 {
             return None; // below sync threshold: the radio never sees it
         }
+        Some(rx_power)
+    }
+
+    /// The finish step of a reception attempt [`Medium::sync_power`]
+    /// passed: the noise floor on `channel` plus `interference_mw` gives
+    /// the SNR, then the PER Bernoulli and the LQI draw come from `rng`.
+    pub fn assess_synced(
+        &self,
+        rx_power: Dbm,
+        frame_bytes: usize,
+        interference_mw: f64,
+        channel: Channel,
+        rng: &mut SimRng,
+    ) -> RxAssessment {
         // `x + 0.0` is exact for any finite noise floor, so with no
         // offset set the floor is bit-for-bit the thermal one.
         let noise_db = self.noise_floor.0 + self.channel_noise_db(channel);
@@ -595,13 +635,13 @@ impl Medium {
         let snr_db = rx_power.0 - Dbm::from_mw(noise_mw).0;
         let per = packet_error_rate(snr_db, frame_bytes);
         let delivered = !rng.chance(per);
-        Some(RxAssessment {
+        RxAssessment {
             rx_power,
             snr_db,
             delivered,
             rssi: rssi_register(rx_power),
             lqi: lqi_from_snr(snr_db, rng),
-        })
+        }
     }
 
     /// Raise (or lower) the noise floor seen by receptions on `channel`
@@ -801,6 +841,57 @@ mod tests {
         assert!(m
             .assess_on(0, 1, PowerLevel::MAX, 40, 0.0, Channel::DEFAULT, &mut rng)
             .is_none());
+    }
+
+    /// The property the event loop's reception order relies on: the
+    /// sync step takes exactly one fading draw from a live, unblocked
+    /// link whether or not the frame syncs, and none otherwise, so the
+    /// interference sum can wait for its answer.
+    #[test]
+    fn sync_step_draws_one_gaussian_or_none() {
+        let mut m = line_medium(2, 5.0);
+        // Put the link's mean power on the sync threshold, so about half
+        // its frames fade below it.
+        let mean = m.mean_rx_power(0, 1, PowerLevel::MAX).unwrap();
+        let extra_loss_db = mean.0 - m.sensitivity().0;
+        m.set_override(
+            0,
+            1,
+            LinkOverride {
+                extra_loss_db,
+                blocked: false,
+            },
+        );
+        let mut unsynced = 0;
+        for label in 0..64 {
+            let mut rng = SimRng::stream(3, label);
+            let mut skipped = rng.clone();
+            skipped.skip_gaussian();
+            if m.sync_power(0, 1, PowerLevel::MAX, &mut rng).is_none() {
+                unsynced += 1;
+            }
+            assert_eq!(rng.next_u64(), skipped.next_u64(), "draw {label}");
+        }
+        assert!((1..64).contains(&unsynced), "unsynced = {unsynced}");
+
+        let untouched = |m: &Medium| {
+            let mut rng = SimRng::stream(3, 99);
+            let mut same = rng.clone();
+            assert!(m.sync_power(0, 1, PowerLevel::MAX, &mut rng).is_none());
+            assert_eq!(rng.next_u64(), same.next_u64());
+        };
+        m.set_dead(1, true);
+        untouched(&m);
+        m.set_dead(1, false);
+        m.set_override(
+            0,
+            1,
+            LinkOverride {
+                extra_loss_db: 0.0,
+                blocked: true,
+            },
+        );
+        untouched(&m);
     }
 
     #[test]

@@ -215,7 +215,8 @@ fn check(ok: bool, what: impl FnOnce() -> String) -> Result<(), String> {
 
 /// Every query of `medium` against `reference`, for every ordered node
 /// pair at three power levels: reachable sets, `hears`, mean rx power,
-/// `assess_on`, `cca_senses_fast` and `mean_rx_mw` (twice: the memo
+/// `assess_on` (whole, and as `sync_power` then `assess_synced`),
+/// `cca_senses_fast` and `mean_rx_mw` (twice: the memo
 /// miss that installs and the hit that reads). Values must match bit
 /// for bit, and each draw-taking query must leave its RNG stream where
 /// the reference leaves it.
@@ -245,13 +246,26 @@ pub fn lockstep(medium: &mut Medium, reference: &ReferenceMedium, seed: u64) -> 
                 let label = u64::from(from) << 24 | u64::from(to) << 8 | u64::from(power.level());
                 let mut r1 = SimRng::stream(seed, label);
                 let mut r2 = r1.clone();
+                let mut r3 = r1.clone();
                 let a1 = medium.assess_on(from, to, power, 48, 1e-9, channel, &mut r1);
                 let a2 = reference.assess_on(from, to, power, 48, 1e-9, noise, &mut r2);
                 check(format!("{a1:?}") == format!("{a2:?}"), || {
                     format!("assess_on{}: {a1:?} != {a2:?}", at())
                 })?;
-                check(r1.next_u64() == r2.next_u64(), || {
+                // The two steps the event loop calls apart, with the
+                // interference summed between them.
+                let a3 = medium
+                    .sync_power(from, to, power, &mut r3)
+                    .map(|p| medium.assess_synced(p, 48, 1e-9, channel, &mut r3));
+                check(format!("{a3:?}") == format!("{a2:?}"), || {
+                    format!("sync_power + assess_synced{}: {a3:?} != {a2:?}", at())
+                })?;
+                let next = r2.next_u64();
+                check(r1.next_u64() == next, || {
                     format!("rng desync after assess_on{}", at())
+                })?;
+                check(r3.next_u64() == next, || {
+                    format!("rng desync after sync_power + assess_synced{}", at())
                 })?;
 
                 let mut c1 = SimRng::stream(seed ^ 0xCCA, label);
