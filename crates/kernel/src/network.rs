@@ -1085,55 +1085,50 @@ impl Network {
         if self.medium.is_dead(node) || self.nodes[idx].channel != tx.channel {
             return;
         }
-        // One pass over the active table does double duty: detect the
-        // half-duplex conflict (a node radiating during any part of the
-        // frame cannot receive it) and aggregate co-channel
-        // interference. The busy case discards the partial sum, and
-        // ascending-id iteration over the slab keeps the float
-        // accumulation order of the original two-pass code, so outcomes
-        // are identical.
-        let mut busy_transmitting = false;
-        let mut interference_mw = 0.0;
-        let floor = self.active.scan_floor(tx.start, self.max_airtime);
         let (tx_start, tx_end, tx_sender, tx_channel) = (tx.start, tx.end, tx.sender, tx.channel);
+        let overlaps = |other: &ActiveTx| other.start < tx_end && other.end > tx_start;
+        // Half-duplex: a node radiating during any part of the frame
+        // cannot receive it.
+        let floor = self.active.scan_floor(tx_start, self.max_airtime);
+        if self
+            .active
+            .iter_from(floor)
+            .any(|(_, other)| other.sender == node && overlaps(other))
+        {
+            self.counters.incr_id(CounterId::RxHalfduplexMiss);
+            return;
+        }
+        // The frame's own fading draw decides whether the radio syncs.
+        // Interference moves SNR, not received power, so it cannot
+        // change that decision: the interference sum, the costliest scan
+        // in the loop, runs only for a frame that syncs.
+        let rng = &mut self.nodes[idx].rng;
+        let Some(rx_power) = self.medium.sync_power(tx_sender, node, tx.power, rng) else {
+            return; // below sensitivity (or link blocked)
+        };
+        // Co-channel interference, accumulated in ascending id order,
+        // the float order the pinned digests fix. None of the node's own
+        // transmissions overlaps the frame, so `overlaps` skips them.
+        let mut interference_mw = 0.0;
         for (_, other) in self.active.iter_from(floor) {
-            if other.sender == node {
-                if other.start < tx_end && other.end > tx_start {
-                    busy_transmitting = true;
-                    break;
-                }
-                continue; // own radio, but not overlapping this frame
-            }
-            if other.sender == tx_sender {
-                continue;
-            }
-            if other.channel != tx_channel || other.start >= tx_end || other.end <= tx_start {
+            if other.sender == tx_sender || other.channel != tx_channel || !overlaps(other) {
                 continue;
             }
             if let Some(mw) = self.medium.mean_rx_mw(other.sender, node, other.power) {
                 interference_mw += mw;
             }
         }
-        if busy_transmitting {
-            self.counters.incr_id(CounterId::RxHalfduplexMiss);
-            return;
-        }
-        let (power, frame) = (tx.power, tx.frame.clone());
+        let frame = tx.frame.clone();
         let wire_len = frame.wire_len();
         // Channel-aware: picks up any bursty-interference noise offset
         // on the frame's channel.
-        let assessment = self.medium.assess_on(
-            tx_sender,
-            node,
-            power,
+        let a = self.medium.assess_synced(
+            rx_power,
             wire_len,
             interference_mw,
             tx_channel,
             &mut self.nodes[idx].rng,
         );
-        let Some(a) = assessment else {
-            return; // below sensitivity (or link blocked)
-        };
         // The radio actively demodulated this frame (even if it then
         // fails the CRC): charge receive energy for its airtime.
         let airtime = self.timing.frame_airtime(wire_len);
