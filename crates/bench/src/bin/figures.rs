@@ -15,6 +15,10 @@
 //! independent trials run on `--workers` threads, plus `failures` for
 //! the failure-injection sweep.
 //!
+//! A name that is neither an experiment nor an option, or a flag value
+//! that does not parse, is refused before anything runs: the known names
+//! go to stderr and the exit status is 2.
+//!
 //! `--report` replaces the figure run with a flight-recorder session:
 //! it drives a diagnosis sequence (ping + traceroute) over the 8-hop
 //! corridor and prints the network-wide [`ObservabilityReport`] as
@@ -46,9 +50,12 @@ use lv_testbed::experiments as exp;
 use lv_testbed::results::to_json_lines;
 use lv_testbed::{AggregateStats, TrialRunner};
 use serde::Serialize;
+use std::num::NonZeroUsize;
+use std::str::FromStr;
 
 struct Args {
-    what: Vec<String>,
+    /// The experiments to run, in command-line order.
+    what: Vec<Experiment>,
     seed: u64,
     trials: usize,
     workers: Option<usize>,
@@ -71,8 +78,30 @@ impl Args {
     }
 }
 
+/// Refuse the command line before anything runs: say why and what is
+/// known on stderr, and exit 2.
+fn usage(problem: &str) -> ! {
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
+    eprintln!("figures: {problem}");
+    eprintln!("experiments: all {}", names.join(" "));
+    eprintln!(
+        "options: --seed <u64> --trials <n> --workers <n> --json --report --dynamics \
+         --diagnosis --digests --check-digests <golden file>"
+    );
+    std::process::exit(2);
+}
+
+/// The value after `flag`, parsed as `what`, or a usage error.
+fn value<T: FromStr>(argv: &mut impl Iterator<Item = String>, flag: &str, what: &str) -> T {
+    let Some(v) = argv.next() else {
+        usage(&format!("{flag} needs {what}"))
+    };
+    v.parse()
+        .unwrap_or_else(|_| usage(&format!("{flag} takes {what}, not {v:?}")))
+}
+
 fn parse_args() -> Args {
-    let mut what = Vec::new();
+    let mut names = Vec::new();
     let mut seed = 42u64;
     let mut trials = 8usize;
     let mut workers = None;
@@ -90,41 +119,33 @@ fn parse_args() -> Args {
             "--diagnosis" => diagnosis = true,
             "--digests" => digests = true,
             "--check-digests" => {
-                check_digests = Some(argv.next().expect("--check-digests <golden file>"));
+                check_digests = Some(value(&mut argv, &a, "a golden file"));
                 digests = true;
             }
-            "--seed" => {
-                seed = argv
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--seed <u64>");
-            }
-            "--trials" => {
-                trials = argv
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--trials <n>");
-            }
-            "--workers" => {
-                workers = Some(
-                    argv.next()
-                        .and_then(|s| s.parse().ok())
-                        .expect("--workers <n>"),
-                );
-            }
+            "--seed" => seed = value(&mut argv, &a, "a u64"),
+            "--trials" => trials = value::<NonZeroUsize>(&mut argv, &a, "a positive count").get(),
+            "--workers" => workers = Some(value(&mut argv, &a, "a count")),
             "--json" => json = true,
-            other => what.push(other.to_owned()),
+            other => names.push(other.to_owned()),
         }
     }
-    if report || dynamics || diagnosis || digests {
-        // `--report` / `--dynamics` / `--diagnosis` / `--digests` are
-        // sessions, not figures: an empty experiment list stays empty
-        // instead of expanding to `all`.
-    } else if what.is_empty() || what.iter().any(|w| w == "all") {
-        what = EXPERIMENTS
-            .iter()
-            .map(|(name, _)| name.to_string())
-            .collect();
+    let mut what = Vec::new();
+    for name in &names {
+        if name == "all" {
+            what.extend_from_slice(EXPERIMENTS);
+        } else if let Some(e) = EXPERIMENTS.iter().find(|(n, _)| n == name) {
+            what.push(*e);
+        } else if name.starts_with('-') {
+            usage(&format!("unknown option {name}"));
+        } else {
+            usage(&format!("unknown experiment {name}"));
+        }
+    }
+    // `--report` / `--dynamics` / `--diagnosis` / `--digests` are
+    // sessions, not figures: an empty experiment list stays empty
+    // instead of expanding to `all`.
+    if what.is_empty() && !(report || dynamics || diagnosis || digests) {
+        what.extend_from_slice(EXPERIMENTS);
     }
     Args {
         what,
@@ -215,11 +236,8 @@ fn main() {
     if args.diagnosis {
         diagnosis(&args);
     }
-    for what in &args.what {
-        match EXPERIMENTS.iter().find(|(name, _)| name == what) {
-            Some((_, print)) => print(&args),
-            None => eprintln!("unknown experiment: {what}"),
-        }
+    for (_, print) in &args.what {
+        print(&args);
     }
 }
 
