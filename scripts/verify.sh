@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Full verification gate, the whole of what a PR must pass: formatting,
-# every test in the workspace, clippy and rustdoc with warnings promoted
-# to errors, lv-lint, the digest and diagnosis gates, a run of every
+# every test in the workspace, the lv-benchmark package tests and its
+# full-scale digest pins, clippy and rustdoc with warnings promoted to
+# errors, lv-lint, the digest and diagnosis gates, a run of every
 # example, and the release lv-serve fleet smoke. Run before sending a PR.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -17,6 +18,19 @@ cargo test -q --all
 # benchmark run.
 echo "== lv-benchmark package tests =="
 cargo test -q --manifest-path src/bin/lv-benchmark/Cargo.toml
+
+# The package tests check only the smoke-scale pins. One release sample
+# of each pinned workload at seeds 42 and 7 checks the full-scale ones:
+# a sample whose counter digest misses its pins.json entry exits 1.
+echo "== lv-benchmark full-scale digest pins (release, seeds 42 and 7) =="
+for seed in 42 7; do
+    for workload in grid1000-steady grid1000-churn corridor-commands; do
+        out=$(cargo run --release -q --manifest-path src/bin/lv-benchmark/Cargo.toml -- \
+            --sample "$workload" --seed "$seed" --seconds 0 --trace 0 2>&1) \
+            || { echo "$out"; exit 1; }
+        echo "-- $workload seed $seed: $(echo "$out" | grep '^digest')"
+    done
+done
 
 # Every workspace member, lv-lint and lv-bench included, with its tests:
 # at the root, plain `cargo clippy` lints only the root package and the
