@@ -2674,6 +2674,46 @@ mod collision_tests {
         assert_eq!(digest, 0x9964_3902_e99b_27e7, "{digest:#018x}");
     }
 
+    /// The flight recorder's rendered text, pinned: the hidden-terminal
+    /// contention world with beacons on (seed 3, 3 s) and a
+    /// `Debug`-level recorder large enough to keep every record, hashed
+    /// line by line (level, then the record's `Display`). The run
+    /// reaches `tx.*`, `rx.beacon`, `rx.corrupt`, `mac.failed` and
+    /// `net.drop` records, so the literal fixes their text, their order
+    /// and their attribution byte for byte.
+    #[test]
+    fn rendered_trace_matches_pinned_digest() {
+        let mut net = Network::new(hidden_terminal_medium(3), 3);
+        net.trace = Trace::enabled(TraceLevel::Debug, 1 << 16);
+        net.spawn_process(0, Box::new(Burster { rounds: 0 }), vec![])
+            .unwrap();
+        net.spawn_process(2, Box::new(Burster { rounds: 0 }), vec![])
+            .unwrap();
+        net.run_for(SimDuration::from_secs(3));
+        assert_eq!(net.trace.dropped(), 0);
+        let events = net.trace.events();
+        for prefix in [
+            "tx.data ",
+            "tx.ack ",
+            "tx.beacon ",
+            "rx.beacon ",
+            "rx.corrupt ",
+            "mac.failed ",
+            "net.drop ",
+        ] {
+            assert!(
+                events.iter().any(|e| e.message.starts_with(prefix)),
+                "no {prefix}record"
+            );
+        }
+        let text: String = events
+            .iter()
+            .map(|e| format!("{:?} {e}\n", e.level))
+            .collect();
+        let digest = fnv1a(&text);
+        assert_eq!(digest, 0xa63e_504a_3bc6_532a, "{digest:#018x}");
+    }
+
     // ------------------------------------------------------------------
     // Arena recycling properties (PR 9): interleaved alloc/free of event
     // payloads and in-flight transmissions never aliases a live slot,

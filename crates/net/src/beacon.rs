@@ -129,6 +129,24 @@ mod tests {
         assert_eq!(d, b);
     }
 
+    /// One beacon's wire bytes, pinned: the layout every neighbor
+    /// decodes.
+    #[test]
+    fn encoded_bytes_are_pinned() {
+        let bytes = beacon().encode();
+        assert_eq!(
+            bytes,
+            [
+                0x01, 0x2c, // seq 300
+                0x41, 0x48, 0x00, 0x00, // x 12.5
+                0xc0, 0x50, 0x00, 0x00, // y -3.25
+                4, 11, 3, // tree hops, name length, link count
+                b'1', b'9', b'2', b'.', b'1', b'6', b'8', b'.', b'0', b'.', b'7', // name
+                0, 1, 255, 0, 2, 128, 0, 9, 0, // links
+            ]
+        );
+    }
+
     #[test]
     fn fits_in_payload_area() {
         // A maximal beacon must fit the 64-byte network payload area.
