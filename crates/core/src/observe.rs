@@ -99,7 +99,7 @@ impl ObservabilityReport {
             node_count: net.node_count(),
             global: net.counters.clone(),
             nodes: net.node_stats(),
-            timeline: net.trace.events().to_vec(),
+            timeline: net.trace.events(),
             trace_dropped: net.trace.dropped(),
             executions: executions
                 .iter()

@@ -423,7 +423,7 @@ impl Workstation {
             issued_at,
             response_delay,
             result,
-            timeline: net.trace.events_since(issued_at).cloned().collect(),
+            timeline: net.trace.events_since(issued_at).collect(),
             counter_delta: net.counters.diff(&global_baseline),
             node_deltas: node_baselines
                 .iter()

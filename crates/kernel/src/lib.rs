@@ -20,6 +20,9 @@
 //! * [`network`] — the deterministic event loop coupling every node
 //!   through the shared radio medium: airtime, CCA, collisions,
 //!   acknowledgements, beacons, timers, and process hooks.
+//! * [`trace`] — the flight recorder's typed records: one
+//!   [`TraceKind`] per recorded kernel event, rendered to text only
+//!   when the trace is read.
 //! * [`audit`] — the runtime invariant auditor: event-time
 //!   monotonicity, stale-transmission detection after churn, and
 //!   flash/RAM ledger balance, enabled by tests and the nightly soak.
@@ -31,6 +34,7 @@ pub mod network;
 pub mod node;
 pub mod process;
 pub mod resources;
+pub mod trace;
 
 pub use audit::{AuditLog, AuditViolation};
 pub use log::{EventLog, LogEntry};
@@ -39,3 +43,4 @@ pub use network::{DynamicsAction, LinkObs, Network, NetworkConfig};
 pub use node::{Node, NodeStats};
 pub use process::{Effect, Process, RxMeta, SysCtx};
 pub use resources::{ProcessImage, ResourceAccount, ResourceError};
+pub use trace::TraceKind;

@@ -2,10 +2,11 @@
 //!
 //! Owns the nodes, the shared [`Medium`], and the future-event queue.
 //! All physical behaviour lives here: transmissions occupy the medium
-//! for their airtime, receivers get an `RxEnd` event when a frame's last
-//! byte lands, collisions are resolved by SINR at each receiver,
-//! CCA samples the set of in-flight transmissions, and MAC/process state
-//! machines are fed their callbacks.
+//! for their airtime, one `AirEnd` event per frame runs every receiver's
+//! reception and then the sender's tx-done when the frame's last byte
+//! lands, collisions are resolved by SINR at each receiver, CCA samples
+//! the set of in-flight transmissions, and MAC/process state machines
+//! are fed their callbacks.
 //!
 //! The loop is strictly deterministic: one virtual clock, FIFO tie
 //! breaking, and per-node RNG streams (see `DESIGN.md` §7).
@@ -15,8 +16,9 @@ use crate::names::{default_name, NameRegistry};
 use crate::node::Node;
 use crate::process::{Effect, Process, RxMeta, SysCtx};
 use crate::resources::ResourceError;
-use lv_mac::{Frame, FrameKind, MacAction, Reception, BROADCAST};
-use lv_net::beacon::BeaconPayload;
+use crate::trace::TraceKind;
+use lv_mac::{Frame, FrameKind, MacAction, MacActions, Reception, BROADCAST};
+use lv_net::beacon::Beacon;
 use lv_net::packet::NetPacket;
 use lv_net::padding::HopQuality;
 use lv_net::ports::ProcessId;
@@ -24,17 +26,16 @@ use lv_net::routing::{DropReason, Router};
 use lv_net::stack::RxAction;
 use lv_radio::timing::PhyTiming;
 use lv_radio::{Channel, Medium};
-use lv_sim::{CounterId, Counters, EventQueue, SimDuration, SimTime, Trace, TraceLevel};
-use std::sync::Arc;
+use lv_sim::{CounterId, Counters, EventQueue, SimDuration, SimTime, Trace, TraceEvent};
 
 /// Events the loop dispatches, exactly as they sit in the future-event
 /// queue.
 ///
-/// Every variant is plain data: the three large payloads (packets,
-/// frames, dynamics actions) are parked in the [`EventArena`] and the
-/// event carries their slot id. So an event is 16 bytes and owns no
-/// allocation, a heap entry (with time + FIFO sequence) is 32, and sift
-/// operations move words.
+/// Every variant is plain data: the large payloads (packets, frames,
+/// frames on the air with their receivers, dynamics actions) are parked
+/// in the [`EventArena`] and the event carries their slot id. So an
+/// event is 16 bytes and owns no allocation, a heap entry (with time +
+/// FIFO sequence) is 32, and sift operations move words.
 #[derive(Debug, Clone, Copy)]
 enum Event {
     ProcessStart {
@@ -61,12 +62,12 @@ enum Event {
         node: u16,
         token: u64,
     },
-    TxEnd {
+    /// The last byte of transmission `tx_id` by `node` leaves the air:
+    /// every receiver's reception in turn, then the sender's tx-done.
+    /// `air` is the frame's slot in [`EventArena::air`].
+    AirEnd {
         node: u16,
-        tx_id: u64,
-    },
-    RxEnd {
-        node: u16,
+        air: u32,
         tx_id: u64,
     },
     SendAck {
@@ -98,10 +99,10 @@ enum Event {
 ///
 /// These are the primitive moves the testbed's `DynamicsPlan` compiles
 /// ramps, bursts, and churn into. Each application bumps a `dyn.*`
-/// counter and emits an `Info`-level trace event, so the flight
-/// recorder can explain *what changed and when* alongside the packet
-/// timeline.
-#[derive(Debug, Clone, PartialEq)]
+/// counter and keeps an `Info`-level [`TraceKind::Dynamics`] record, so
+/// the flight recorder can explain *what changed and when* alongside
+/// the packet timeline.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DynamicsAction {
     /// Install a path-loss override on the directed link `from → to`
     /// (one step of a gradual attenuation ramp, or a hard block).
@@ -187,7 +188,7 @@ impl DynamicsAction {
     }
 
     /// The `dyn.*` counter an applied action ticks.
-    fn counter_id(&self) -> CounterId {
+    pub(crate) fn counter_id(&self) -> CounterId {
         match self {
             DynamicsAction::SetLinkLoss { .. } | DynamicsAction::ClearLinkLoss { .. } => {
                 CounterId::DynLinkOverride
@@ -200,44 +201,6 @@ impl DynamicsAction {
             DynamicsAction::SetNodeChannel { .. }
             | DynamicsAction::SetNodePower { .. }
             | DynamicsAction::MoveNode { .. } => CounterId::DynReconfig,
-        }
-    }
-}
-
-/// The flight-recorder line of an applied action.
-impl std::fmt::Display for DynamicsAction {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match *self {
-            DynamicsAction::SetLinkLoss {
-                from,
-                to,
-                extra_loss_db,
-                blocked,
-            } => write!(
-                f,
-                "dyn.link {from}->{to} loss={extra_loss_db:.1}dB{}",
-                if blocked { " blocked" } else { "" }
-            ),
-            DynamicsAction::ClearLinkLoss { from, to } => {
-                write!(f, "dyn.link {from}->{to} cleared")
-            }
-            DynamicsAction::SetChannelNoise { channel, delta_db } => {
-                write!(f, "dyn.noise ch={} +{delta_db:.1}dB", channel.number())
-            }
-            DynamicsAction::ClearChannelNoise { channel } => {
-                write!(f, "dyn.noise ch={} cleared", channel.number())
-            }
-            DynamicsAction::NodeDown { .. } => f.write_str("dyn.node down"),
-            DynamicsAction::NodeUp { .. } => f.write_str("dyn.node up (reboot)"),
-            DynamicsAction::SetNodeChannel { channel, .. } => {
-                write!(f, "dyn.reconfig channel={}", channel.number())
-            }
-            DynamicsAction::SetNodePower { power, .. } => {
-                write!(f, "dyn.reconfig power={}", power.level())
-            }
-            DynamicsAction::MoveNode { position, .. } => {
-                write!(f, "dyn.reconfig move=({:.1},{:.1})", position.x, position.y)
-            }
         }
     }
 }
@@ -289,6 +252,15 @@ impl<T> Slab<T> {
     }
 }
 
+/// A frame on the air: the frame itself and the nodes that may receive
+/// it, which are what [`Medium::reachable`] yielded when it started,
+/// minus the sender, ascending by id.
+#[derive(Debug)]
+struct AirFrame {
+    frame: Frame,
+    receivers: Vec<u16>,
+}
+
 /// Payload storage for queued events: one slab per payload type. A slot
 /// is allocated when its event is enqueued and reclaimed exactly once,
 /// when the event pops — so `live()` always equals the number of
@@ -297,7 +269,11 @@ impl<T> Slab<T> {
 struct EventArena {
     packets: Slab<NetPacket>,
     frames: Slab<Frame>,
+    air: Slab<AirFrame>,
     dynamics: Slab<DynamicsAction>,
+    /// Emptied receiver lists of frames that have landed, reused by the
+    /// next frames to start, so the steady state allocates none.
+    spare_receivers: Vec<Vec<u16>>,
 }
 
 impl EventArena {
@@ -305,25 +281,25 @@ impl EventArena {
         EventArena {
             packets: Slab::new(),
             frames: Slab::new(),
+            air: Slab::new(),
             dynamics: Slab::new(),
+            spare_receivers: Vec::new(),
         }
     }
 
     /// Total live payload slots across all slabs.
     fn live(&self) -> usize {
-        self.packets.live() + self.frames.live() + self.dynamics.live()
+        self.packets.live() + self.frames.live() + self.air.live() + self.dynamics.live()
     }
 }
 
-/// An in-flight (or recently finished) transmission. The frame is
-/// reference-counted so the fan-out to many receivers shares one
-/// allocation instead of cloning the payload per receiver. The busy /
-/// interference / CCA scans walk these rows directly, two to a
-/// 64-byte cache line.
+/// An in-flight (or recently finished) transmission: one row of what
+/// the busy / interference / CCA scans read, nothing more. The frame
+/// itself waits in its [`AirFrame`] slot. Rows are 24 bytes, so the
+/// scans walk a little under three to a 64-byte cache line.
 struct ActiveTx {
     start: SimTime,
     end: SimTime,
-    frame: Arc<Frame>,
     sender: u16,
     channel: Channel,
     power: lv_radio::PowerLevel,
@@ -333,7 +309,7 @@ struct ActiveTx {
     aborted: bool,
 }
 
-const _: () = assert!(std::mem::size_of::<ActiveTx>() == 32);
+const _: () = assert!(std::mem::size_of::<ActiveTx>() == 24);
 const _: () = assert!(std::mem::size_of::<Event>() == 16);
 
 /// The active-transmission table. Ids are assigned in start order and
@@ -430,6 +406,24 @@ impl TxTable {
     }
 }
 
+/// The rows overlapping one landing frame (see `Network::overlap`).
+#[derive(Debug, Default)]
+struct Overlap {
+    /// Senders of every overlapping row, any channel, the frame's own
+    /// included: the half-duplex check.
+    senders: Vec<u16>,
+    /// `(sender, power)` of each overlapping row on the frame's channel
+    /// from another sender: the interference sum.
+    interferers: Vec<(u16, lv_radio::PowerLevel)>,
+}
+
+impl Overlap {
+    fn clear(&mut self) {
+        self.senders.clear();
+        self.interferers.clear();
+    }
+}
+
 /// Never prune the active-transmission table below this size; pruning a
 /// tiny map every transmission costs more than it saves.
 const ACTIVE_PRUNE_MIN: usize = 32;
@@ -511,15 +505,21 @@ pub struct Network {
     /// overlap. This keeps the per-reception scans proportional to the
     /// *overlapping* set, not the 50 ms pruning grace window.
     max_airtime: SimDuration,
-    /// Total events popped by `run_until` — the scaling benchmark's
-    /// denominator for events/sec.
+    /// Events dispatched so far — the scaling benchmark's denominator
+    /// for events/sec. `run_until` counts each pop, and an `AirEnd` adds
+    /// one per receiver, so a frame counts its receivers plus one.
     events_dispatched: u64,
+    /// The frame an `AirEnd` is landing: the senders of every row that
+    /// overlaps it, and the co-channel interferers (sender, power)
+    /// among them, ascending by id. Filled once per frame and read by
+    /// each of its receivers; reused, so it allocates nothing.
+    overlap: Overlap,
     timing: PhyTiming,
     config: NetworkConfig,
     /// Global packet/event counters (the overhead figures read these).
     pub counters: Counters,
-    /// Optional trace sink.
-    pub trace: Trace,
+    /// Optional trace sink: the flight recorder, keeping typed records.
+    pub trace: Trace<TraceKind>,
     /// Runtime invariant auditor (`None` = disabled, the default).
     /// See [`crate::audit`].
     audit: Option<AuditLog>,
@@ -558,6 +558,7 @@ impl Network {
             prune_at: ACTIVE_PRUNE_MIN,
             max_airtime: SimDuration::ZERO,
             events_dispatched: 0,
+            overlap: Overlap::default(),
             timing: PhyTiming::default(),
             config,
             counters: Counters::new(),
@@ -847,29 +848,7 @@ impl Network {
                 };
                 self.exec_mac_actions(node, actions);
             }
-            Event::TxEnd { node, tx_id } => {
-                let idx = node as usize;
-                if self.medium.is_dead(node) {
-                    return;
-                }
-                // Raw transmissions (immediate acks) are not owned by
-                // the CSMA machine; feeding their completion into it
-                // would be mistaken for the data frame's TxEnd.
-                let mac_owned = self
-                    .active
-                    .get(tx_id)
-                    .is_some_and(|tx| tx.frame.kind != FrameKind::Ack);
-                if !mac_owned {
-                    return;
-                }
-                let actions = {
-                    let n = &mut self.nodes[idx];
-                    let (mac, rng) = (&mut n.mac, &mut n.rng);
-                    mac.on_tx_done(rng)
-                };
-                self.exec_mac_actions(node, actions);
-            }
-            Event::RxEnd { node, tx_id } => self.on_rx_end(node, tx_id),
+            Event::AirEnd { node, air, tx_id } => self.on_air_end(node, air, tx_id),
             Event::SendAck { node, dst, seq } => {
                 if self.medium.is_dead(node) {
                     return;
@@ -907,21 +886,14 @@ impl Network {
         }
     }
 
-    /// Record one kernel event: count it under `id` and, only when the
-    /// trace keeps `level`, emit `text()` at the current time, so an
-    /// event the trace drops never builds its text.
+    /// Record one kernel event: count it under its kind's counter and,
+    /// when the trace keeps its kind's level, keep the record at the
+    /// current time. Nothing is formatted: the trace renders a record's
+    /// text only when it is read.
     #[inline]
-    fn observe(
-        &mut self,
-        node: u16,
-        id: CounterId,
-        level: TraceLevel,
-        text: impl FnOnce() -> String,
-    ) {
-        self.counters.incr_id(id);
-        if self.trace.accepts(level) {
-            self.trace.emit(self.now, node, level, text());
-        }
+    fn observe(&mut self, node: u16, kind: TraceKind) {
+        self.counters.incr_id(kind.counter_id());
+        self.trace.emit(self.now, node, kind.level(), kind);
     }
 
     // ------------------------------------------------------------------
@@ -948,12 +920,8 @@ impl Network {
         if ids.into_iter().flatten().any(|id| id as usize >= n) {
             // A plan naming a node this network does not have: drop the
             // action rather than panic the event loop.
-            self.observe(
-                Trace::NO_NODE,
-                CounterId::DynInvalid,
-                TraceLevel::Warn,
-                || format!("dyn.invalid {action:?} dropped: only {n} nodes"),
-            );
+            let kind = TraceKind::DynInvalid { action, nodes: n };
+            self.observe(TraceEvent::NO_NODE, kind);
             return;
         }
         match action {
@@ -994,17 +962,16 @@ impl Network {
             DynamicsAction::MoveNode { id, position } => self.medium.set_position(id, position),
         }
         self.observe(
-            ids[0].unwrap_or(Trace::NO_NODE),
-            action.counter_id(),
-            TraceLevel::Info,
-            || action.to_string(),
+            ids[0].unwrap_or(TraceEvent::NO_NODE),
+            TraceKind::Dynamics(action),
         );
     }
 
     /// Abort every in-flight transmission by `node`: drop its entries
-    /// from the active table (pending `RxEnd`/`TxEnd` events find no
-    /// entry and fall through harmlessly) and release its radio-busy and
-    /// ack reservations so a later reboot starts from a clean slate.
+    /// from the active table (a pending `AirEnd` finds no entry, so the
+    /// frame reaches no one and completes nothing) and release its
+    /// radio-busy and ack reservations so a later reboot starts from a
+    /// clean slate.
     /// This is the churn-path guarantee that `set_dead` mid-frame leaves
     /// no stale active-transmission state behind.
     fn abort_transmissions_of(&mut self, node: u16) {
@@ -1021,7 +988,7 @@ impl Network {
                 let medium = &self.medium;
                 let n = &mut self.nodes[idx];
                 let pos = medium.position(node);
-                let payload = n.stack.make_beacon(pos).encode();
+                let payload = n.stack.make_beacon(pos);
                 let (mac, rng) = (&mut n.mac, &mut n.rng);
                 mac.send(FrameKind::Beacon, BROADCAST, payload, rng).1
             };
@@ -1076,25 +1043,72 @@ impl Network {
         self.exec_mac_actions(node, actions);
     }
 
+    /// Land one frame. Its `RxEnd` and `TxEnd` used to be separate
+    /// events with one time and consecutive sequence numbers, so nothing
+    /// could pop between them: running them here as one batch, in the
+    /// same order, changes no outcome. An event pushed for this instant
+    /// during the batch pops after it, as before; a frame that starts
+    /// during the batch starts at this frame's end and cannot overlap
+    /// it; and only a dynamics event, which cannot run inside the batch,
+    /// can abort a transmission.
     // lv-lint: hot
-    fn on_rx_end(&mut self, node: u16, tx_id: u64) {
-        let idx = node as usize;
-        let Some(tx) = self.active.get(tx_id) else {
+    fn on_air_end(&mut self, sender: u16, air: u32, tx_id: u64) {
+        let Some(AirFrame { frame, receivers }) = self.arena.air.take(air) else {
+            self.counters.incr_id(CounterId::KernelArenaMiss);
             return;
         };
-        if self.medium.is_dead(node) || self.nodes[idx].channel != tx.channel {
+        self.events_dispatched += receivers.len() as u64;
+        // An aborted transmission (its sender died mid-frame) reaches
+        // no one and completes nothing.
+        if let Some(tx) = self.active.get(tx_id) {
+            let (start, end, power, channel) = (tx.start, tx.end, tx.power, tx.channel);
+            let floor = self.active.scan_floor(start, self.max_airtime);
+            self.overlap.clear();
+            for (_, other) in self.active.iter_from(floor) {
+                if other.start < end && other.end > start {
+                    self.overlap.senders.push(other.sender);
+                    if other.sender != sender && other.channel == channel {
+                        self.overlap.interferers.push((other.sender, other.power));
+                    }
+                }
+            }
+            for &node in &receivers {
+                self.receive(node, sender, frame, power, channel);
+            }
+            // Raw transmissions (immediate acks) are not owned by the
+            // CSMA machine; feeding their completion into it would be
+            // mistaken for the data frame's tx-done.
+            if !self.medium.is_dead(sender) && frame.kind != FrameKind::Ack {
+                let actions = {
+                    let n = &mut self.nodes[sender as usize];
+                    let (mac, rng) = (&mut n.mac, &mut n.rng);
+                    mac.on_tx_done(rng)
+                };
+                self.exec_mac_actions(sender, actions);
+            }
+        }
+        self.arena.spare_receivers.push(receivers);
+    }
+
+    /// `node`'s reception of the frame `sender` sent at `power` on
+    /// `channel`, landing now; `self.overlap` holds the rows overlapping
+    /// it.
+    // lv-lint: hot
+    fn receive(
+        &mut self,
+        node: u16,
+        sender: u16,
+        frame: Frame,
+        power: lv_radio::PowerLevel,
+        channel: Channel,
+    ) {
+        let idx = node as usize;
+        if self.medium.is_dead(node) || self.nodes[idx].channel != channel {
             return;
         }
-        let (tx_start, tx_end, tx_sender, tx_channel) = (tx.start, tx.end, tx.sender, tx.channel);
-        let overlaps = |other: &ActiveTx| other.start < tx_end && other.end > tx_start;
         // Half-duplex: a node radiating during any part of the frame
         // cannot receive it.
-        let floor = self.active.scan_floor(tx_start, self.max_airtime);
-        if self
-            .active
-            .iter_from(floor)
-            .any(|(_, other)| other.sender == node && overlaps(other))
-        {
+        if self.overlap.senders.contains(&node) {
             self.counters.incr_id(CounterId::RxHalfduplexMiss);
             return;
         }
@@ -1103,22 +1117,18 @@ impl Network {
         // change that decision: the interference sum, the costliest scan
         // in the loop, runs only for a frame that syncs.
         let rng = &mut self.nodes[idx].rng;
-        let Some(rx_power) = self.medium.sync_power(tx_sender, node, tx.power, rng) else {
+        let Some(rx_power) = self.medium.sync_power(sender, node, power, rng) else {
             return; // below sensitivity (or link blocked)
         };
         // Co-channel interference, accumulated in ascending id order,
         // the float order the pinned digests fix. None of the node's own
-        // transmissions overlaps the frame, so `overlaps` skips them.
+        // transmissions overlaps the frame, so none is among them.
         let mut interference_mw = 0.0;
-        for (_, other) in self.active.iter_from(floor) {
-            if other.sender == tx_sender || other.channel != tx_channel || !overlaps(other) {
-                continue;
-            }
-            if let Some(mw) = self.medium.mean_rx_mw(other.sender, node, other.power) {
+        for &(other, other_power) in &self.overlap.interferers {
+            if let Some(mw) = self.medium.mean_rx_mw(other, node, other_power) {
                 interference_mw += mw;
             }
         }
-        let frame = tx.frame.clone();
         let wire_len = frame.wire_len();
         // Channel-aware: picks up any bursty-interference noise offset
         // on the frame's channel.
@@ -1126,7 +1136,7 @@ impl Network {
             rx_power,
             wire_len,
             interference_mw,
-            tx_channel,
+            channel,
             &mut self.nodes[idx].rng,
         );
         // The radio actively demodulated this frame (even if it then
@@ -1134,9 +1144,11 @@ impl Network {
         let airtime = self.timing.frame_airtime(wire_len);
         self.nodes[idx].energy.charge_rx(airtime);
         if !a.delivered {
-            self.observe(node, CounterId::RxCorrupt, TraceLevel::Debug, || {
-                format!("rx.corrupt from={tx_sender} len={wire_len}")
-            });
+            let kind = TraceKind::RxCorrupt {
+                from: sender,
+                len: wire_len,
+            };
+            self.observe(node, kind);
             return;
         }
         self.counters.incr_id(CounterId::RxFrames);
@@ -1164,7 +1176,7 @@ impl Network {
         self.nodes[idx].stack.neighbors.touch(frame.src, now);
         match frame.kind {
             FrameKind::Beacon => {
-                if let Some(b) = BeaconPayload::decode(&frame.payload) {
+                if let Some(b) = Beacon::parse(&frame.payload) {
                     self.nodes[idx].stack.on_beacon(frame.src, &b, now);
                     self.record_link_obs(LinkObs {
                         at: now,
@@ -1174,9 +1186,11 @@ impl Network {
                         rssi: rx.rssi,
                         beacon: true,
                     });
-                    self.observe(node, CounterId::RxBeacon, TraceLevel::Debug, || {
-                        format!("rx.beacon from={} seq={}", frame.src, b.seq)
-                    });
+                    let kind = TraceKind::RxBeacon {
+                        from: frame.src,
+                        seq: b.seq,
+                    };
+                    self.observe(node, kind);
                 }
             }
             FrameKind::Data => {
@@ -1210,51 +1224,40 @@ impl Network {
                             rssi: rx.rssi,
                             lqi: rx.lqi,
                         };
-                        self.observe(node, CounterId::NetDeliver, TraceLevel::Packet, || {
-                            format!(
-                                "net.deliver pid={pid} origin={} app_port={}",
-                                packet.header.origin, packet.header.app_port.0
-                            )
-                        });
+                        let kind = TraceKind::NetDeliver {
+                            pid,
+                            origin: packet.header.origin,
+                            app_port: packet.header.app_port.0,
+                        };
+                        self.observe(node, kind);
                         self.run_hook(node, pid, |p, ctx| p.on_packet(ctx, &packet, meta));
                     }
                     RxAction::Forward { next_hop, packet } => {
                         let payload = packet.encode();
                         let nn = &mut self.nodes[idx];
                         let (mac, rng) = (&mut nn.mac, &mut nn.rng);
-                        let (ok, actions) = mac.send(FrameKind::Data, next_hop, payload, rng);
-                        let id = if ok {
-                            CounterId::NetForward
-                        } else {
-                            CounterId::NetQueueDrop
+                        let (queued, actions) = mac.send(FrameKind::Data, next_hop, payload, rng);
+                        let kind = TraceKind::NetForward {
+                            next_hop,
+                            origin: packet.header.origin,
+                            dst: packet.header.dst,
+                            queued,
                         };
-                        self.observe(node, id, TraceLevel::Packet, || {
-                            format!(
-                                "net.forward next_hop={next_hop} origin={} dst={}{}",
-                                packet.header.origin,
-                                packet.header.dst,
-                                if ok { "" } else { " (queue full)" },
-                            )
-                        });
+                        self.observe(node, kind);
                         self.exec_mac_actions(node, actions);
                     }
-                    RxAction::Drop { reason } => {
-                        self.observe(node, reason.counter_id(), TraceLevel::Debug, || {
-                            format!("net.drop reason={reason:?}")
-                        });
-                    }
+                    RxAction::Drop { reason } => self.observe(node, TraceKind::NetDrop { reason }),
                 }
             }
             FrameKind::Ack => {
                 // The MAC consumes acks in its rx path; one surfacing
                 // here means the layering slipped. Count it and drop
                 // the frame rather than aborting the whole simulation.
-                self.observe(node, CounterId::MacAnomaly, TraceLevel::Packet, || {
-                    format!(
-                        "mac.anomaly stray ack reached network layer from {} seq={}",
-                        frame.src, frame.seq
-                    )
-                });
+                let kind = TraceKind::StrayAck {
+                    from: frame.src,
+                    seq: frame.seq,
+                };
+                self.observe(node, kind);
             }
         }
     }
@@ -1263,7 +1266,7 @@ impl Network {
     // MAC action execution
     // ------------------------------------------------------------------
 
-    fn exec_mac_actions(&mut self, node: u16, actions: Vec<MacAction>) {
+    fn exec_mac_actions(&mut self, node: u16, actions: MacActions) {
         for action in actions {
             match action {
                 MacAction::ScheduleCca { after, token } => {
@@ -1299,12 +1302,12 @@ impl Network {
                     }
                 }
                 MacAction::Failed { frame, reason } => {
-                    self.observe(node, reason.counter_id(), TraceLevel::Debug, || {
-                        format!(
-                            "mac.failed dst={} seq={} reason={reason:?}",
-                            frame.dst, frame.seq
-                        )
-                    });
+                    let kind = TraceKind::MacFailed {
+                        dst: frame.dst,
+                        seq: frame.seq,
+                        reason,
+                    };
+                    self.observe(node, kind);
                     if !frame.is_broadcast() {
                         self.nodes[node as usize]
                             .stack
@@ -1316,9 +1319,7 @@ impl Network {
                     // A spurious ack or stale timer the CSMA machine
                     // cannot match to its state: counted, traced, frame
                     // dropped, node alive — never a panic of the loop.
-                    self.observe(node, CounterId::MacAnomaly, TraceLevel::Debug, || {
-                        format!("mac.anomaly: {context}")
-                    });
+                    self.observe(node, TraceKind::MacAnomaly { context });
                 }
             }
         }
@@ -1353,39 +1354,29 @@ impl Network {
         let (tx_power, tx_channel) = (self.nodes[idx].power, self.nodes[idx].channel);
         self.tx_busy_until[idx] = end;
         self.nodes[idx].energy.charge_tx(airtime, tx_power);
-        let kind = match frame.kind {
-            FrameKind::Data => CounterId::TxData,
-            FrameKind::Ack => CounterId::TxAck,
-            FrameKind::Beacon => CounterId::TxBeacon,
+        let kind = TraceKind::Tx {
+            kind: frame.kind,
+            dst: frame.dst,
+            seq: frame.seq,
+            len: wire_len,
         };
-        self.observe(node, kind, TraceLevel::Packet, || {
-            format!(
-                "{} dst={} seq={} len={wire_len}",
-                kind.name(),
-                frame.dst,
-                frame.seq
-            )
-        });
+        self.observe(node, kind);
         self.counters.add_id(CounterId::TxBytes, wire_len as u64);
         let tx_id = self.next_tx;
         self.next_tx += 1;
-        // Schedule receptions first so that, at the same instant, every
-        // RxEnd for this frame pops before its TxEnd. `reachable` yields
-        // exactly the nodes `hears` accepts, ascending by id — O(degree)
-        // through the medium's candidate cache instead of O(N).
-        for j in self.medium.reachable(node, tx_power) {
-            if j == node {
-                continue;
-            }
-            self.queue.push(end, Event::RxEnd { node: j, tx_id });
-        }
-        self.queue.push(end, Event::TxEnd { node, tx_id });
+        // `reachable` yields exactly the nodes `hears` accepts, ascending
+        // by id — O(degree) through the medium's candidate cache instead
+        // of O(N). Each receives the frame, in that order, when it lands.
+        let mut receivers = self.arena.spare_receivers.pop().unwrap_or_default();
+        receivers.clear();
+        receivers.extend(self.medium.reachable(node, tx_power).filter(|&j| j != node));
+        let air = self.arena.air.insert(AirFrame { frame, receivers });
+        self.queue.push(end, Event::AirEnd { node, air, tx_id });
         self.active.push(
             tx_id,
             ActiveTx {
                 start,
                 end,
-                frame: Arc::new(frame),
                 sender: node,
                 channel: tx_channel,
                 power: tx_power,
@@ -1479,7 +1470,7 @@ impl Network {
                     padding,
                 } => {
                     enum Out {
-                        Actions(Vec<MacAction>),
+                        Actions(MacActions),
                         Local(ProcessId, NetPacket),
                         Refused { next_hop: u16 },
                         Drop(DropReason),
@@ -1521,15 +1512,9 @@ impl Network {
                                 .push(at, Event::LocalDeliver { node, pid, packet });
                         }
                         Out::Refused { next_hop } => {
-                            self.observe(node, CounterId::NetQueueDrop, TraceLevel::Packet, || {
-                                format!("net.originate next_hop={next_hop} dst={dst} (queue full)")
-                            });
+                            self.observe(node, TraceKind::OriginateRefused { next_hop, dst });
                         }
-                        Out::Drop(reason) => {
-                            self.observe(node, reason.counter_id(), TraceLevel::Debug, || {
-                                format!("net.drop reason={reason:?}")
-                            });
-                        }
+                        Out::Drop(reason) => self.observe(node, TraceKind::NetDrop { reason }),
                     }
                 }
                 Effect::Timer { token, after } => {
@@ -1595,6 +1580,7 @@ mod tests {
     use lv_net::packet::Port;
     use lv_radio::propagation::PropagationConfig;
     use lv_radio::units::Position;
+    use lv_sim::TraceLevel;
     use std::cell::RefCell;
     use std::rc::Rc;
 
@@ -2133,21 +2119,21 @@ mod tests {
         assert_eq!(net.counters.get("dyn.invalid"), 2);
         assert_eq!(net.counters.get("dyn.node_down"), 1);
         assert_eq!(net.counters.get("dyn.reconfig"), 0);
-        let warnings: Vec<&lv_sim::TraceEvent> = net
+        let warnings: Vec<lv_sim::TraceEvent> = net
             .trace
             .events()
-            .iter()
+            .into_iter()
             .filter(|e| e.message.starts_with("dyn.invalid"))
             .collect();
         assert_eq!(warnings.len(), 2);
         assert!(warnings
             .iter()
-            .all(|e| e.level == TraceLevel::Warn && e.node == Trace::NO_NODE));
+            .all(|e| e.level == TraceLevel::Warn && e.node == TraceEvent::NO_NODE));
     }
 
     /// Each dynamics action ticks its own `dyn.*` counter once and
     /// leaves exactly one `Info` line with its text, attributed to the
-    /// first node it names (`Trace::NO_NODE` when it names none).
+    /// first node it names (`TraceEvent::NO_NODE` when it names none).
     #[test]
     fn every_dynamics_action_is_counted_and_traced() {
         let mut net = Network::with_config(
@@ -2183,13 +2169,13 @@ mod tests {
                     delta_db: 6.0,
                 },
                 "dyn.channel_noise",
-                Trace::NO_NODE,
+                TraceEvent::NO_NODE,
                 "dyn.noise ch=17 +6.0dB",
             ),
             (
                 DynamicsAction::ClearChannelNoise { channel: ch17 },
                 "dyn.channel_noise",
-                Trace::NO_NODE,
+                TraceEvent::NO_NODE,
                 "dyn.noise ch=17 cleared",
             ),
             (
@@ -2412,6 +2398,7 @@ mod collision_tests {
     use lv_radio::medium::LinkOverride;
     use lv_radio::propagation::PropagationConfig;
     use lv_radio::units::Position;
+    use lv_sim::TraceLevel;
 
     /// Hidden-terminal setup: 0 and 2 both hear 1 but not each other.
     fn hidden_terminal_medium(seed: u64) -> Medium {
@@ -2788,7 +2775,6 @@ mod collision_tests {
                         table.push(next_id, ActiveTx {
                             start,
                             end,
-                            frame: Arc::new(Frame::beacon(sender, 0, [0u8; 0])),
                             sender,
                             channel: Channel::DEFAULT,
                             power: lv_radio::PowerLevel::MAX,

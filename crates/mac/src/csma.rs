@@ -71,7 +71,7 @@ impl TxFailReason {
 }
 
 /// What the caller must do next.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MacAction {
     /// Perform a CCA after `after`; report via `on_cca(token, clear, …)`.
     ScheduleCca {
@@ -124,6 +124,82 @@ pub enum MacAction {
         context: &'static str,
     },
 }
+
+/// The actions one MAC call returns, held inline so that no call
+/// allocates. There are never more than two: a CSMA step yields at most
+/// one action, and the façade appends at most one more, the first step
+/// of the next queued frame (see [`crate::Mac`]). Derefs to
+/// `[MacAction]`; iterating it by value yields the actions in order.
+#[derive(Clone, Copy)]
+pub struct MacActions {
+    len: u8,
+    items: [MacAction; 2],
+}
+
+impl MacActions {
+    /// No action.
+    pub const NONE: MacActions = MacActions {
+        len: 0,
+        // Placeholders past `len` are never read.
+        items: [MacAction::SendAck { dst: 0, seq: 0 }; 2],
+    };
+
+    /// Exactly `action`.
+    pub fn one(action: MacAction) -> Self {
+        let mut list = Self::NONE;
+        list.push(action);
+        list
+    }
+
+    /// Append `action`. Panics past two actions, which no MAC call
+    /// returns (see the type's docs).
+    pub fn push(&mut self, action: MacAction) {
+        self.items[usize::from(self.len)] = action;
+        self.len += 1;
+    }
+
+    /// The actions, in order.
+    pub fn as_slice(&self) -> &[MacAction] {
+        &self.items[..usize::from(self.len)]
+    }
+}
+
+impl std::ops::Deref for MacActions {
+    type Target = [MacAction];
+    fn deref(&self) -> &[MacAction] {
+        self.as_slice()
+    }
+}
+
+impl IntoIterator for MacActions {
+    type Item = MacAction;
+    type IntoIter = std::iter::Take<std::array::IntoIter<MacAction, 2>>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.items.into_iter().take(usize::from(self.len))
+    }
+}
+
+impl Extend<MacAction> for MacActions {
+    fn extend<I: IntoIterator<Item = MacAction>>(&mut self, actions: I) {
+        for action in actions {
+            self.push(action);
+        }
+    }
+}
+
+impl std::fmt::Debug for MacActions {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.as_slice().fmt(f)
+    }
+}
+
+impl PartialEq for MacActions {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for MacActions {}
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum State {
@@ -178,11 +254,11 @@ impl CsmaMachine {
     /// impossible. Per the paper's robustness requirement a stray event
     /// must never abort the simulation: reset to a safe idle state,
     /// drop anything pending, and report the anomaly for tracing.
-    fn recover(&mut self, context: &'static str) -> Vec<MacAction> {
+    fn recover(&mut self, context: &'static str) -> MacActions {
         self.current = None;
         self.state = State::Idle;
         self.bump();
-        vec![MacAction::Anomaly { context }]
+        MacActions::one(MacAction::Anomaly { context })
     }
 
     fn backoff_delay(&mut self, rng: &mut SimRng) -> SimDuration {
@@ -197,11 +273,11 @@ impl CsmaMachine {
     /// by queueing. Returns the initial backoff scheduling action, or an
     /// [`MacAction::Anomaly`] (dropping the new frame, keeping the one
     /// in flight) if called while busy.
-    pub fn start(&mut self, frame: Frame, rng: &mut SimRng) -> Vec<MacAction> {
+    pub fn start(&mut self, frame: Frame, rng: &mut SimRng) -> MacActions {
         if !self.is_idle() {
-            return vec![MacAction::Anomaly {
+            return MacActions::one(MacAction::Anomaly {
                 context: "start while busy",
-            }];
+            });
         }
         self.current = Some(frame);
         self.be = self.cfg.min_be;
@@ -209,24 +285,24 @@ impl CsmaMachine {
         self.retries = 0;
         self.state = State::Backoff;
         let token = self.bump();
-        vec![MacAction::ScheduleCca {
+        MacActions::one(MacAction::ScheduleCca {
             after: self.backoff_delay(rng),
             token,
-        }]
+        })
     }
 
     /// Result of a clear-channel assessment.
-    pub fn on_cca(&mut self, token: u64, clear: bool, rng: &mut SimRng) -> Vec<MacAction> {
+    pub fn on_cca(&mut self, token: u64, clear: bool, rng: &mut SimRng) -> MacActions {
         if token != self.generation || self.state != State::Backoff {
-            return Vec::new(); // stale event
+            return MacActions::NONE; // stale event
         }
         if clear {
-            let Some(frame) = self.current.clone() else {
+            let Some(frame) = self.current else {
                 return self.recover("cca result with no frame");
             };
             self.state = State::AwaitTxEnd;
             self.bump();
-            return vec![MacAction::StartTx { frame }];
+            return MacActions::one(MacAction::StartTx { frame });
         }
         // Busy: exponential backoff.
         self.nb += 1;
@@ -237,22 +313,22 @@ impl CsmaMachine {
             };
             self.state = State::Idle;
             self.bump();
-            return vec![MacAction::Failed {
+            return MacActions::one(MacAction::Failed {
                 frame,
                 reason: TxFailReason::ChannelAccessFailure,
-            }];
+            });
         }
         let token = self.bump();
-        vec![MacAction::ScheduleCca {
+        MacActions::one(MacAction::ScheduleCca {
             after: self.backoff_delay(rng),
             token,
-        }]
+        })
     }
 
     /// The radio finished radiating the current frame.
-    pub fn on_tx_done(&mut self) -> Vec<MacAction> {
+    pub fn on_tx_done(&mut self) -> MacActions {
         if self.state != State::AwaitTxEnd {
-            return Vec::new();
+            return MacActions::NONE;
         }
         let Some(frame) = self.current.take() else {
             return self.recover("tx done with no frame");
@@ -262,42 +338,40 @@ impl CsmaMachine {
             let retries = self.retries;
             self.state = State::Idle;
             self.bump();
-            return vec![MacAction::Delivered { frame, retries }];
+            return MacActions::one(MacAction::Delivered { frame, retries });
         }
         self.current = Some(frame);
         self.state = State::AwaitAck;
         let token = self.bump();
-        vec![MacAction::ScheduleAckWait {
+        MacActions::one(MacAction::ScheduleAckWait {
             after: self.cfg.ack_wait,
             token,
-        }]
+        })
     }
 
     /// An acknowledgement arrived from `src` for sequence `seq`.
-    pub fn on_ack(&mut self, src: u16, seq: u8) -> Vec<MacAction> {
+    pub fn on_ack(&mut self, src: u16, seq: u8) -> MacActions {
         if self.state != State::AwaitAck {
-            return Vec::new();
+            return MacActions::NONE;
         }
-        match self.current.take() {
+        match self.current {
             Some(frame) if frame.dst == src && frame.seq == seq => {
                 let retries = self.retries;
+                self.current = None;
                 self.state = State::Idle;
                 self.bump();
-                vec![MacAction::Delivered { frame, retries }]
+                MacActions::one(MacAction::Delivered { frame, retries })
             }
-            Some(frame) => {
-                // Ack for someone else's frame: keep waiting for ours.
-                self.current = Some(frame);
-                Vec::new()
-            }
+            // Ack for someone else's frame: keep waiting for ours.
+            Some(_) => MacActions::NONE,
             None => self.recover("awaiting ack with no frame"),
         }
     }
 
     /// The ack timer fired.
-    pub fn on_ack_timeout(&mut self, token: u64, rng: &mut SimRng) -> Vec<MacAction> {
+    pub fn on_ack_timeout(&mut self, token: u64, rng: &mut SimRng) -> MacActions {
         if token != self.generation || self.state != State::AwaitAck {
-            return Vec::new(); // stale
+            return MacActions::NONE; // stale
         }
         self.retries += 1;
         if self.retries > self.cfg.max_frame_retries {
@@ -306,20 +380,20 @@ impl CsmaMachine {
             };
             self.state = State::Idle;
             self.bump();
-            return vec![MacAction::Failed {
+            return MacActions::one(MacAction::Failed {
                 frame,
                 reason: TxFailReason::NoAck,
-            }];
+            });
         }
         // Retransmit: full CSMA attempt again.
         self.be = self.cfg.min_be;
         self.nb = 0;
         self.state = State::Backoff;
         let token = self.bump();
-        vec![MacAction::ScheduleCca {
+        MacActions::one(MacAction::ScheduleCca {
             after: self.backoff_delay(rng),
             token,
-        }]
+        })
     }
 }
 
@@ -412,7 +486,8 @@ mod tests {
         let mut actions = m.start(unicast(), &mut r);
         let mut transmissions = 0;
         loop {
-            match actions.clone().as_slice() {
+            let current = actions;
+            match current.as_slice() {
                 [MacAction::ScheduleCca { token, .. }] => {
                     actions = m.on_cca(*token, true, &mut r);
                 }

@@ -66,8 +66,9 @@ impl FrameKind {
     }
 }
 
-/// A MAC frame.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A MAC frame. Its payload is inline, so a frame is a flat value:
+/// copying one is a `memcpy` and never touches the allocator.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Frame {
     /// Frame kind.
     pub kind: FrameKind,

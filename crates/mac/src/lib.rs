@@ -5,10 +5,10 @@
 //! The MAC below LiteView's communication stack. It is deliberately
 //! structured as a *pure state machine*: the simulator's event loop feeds
 //! it events (frame submitted, CCA result, transmission finished, ack
-//! received / timed out) and it returns a list of [`MacAction`]s to
-//! schedule. No clocks, no queues of events — that keeps every MAC
-//! behaviour unit-testable without a simulator and keeps the event loop
-//! the single owner of time.
+//! received / timed out) and it returns the [`MacAction`]s to schedule,
+//! at most two, in an inline [`MacActions`] list. No clocks, no queues
+//! of events — that keeps every MAC behaviour unit-testable without a
+//! simulator and keeps the event loop the single owner of time.
 //!
 //! Modules:
 //!
@@ -29,7 +29,7 @@ pub mod mac;
 pub mod queue;
 
 pub use crc::{crc16_ccitt, verify_crc};
-pub use csma::{CsmaConfig, CsmaMachine, MacAction, TxFailReason};
+pub use csma::{CsmaConfig, CsmaMachine, MacAction, MacActions, TxFailReason};
 pub use frame::{Frame, FrameKind, BROADCAST};
 pub use mac::{Mac, Reception};
 pub use queue::TxQueue;

@@ -6,22 +6,22 @@
 //! (delivered or failed), the next queued frame starts automatically and
 //! its scheduling actions are appended to the returned list.
 
-use crate::csma::{CsmaConfig, CsmaMachine, MacAction};
+use crate::csma::{CsmaConfig, CsmaMachine, MacAction, MacActions};
 use crate::frame::{Frame, FrameKind, BROADCAST};
 use crate::queue::TxQueue;
 use lv_sim::{CounterId, Counters, SimRng};
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// A frame handed up to the network layer, with the PHY metadata the
 /// LiteView commands report.
 ///
-/// The frame is shared (not cloned) across the fan-out of one broadcast:
-/// every receiver of the same transmission sees the same `Arc<Frame>`.
-#[derive(Debug, Clone)]
+/// The frame travels by value: it is a flat inline copy (no heap), and
+/// the kernel runs one frame's receivers one after another from the
+/// single copy it parks for the frame's airtime.
+#[derive(Debug, Clone, Copy)]
 pub struct Reception {
     /// The decoded frame.
-    pub frame: Arc<Frame>,
+    pub frame: Frame,
     /// RSSI register value of this reception.
     pub rssi: i8,
     /// LQI of this reception.
@@ -101,7 +101,7 @@ impl Mac {
         dst: u16,
         payload: impl Into<crate::frame::FramePayload>,
         rng: &mut SimRng,
-    ) -> (bool, Vec<MacAction>) {
+    ) -> (bool, MacActions) {
         let seq = self.next_seq;
         self.next_seq = self.next_seq.wrapping_add(1);
         let frame = Frame {
@@ -113,7 +113,7 @@ impl Mac {
         };
         if !self.queue.push(frame) {
             self.counters.incr_id(CounterId::MacQueueDrop);
-            return (false, Vec::new());
+            return (false, MacActions::NONE);
         }
         self.counters.incr_id(CounterId::MacSubmit);
         let actions = self.pump(rng);
@@ -122,18 +122,18 @@ impl Mac {
     }
 
     /// Start the next queued frame if the machine is idle.
-    fn pump(&mut self, rng: &mut SimRng) -> Vec<MacAction> {
+    fn pump(&mut self, rng: &mut SimRng) -> MacActions {
         if !self.csma.is_idle() {
-            return Vec::new();
+            return MacActions::NONE;
         }
         match self.queue.pop() {
             Some(frame) => self.csma.start(frame, rng),
-            None => Vec::new(),
+            None => MacActions::NONE,
         }
     }
 
     /// When CSMA reports a terminal outcome, chain the next frame.
-    fn chain(&mut self, mut actions: Vec<MacAction>, rng: &mut SimRng) -> Vec<MacAction> {
+    fn chain(&mut self, mut actions: MacActions, rng: &mut SimRng) -> MacActions {
         let terminal = actions.iter().any(|a| {
             matches!(
                 a,
@@ -148,7 +148,7 @@ impl Mac {
     }
 
     /// CCA callback (see [`MacAction::ScheduleCca`]).
-    pub fn on_cca(&mut self, token: u64, clear: bool, rng: &mut SimRng) -> Vec<MacAction> {
+    pub fn on_cca(&mut self, token: u64, clear: bool, rng: &mut SimRng) -> MacActions {
         let a = self.csma.on_cca(token, clear, rng);
         if !a.is_empty() {
             // A fresh (non-stale) assessment; stale ones return nothing.
@@ -162,13 +162,13 @@ impl Mac {
     }
 
     /// The radio finished radiating the current frame.
-    pub fn on_tx_done(&mut self, rng: &mut SimRng) -> Vec<MacAction> {
+    pub fn on_tx_done(&mut self, rng: &mut SimRng) -> MacActions {
         let a = self.csma.on_tx_done();
         self.chain(a, rng)
     }
 
     /// Ack-wait timer callback (see [`MacAction::ScheduleAckWait`]).
-    pub fn on_ack_timeout(&mut self, token: u64, rng: &mut SimRng) -> Vec<MacAction> {
+    pub fn on_ack_timeout(&mut self, token: u64, rng: &mut SimRng) -> MacActions {
         let a = self.csma.on_ack_timeout(token, rng);
         if !a.is_empty() {
             self.counters.incr_id(CounterId::MacAckTimeout);
@@ -184,7 +184,7 @@ impl Mac {
         &mut self,
         rx: Reception,
         rng: &mut SimRng,
-    ) -> (Vec<MacAction>, Option<Reception>) {
+    ) -> (MacActions, Option<Reception>) {
         let frame = &rx.frame;
         match frame.kind {
             FrameKind::Ack => {
@@ -192,15 +192,15 @@ impl Mac {
                     let a = self.csma.on_ack(frame.src, frame.seq);
                     (self.chain(a, rng), None)
                 } else {
-                    (Vec::new(), None)
+                    (MacActions::NONE, None)
                 }
             }
             FrameKind::Data | FrameKind::Beacon => {
                 if frame.dst != self.id && frame.dst != BROADCAST {
                     // Not for us; radios in promiscuous-off mode drop it.
-                    return (Vec::new(), None);
+                    return (MacActions::NONE, None);
                 }
-                let mut actions = Vec::new();
+                let mut actions = MacActions::NONE;
                 let mut duplicate = false;
                 if frame.dst == self.id {
                     // Unicast: always ack (even duplicates — the sender's
@@ -233,7 +233,7 @@ mod tests {
 
     fn rx(frame: Frame) -> Reception {
         Reception {
-            frame: Arc::new(frame),
+            frame,
             rssi: -5,
             lqi: 106,
             snr_db: 30.0,
@@ -250,7 +250,7 @@ mod tests {
         };
         let actions = m.on_cca(token, true, r);
         match actions.as_slice() {
-            [MacAction::StartTx { frame }] => frame.clone(),
+            [MacAction::StartTx { frame }] => *frame,
             other => panic!("{other:?}"),
         }
     }
@@ -304,7 +304,7 @@ mod tests {
         let mut r = rng();
         let f = Frame::data(1, 2, 7, vec![42]);
         let (actions, delivered) = m.on_frame_received(rx(f), &mut r);
-        assert_eq!(actions, vec![MacAction::SendAck { dst: 1, seq: 7 }]);
+        assert_eq!(actions.as_slice(), [MacAction::SendAck { dst: 1, seq: 7 }]);
         assert_eq!(delivered.unwrap().frame.payload, vec![42]);
     }
 
@@ -313,11 +313,11 @@ mod tests {
         let mut m = mac(2);
         let mut r = rng();
         let f = Frame::data(1, 2, 7, vec![42]);
-        let (_, first) = m.on_frame_received(rx(f.clone()), &mut r);
+        let (_, first) = m.on_frame_received(rx(f), &mut r);
         assert!(first.is_some());
         let (actions, second) = m.on_frame_received(rx(f), &mut r);
         assert!(second.is_none(), "duplicate delivered");
-        assert_eq!(actions, vec![MacAction::SendAck { dst: 1, seq: 7 }]);
+        assert_eq!(actions.as_slice(), [MacAction::SendAck { dst: 1, seq: 7 }]);
     }
 
     #[test]

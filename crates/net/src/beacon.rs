@@ -24,6 +24,7 @@
 //! 13+m    3n    link entries: neighbor id (2) + inbound quality (1)
 //! ```
 
+use lv_mac::frame::FramePayload;
 use lv_radio::units::Position;
 
 /// Maximum advertised name length (LiteOS file names are short).
@@ -31,9 +32,14 @@ pub const MAX_NAME_LEN: usize = 15;
 /// Maximum link entries per beacon.
 pub const MAX_LINK_ENTRIES: usize = 8;
 
-/// A decoded beacon.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BeaconPayload {
+/// Bytes before the name: sequence, position, gradient and two counts.
+const HEADER_LEN: usize = 13;
+
+/// A beacon read in place from its wire bytes. [`Beacon::parse`] checks
+/// the layout once; the name and the link entries stay borrowed from
+/// the frame payload, so reading a beacon copies nothing to the heap.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Beacon<'a> {
     /// Per-node beacon sequence (feeds the link estimator).
     pub seq: u16,
     /// Advertised position.
@@ -41,70 +47,77 @@ pub struct BeaconPayload {
     /// Collection-tree gradient (hops to root; 255 = unreachable).
     pub tree_hops: u8,
     /// Advertised node name.
-    pub name: String,
-    /// `(neighbor id, inbound quality byte)` pairs.
-    pub links: Vec<(u16, u8)>,
+    pub name: &'a str,
+    /// The link entries' wire bytes, three per entry.
+    links: &'a [u8],
 }
 
-impl BeaconPayload {
-    /// Serialize. Name and link list are truncated to their caps, the
-    /// name at a char boundary.
-    pub fn encode(&self) -> Vec<u8> {
-        let name = crate::truncate_utf8(&self.name, MAX_NAME_LEN).as_bytes();
-        let links = &self.links[..self.links.len().min(MAX_LINK_ENTRIES)];
-        let mut buf = Vec::with_capacity(13 + name.len() + 3 * links.len());
-        buf.extend_from_slice(&self.seq.to_be_bytes());
-        buf.extend_from_slice(&(self.position.x as f32).to_be_bytes());
-        buf.extend_from_slice(&(self.position.y as f32).to_be_bytes());
-        buf.push(self.tree_hops);
-        buf.push(name.len() as u8);
-        buf.push(links.len() as u8);
-        buf.extend_from_slice(name);
-        for &(id, q) in links {
-            buf.extend_from_slice(&id.to_be_bytes());
-            buf.push(q);
+impl<'a> Beacon<'a> {
+    /// Encode a beacon straight into a frame payload. The name is cut
+    /// to [`MAX_NAME_LEN`] bytes at a char boundary, and only the first
+    /// [`MAX_LINK_ENTRIES`] `(neighbor id, inbound quality byte)` pairs
+    /// are kept.
+    pub fn encode(
+        seq: u16,
+        position: Position,
+        tree_hops: u8,
+        name: &str,
+        links: impl IntoIterator<Item = (u16, u8)>,
+    ) -> FramePayload {
+        let name = crate::truncate_utf8(name, MAX_NAME_LEN).as_bytes();
+        let mut out = FramePayload::new();
+        out.extend_from_slice(&seq.to_be_bytes());
+        out.extend_from_slice(&(position.x as f32).to_be_bytes());
+        out.extend_from_slice(&(position.y as f32).to_be_bytes());
+        out.push(tree_hops);
+        out.push(name.len() as u8);
+        out.push(0); // link count, set below
+        out.extend_from_slice(name);
+        let mut count = 0u8;
+        for (id, q) in links.into_iter().take(MAX_LINK_ENTRIES) {
+            out.extend_from_slice(&id.to_be_bytes());
+            out.push(q);
+            count += 1;
         }
-        buf
+        out[HEADER_LEN - 1] = count;
+        out
     }
 
-    /// Parse; `None` on malformed input.
-    pub fn decode(buf: &[u8]) -> Option<BeaconPayload> {
-        if buf.len() < 13 {
+    /// Read a beacon from its wire bytes; `None` on malformed input.
+    pub fn parse(buf: &'a [u8]) -> Option<Beacon<'a>> {
+        if buf.len() < HEADER_LEN {
             return None;
         }
-        let seq = u16::from_be_bytes([buf[0], buf[1]]);
-        let x = f32::from_be_bytes([buf[2], buf[3], buf[4], buf[5]]) as f64;
-        let y = f32::from_be_bytes([buf[6], buf[7], buf[8], buf[9]]) as f64;
-        let tree_hops = buf[10];
         let name_len = buf[11] as usize;
         let n_links = buf[12] as usize;
         if name_len > MAX_NAME_LEN || n_links > MAX_LINK_ENTRIES {
             return None;
         }
-        if buf.len() != 13 + name_len + 3 * n_links {
+        if buf.len() != HEADER_LEN + name_len + 3 * n_links {
             return None;
         }
-        let name = String::from_utf8(buf[13..13 + name_len].to_vec()).ok()?;
-        let mut links = Vec::with_capacity(n_links);
-        let mut off = 13 + name_len;
-        for _ in 0..n_links {
-            let id = u16::from_be_bytes([buf[off], buf[off + 1]]);
-            let q = buf[off + 2];
-            links.push((id, q));
-            off += 3;
-        }
-        Some(BeaconPayload {
-            seq,
+        let (name, links) = buf[HEADER_LEN..].split_at(name_len);
+        let x = f32::from_be_bytes([buf[2], buf[3], buf[4], buf[5]]) as f64;
+        let y = f32::from_be_bytes([buf[6], buf[7], buf[8], buf[9]]) as f64;
+        Some(Beacon {
+            seq: u16::from_be_bytes([buf[0], buf[1]]),
             position: Position::new(x, y),
-            tree_hops,
-            name,
+            tree_hops: buf[10],
+            name: std::str::from_utf8(name).ok()?,
             links,
         })
     }
 
+    /// The `(neighbor id, inbound quality byte)` pairs, in wire order.
+    pub fn links(&self) -> impl Iterator<Item = (u16, u8)> + 'a {
+        self.links
+            .chunks_exact(3)
+            .map(|e| (u16::from_be_bytes([e[0], e[1]]), e[2]))
+    }
+
     /// The quality byte this beacon advertises for node `id`, if listed.
     pub fn quality_of(&self, id: u16) -> Option<u8> {
-        self.links.iter().find(|&&(n, _)| n == id).map(|&(_, q)| q)
+        self.links().find(|&(n, _)| n == id).map(|(_, q)| q)
     }
 }
 
@@ -112,30 +125,31 @@ impl BeaconPayload {
 mod tests {
     use super::*;
 
-    fn beacon() -> BeaconPayload {
-        BeaconPayload {
-            seq: 300,
-            position: Position::new(12.5, -3.25),
-            tree_hops: 4,
-            name: "192.168.0.7".into(),
-            links: vec![(1, 255), (2, 128), (9, 0)],
-        }
+    const NAME: &str = "192.168.0.7";
+    const LINKS: [(u16, u8); 3] = [(1, 255), (2, 128), (9, 0)];
+
+    fn beacon() -> FramePayload {
+        Beacon::encode(300, Position::new(12.5, -3.25), 4, NAME, LINKS)
     }
 
     #[test]
     fn round_trip() {
-        let b = beacon();
-        let d = BeaconPayload::decode(&b.encode()).expect("decodes");
-        assert_eq!(d, b);
+        let bytes = beacon();
+        let d = Beacon::parse(&bytes).expect("parses");
+        assert_eq!(d.seq, 300);
+        assert_eq!(d.position, Position::new(12.5, -3.25));
+        assert_eq!(d.tree_hops, 4);
+        assert_eq!(d.name, NAME);
+        assert!(d.links().eq(LINKS));
     }
 
     /// One beacon's wire bytes, pinned: the layout every neighbor
     /// decodes.
     #[test]
     fn encoded_bytes_are_pinned() {
-        let bytes = beacon().encode();
+        let bytes = beacon();
         assert_eq!(
-            bytes,
+            bytes.as_slice(),
             [
                 0x01, 0x2c, // seq 300
                 0x41, 0x48, 0x00, 0x00, // x 12.5
@@ -150,64 +164,65 @@ mod tests {
     #[test]
     fn fits_in_payload_area() {
         // A maximal beacon must fit the 64-byte network payload area.
-        let b = BeaconPayload {
-            seq: u16::MAX,
-            position: Position::new(1e4, 1e4),
-            tree_hops: 255,
-            name: "x".repeat(MAX_NAME_LEN),
-            links: vec![(0xFFFF, 255); MAX_LINK_ENTRIES],
-        };
-        assert!(b.encode().len() <= crate::packet::PAYLOAD_AREA);
+        let b = Beacon::encode(
+            u16::MAX,
+            Position::new(1e4, 1e4),
+            255,
+            &"x".repeat(MAX_NAME_LEN),
+            [(0xFFFF, 255); MAX_LINK_ENTRIES],
+        );
+        assert!(b.len() <= crate::packet::PAYLOAD_AREA);
     }
 
     #[test]
     fn truncates_oversized_fields() {
-        let b = BeaconPayload {
-            seq: 1,
-            position: Position::new(0.0, 0.0),
-            tree_hops: 0,
-            name: "a-very-long-name-beyond-fifteen-bytes".into(),
-            links: vec![(1, 1); 20],
-        };
-        let d = BeaconPayload::decode(&b.encode()).unwrap();
+        let b = Beacon::encode(
+            1,
+            Position::new(0.0, 0.0),
+            0,
+            "a-very-long-name-beyond-fifteen-bytes",
+            [(1, 1); 20],
+        );
+        let d = Beacon::parse(&b).unwrap();
         assert_eq!(d.name.len(), MAX_NAME_LEN);
-        assert_eq!(d.links.len(), MAX_LINK_ENTRIES);
+        assert_eq!(d.links().count(), MAX_LINK_ENTRIES);
     }
 
     #[test]
     fn name_is_cut_at_a_char_boundary() {
         // `é` takes bytes 14 and 15: a cut at byte 15 would split it.
-        let b = BeaconPayload {
-            name: "192.168.0.10-né".into(),
-            ..beacon()
-        };
-        let d = BeaconPayload::decode(&b.encode()).expect("decodes");
+        let b = Beacon::encode(300, Position::new(12.5, -3.25), 4, "192.168.0.10-né", LINKS);
+        let d = Beacon::parse(&b).expect("parses");
         assert_eq!(d.name, "192.168.0.10-n");
     }
 
     #[test]
     fn quality_lookup() {
-        let b = beacon();
+        let bytes = beacon();
+        let b = Beacon::parse(&bytes).unwrap();
         assert_eq!(b.quality_of(2), Some(128));
         assert_eq!(b.quality_of(42), None);
     }
 
     #[test]
     fn malformed_rejected() {
-        assert!(BeaconPayload::decode(&[]).is_none());
-        assert!(BeaconPayload::decode(&[0; 5]).is_none());
-        let mut bytes = beacon().encode();
+        assert!(Beacon::parse(&[]).is_none());
+        assert!(Beacon::parse(&[0; 5]).is_none());
+        let mut bytes = beacon().to_vec();
         bytes.push(0); // length mismatch
-        assert!(BeaconPayload::decode(&bytes).is_none());
-        let mut bytes2 = beacon().encode();
+        assert!(Beacon::parse(&bytes).is_none());
+        let mut bytes2 = beacon();
         bytes2[12] = 200; // absurd link count
-        assert!(BeaconPayload::decode(&bytes2).is_none());
+        assert!(Beacon::parse(&bytes2).is_none());
+        let mut bytes3 = beacon();
+        bytes3[13] = 0xFF; // not UTF-8
+        assert!(Beacon::parse(&bytes3).is_none());
     }
 
     #[test]
     fn position_survives_f32_round_trip() {
-        let b = beacon();
-        let d = BeaconPayload::decode(&b.encode()).unwrap();
+        let bytes = beacon();
+        let d = Beacon::parse(&bytes).unwrap();
         assert!((d.position.x - 12.5).abs() < 1e-6);
         assert!((d.position.y + 3.25).abs() < 1e-6);
     }

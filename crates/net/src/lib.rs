@@ -42,7 +42,7 @@ pub mod ports;
 pub mod routing;
 pub mod stack;
 
-pub use beacon::BeaconPayload;
+pub use beacon::Beacon;
 pub use estimator::LinkEstimator;
 pub use neighbors::{NeighborEntry, NeighborTable};
 pub use packet::{NetHeader, NetPacket, PacketFlags, Port};

@@ -168,7 +168,9 @@ impl NeighborTable {
 
     /// Apply a received beacon from `id`: sequence number for the
     /// inbound estimator, name/position/gradient advertisement, and —
-    /// when the beacon lists us — our outbound quality.
+    /// when the beacon lists us — our outbound quality. The stored name
+    /// is rewritten only when it changed, in place, so a neighbor's
+    /// steady beacons never touch the allocator.
     #[allow(clippy::too_many_arguments)]
     pub fn on_beacon(
         &mut self,
@@ -182,8 +184,9 @@ impl NeighborTable {
     ) {
         if let Some(e) = self.get_or_insert(id, now) {
             e.estimator.on_beacon(seq);
-            if !name.is_empty() {
-                e.name = name.to_owned();
+            if !name.is_empty() && e.name != name {
+                e.name.clear();
+                e.name.push_str(name);
             }
             e.position = Some(position);
             e.tree_hops = tree_hops;
@@ -257,16 +260,6 @@ impl NeighborTable {
     pub fn usable(&self, min_quality: f64) -> impl Iterator<Item = &NeighborEntry> {
         self.entries.iter().filter(move |e| e.usable(min_quality))
     }
-
-    /// This node's inbound-quality advertisement list for its own
-    /// beacons: `(neighbor id, inbound quality byte)`.
-    pub fn advertisement(&self, max_entries: usize) -> Vec<(u16, u8)> {
-        self.entries
-            .iter()
-            .take(max_entries)
-            .map(|e| (e.id, e.estimator.quality_u8()))
-            .collect()
-    }
 }
 
 impl Default for NeighborTable {
@@ -299,6 +292,27 @@ mod tests {
         assert!(e.inbound() > 0.9);
         assert!((e.outbound.unwrap() - 200.0 / 255.0).abs() < 1e-9);
         assert_eq!(e.last_heard, t(2));
+    }
+
+    #[test]
+    fn name_is_rewritten_only_when_it_changes() {
+        let mut nt = NeighborTable::default();
+        nt.on_beacon(5, 0, "192.168.0.5", pos(), 2, None, t(1));
+        let stored = nt.get(5).unwrap().name.as_ptr();
+        nt.on_beacon(5, 1, "192.168.0.5", pos(), 2, None, t(2));
+        assert_eq!(
+            nt.get(5).unwrap().name.as_ptr(),
+            stored,
+            "same name, same buffer"
+        );
+        nt.on_beacon(5, 2, "sensor-5", pos(), 2, None, t(3));
+        assert_eq!(nt.get(5).unwrap().name, "sensor-5");
+        nt.on_beacon(5, 3, "", pos(), 2, None, t(4));
+        assert_eq!(
+            nt.get(5).unwrap().name,
+            "sensor-5",
+            "an empty name keeps the old one"
+        );
     }
 
     #[test]
@@ -387,18 +401,6 @@ mod tests {
         nt.set_blacklisted(3, true);
         let ids: Vec<u16> = nt.usable(0.5).map(|e| e.id).collect();
         assert_eq!(ids, vec![1]);
-    }
-
-    #[test]
-    fn advertisement_lists_inbound_bytes() {
-        let mut nt = NeighborTable::default();
-        for seq in 0..16 {
-            nt.on_beacon(4, seq, "x", pos(), 0, None, t(seq as u64));
-        }
-        let adv = nt.advertisement(8);
-        assert_eq!(adv.len(), 1);
-        assert_eq!(adv[0].0, 4);
-        assert!(adv[0].1 > 230);
     }
 
     #[test]

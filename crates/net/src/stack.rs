@@ -6,12 +6,13 @@
 //! telling the node's event loop whether to deliver a packet to a
 //! process, hand a frame to the MAC for forwarding, or drop.
 
-use crate::beacon::{BeaconPayload, MAX_LINK_ENTRIES};
+use crate::beacon::Beacon;
 use crate::neighbors::NeighborTable;
 use crate::packet::{NetHeader, NetPacket, PacketFlags, Port};
 use crate::padding::HopQuality;
 use crate::ports::{PortMap, ProcessId, SubscribeError, KERNEL_PID};
 use crate::routing::{DropReason, RouteCtx, RouteDecision, Router};
+use lv_mac::frame::FramePayload;
 use lv_radio::units::Position;
 use lv_sim::{CounterId, Counters, SimDuration, SimTime};
 
@@ -373,21 +374,22 @@ impl Stack {
         RxAction::Drop { reason }
     }
 
-    /// Build this node's next neighbor beacon.
-    pub fn make_beacon(&mut self, position: Position) -> BeaconPayload {
+    /// Encode this node's next neighbor beacon as a frame payload: its
+    /// name, position and gradient, and the inbound quality byte of
+    /// each neighbor it lists.
+    pub fn make_beacon(&mut self, position: Position) -> FramePayload {
         let seq = self.beacon_seq;
         self.beacon_seq = self.beacon_seq.wrapping_add(1);
-        BeaconPayload {
-            seq,
-            position,
-            tree_hops: self.tree_gradient(),
-            name: self.name.clone(),
-            links: self.neighbors.advertisement(MAX_LINK_ENTRIES),
-        }
+        let links = self
+            .neighbors
+            .entries()
+            .iter()
+            .map(|e| (e.id, e.estimator.quality_u8()));
+        Beacon::encode(seq, position, self.tree_gradient(), &self.name, links)
     }
 
     /// Apply a received neighbor beacon.
-    pub fn on_beacon(&mut self, from: u16, beacon: &BeaconPayload, now: SimTime) {
+    pub fn on_beacon(&mut self, from: u16, beacon: &Beacon<'_>, now: SimTime) {
         self.counters.incr_id(CounterId::NetBeaconRx);
         if self.neighbors.get(from).is_none() {
             self.counters.incr_id(CounterId::NetNeighborNew);
@@ -396,7 +398,7 @@ impl Stack {
         self.neighbors.on_beacon(
             from,
             beacon.seq,
-            &beacon.name,
+            beacon.name,
             beacon.position,
             beacon.tree_hops,
             ours,
@@ -594,12 +596,34 @@ mod tests {
         )))
         .unwrap();
         add_line_neighbors(&mut s, &[1]);
-        let b = s.make_beacon(locs(2).unwrap());
+        let bytes = s.make_beacon(locs(2).unwrap());
+        let b = Beacon::parse(&bytes).unwrap();
         assert_eq!(b.name, "192.168.0.3");
         assert_eq!(b.tree_hops, 2); // neighbor 1 advertises gradient 1
-        assert_eq!(b.links.len(), 1);
-        let b2 = s.make_beacon(locs(2).unwrap());
-        assert_eq!(b2.seq, b.seq + 1);
+        assert_eq!(b.links().count(), 1);
+        let bytes2 = s.make_beacon(locs(2).unwrap());
+        assert_eq!(Beacon::parse(&bytes2).unwrap().seq, b.seq + 1);
+    }
+
+    #[test]
+    fn beacon_advertises_inbound_bytes() {
+        let mut s = stack(2);
+        for seq in 0..16 {
+            s.neighbors.on_beacon(
+                4,
+                seq,
+                "x",
+                locs(4).unwrap(),
+                0,
+                None,
+                SimTime::from_millis(seq as u64),
+            );
+        }
+        let bytes = s.make_beacon(locs(2).unwrap());
+        let links: Vec<(u16, u8)> = Beacon::parse(&bytes).unwrap().links().collect();
+        assert_eq!(links.len(), 1);
+        assert_eq!(links[0].0, 4);
+        assert!(links[0].1 > 230);
     }
 
     #[test]
@@ -608,12 +632,12 @@ mod tests {
         let mut b = stack(2);
         // b hears a few beacons from a…
         for _ in 0..4 {
-            let beacon = a.make_beacon(locs(1).unwrap());
-            b.on_beacon(1, &beacon, SimTime::from_millis(1));
+            let bytes = a.make_beacon(locs(1).unwrap());
+            b.on_beacon(1, &Beacon::parse(&bytes).unwrap(), SimTime::from_millis(1));
         }
         // …then a hears b's beacon, which advertises a's inbound quality.
         let from_b = b.make_beacon(locs(2).unwrap());
-        a.on_beacon(2, &from_b, SimTime::from_millis(2));
+        a.on_beacon(2, &Beacon::parse(&from_b).unwrap(), SimTime::from_millis(2));
         let entry = a.neighbors.get(2).unwrap();
         assert!(entry.outbound.is_some());
         assert!(entry.outbound.unwrap() > 0.9);
@@ -693,8 +717,8 @@ mod tests {
         let mut a = stack(1);
         let mut b = stack(2);
         for _ in 0..3 {
-            let beacon = a.make_beacon(locs(1).unwrap());
-            b.on_beacon(1, &beacon, SimTime::from_millis(1));
+            let bytes = a.make_beacon(locs(1).unwrap());
+            b.on_beacon(1, &Beacon::parse(&bytes).unwrap(), SimTime::from_millis(1));
         }
         assert_eq!(b.counters().get("net.beacon_rx"), 3);
         assert_eq!(b.counters().get("net.neighbor_new"), 1);

@@ -1,7 +1,7 @@
 //! Property tests for the network layer: packets, padding, beacons,
 //! ports, and the link estimator.
 
-use lv_net::beacon::{BeaconPayload, MAX_LINK_ENTRIES, MAX_NAME_LEN};
+use lv_net::beacon::{Beacon, MAX_LINK_ENTRIES, MAX_NAME_LEN};
 use lv_net::estimator::LinkEstimator;
 use lv_net::packet::{NetHeader, NetPacket, PacketFlags, Port, PAYLOAD_AREA};
 use lv_net::padding::HopQuality;
@@ -92,27 +92,20 @@ proptest! {
         name in "[a-z0-9.]{0,15}",
         links in proptest::collection::vec((any::<u16>(), any::<u8>()), 0..=MAX_LINK_ENTRIES),
     ) {
-        let b = BeaconPayload {
-            seq,
-            position: Position::new(x, y),
-            tree_hops: tree,
-            name: name.clone(),
-            links,
-        };
-        let bytes = b.encode();
+        let bytes = Beacon::encode(seq, Position::new(x, y), tree, &name, links.iter().copied());
         prop_assert!(bytes.len() <= PAYLOAD_AREA);
-        let d = BeaconPayload::decode(&bytes).expect("round trip");
-        prop_assert_eq!(d.seq, b.seq);
-        prop_assert_eq!(d.tree_hops, b.tree_hops);
-        prop_assert_eq!(&d.name[..], &name[..name.len().min(MAX_NAME_LEN)]);
-        prop_assert_eq!(d.links, b.links);
+        let d = Beacon::parse(&bytes).expect("round trip");
+        prop_assert_eq!(d.seq, seq);
+        prop_assert_eq!(d.tree_hops, tree);
+        prop_assert_eq!(d.name, &name[..name.len().min(MAX_NAME_LEN)]);
+        prop_assert_eq!(d.links().collect::<Vec<_>>(), links);
         prop_assert!((d.position.x - x).abs() < 1e-3);
     }
 
     /// The beacon decoder never panics on arbitrary input.
     #[test]
     fn beacon_decode_total(bytes in proptest::collection::vec(any::<u8>(), 0..100)) {
-        let _ = BeaconPayload::decode(&bytes);
+        let _ = Beacon::parse(&bytes).map(|b| b.links().count());
     }
 
     /// Port-map invariant: after any subscribe/unsubscribe sequence, a

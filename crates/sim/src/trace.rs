@@ -4,6 +4,11 @@
 //! equivalent is a ring buffer of trace records that examples and tests
 //! can inspect after a run. Tracing is level-gated so that hot paths pay
 //! one branch when disabled.
+//!
+//! The ring keeps each record as a typed value, `K`, with its time,
+//! node and level. Keeping a record formats nothing and allocates
+//! nothing; `K`'s `Display` renders the record's text as a
+//! [`TraceEvent`] only when the trace is read.
 
 use crate::ring::Ring;
 use crate::time::SimTime;
@@ -24,18 +29,23 @@ pub enum TraceLevel {
     Debug,
 }
 
-/// One trace record.
+/// One trace record, rendered.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TraceEvent {
     /// Virtual time the event occurred.
     pub at: SimTime,
-    /// Node the event is attributed to (`u16::MAX` = the workstation /
-    /// no specific node).
+    /// Node the event is attributed to ([`TraceEvent::NO_NODE`] = the
+    /// workstation / no specific node).
     pub node: u16,
     /// Severity.
     pub level: TraceLevel,
     /// Human-readable description.
     pub message: String,
+}
+
+impl TraceEvent {
+    /// Node id used for events not attributable to a sensor node.
+    pub const NO_NODE: u16 = u16::MAX;
 }
 
 impl fmt::Display for TraceEvent {
@@ -44,21 +54,28 @@ impl fmt::Display for TraceEvent {
     }
 }
 
-/// A bounded trace sink: a [`Ring`] of records behind a level gate.
-pub struct Trace {
-    level: Option<TraceLevel>,
-    events: Ring<TraceEvent>,
+/// One kept record: when, where, how loud, and what, as the typed `K`.
+#[derive(Debug, Clone)]
+struct Record<K> {
+    at: SimTime,
+    node: u16,
+    level: TraceLevel,
+    kind: K,
 }
 
-impl Trace {
-    /// Node id used for events not attributable to a sensor node.
-    pub const NO_NODE: u16 = u16::MAX;
+/// A bounded trace sink: a [`Ring`] of typed records behind a level
+/// gate, rendered to [`TraceEvent`]s on read.
+pub struct Trace<K> {
+    level: Option<TraceLevel>,
+    records: Ring<Record<K>>,
+}
 
+impl<K> Trace<K> {
     /// A disabled trace (records nothing, costs one branch per call).
     pub fn disabled() -> Self {
         Trace {
             level: None,
-            events: Ring::new(0),
+            records: Ring::new(0),
         }
     }
 
@@ -67,7 +84,7 @@ impl Trace {
     pub fn enabled(level: TraceLevel, capacity: usize) -> Self {
         Trace {
             level: Some(level),
-            events: Ring::new(capacity),
+            records: Ring::new(capacity),
         }
     }
 
@@ -76,43 +93,60 @@ impl Trace {
         self.level.is_some_and(|max| level <= max)
     }
 
-    /// Record an event (no-op if the level is filtered out).
+    /// Keep `kind` as a record at `level` (no-op if the level is
+    /// filtered out). Nothing is formatted here.
     // lv-lint: hot
-    pub fn emit(&mut self, at: SimTime, node: u16, level: TraceLevel, message: impl Into<String>) {
-        if !self.accepts(level) {
-            return;
+    #[inline]
+    pub fn emit(&mut self, at: SimTime, node: u16, level: TraceLevel, kind: K) {
+        if self.accepts(level) {
+            self.records.push(Record {
+                at,
+                node,
+                level,
+                kind,
+            });
         }
-        self.events.push(TraceEvent {
-            at,
-            node,
-            level,
-            message: message.into(),
-        });
-    }
-
-    /// All retained events, oldest first.
-    pub fn events(&self) -> &[TraceEvent] {
-        self.events.as_slice()
     }
 
     /// Records evicted due to the capacity bound.
     pub fn dropped(&self) -> u64 {
-        self.events.dropped()
+        self.records.dropped()
     }
 
-    /// Retained events at or after `at`, oldest first — the causal
-    /// timeline of whatever started at `at` (a command dispatch, say).
-    pub fn events_since(&self, at: SimTime) -> impl Iterator<Item = &TraceEvent> {
-        self.events().iter().filter(move |e| e.at >= at)
-    }
-
-    /// Discard all retained events (the level gate is unchanged).
+    /// Discard all retained records (the level gate is unchanged).
     pub fn clear(&mut self) {
-        self.events.clear();
+        self.records.clear();
     }
 }
 
-impl Default for Trace {
+impl<K: fmt::Display> Trace<K> {
+    /// All retained records, oldest first, rendered.
+    pub fn events(&self) -> Vec<TraceEvent> {
+        self.records.as_slice().iter().map(render).collect()
+    }
+
+    /// Retained records at or after `at`, oldest first, rendered — the
+    /// causal timeline of whatever started at `at` (a command dispatch,
+    /// say).
+    pub fn events_since(&self, at: SimTime) -> impl Iterator<Item = TraceEvent> + '_ {
+        self.records
+            .as_slice()
+            .iter()
+            .filter(move |r| r.at >= at)
+            .map(render)
+    }
+}
+
+fn render<K: fmt::Display>(r: &Record<K>) -> TraceEvent {
+    TraceEvent {
+        at: r.at,
+        node: r.node,
+        level: r.level,
+        message: r.kind.to_string(),
+    }
+}
+
+impl<K> Default for Trace<K> {
     fn default() -> Self {
         Self::disabled()
     }
@@ -121,6 +155,11 @@ impl Default for Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The rendered messages of every retained record.
+    fn messages<K: fmt::Display>(t: &Trace<K>) -> Vec<String> {
+        t.events().into_iter().map(|e| e.message).collect()
+    }
 
     #[test]
     fn disabled_records_nothing() {
@@ -136,8 +175,18 @@ mod tests {
         t.emit(SimTime::ZERO, 1, TraceLevel::Info, "info");
         t.emit(SimTime::ZERO, 1, TraceLevel::Packet, "pkt");
         t.emit(SimTime::ZERO, 1, TraceLevel::Debug, "dbg");
-        let msgs: Vec<&str> = t.events().iter().map(|e| e.message.as_str()).collect();
-        assert_eq!(msgs, vec!["info", "pkt"]);
+        assert_eq!(messages(&t), vec!["info", "pkt"]);
+    }
+
+    #[test]
+    fn records_render_on_read() {
+        let mut t = Trace::enabled(TraceLevel::Debug, 4);
+        t.emit(SimTime::from_millis(2), 7, TraceLevel::Packet, 41u32);
+        let e = &t.events()[0];
+        assert_eq!(
+            (e.at, e.node, e.level, e.message.as_str()),
+            (SimTime::from_millis(2), 7, TraceLevel::Packet, "41")
+        );
     }
 
     #[test]
@@ -146,8 +195,7 @@ mod tests {
         for i in 0..5 {
             t.emit(SimTime::from_nanos(i), 0, TraceLevel::Info, format!("e{i}"));
         }
-        let msgs: Vec<&str> = t.events().iter().map(|e| e.message.as_str()).collect();
-        assert_eq!(msgs, vec!["e2", "e3", "e4"]);
+        assert_eq!(messages(&t), vec!["e2", "e3", "e4"]);
         assert_eq!(t.dropped(), 2);
     }
 
@@ -159,8 +207,7 @@ mod tests {
         for i in 0..100u64 {
             t.emit(SimTime::from_nanos(i), 0, TraceLevel::Info, format!("e{i}"));
         }
-        let msgs: Vec<&str> = t.events().iter().map(|e| e.message.as_str()).collect();
-        assert_eq!(msgs, vec!["e96", "e97", "e98", "e99"]);
+        assert_eq!(messages(&t), vec!["e96", "e97", "e98", "e99"]);
         assert_eq!(t.dropped(), 96);
         assert_eq!(t.events_since(SimTime::from_nanos(98)).count(), 2);
     }

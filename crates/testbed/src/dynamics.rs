@@ -265,7 +265,7 @@ impl DynamicsPlan {
     /// scenario.
     pub fn schedule(&self, net: &mut Network) {
         for ev in &self.events {
-            net.schedule_dynamics(ev.at, ev.action.clone());
+            net.schedule_dynamics(ev.at, ev.action);
         }
     }
 }

@@ -70,7 +70,7 @@ fn action_strategy() -> impl Strategy<Value = (u64, DynamicsAction)> {
 /// so same-instant events keep a deterministic FIFO order).
 fn plan_from(muts: &[(u64, DynamicsAction)]) -> DynamicsPlan {
     muts.iter().fold(DynamicsPlan::new(), |plan, (ms, action)| {
-        plan.at(SimTime::from_millis(*ms), action.clone())
+        plan.at(SimTime::from_millis(*ms), *action)
     })
 }
 
