@@ -124,6 +124,11 @@ impl Node {
         self.resources.register(image)?;
         let pid = self.next_pid;
         self.next_pid += 1;
+        // A process is named once, when it is spawned: a spawn is a
+        // process's own rare syscall (the hot path reaches it only
+        // through `Effect::Spawn`), and the slot keeps the name for the
+        // process's lifetime.
+        // lv-lint: allow(hot-path-alloc)
         let name = process.name().to_owned();
         self.processes.insert(
             pid,

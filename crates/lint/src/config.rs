@@ -105,8 +105,8 @@ pub const RULES: &[RuleScope] = &[
     },
     RuleScope {
         name: "hot-path-alloc",
-        summary: "no Box::new/to_string at any static-call depth below a `// lv-lint: hot` \
-                  fn, no Vec::new in its own body",
+        summary: "no Box::new/Arc::new/Rc::new/vec!/format!/to_string/to_owned/to_vec at any \
+                  static-call depth below a `// lv-lint: hot` fn, no Vec::new in its own body",
         crates: Scope::All,
         // `Vec::new()` is capacity-zero and never touches the heap (growth
         // allocates at the push site, which needs flow analysis to

@@ -45,7 +45,8 @@ pub enum SinkKind {
     /// `buf.len()`/`buf.is_empty()`/`buf.get(` and no bare `buf`
     /// argument anywhere in the body.
     Index,
-    /// A heap allocation: `Box::new`, `.to_string()`.
+    /// A heap allocation: `Box::new`, `Arc::new`, `Rc::new`, `vec!`,
+    /// `format!`, `.to_string()`, `.to_owned()`, `.to_vec()`.
     Alloc,
     /// `Vec::new` — capacity zero, so it only counts in a hot fn's own
     /// body.
@@ -825,6 +826,7 @@ impl Parser<'_, '_> {
         let method = self.prev(i) == "." && self.text(i + 1) == "(";
         let path_new =
             self.text(i + 1) == ":" && self.text(i + 2) == ":" && self.text(i + 3) == "new";
+        let macro_call = self.text(i + 1) == "!" && matches!(self.text(i + 2), "(" | "[" | "{");
         let sink = match t {
             "Instant" | "SystemTime" => (SinkKind::WallClock, t.to_owned()),
             "thread_rng" | "OsRng" | "RandomState" | "from_entropy" | "getrandom" => {
@@ -834,8 +836,9 @@ impl Parser<'_, '_> {
                 (SinkKind::Panic, format!("{t}!"))
             }
             "unwrap" | "expect" if method => (SinkKind::Panic, format!(".{t}()")),
-            "Box" if path_new => (SinkKind::Alloc, "Box::new".to_owned()),
-            "to_string" if method => (SinkKind::Alloc, ".to_string()".to_owned()),
+            "Box" | "Arc" | "Rc" if path_new => (SinkKind::Alloc, format!("{t}::new")),
+            "vec" | "format" if macro_call => (SinkKind::Alloc, format!("{t}!")),
+            "to_string" | "to_owned" | "to_vec" if method => (SinkKind::Alloc, format!(".{t}()")),
             "Vec" if path_new => (SinkKind::VecNew, "Vec::new".to_owned()),
             "lock" | "try_lock" if method => (SinkKind::Lock, format!(".{t}()")),
             _ if hashed.contains(&t)
@@ -1183,6 +1186,36 @@ mod tests {
             ]
         );
         assert!(f.sinks.is_empty());
+    }
+
+    #[test]
+    fn allocating_macros_constructors_and_methods_are_sinks() {
+        let src = "fn f(s: &str, b: &[u8]) {\n\
+                   let v = vec![1u8; 4];\n\
+                   let m = format!(\"{s}\");\n\
+                   let a = Arc::new(1); let r = Rc::new(2);\n\
+                   let o = s.to_owned(); let w = b.to_vec();\n\
+                   }\n";
+        let f = parse("crates/kernel/src/x.rs", src);
+        use SinkKind::Alloc;
+        assert_eq!(
+            kinds(&f.fns[0].sinks),
+            vec![
+                (Alloc, "vec!"),
+                (Alloc, "format!"),
+                (Alloc, "Arc::new"),
+                (Alloc, "Rc::new"),
+                (Alloc, ".to_owned()"),
+                (Alloc, ".to_vec()"),
+            ]
+        );
+        // A name that only looks like one is not: a `vec` binding
+        // compared with `!=`, `format_args!`, `to_vec_in`, a path to a
+        // module named `vec`.
+        let near = "fn g(vec: u8, format: u8) -> bool { let _ = format_args!(\"x\"); \
+                    x.to_vec_in(y); std::vec::from_elem(0, 1); vec != format }\n";
+        let g = parse("crates/kernel/src/x.rs", near);
+        assert!(g.fns[0].sinks.is_empty(), "{:?}", g.fns[0].sinks);
     }
 
     #[test]

@@ -90,6 +90,21 @@ fn hot_path_alloc_fixture() {
 }
 
 #[test]
+fn hot_path_alloc_sinks_fixture() {
+    let lines = finding_lines(
+        "hot_path_alloc_sinks.rs",
+        "hot-path-alloc",
+        "crates/kernel/src/fixture.rs",
+    );
+    assert_eq!(
+        lines,
+        vec![7, 8, 9, 10, 11, 12, 18],
+        "vec!, format!, Arc::new, Rc::new, to_owned and to_vec in the tagged fn, to_vec one \
+         call below it; allow + cold + tests exempt"
+    );
+}
+
+#[test]
 fn pub_doc_fixture() {
     let lines = finding_lines("pub_doc.rs", "pub-doc", "crates/sim/src/fixture.rs");
     assert_eq!(
@@ -136,6 +151,12 @@ fn fixture_scope_matrix() {
             "hot-path-alloc",
             CRATE_KEYS,
             &[6, 7, 8],
+        ),
+        (
+            "hot_path_alloc_sinks.rs",
+            "hot-path-alloc",
+            CRATE_KEYS,
+            &[7, 8, 9, 10, 11, 12, 18],
         ),
     ];
     for (file, rule, fires_in, lines) in cases {
@@ -278,6 +299,7 @@ fn fixtures_are_single_rule_specimens() {
         ("hash_iter.rs", "determinism"),
         ("no_panic.rs", "no-panic"),
         ("hot_path_alloc.rs", "hot-path-alloc"),
+        ("hot_path_alloc_sinks.rs", "hot-path-alloc"),
         ("pub_doc.rs", "pub-doc"),
         ("interproc_taint.rs", "determinism"),
         ("interproc_panic.rs", "no-panic"),
