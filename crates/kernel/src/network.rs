@@ -1043,14 +1043,13 @@ impl Network {
         self.exec_mac_actions(node, actions);
     }
 
-    /// Land one frame. Its `RxEnd` and `TxEnd` used to be separate
-    /// events with one time and consecutive sequence numbers, so nothing
-    /// could pop between them: running them here as one batch, in the
-    /// same order, changes no outcome. An event pushed for this instant
-    /// during the batch pops after it, as before; a frame that starts
-    /// during the batch starts at this frame's end and cannot overlap
-    /// it; and only a dynamics event, which cannot run inside the batch,
-    /// can abort a transmission.
+    /// Land one frame: each receiver's reception in list order, then
+    /// the sender's tx-done, as one batch. The overlapping rows are
+    /// collected once, which is exact because nothing inside the batch
+    /// changes them: an event pushed for this instant pops after the
+    /// batch, a frame that starts during it starts at this frame's end
+    /// and cannot overlap it, and only a dynamics event can abort a
+    /// transmission.
     // lv-lint: hot
     fn on_air_end(&mut self, sender: u16, air: u32, tx_id: u64) {
         let Some(AirFrame { frame, receivers }) = self.arena.air.take(air) else {
@@ -2635,8 +2634,8 @@ mod collision_tests {
     /// the run covers the reception path's three exits: the half-duplex
     /// return, the frame that does not sync, and the frame that syncs
     /// and is then lost to noise plus interference. The literal was
-    /// computed when `on_rx_end` still summed interference in the same
-    /// pass as the half-duplex check.
+    /// computed when each receiver had its own event and still summed
+    /// interference in the same pass as the half-duplex check.
     #[test]
     fn weak_link_grid_matches_pinned_digest() {
         let positions = (0..100)

@@ -18,7 +18,7 @@ use std::fmt;
 
 /// What one recorded kernel event says: one variant per kind of event,
 /// holding the fields its line shows.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub enum TraceKind {
     /// A frame went on the air (`tx.data`, `tx.ack`, `tx.beacon`).
     Tx {

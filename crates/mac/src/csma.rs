@@ -193,14 +193,6 @@ impl std::fmt::Debug for MacActions {
     }
 }
 
-impl PartialEq for MacActions {
-    fn eq(&self, other: &Self) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-
-impl Eq for MacActions {}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum State {
     Idle,

@@ -38,7 +38,7 @@ const HEADER_LEN: usize = 13;
 /// A beacon read in place from its wire bytes. [`Beacon::parse`] checks
 /// the layout once; the name and the link entries stay borrowed from
 /// the frame payload, so reading a beacon copies nothing to the heap.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub struct Beacon<'a> {
     /// Per-node beacon sequence (feeds the link estimator).
     pub seq: u16,

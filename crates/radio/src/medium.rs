@@ -59,9 +59,10 @@ struct LinkCache {
     /// boost (see [`GAUSSIAN_HARD_BOUND`]). Overridden links are exempt
     /// and always evaluated explicitly.
     max_range: f64,
-    /// Candidate receivers per sender, ascending by node id (the event
-    /// loop's RxEnd schedule order). Dead state is *not* baked in — it
-    /// is checked per query, so `set_dead` needs no invalidation.
+    /// Candidate receivers per sender, ascending by node id (the order
+    /// in which the event loop runs a landing frame's receptions). Dead
+    /// state is *not* baked in — it is checked per query, so `set_dead`
+    /// needs no invalidation.
     candidates: Vec<Vec<CandidateLink>>,
     /// Memo of `mean_rx_power(·).to_mw()` values keyed by
     /// `(from, to, power)` — the interference aggregation's inner-loop
@@ -550,7 +551,7 @@ impl Medium {
     /// Whether `to` can plausibly synchronize to frames from `from` at
     /// `power` (mean received power above sensitivity). Used by topology
     /// generators and by the event loop to bound the set of receivers
-    /// that get an RxEnd event at all.
+    /// whose reception it runs when a frame lands at all.
     pub fn hears(&self, from: u16, to: u16, power: PowerLevel) -> bool {
         // Keep a 6 dB margin below sensitivity so deep-fade receivers
         // still see (and are interfered by) borderline frames.

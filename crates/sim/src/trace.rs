@@ -55,7 +55,6 @@ impl fmt::Display for TraceEvent {
 }
 
 /// One kept record: when, where, how loud, and what, as the typed `K`.
-#[derive(Debug, Clone)]
 struct Record<K> {
     at: SimTime,
     node: u16,
