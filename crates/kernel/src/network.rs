@@ -1072,7 +1072,7 @@ impl Network {
                 }
             }
             for &node in &receivers {
-                self.receive(node, sender, frame, power, channel);
+                self.receive(node, sender, &frame, power, channel);
             }
             // Raw transmissions (immediate acks) are not owned by the
             // CSMA machine; feeding their completion into it would be
@@ -1097,7 +1097,7 @@ impl Network {
         &mut self,
         node: u16,
         sender: u16,
-        frame: Frame,
+        frame: &Frame,
         power: lv_radio::PowerLevel,
         channel: Channel,
     ) {
@@ -1154,7 +1154,7 @@ impl Network {
         let (actions, delivered) = {
             let nn = &mut self.nodes[idx];
             let rx = Reception {
-                frame,
+                frame: *frame,
                 rssi: a.rssi,
                 lqi: a.lqi,
                 snr_db: a.snr_db,

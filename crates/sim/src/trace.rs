@@ -13,7 +13,7 @@
 use crate::ring::Ring;
 use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
-use std::fmt;
+use std::fmt::{self, Write};
 
 /// Severity / verbosity of a trace record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
@@ -95,7 +95,6 @@ impl<K> Trace<K> {
     /// Keep `kind` as a record at `level` (no-op if the level is
     /// filtered out). Nothing is formatted here.
     // lv-lint: hot
-    #[inline]
     pub fn emit(&mut self, at: SimTime, node: u16, level: TraceLevel, kind: K) {
         if self.accepts(level) {
             self.records.push(Record {
@@ -121,27 +120,29 @@ impl<K> Trace<K> {
 impl<K: fmt::Display> Trace<K> {
     /// All retained records, oldest first, rendered.
     pub fn events(&self) -> Vec<TraceEvent> {
-        self.records.as_slice().iter().map(render).collect()
+        self.events_since(SimTime::ZERO).collect()
     }
 
     /// Retained records at or after `at`, oldest first, rendered — the
     /// causal timeline of whatever started at `at` (a command dispatch,
-    /// say).
+    /// say). Each line is formatted into one reused buffer and copied
+    /// out at its exact length.
     pub fn events_since(&self, at: SimTime) -> impl Iterator<Item = TraceEvent> + '_ {
+        let mut line = String::new();
         self.records
             .as_slice()
             .iter()
             .filter(move |r| r.at >= at)
-            .map(render)
-    }
-}
-
-fn render<K: fmt::Display>(r: &Record<K>) -> TraceEvent {
-    TraceEvent {
-        at: r.at,
-        node: r.node,
-        level: r.level,
-        message: r.kind.to_string(),
+            .map(move |r| {
+                line.clear();
+                let _ = write!(line, "{}", r.kind);
+                TraceEvent {
+                    at: r.at,
+                    node: r.node,
+                    level: r.level,
+                    message: line.as_str().to_owned(),
+                }
+            })
     }
 }
 
