@@ -1,13 +1,13 @@
 //! The event loop's steady state leaves the allocator alone.
 //!
-//! A counting global allocator wraps the system one, and this binary
-//! holds one test so no other test allocates beside it. The world is a
-//! seeded 20×20 grid at 24 m with 500 ms beacons, the LiteView suite
-//! and a workstation, which arms the flight recorder at `Packet` level.
-//! Once the recorder's ring has compacted for the first time (its
-//! backing buffer then keeps its size), 20 simulated seconds of beacon
-//! traffic may allocate only the name of each new neighbor entry, plus
-//! a small constant for buffers that reach a new high-water mark.
+//! A counting global allocator wraps the system one and counts per
+//! thread, so only the test's own work counts. The world is a seeded
+//! 20×20 grid at 24 m with 500 ms beacons, the LiteView suite and a
+//! workstation, which arms the flight recorder at `Packet` level. Once
+//! the recorder's ring has compacted for the first time (its backing
+//! buffer then keeps its size), 20 simulated seconds of beacon traffic
+//! may allocate only the name of each new neighbor entry, plus a small
+//! constant for buffers that reach a new high-water mark.
 //!
 //! New entries are counted from the tables themselves: entries that
 //! expired (`net.neighbor_expired`) plus the growth of all tables. That
