@@ -74,12 +74,6 @@ pub const RULES: &[RuleScope] = &[
         sinks: &[],
     },
     RuleScope {
-        name: "pub-doc",
-        summary: "pub items need doc comments",
-        crates: Scope::All,
-        sinks: &[],
-    },
-    RuleScope {
         name: "determinism",
         summary: "no wall clock or OS entropy in sim-path crates, no hash-order iteration \
                   anywhere, and neither reachable from the event loop, Medium::assess* or a \
@@ -176,7 +170,7 @@ mod tests {
         for rule in ["determinism", "hash-type"] {
             assert!(!scope_of(rule).contains("serve"), "{rule} covers serve");
         }
-        for rule in ["no-panic", "pub-doc", "hot-path-alloc"] {
+        for rule in ["no-panic", "hot-path-alloc"] {
             assert!(scope_of(rule).contains("serve"), "{rule} skips serve");
         }
         for key in ["sim", "radio", "mac", "net", "kernel", "core"] {

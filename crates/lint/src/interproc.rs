@@ -220,8 +220,8 @@ impl Analysis {
                  inline buffer, or hoist the allocation out of the per-event path"
             ),
             SinkKind::Lock => format!(
-                "`{what}` acquires a lock in event-loop-reachable code; per-shard event queues \
-                 (ROADMAP item 1) cannot tolerate cross-shard blocking here"
+                "`{what}` acquires a lock in event-loop-reachable code; a trial sharded across \
+                 cores by per-shard event queues cannot tolerate cross-shard blocking here"
             ),
             SinkKind::CapsRef => {
                 let Some((decl_path, decl_line, why)) = self.hazard_statics.get(what) else {

@@ -2,16 +2,15 @@
 //!
 //! The analyzer deliberately avoids `syn` (the workspace builds with no
 //! crates.io access), and the rules it enforces are lexical properties:
-//! which identifiers appear where, what string literals are passed to
-//! which methods, whether a `pub` item is preceded by a doc comment.
-//! For those questions a faithful token stream is enough — no AST, no
+//! which identifiers appear where and what string literals are passed
+//! to which methods. For those questions a faithful token stream is enough — no AST, no
 //! macro expansion — as long as the lexer gets the hard cases right:
 //! nested block comments, raw strings, char literals vs. lifetimes, and
 //! doc comments vs. plain comments.
 //!
 //! Tokens carry their line/column so findings can report exact spans,
 //! and comments are kept *in* the stream: the allow-directive scanner
-//! and the pub-doc rule both need them.
+//! needs them.
 
 /// What kind of lexeme a [`Token`] is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,14 +59,6 @@ impl Token<'_> {
                 | TokenKind::BlockComment
                 | TokenKind::DocComment
                 | TokenKind::InnerDocComment
-        )
-    }
-
-    /// True for `///`, `/** */`, `//!` and `/*! */` comments.
-    pub fn is_doc_comment(&self) -> bool {
-        matches!(
-            self.kind,
-            TokenKind::DocComment | TokenKind::InnerDocComment
         )
     }
 }

@@ -273,8 +273,7 @@ type Check = fn(&FileContext<'_>, &mut Vec<Finding>);
 
 /// The per-file rules, in reporting order; [`crate::config::RULES`]
 /// scopes them.
-pub(crate) const CHECKS: &[(&str, Check)] =
-    &[("hash-type", check_hash_type), ("pub-doc", check_pub_doc)];
+pub(crate) const CHECKS: &[(&str, Check)] = &[("hash-type", check_hash_type)];
 
 /// Run every per-file rule whose scope covers the file's crate.
 pub fn check_file(ctx: &FileContext<'_>) -> Vec<Finding> {
@@ -302,124 +301,6 @@ fn check_hash_type(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
                 ),
             );
         }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Convention rules
-// ---------------------------------------------------------------------
-
-fn check_pub_doc(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
-    // Binaries are not API surface: their `pub` is incidental.
-    if ctx.path.contains("/bin/") || ctx.path.ends_with("main.rs") {
-        return;
-    }
-    const ITEM_KEYWORDS: &[&str] = &[
-        "fn", "struct", "enum", "trait", "type", "mod", "static", "const", "union",
-    ];
-    // Track whether we're inside executable code: braces opened after a
-    // `fn`/`macro_rules` header are bodies, and everything nested in a
-    // body is a body.
-    let mut stack: Vec<bool> = Vec::new(); // true = body
-    let mut pending_body = false;
-    let mut i = 0usize;
-    while i < ctx.sig.len() {
-        let Some(t) = ctx.sig_tok(i) else { break };
-        match t.text {
-            "fn" | "macro_rules" => pending_body = true,
-            ";" => pending_body = false,
-            "{" => {
-                let in_body = stack.last().copied().unwrap_or(false);
-                stack.push(in_body || pending_body);
-                pending_body = false;
-            }
-            "}" => {
-                stack.pop();
-            }
-            "pub" if !stack.last().copied().unwrap_or(false) => {
-                // Skip restricted visibility: `pub(crate)` etc. are not
-                // public API.
-                let mut k = i + 1;
-                if ctx.sig_text(k) == "(" {
-                    i += 1;
-                    continue;
-                }
-                // Skip qualifiers to reach the item keyword.
-                while matches!(ctx.sig_text(k), "unsafe" | "async" | "extern")
-                    || (ctx.sig_text(k) == "const" && ctx.sig_text(k + 1) == "fn")
-                    || ctx.sig_tok(k).is_some_and(|t| t.kind == TokenKind::Str)
-                {
-                    k += 1;
-                }
-                let kw = ctx.sig_text(k);
-                // `pub mod name;` is documented by the module file's
-                // own `//!` inner docs (the rustdoc gate checks those);
-                // only inline `pub mod name { … }` needs outer docs.
-                if kw == "mod" && ctx.sig_text(k + 2) == ";" {
-                    i += 1;
-                    continue;
-                }
-                if ITEM_KEYWORDS.contains(&kw) && !has_doc_before(ctx, i) {
-                    let name = ctx.sig_text(k + 1);
-                    ctx.push(
-                        out,
-                        "pub-doc",
-                        t,
-                        format!("public {kw} `{name}` has no doc comment"),
-                    );
-                }
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-}
-
-/// Is the `pub` at sig-position `i` preceded (skipping attributes) by a
-/// doc comment or a `#[doc…]` attribute?
-fn has_doc_before(ctx: &FileContext<'_>, i: usize) -> bool {
-    // Walk backwards over the *full* token stream from the pub token.
-    let Some(&pub_ti) = ctx.sig.get(i) else {
-        return false;
-    };
-    let mut ti = pub_ti;
-    loop {
-        if ti == 0 {
-            return false;
-        }
-        ti -= 1;
-        let t = &ctx.tokens[ti];
-        if t.kind == TokenKind::DocComment {
-            return true;
-        }
-        if t.is_comment() {
-            // Plain comments between docs and item are fine; keep going.
-            continue;
-        }
-        if t.text == "]" {
-            // Skip the attribute group; a `#[doc = "…"]` counts.
-            let mut depth = 1i32;
-            let mut saw_doc = false;
-            while ti > 0 && depth > 0 {
-                ti -= 1;
-                let a = &ctx.tokens[ti];
-                match a.text {
-                    "]" => depth += 1,
-                    "[" => depth -= 1,
-                    "doc" if a.kind == TokenKind::Ident => saw_doc = true,
-                    _ => {}
-                }
-            }
-            if saw_doc {
-                return true;
-            }
-            // Step over the leading `#`.
-            if ti > 0 && ctx.tokens[ti - 1].text == "#" {
-                ti -= 1;
-            }
-            continue;
-        }
-        return false;
     }
 }
 
@@ -458,30 +339,6 @@ mod tests {
         assert_eq!(lines("no-panic", "crates/kernel/src/x.rs", wrong), vec![2]);
         let all = "fn f() { x.unwrap(); } // lv-lint: allow(all)\n";
         assert!(lines("no-panic", "crates/kernel/src/x.rs", all).is_empty());
-    }
-
-    #[test]
-    fn pub_doc_requires_docs_outside_bodies() {
-        let src = "/// Documented.\npub fn a() {}\npub fn b() {}\n\
-                   fn c() { let pub_ish = 1; }\n";
-        let f = lint_source("crates/sim/src/x.rs", src);
-        assert_eq!(f.len(), 1);
-        assert!(f[0].message.contains('b'));
-    }
-
-    #[test]
-    fn pub_doc_skips_file_mod_decls_but_not_inline_mods() {
-        let decl = "pub mod network;\n";
-        assert!(lint_source("crates/kernel/src/lib.rs", decl).is_empty());
-        let inline = "pub mod helpers { pub fn x() {} }\n";
-        let f = lint_source("crates/kernel/src/lib.rs", inline);
-        assert!(f.iter().any(|f| f.message.contains("mod `helpers`")));
-    }
-
-    #[test]
-    fn pub_doc_accepts_doc_attr_and_skips_pub_crate() {
-        let src = "#[doc = \"x\"]\npub fn a() {}\npub(crate) fn b() {}\npub use other::Thing;\n";
-        assert!(lint_source("crates/sim/src/x.rs", src).is_empty());
     }
 
     #[test]

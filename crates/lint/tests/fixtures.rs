@@ -104,16 +104,6 @@ fn hot_path_alloc_sinks_fixture() {
     );
 }
 
-#[test]
-fn pub_doc_fixture() {
-    let lines = finding_lines("pub_doc.rs", "pub-doc", "crates/sim/src/fixture.rs");
-    assert_eq!(
-        lines,
-        vec![7, 9],
-        "undocumented fn + struct; docs, attr docs, pub(crate), mod decl exempt"
-    );
-}
-
 /// Every crate key the workspace scan produces: the ten `crates/*`
 /// directories plus the root `src/`.
 const CRATE_KEYS: &[&str] = &[
@@ -276,7 +266,6 @@ fn binary_lists_all_rules() {
         listed,
         vec![
             "hash-type",
-            "pub-doc",
             "determinism",
             "no-panic",
             "hot-path-alloc",
@@ -300,7 +289,6 @@ fn fixtures_are_single_rule_specimens() {
         ("no_panic.rs", "no-panic"),
         ("hot_path_alloc.rs", "hot-path-alloc"),
         ("hot_path_alloc_sinks.rs", "hot-path-alloc"),
-        ("pub_doc.rs", "pub-doc"),
         ("interproc_taint.rs", "determinism"),
         ("interproc_panic.rs", "no-panic"),
         ("interproc_hot.rs", "hot-path-alloc"),
@@ -310,13 +298,10 @@ fn fixtures_are_single_rule_specimens() {
         let src = fixture(file);
         for key in CRATE_KEYS {
             for f in lint_source(&key_path(key), &src) {
-                // pub-doc intentionally has no opinion here: specimens
-                // that need a pub root leave it undocumented. The
-                // hash-iter fixture owns a HashMap in order to iterate
-                // it, which hash-type flags on the sim path.
-                let foreign = f.rule != *own_rule
-                    && f.rule != "pub-doc"
-                    && !(*file == "hash_iter.rs" && f.rule == "hash-type");
+                // The hash-iter fixture owns a HashMap in order to
+                // iterate it, which hash-type flags on the sim path.
+                let foreign =
+                    f.rule != *own_rule && !(*file == "hash_iter.rs" && f.rule == "hash-type");
                 assert!(
                     !foreign,
                     "{file} trips foreign rule {} under {key}: {f:?}",
