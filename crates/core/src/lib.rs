@@ -78,7 +78,7 @@ pub use diagnose::{
     BlacklistSuggestion, DiagnosisEngine, DiagnosisLog, DiagnosisReport, DriftKind, LinkDetector,
     Suspicion,
 };
-pub use observe::{ExecutionRecord, NodeDelta, ObservabilityReport};
+pub use observe::{NodeDelta, ObservabilityReport};
 pub use ping::PingProcess;
 pub use session::{Request, RequestBody, Response, ResponseBody, SessionHost};
 pub use traceroute::{TrHopProcess, TrSourceProcess};

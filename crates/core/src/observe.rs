@@ -8,12 +8,14 @@
 //! command protocols) feeds counters and trace events into a single
 //! causally-ordered record, and the workstation can export the whole
 //! thing as a JSON [`ObservabilityReport`] — per-node health pages, the
-//! global event timeline, and one [`ExecutionRecord`] per command with
-//! the events and per-hop counter movement it caused.
+//! global event timeline, and each command's [`Execution`]: the typed
+//! command, its full result, and the events and per-hop counter
+//! movement it caused. It is the same record the session wire ships
+//! whole, so a command has one form wherever it is read.
 
-use crate::commands::{Command, CommandResult, Execution};
+use crate::commands::Execution;
 use lv_kernel::{Network, NodeStats};
-use lv_sim::{Counters, SimDuration, SimTime, TraceEvent};
+use lv_sim::{Counters, SimTime, TraceEvent};
 use serde::{Deserialize, Serialize};
 
 /// One node's counter movement during a command window — the per-hop
@@ -24,44 +26,6 @@ pub struct NodeDelta {
     pub node: u16,
     /// What moved, and by how much (zero deltas omitted).
     pub counters: Counters,
-}
-
-/// A serializable record of one command execution: what ran, what came
-/// back, and the flight-recorder slice it caused.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ExecutionRecord {
-    /// The command, rendered for humans.
-    pub command: String,
-    /// The target node (`0xFFFF` for group operations).
-    pub target: u16,
-    /// Virtual time the command was issued.
-    pub issued_at: SimTime,
-    /// Reported response delay.
-    pub response_delay: SimDuration,
-    /// One-line outcome summary.
-    pub outcome: String,
-    /// Trace events emitted anywhere in the network during the window.
-    pub timeline: Vec<TraceEvent>,
-    /// Global counter movement during the window.
-    pub counter_delta: Counters,
-    /// Per-node counter movement during the window, node order.
-    pub node_deltas: Vec<NodeDelta>,
-}
-
-impl ExecutionRecord {
-    /// Flatten an [`Execution`] into its serializable record.
-    pub fn from_execution(e: &Execution) -> ExecutionRecord {
-        ExecutionRecord {
-            command: command_summary(&e.command),
-            target: e.target,
-            issued_at: e.issued_at,
-            response_delay: e.response_delay,
-            outcome: outcome_summary(&e.result),
-            timeline: e.timeline.clone(),
-            counter_delta: e.counter_delta.clone(),
-            node_deltas: e.node_deltas.clone(),
-        }
-    }
 }
 
 /// A network-wide flight-recorder snapshot: every node's health page,
@@ -81,9 +45,9 @@ pub struct ObservabilityReport {
     pub timeline: Vec<TraceEvent>,
     /// Events lost to the ring buffer's capacity.
     pub trace_dropped: u64,
-    /// One record per command in the workstation's retained history
-    /// (the most recent [`crate::workstation::HISTORY_CAPACITY`]).
-    pub executions: Vec<ExecutionRecord>,
+    /// The workstation's retained history, oldest first (the most
+    /// recent [`crate::workstation::HISTORY_CAPACITY`] executions).
+    pub executions: Vec<Execution>,
     /// Closed diagnosis episodes from the automated engine, if armed
     /// (absent in reports captured before the engine existed).
     #[serde(default)]
@@ -101,10 +65,7 @@ impl ObservabilityReport {
             nodes: net.node_stats(),
             timeline: net.trace.events(),
             trace_dropped: net.trace.dropped(),
-            executions: executions
-                .iter()
-                .map(ExecutionRecord::from_execution)
-                .collect(),
+            executions: executions.to_vec(),
             diagnosis: Vec::new(),
         }
     }
@@ -122,103 +83,9 @@ impl ObservabilityReport {
     }
 }
 
-/// Render a command the way the shell would spell it.
-pub fn command_summary(c: &Command) -> String {
-    match c {
-        Command::Status => "status".into(),
-        Command::GroupStatus => "survey".into(),
-        Command::GetPower => "power".into(),
-        Command::SetPower(level) => format!("power {level}"),
-        Command::GetChannel => "channel".into(),
-        Command::SetChannel(n) => format!("channel {n}"),
-        Command::NeighborList { with_quality } => {
-            if *with_quality {
-                "list quality".into()
-            } else {
-                "list".into()
-            }
-        }
-        Command::Blacklist { neighbor, add } => {
-            format!(
-                "blacklist {} {neighbor}",
-                if *add { "add" } else { "remove" }
-            )
-        }
-        Command::UpdateBeacon { period } => format!("update period={}ms", period.as_millis()),
-        Command::SetLogging(on) => format!("log {}", if *on { "on" } else { "off" }),
-        Command::ReadLog { max } => format!("readlog {max}"),
-        Command::Ping {
-            dst,
-            rounds,
-            length,
-            port,
-        } => match port {
-            Some(p) => format!("ping {dst} round={rounds} length={length} port={}", p.0),
-            None => format!("ping {dst} round={rounds} length={length}"),
-        },
-        Command::Traceroute { dst, length, port } => {
-            format!("traceroute {dst} length={length} port={}", port.0)
-        }
-    }
-}
-
-/// One-line outcome description for a record.
-pub fn outcome_summary(r: &CommandResult) -> String {
-    match r {
-        CommandResult::Ok => "ok".into(),
-        CommandResult::Status { .. } => "status".into(),
-        CommandResult::Power(p) => format!("power={p}"),
-        CommandResult::Channel(c) => format!("channel={c}"),
-        CommandResult::Neighbors(rows) => format!("{} neighbors", rows.len()),
-        CommandResult::GroupStatus(rows) => format!("{} responders", rows.len()),
-        CommandResult::Log(rows) => format!("{} log entries", rows.len()),
-        CommandResult::Ping(o) => format!("{}/{} replies", o.received, o.sent),
-        CommandResult::Traceroute(t) => format!(
-            "{} hop reports{}",
-            t.hops.len(),
-            if t.reached {
-                ", destination reached"
-            } else {
-                ""
-            }
-        ),
-        CommandResult::Timeout => "timeout".into(),
-        CommandResult::Error(code) => format!("error {code}"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lv_net::packet::Port;
-
-    #[test]
-    fn command_summaries_read_like_shell_lines() {
-        assert_eq!(
-            command_summary(&Command::Ping {
-                dst: 2,
-                rounds: 1,
-                length: 32,
-                port: None
-            }),
-            "ping 2 round=1 length=32"
-        );
-        assert_eq!(
-            command_summary(&Command::Traceroute {
-                dst: 3,
-                length: 32,
-                port: Port(10)
-            }),
-            "traceroute 3 length=32 port=10"
-        );
-        assert_eq!(
-            command_summary(&Command::Blacklist {
-                neighbor: 9,
-                add: true
-            }),
-            "blacklist add 9"
-        );
-    }
 
     #[test]
     fn empty_report_round_trips_through_json() {

@@ -14,10 +14,11 @@ use crate::commands::{Command, CommandResult, Execution};
 use lv_kernel::Network;
 
 fn name_of(net: &Network, id: u16) -> String {
-    net.names()
-        .name(id)
-        .map(str::to_owned)
-        .unwrap_or_else(|| format!("node-{id}"))
+    if (id as usize) < net.node_count() {
+        net.node(id).name.clone()
+    } else {
+        format!("node-{id}")
+    }
 }
 
 /// Render an execution into paper-style transcript lines.

@@ -765,9 +765,12 @@ fn observability_report_round_trips_through_json() {
     let report = ws.report(&net);
     assert_eq!(report.node_count, 4);
     assert_eq!(report.nodes.len(), 4);
-    assert_eq!(report.executions.len(), 2);
-    assert!(report.executions[0].command.starts_with("ping"));
-    assert!(report.executions[1].command.starts_with("traceroute"));
+    assert_eq!(report.executions, ws.executions());
+    assert!(matches!(report.executions[0].command, Command::Ping { .. }));
+    assert!(matches!(
+        report.executions[1].command,
+        Command::Traceroute { .. }
+    ));
     assert!(!report.executions[1].timeline.is_empty());
     assert!(report.global.get("tx.data") > 0);
     assert!(report.nodes.iter().all(|n| n.alive));
@@ -777,11 +780,55 @@ fn observability_report_round_trips_through_json() {
     assert_eq!(back.node_count, report.node_count);
     assert_eq!(back.captured_at, report.captured_at);
     assert_eq!(back.global, report.global);
-    assert_eq!(back.executions.len(), report.executions.len());
     assert_eq!(
-        back.executions[1].node_deltas, report.executions[1].node_deltas,
-        "per-hop deltas must survive the JSON round trip"
+        back.executions, report.executions,
+        "every execution, per-hop deltas included, must survive the JSON round trip"
     );
+}
+
+/// A node's name lives on the node alone: renaming it there renames it
+/// everywhere a name is read — resolution, the transcript and the
+/// beacons its neighbors list.
+#[test]
+fn renamed_node_is_resolved_printed_and_advertised() {
+    use liteview::shell::{parse_line, ShellInput};
+    let mut net = line_network(3, 5.0, 44);
+    let mut ws = Workstation::install(&mut net, 0);
+    net.node_mut(1).name = "relay".into();
+    assert_eq!(net.resolve("relay"), Some(1));
+    // The default convention still numbers the renamed node.
+    assert_eq!(net.resolve("192.168.0.2"), Some(1));
+    assert_eq!(net.resolve("192.168.0.3"), Some(2));
+    assert_eq!(net.resolve("192.168.0.4"), None);
+
+    let ShellInput::Command(ping) = parse_line("ping relay").unwrap() else {
+        panic!("ping parses as a command");
+    };
+    let command = ping.resolve(&net).unwrap();
+    assert!(matches!(command, Command::Ping { dst: 1, .. }));
+    ws.cd(&net, "192.168.0.1").unwrap();
+    let exec = ws.exec(&mut net, command).unwrap();
+    let transcript = liteview::output::render(&net, &exec);
+    assert_eq!(transcript[0], "Pinging relay with 1 packets with 32 bytes:");
+
+    // Two beacon periods later, node 0's table carries the new name.
+    net.run_for(SimDuration::from_secs(5));
+    let exec = ws
+        .exec(
+            &mut net,
+            Command::NeighborList {
+                with_quality: false,
+            },
+        )
+        .unwrap();
+    let CommandResult::Neighbors(rows) = exec.result else {
+        panic!("list answers with rows: {:?}", exec.result);
+    };
+    let row = rows
+        .iter()
+        .find(|r| r.id == 1)
+        .expect("node 0 lists node 1");
+    assert_eq!(row.name, "relay");
 }
 
 #[test]
@@ -822,11 +869,7 @@ fn history_keeps_the_most_recent_window() {
         "the last {HISTORY_CAPACITY}, in issue order"
     );
     let report = ws.report(&net);
-    assert_eq!(report.executions.len(), HISTORY_CAPACITY);
-    for (record, exec) in report.executions.iter().zip(kept) {
-        assert_eq!(record.issued_at, exec.issued_at);
-        assert_eq!(record.command, "power");
-    }
+    assert_eq!(report.executions, kept, "the report holds the same window");
 }
 
 /// A command issued while the bridge is down never leaves it and times

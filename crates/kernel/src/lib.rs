@@ -38,8 +38,8 @@ pub mod trace;
 
 pub use audit::{AuditLog, AuditViolation};
 pub use log::{EventLog, LogEntry};
-pub use names::{default_name, parse_name, shell_path, NameRegistry};
-pub use network::{DynamicsAction, LinkObs, Network, NetworkConfig};
+pub use names::{default_name, parse_name, shell_path};
+pub use network::{DynamicsAction, LinkObs, Network};
 pub use node::{Node, NodeStats};
 pub use process::{Effect, Process, RxMeta, SysCtx};
 pub use resources::{ProcessImage, ResourceAccount, ResourceError};

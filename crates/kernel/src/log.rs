@@ -40,11 +40,6 @@ impl EventLog {
         self.enabled = enabled;
     }
 
-    /// Is logging currently on?
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Record an event if enabled.
     pub fn record(&mut self, at: SimTime, code: &'static str, detail: impl Into<String>) {
         if !self.enabled {
@@ -60,11 +55,6 @@ impl EventLog {
     /// All retained entries, oldest first.
     pub fn entries(&self) -> &[LogEntry] {
         self.entries.as_slice()
-    }
-
-    /// Entries with a given code.
-    pub fn with_code<'a>(&'a self, code: &'a str) -> impl Iterator<Item = &'a LogEntry> + 'a {
-        self.entries().iter().filter(move |e| e.code == code)
     }
 
     /// How many entries have been lost to the capacity bound.
@@ -103,7 +93,6 @@ mod tests {
         log.record(SimTime::from_millis(1), "tx", "frame 1");
         log.record(SimTime::from_millis(2), "rx", "frame 2");
         assert_eq!(log.entries().len(), 2);
-        assert_eq!(log.with_code("tx").count(), 1);
     }
 
     #[test]
@@ -128,7 +117,6 @@ mod tests {
         let details: Vec<&str> = log.entries().iter().map(|e| e.detail.as_str()).collect();
         assert_eq!(details, vec!["47", "48", "49"]);
         assert_eq!(log.overwritten(), 47);
-        assert_eq!(log.with_code("e").count(), 3);
     }
 
     #[test]
@@ -139,6 +127,5 @@ mod tests {
         log.clear();
         assert!(log.entries().is_empty());
         assert_eq!(log.overwritten(), 0);
-        assert!(log.is_enabled());
     }
 }

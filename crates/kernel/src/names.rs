@@ -4,6 +4,11 @@
 //! node as their names" — node ids map to `192.168.0.<id+1>` and the
 //! LiteOS shell mounts the network under `/sn01`, so node 0's working
 //! directory prints as `/sn01/192.168.0.1` (the paper's `$pwd` output).
+//!
+//! This module holds only the convention. A node's name has one home,
+//! [`Node::name`](crate::Node::name): beacons advertise it and
+//! [`Network::resolve`](crate::Network::resolve) looks it up, so a
+//! renamed node is found and advertised under its new name.
 
 /// The default sensor-network mount point.
 pub const MOUNT: &str = "/sn01";
@@ -26,52 +31,6 @@ pub fn parse_name(name: &str) -> Option<u16> {
         return None;
     }
     Some((host - 1) as u16)
-}
-
-/// A bidirectional id ↔ name registry for one deployment.
-#[derive(Debug, Clone, Default)]
-pub struct NameRegistry {
-    names: Vec<String>,
-}
-
-impl NameRegistry {
-    /// Default-named registry for `n` nodes.
-    pub fn with_defaults(n: usize) -> Self {
-        NameRegistry {
-            names: (0..n).map(|i| default_name(i as u16)).collect(),
-        }
-    }
-
-    /// Name of node `id`.
-    pub fn name(&self, id: u16) -> Option<&str> {
-        self.names.get(id as usize).map(String::as_str)
-    }
-
-    /// Rename a node.
-    pub fn set_name(&mut self, id: u16, name: impl Into<String>) {
-        if let Some(slot) = self.names.get_mut(id as usize) {
-            *slot = name.into();
-        }
-    }
-
-    /// Find a node by name (also accepts the default convention even if
-    /// not materialized).
-    pub fn resolve(&self, name: &str) -> Option<u16> {
-        if let Some(idx) = self.names.iter().position(|n| n == name) {
-            return Some(idx as u16);
-        }
-        parse_name(name).filter(|&id| (id as usize) < self.names.len())
-    }
-
-    /// Number of registered nodes.
-    pub fn len(&self) -> usize {
-        self.names.len()
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -97,18 +56,5 @@ mod tests {
         assert_eq!(parse_name("192.168.0.0"), None);
         assert_eq!(parse_name("192.168.1.5"), None);
         assert_eq!(parse_name("not-an-ip"), None);
-    }
-
-    #[test]
-    fn registry_round_trip() {
-        let mut reg = NameRegistry::with_defaults(30);
-        assert_eq!(reg.name(4), Some("192.168.0.5"));
-        assert_eq!(reg.resolve("192.168.0.5"), Some(4));
-        reg.set_name(4, "gateway");
-        assert_eq!(reg.resolve("gateway"), Some(4));
-        // Default-convention fallback still resolves after rename of
-        // another node.
-        assert_eq!(reg.resolve("192.168.0.7"), Some(6));
-        assert_eq!(reg.resolve("192.168.0.31"), None); // out of range
     }
 }

@@ -12,7 +12,7 @@
 //! breaking, and per-node RNG streams (see `DESIGN.md` §7).
 
 use crate::audit::{AuditLog, AuditViolation};
-use crate::names::{default_name, NameRegistry};
+use crate::names::{default_name, parse_name};
 use crate::node::Node;
 use crate::process::{Effect, Process, RxMeta, SysCtx};
 use crate::resources::ResourceError;
@@ -435,21 +435,6 @@ const CPU_COST: SimDuration = SimDuration::from_micros(100);
 /// Neighbor-table housekeeping period.
 const HOUSEKEEPING_PERIOD: SimDuration = SimDuration::from_secs(2);
 
-/// Loop tunables.
-#[derive(Debug, Clone, Copy)]
-pub struct NetworkConfig {
-    /// Whether nodes emit neighbor beacons.
-    pub beacons_enabled: bool,
-}
-
-impl Default for NetworkConfig {
-    fn default() -> Self {
-        NetworkConfig {
-            beacons_enabled: true,
-        }
-    }
-}
-
 /// One passively observed reception on a directed link, recorded when
 /// the link-observation tap is armed (see [`Network::set_link_obs`]).
 ///
@@ -480,7 +465,6 @@ pub struct Network {
     /// The shared wireless medium.
     pub medium: Medium,
     nodes: Vec<Node>,
-    names: NameRegistry,
     queue: EventQueue<Event>,
     /// Payload storage for queued events (see [`EventArena`]).
     arena: EventArena,
@@ -515,7 +499,6 @@ pub struct Network {
     /// each of its receivers; reused, so it allocates nothing.
     overlap: Overlap,
     timing: PhyTiming,
-    config: NetworkConfig,
     /// Global packet/event counters (the overhead figures read these).
     pub counters: Counters,
     /// Optional trace sink: the flight recorder, keeping typed records.
@@ -534,20 +517,13 @@ impl Network {
     /// Build a network with one node per position in `medium`, using
     /// default IP-convention names, and start beacons/housekeeping.
     pub fn new(medium: Medium, seed: u64) -> Self {
-        Self::with_config(medium, seed, NetworkConfig::default())
-    }
-
-    /// Build with explicit config.
-    pub fn with_config(medium: Medium, seed: u64, config: NetworkConfig) -> Self {
         let n = medium.node_count();
-        let names = NameRegistry::with_defaults(n);
         let nodes: Vec<Node> = (0..n)
             .map(|i| Node::new(i as u16, default_name(i as u16), seed))
             .collect();
         let mut net = Network {
             medium,
             nodes,
-            names,
             queue: EventQueue::new(),
             arena: EventArena::new(),
             now: SimTime::ZERO,
@@ -560,7 +536,6 @@ impl Network {
             events_dispatched: 0,
             overlap: Overlap::default(),
             timing: PhyTiming::default(),
-            config,
             counters: Counters::new(),
             trace: Trace::disabled(),
             audit: None,
@@ -568,13 +543,11 @@ impl Network {
             link_obs_cap: 0,
         };
         for i in 0..n as u16 {
-            if net.config.beacons_enabled {
-                // Desynchronized first beacons across [0, period).
-                let period = net.nodes[i as usize].stack.config().beacon_period;
-                let offset =
-                    SimDuration::from_nanos(net.nodes[i as usize].rng.below(period.as_nanos()));
-                net.queue.push(net.now + offset, Event::Beacon { node: i });
-            }
+            // Desynchronized first beacons across [0, period).
+            let period = net.nodes[i as usize].stack.config().beacon_period;
+            let offset =
+                SimDuration::from_nanos(net.nodes[i as usize].rng.below(period.as_nanos()));
+            net.queue.push(net.now + offset, Event::Beacon { node: i });
             net.queue.push(
                 net.now + HOUSEKEEPING_PERIOD,
                 Event::Housekeeping { node: i },
@@ -650,11 +623,6 @@ impl Network {
         &mut self.nodes[id as usize]
     }
 
-    /// The deployment's name registry.
-    pub fn names(&self) -> &NameRegistry {
-        &self.names
-    }
-
     /// Snapshot every node's health and traffic counters, in node order.
     pub fn node_stats(&self) -> Vec<crate::node::NodeStats> {
         self.nodes
@@ -663,9 +631,20 @@ impl Network {
             .collect()
     }
 
-    /// Resolve a node name to an id.
+    /// Resolve a node name to an id: the node that carries `name`, else
+    /// the node the default `192.168.0.x` convention numbers, if it
+    /// exists. A node that carries its default name is found without a
+    /// scan.
     pub fn resolve(&self, name: &str) -> Option<u16> {
-        self.names.resolve(name)
+        let by_convention = parse_name(name).filter(|&id| (id as usize) < self.nodes.len());
+        if let Some(id) = by_convention.filter(|&id| self.nodes[id as usize].name == name) {
+            return Some(id);
+        }
+        self.nodes
+            .iter()
+            .position(|n| n.name == name)
+            .map(|i| i as u16)
+            .or(by_convention)
     }
 
     /// Install a routing protocol on one node.
@@ -987,8 +966,7 @@ impl Network {
             let actions = {
                 let medium = &self.medium;
                 let n = &mut self.nodes[idx];
-                let pos = medium.position(node);
-                let payload = n.stack.make_beacon(pos);
+                let payload = n.stack.make_beacon(medium.position(node), &n.name);
                 let (mac, rng) = (&mut n.mac, &mut n.rng);
                 mac.send(FrameKind::Beacon, BROADCAST, payload, rng).1
             };
@@ -1209,13 +1187,9 @@ impl Network {
                     lqi: rx.lqi,
                     rssi: rx.rssi,
                 };
-                let action = {
-                    let medium = &self.medium;
-                    let pos = medium.position(node);
-                    let count = medium.node_count();
-                    let locs = move |id: u16| ((id as usize) < count).then(|| medium.position(id));
-                    self.nodes[idx].stack.on_receive(pkt, hop, pos, &locs)
-                };
+                let action = self.nodes[idx]
+                    .stack
+                    .on_receive(pkt, hop, self.medium.positions());
                 match action {
                     RxAction::DeliverTo { pid, packet } => {
                         let meta = RxMeta {
@@ -1414,9 +1388,7 @@ impl Network {
         if self.medium.is_dead(node) {
             return;
         }
-        let medium = &self.medium;
         let Node {
-            name,
             power,
             channel,
             mac,
@@ -1432,25 +1404,21 @@ impl Network {
         let Some(mut process) = slot.process.take() else {
             return; // re-entrant hook (cannot happen in this loop)
         };
-        let pos = medium.position(node);
-        let count = medium.node_count();
-        let locs = move |id: u16| ((id as usize) < count).then(|| medium.position(id));
-        let resolver =
-            |port: lv_net::packet::Port, dst: u16| stack.query_next_hop(port, dst, pos, &locs);
-        let mut ctx = SysCtx::new(
-            self.now,
-            node,
-            name,
+        let mut ctx = SysCtx {
+            now: self.now,
+            node_id: node,
             pid,
-            &slot.params,
-            *power,
-            *channel,
-            mac.queue_len(),
-            log.entries(),
+            params: &slot.params,
+            power: *power,
+            channel: *channel,
+            queue_len: mac.queue_len(),
+            neighbors: stack.neighbors.entries(),
+            log_entries: log.entries(),
             rng,
             stack,
-            &resolver,
-        );
+            positions: self.medium.positions(),
+            effects: Vec::new(),
+        };
         hook(process.as_mut(), &mut ctx);
         let effects = ctx.take_effects();
         slot.process = Some(process);
@@ -1475,16 +1443,11 @@ impl Network {
                         Drop(DropReason),
                     }
                     let out = {
-                        let medium = &self.medium;
                         let n = &mut self.nodes[idx];
                         let pkt =
                             n.stack
                                 .make_packet(dst, carrying_port, app_port, payload, padding);
-                        let pos = medium.position(node);
-                        let count = medium.node_count();
-                        let locs =
-                            move |id: u16| ((id as usize) < count).then(|| medium.position(id));
-                        match n.stack.route_local(pkt, pos, &locs) {
+                        match n.stack.route_local(pkt, self.medium.positions()) {
                             RxAction::Forward { next_hop, packet } => {
                                 let bytes = packet.encode();
                                 let (mac, rng) = (&mut n.mac, &mut n.rng);
@@ -1588,6 +1551,21 @@ mod tests {
             .map(|i| Position::new(i as f64 * spacing, 0.0))
             .collect();
         Medium::new(positions, PropagationConfig::default(), seed)
+    }
+
+    /// A network whose nodes never beacon, for tests that need a quiet
+    /// channel: `Network::new` with its beacon ticks unscheduled and
+    /// each node's RNG back at the start of its stream, so the one draw
+    /// that placed its first beacon is undone.
+    pub(super) fn beaconless(medium: Medium, seed: u64) -> Network {
+        let mut net = Network::new(medium, seed);
+        net.queue.clear();
+        for node in 0..net.node_count() as u16 {
+            net.nodes[node as usize].rng = Node::new(node, String::new(), seed).rng;
+            net.queue
+                .push(net.now + HOUSEKEEPING_PERIOD, Event::Housekeeping { node });
+        }
+        net
     }
 
     /// A process that echoes every packet back to its origin over a
@@ -1952,13 +1930,7 @@ mod tests {
     /// aborted frame.
     #[test]
     fn node_down_mid_flight_leaves_no_stale_transmissions() {
-        let mut net = Network::with_config(
-            line_medium(2, 5.0, 7),
-            7,
-            NetworkConfig {
-                beacons_enabled: false,
-            },
-        );
+        let mut net = beaconless(line_medium(2, 5.0, 7), 7);
         let received = Rc::new(RefCell::new(Vec::new()));
         net.spawn_process(
             1,
@@ -2005,13 +1977,7 @@ mod tests {
     #[test]
     fn mid_flight_link_block_is_deterministic_and_drops_the_frame() {
         let run = |seed: u64| {
-            let mut net = Network::with_config(
-                line_medium(2, 5.0, seed),
-                seed,
-                NetworkConfig {
-                    beacons_enabled: false,
-                },
-            );
+            let mut net = beaconless(line_medium(2, 5.0, seed), seed);
             let received = Rc::new(RefCell::new(Vec::new()));
             net.spawn_process(
                 1,
@@ -2135,13 +2101,7 @@ mod tests {
     /// first node it names (`TraceEvent::NO_NODE` when it names none).
     #[test]
     fn every_dynamics_action_is_counted_and_traced() {
-        let mut net = Network::with_config(
-            line_medium(2, 5.0, 7),
-            7,
-            NetworkConfig {
-                beacons_enabled: false,
-            },
-        );
+        let mut net = beaconless(line_medium(2, 5.0, 7), 7);
         net.trace = Trace::enabled(TraceLevel::Info, 64);
         let ch17 = Channel::new(17).unwrap();
         let cases = [
@@ -2306,13 +2266,7 @@ mod tests {
     #[test]
     fn auditor_catches_stale_transmissions_only_on_raw_kill() {
         let run = |raw_kill: bool| {
-            let mut net = Network::with_config(
-                line_medium(2, 5.0, 13),
-                13,
-                NetworkConfig {
-                    beacons_enabled: false,
-                },
-            );
+            let mut net = beaconless(line_medium(2, 5.0, 13), 13);
             net.set_audit(true);
             net.spawn_process(
                 0,
@@ -2347,13 +2301,7 @@ mod tests {
     /// timestamp; with auditing on, that time regression is recorded.
     #[test]
     fn auditor_records_time_regression() {
-        let mut net = Network::with_config(
-            line_medium(1, 5.0, 17),
-            17,
-            NetworkConfig {
-                beacons_enabled: false,
-            },
-        );
+        let mut net = beaconless(line_medium(1, 5.0, 17), 17);
         net.set_audit(true);
         net.run_for(SimDuration::from_secs(1));
         assert!(net.audit_violations().is_empty());
@@ -2393,6 +2341,7 @@ mod tests {
 
 #[cfg(test)]
 mod collision_tests {
+    use super::tests::beaconless;
     use super::*;
     use lv_radio::medium::LinkOverride;
     use lv_radio::propagation::PropagationConfig;
@@ -2451,13 +2400,7 @@ mod collision_tests {
 
     /// Run the two-sender contention scenario; returns rx.corrupt.
     fn contention_losses(medium: Medium, seed: u64) -> u64 {
-        let mut net = Network::with_config(
-            medium,
-            seed,
-            NetworkConfig {
-                beacons_enabled: false,
-            },
-        );
+        let mut net = beaconless(medium, seed);
         net.spawn_process(0, Box::new(Burster { rounds: 0 }), vec![])
             .unwrap();
         net.spawn_process(2, Box::new(Burster { rounds: 0 }), vec![])
@@ -2551,13 +2494,7 @@ mod collision_tests {
     }
 
     fn contention_net(seed: u64) -> Network {
-        let mut net = Network::with_config(
-            hidden_terminal_medium(seed),
-            seed,
-            NetworkConfig {
-                beacons_enabled: false,
-            },
-        );
+        let mut net = beaconless(hidden_terminal_medium(seed), seed);
         net.spawn_process(0, Box::new(Burster { rounds: 0 }), vec![])
             .unwrap();
         net.spawn_process(2, Box::new(Burster { rounds: 0 }), vec![])

@@ -88,11 +88,11 @@ impl Node {
     pub fn new(id: u16, name: String, seed: u64) -> Self {
         Node {
             id,
-            name: name.clone(),
+            name,
             power: PowerLevel::MAX,
             channel: Channel::DEFAULT,
             mac: Mac::new(id, Self::liteos_csma(), TxQueue::DEFAULT_CAPACITY),
-            stack: Stack::new(id, name, StackConfig::default()),
+            stack: Stack::new(id, StackConfig::default()),
             processes: std::collections::BTreeMap::new(),
             resources: ResourceAccount::micaz(),
             log: EventLog::default(),

@@ -8,6 +8,11 @@
 //! [`Effect`]s inside the context and applied by the kernel after the
 //! hook returns (the moral equivalent of a syscall trapping out of the
 //! process).
+//!
+//! The context only borrows: the node's state, its stack and the
+//! medium's position table, which [`SysCtx::next_hop`] hands to the
+//! stack's routers. The kernel builds it as a struct literal, once per
+//! hook.
 
 use crate::log::LogEntry;
 use crate::resources::ProcessImage;
@@ -15,6 +20,7 @@ use lv_net::neighbors::NeighborEntry;
 use lv_net::packet::{NetPacket, Port};
 use lv_net::ports::ProcessId;
 use lv_net::stack::Stack;
+use lv_radio::units::Position;
 use lv_radio::{Channel, PowerLevel};
 use lv_sim::{SimDuration, SimRng, SimTime};
 
@@ -95,8 +101,6 @@ pub struct SysCtx<'a> {
     pub now: SimTime,
     /// This node's id.
     pub node_id: u16,
-    /// This node's name.
-    pub node_name: &'a str,
     /// This process's id.
     pub pid: ProcessId,
     /// The parameter buffer supplied at spawn (paper Section IV.C.4).
@@ -115,48 +119,13 @@ pub struct SysCtx<'a> {
     /// response backoffs).
     pub rng: &'a mut SimRng,
     /// The node's network stack (its installed routing protocols).
-    stack: &'a Stack,
-    /// Read-only next-hop query: `(carrying port, destination)` → the
-    /// neighbor the router on that port would forward to.
-    next_hop: &'a dyn Fn(Port, u16) -> Option<u16>,
-    effects: Vec<Effect>,
+    pub(crate) stack: &'a Stack,
+    /// The deployment's position table, which next-hop queries read.
+    pub(crate) positions: &'a [Position],
+    pub(crate) effects: Vec<Effect>,
 }
 
 impl<'a> SysCtx<'a> {
-    /// Construct a context (kernel-internal).
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        now: SimTime,
-        node_id: u16,
-        node_name: &'a str,
-        pid: ProcessId,
-        params: &'a [u8],
-        power: PowerLevel,
-        channel: Channel,
-        queue_len: usize,
-        log_entries: &'a [LogEntry],
-        rng: &'a mut SimRng,
-        stack: &'a Stack,
-        next_hop: &'a dyn Fn(Port, u16) -> Option<u16>,
-    ) -> Self {
-        SysCtx {
-            now,
-            node_id,
-            node_name,
-            pid,
-            params,
-            power,
-            channel,
-            queue_len,
-            neighbors: stack.neighbors.entries(),
-            log_entries,
-            rng,
-            stack,
-            next_hop,
-            effects: Vec::new(),
-        }
-    }
-
     /// Name of the routing protocol on `port`, if any.
     pub fn router_name(&self, port: Port) -> Option<&'static str> {
         self.stack.router_name(port)
@@ -165,7 +134,7 @@ impl<'a> SysCtx<'a> {
     /// Ask the routing protocol on `port` which neighbor it would use
     /// next toward `dst` (read-only; `None` when no route or no router).
     pub fn next_hop(&self, port: Port, dst: u16) -> Option<u16> {
-        (self.next_hop)(port, dst)
+        self.stack.query_next_hop(port, dst, self.positions)
     }
 
     /// Parameter buffer parsed as whitespace-separated tokens ("Multiple
@@ -283,29 +252,26 @@ pub trait Process {
 mod tests {
     use super::*;
 
-    fn no_route(_port: Port, _dst: u16) -> Option<u16> {
-        None
-    }
-
     fn ctx<'a>(params: &'a [u8], rng: &'a mut SimRng, stack: &'a Stack) -> SysCtx<'a> {
-        SysCtx::new(
-            SimTime::ZERO,
-            1,
-            "192.168.0.2",
-            7,
+        SysCtx {
+            now: SimTime::ZERO,
+            node_id: 1,
+            pid: 7,
             params,
-            PowerLevel::MAX,
-            Channel::DEFAULT,
-            0,
-            &[],
+            power: PowerLevel::MAX,
+            channel: Channel::DEFAULT,
+            queue_len: 0,
+            neighbors: stack.neighbors.entries(),
+            log_entries: &[],
             rng,
             stack,
-            &no_route,
-        )
+            positions: &[],
+            effects: Vec::new(),
+        }
     }
 
     fn stack() -> Stack {
-        Stack::new(1, "192.168.0.2", lv_net::stack::StackConfig::default())
+        Stack::new(1, lv_net::stack::StackConfig::default())
     }
 
     #[test]

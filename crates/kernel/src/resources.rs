@@ -85,13 +85,6 @@ impl ResourceAccount {
         Self::new(128 * 1024, 4 * 1024)
     }
 
-    /// IRIS: ATmega1281 with 128 KB flash and 8 KB SRAM — the paper
-    /// notes LiteView "can also support the IRIS platform with moderate
-    /// changes"; in this reproduction the only change is this envelope.
-    pub fn iris() -> Self {
-        Self::new(128 * 1024, 8 * 1024)
-    }
-
     /// Custom envelope (IRIS motes differ slightly).
     pub fn new(flash_capacity: u32, ram_capacity: u32) -> Self {
         ResourceAccount {
@@ -136,15 +129,6 @@ impl ResourceAccount {
     /// occupied (a stored executable survives process exit, as on
     /// LiteOS's file-based program store).
     pub fn release_ram(&mut self, image: ProcessImage) {
-        self.ram_used = self.ram_used.saturating_sub(image.ram_bytes);
-    }
-
-    /// Fully release `image` (program file deleted).
-    pub fn release(&mut self, image: ProcessImage) {
-        if let Some(idx) = self.stored.iter().position(|i| *i == image) {
-            self.stored.remove(idx);
-            self.flash_used = self.flash_used.saturating_sub(image.flash_bytes);
-        }
         self.ram_used = self.ram_used.saturating_sub(image.ram_bytes);
     }
 
@@ -263,9 +247,6 @@ mod tests {
         }
         assert_eq!(acct.flash_used(), ProcessImage::TRACEROUTE.flash_bytes);
         assert_eq!(acct.ram_used(), 0);
-        // Deleting the file frees the flash exactly once.
-        acct.release(ProcessImage::TRACEROUTE);
-        assert_eq!(acct.flash_used(), 0);
     }
 
     #[test]
@@ -275,20 +256,6 @@ mod tests {
         acct.release_ram(ProcessImage::PING);
         assert_eq!(acct.ram_used(), 0);
         assert_eq!(acct.flash_used(), 2148);
-        acct.release(ProcessImage::PING);
-        assert_eq!(acct.flash_used(), 0);
-    }
-
-    #[test]
-    fn iris_has_twice_the_sram() {
-        let iris = ResourceAccount::iris();
-        let micaz = ResourceAccount::micaz();
-        assert_eq!(iris.ram_capacity(), 2 * micaz.ram_capacity());
-        assert_eq!(iris.flash_capacity(), micaz.flash_capacity());
-        // Both fit the whole LiteView suite.
-        let mut acct = ResourceAccount::iris();
-        acct.register(ProcessImage::PING).unwrap();
-        acct.register(ProcessImage::TRACEROUTE).unwrap();
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! and seeds, the event loop neither panics nor diverges, stays
 //! deterministic, and keeps its counters self-consistent.
 
-use lv_kernel::{DynamicsAction, Network, NetworkConfig};
+use lv_kernel::{DynamicsAction, Network};
 use lv_radio::propagation::PropagationConfig;
 use lv_radio::units::Position;
 use lv_radio::Medium;
@@ -113,32 +113,5 @@ proptest! {
             0,
             "arena must drain once every queued payload event has popped"
         );
-    }
-
-    /// Disabling beacons really silences the network (no spontaneous
-    /// traffic of any kind).
-    #[test]
-    fn beaconless_network_is_silent(
-        positions in proptest::collection::vec((-20.0f64..20.0, -20.0f64..20.0), 2..6),
-        seed in 0u64..200,
-    ) {
-        let medium = Medium::new(
-            positions
-                .into_iter()
-                .map(|(x, y)| Position::new(x, y))
-                .collect(),
-            PropagationConfig::default(),
-            seed,
-        );
-        let mut net = Network::with_config(
-            medium,
-            seed,
-            NetworkConfig {
-                beacons_enabled: false,
-            },
-        );
-        net.run_for(SimDuration::from_secs(10));
-        prop_assert_eq!(net.counters.sum_prefix("tx."), 0);
-        prop_assert_eq!(net.counters.get("rx.frames"), 0);
     }
 }

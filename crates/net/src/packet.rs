@@ -128,13 +128,6 @@ impl NetPacket {
         NET_HEADER_LEN + self.payload.len() + self.padding.len()
     }
 
-    /// Free bytes left in the 64-byte area for further padding.
-    pub fn padding_space_left(&self) -> usize {
-        PAYLOAD_AREA
-            .saturating_sub(self.payload.len())
-            .saturating_sub(self.padding.len())
-    }
-
     /// Append one hop's quality metrics if padding is enabled and space
     /// remains under the 64-byte cap. Returns `true` if the hop was
     /// recorded. The original payload bytes are never touched.
@@ -249,7 +242,7 @@ mod tests {
             hops += 1;
         }
         assert_eq!(hops, 24);
-        assert_eq!(p.padding_space_left(), 0);
+        assert_eq!(p.payload.len() + p.padding.len(), PAYLOAD_AREA);
         assert_eq!(p.hop_qualities().len(), 24);
     }
 
@@ -275,7 +268,7 @@ mod tests {
     #[test]
     fn full_payload_leaves_no_padding_space() {
         let mut p = NetPacket::new(header(), vec![0; PAYLOAD_AREA]);
-        assert_eq!(p.padding_space_left(), 0);
+        assert!(p.padding.is_empty());
         assert!(!p.append_hop_quality(HopQuality { lqi: 100, rssi: 0 }));
     }
 

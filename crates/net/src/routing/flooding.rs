@@ -77,29 +77,22 @@ impl Router for Flooding {
 mod tests {
     use super::super::testutil::{packet, table_with};
     use super::*;
-    use lv_radio::units::Position;
 
-    fn ctx<'a>(
-        me: u16,
-        nt: &'a crate::neighbors::NeighborTable,
-        locs: &'a dyn Fn(u16) -> Option<Position>,
-    ) -> RouteCtx<'a> {
+    fn ctx<'a>(me: u16, nt: &'a crate::neighbors::NeighborTable) -> RouteCtx<'a> {
         RouteCtx {
             me,
-            my_position: Position::new(0.0, 0.0),
             neighbors: nt,
-            locations: locs,
+            positions: &[],
         }
     }
 
     #[test]
     fn forwards_fresh_packets_broadcast() {
         let nt = table_with(&[]);
-        let locs = |_: u16| -> Option<Position> { None };
         let mut r = Flooding::new(Port::FLOODING);
         let p = packet(1, 9, Port::FLOODING, 0);
         assert_eq!(
-            r.decide(&ctx(2, &nt, &locs), &p),
+            r.decide(&ctx(2, &nt), &p),
             RouteDecision::Forward {
                 next_hop: BROADCAST
             }
@@ -109,18 +102,17 @@ mod tests {
     #[test]
     fn suppresses_duplicates() {
         let nt = table_with(&[]);
-        let locs = |_: u16| -> Option<Position> { None };
         let mut r = Flooding::new(Port::FLOODING);
         let p = packet(1, 9, Port::FLOODING, 3);
-        r.decide(&ctx(2, &nt, &locs), &p);
+        r.decide(&ctx(2, &nt), &p);
         assert_eq!(
-            r.decide(&ctx(2, &nt, &locs), &p),
+            r.decide(&ctx(2, &nt), &p),
             RouteDecision::Drop(DropReason::Duplicate)
         );
         // Different seq from the same origin is fresh again.
         let p2 = packet(1, 9, Port::FLOODING, 4);
         assert!(matches!(
-            r.decide(&ctx(2, &nt, &locs), &p2),
+            r.decide(&ctx(2, &nt), &p2),
             RouteDecision::Forward { .. }
         ));
     }
@@ -128,22 +120,20 @@ mod tests {
     #[test]
     fn delivers_at_destination_even_if_duplicate() {
         let nt = table_with(&[]);
-        let locs = |_: u16| -> Option<Position> { None };
         let mut r = Flooding::new(Port::FLOODING);
         let p = packet(1, 2, Port::FLOODING, 0);
-        assert_eq!(r.decide(&ctx(2, &nt, &locs), &p), RouteDecision::Deliver);
-        assert_eq!(r.decide(&ctx(2, &nt, &locs), &p), RouteDecision::Deliver);
+        assert_eq!(r.decide(&ctx(2, &nt), &p), RouteDecision::Deliver);
+        assert_eq!(r.decide(&ctx(2, &nt), &p), RouteDecision::Deliver);
     }
 
     #[test]
     fn ttl_zero_dropped() {
         let nt = table_with(&[]);
-        let locs = |_: u16| -> Option<Position> { None };
         let mut r = Flooding::new(Port::FLOODING);
         let mut p = packet(1, 9, Port::FLOODING, 0);
         p.header.ttl = 0;
         assert_eq!(
-            r.decide(&ctx(2, &nt, &locs), &p),
+            r.decide(&ctx(2, &nt), &p),
             RouteDecision::Drop(DropReason::TtlExpired)
         );
     }
@@ -151,18 +141,17 @@ mod tests {
     #[test]
     fn seen_cache_bounded() {
         let nt = table_with(&[]);
-        let locs = |_: u16| -> Option<Position> { None };
         let mut r = Flooding::new(Port::FLOODING);
         // Flood far more keys than the cache holds.
         for seq in 0..=255u8 {
             let p = packet(1, 9, Port::FLOODING, seq);
-            r.decide(&ctx(2, &nt, &locs), &p);
+            r.decide(&ctx(2, &nt), &p);
         }
         assert!(r.seen.len() <= SEEN_CAPACITY);
         // Recent keys still suppressed.
         let p = packet(1, 9, Port::FLOODING, 255);
         assert_eq!(
-            r.decide(&ctx(2, &nt, &locs), &p),
+            r.decide(&ctx(2, &nt), &p),
             RouteDecision::Drop(DropReason::Duplicate)
         );
     }

@@ -60,8 +60,8 @@ impl Geographic {
     /// prefers the longest, weakest link — exactly the asymmetric
     /// long-shot links that blackhole traffic.
     fn best_hop(&self, ctx: &RouteCtx<'_>, dst: u16) -> Option<u16> {
-        let dst_pos = (ctx.locations)(dst)?;
-        let my_dist = ctx.my_position.distance(dst_pos).0;
+        let dst_pos = *ctx.positions.get(dst as usize)?;
+        let my_dist = ctx.positions.get(ctx.me as usize)?.distance(dst_pos).0;
         let mut best: Option<(u16, f64)> = None; // (id, progress × quality)
         for e in ctx.neighbors.usable(MIN_ROUTE_QUALITY) {
             let Some(pos) = e.position else { continue };
@@ -90,16 +90,16 @@ mod tests {
         Some(Position::new(10.0 * id as f64, 0.0))
     }
 
-    fn ctx<'a>(
-        me: u16,
-        nt: &'a NeighborTable,
-        locs: &'a dyn Fn(u16) -> Option<Position>,
-    ) -> RouteCtx<'a> {
+    /// The position table of a ten-node line.
+    fn line() -> Vec<Position> {
+        (0..10).filter_map(line_loc).collect()
+    }
+
+    fn ctx<'a>(me: u16, nt: &'a NeighborTable, positions: &'a [Position]) -> RouteCtx<'a> {
         RouteCtx {
             me,
-            my_position: line_loc(me).unwrap(),
             neighbors: nt,
-            locations: locs,
+            positions,
         }
     }
 
@@ -110,7 +110,7 @@ mod tests {
         let mut r = Geographic::new(Port::GEOGRAPHIC);
         let p = packet(0, 5, Port::GEOGRAPHIC, 0);
         assert_eq!(
-            r.decide(&ctx(2, &nt, &line_loc), &p),
+            r.decide(&ctx(2, &nt, &line()), &p),
             RouteDecision::Forward { next_hop: 3 }
         );
     }
@@ -120,10 +120,7 @@ mod tests {
         let nt = table_with(&[]);
         let mut r = Geographic::new(Port::GEOGRAPHIC);
         let p = packet(0, 2, Port::GEOGRAPHIC, 0);
-        assert_eq!(
-            r.decide(&ctx(2, &nt, &line_loc), &p),
-            RouteDecision::Deliver
-        );
+        assert_eq!(r.decide(&ctx(2, &nt, &line()), &p), RouteDecision::Deliver);
     }
 
     #[test]
@@ -133,7 +130,7 @@ mod tests {
         let mut r = Geographic::new(Port::GEOGRAPHIC);
         let p = packet(0, 5, Port::GEOGRAPHIC, 0);
         assert_eq!(
-            r.decide(&ctx(2, &nt, &line_loc), &p),
+            r.decide(&ctx(2, &nt, &line()), &p),
             RouteDecision::Drop(DropReason::NoRoute)
         );
     }
@@ -145,20 +142,20 @@ mod tests {
         let p = packet(0, 5, Port::GEOGRAPHIC, 0);
         // Normally 4 wins (closest to 5).
         assert_eq!(
-            r.decide(&ctx(2, &nt, &line_loc), &p),
+            r.decide(&ctx(2, &nt, &line()), &p),
             RouteDecision::Forward { next_hop: 4 }
         );
         // Blacklist 4: traffic detours through 3 — the paper's
         // "temporarily modifies the behavior of communication protocols".
         nt.set_blacklisted(4, true);
         assert_eq!(
-            r.decide(&ctx(2, &nt, &line_loc), &p),
+            r.decide(&ctx(2, &nt, &line()), &p),
             RouteDecision::Forward { next_hop: 3 }
         );
         // Blacklist both: no route at all.
         nt.set_blacklisted(3, true);
         assert_eq!(
-            r.decide(&ctx(2, &nt, &line_loc), &p),
+            r.decide(&ctx(2, &nt, &line()), &p),
             RouteDecision::Drop(DropReason::NoRoute)
         );
     }
@@ -168,13 +165,9 @@ mod tests {
         let nt = table_with(&[(3, line_loc(3).unwrap())]);
         let mut r = Geographic::new(Port::GEOGRAPHIC);
         let p = packet(0, 5, Port::GEOGRAPHIC, 0);
-        let no_locs = |_: u16| -> Option<Position> { None };
-        let c = RouteCtx {
-            me: 2,
-            my_position: line_loc(2).unwrap(),
-            neighbors: &nt,
-            locations: &no_locs,
-        };
+        // The position table ends at node 4, short of the destination.
+        let positions = line();
+        let c = ctx(2, &nt, &positions[..5]);
         assert_eq!(r.decide(&c, &p), RouteDecision::Drop(DropReason::NoRoute));
     }
 
@@ -185,7 +178,7 @@ mod tests {
         let mut p = packet(0, 5, Port::GEOGRAPHIC, 0);
         p.header.ttl = 0;
         assert_eq!(
-            r.decide(&ctx(2, &nt, &line_loc), &p),
+            r.decide(&ctx(2, &nt, &line()), &p),
             RouteDecision::Drop(DropReason::TtlExpired)
         );
     }
@@ -199,7 +192,7 @@ mod tests {
         let mut r = Geographic::new(Port::GEOGRAPHIC);
         let p = packet(0, 5, Port::GEOGRAPHIC, 0);
         assert_eq!(
-            r.decide(&ctx(2, &nt, &line_loc), &p),
+            r.decide(&ctx(2, &nt, &line()), &p),
             RouteDecision::Forward { next_hop: 3 }
         );
     }

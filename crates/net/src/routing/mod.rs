@@ -7,6 +7,10 @@
 //! runtime, and whatever [`Router`] is subscribed there carries the
 //! probes. That is the paper's protocol-independence requirement, and it
 //! is why "multiple routing protocols can co-exist" in the stack.
+//!
+//! A router decides in a [`RouteCtx`]: the node, its kernel neighbor
+//! table and the deployment's position table. The stack builds that
+//! context from the medium's positions, which have no other copy.
 
 pub mod flooding;
 pub mod geographic;
@@ -24,13 +28,12 @@ use lv_radio::units::Position;
 pub struct RouteCtx<'a> {
     /// The deciding node.
     pub me: u16,
-    /// Its position.
-    pub my_position: Position,
     /// The kernel neighbor table (routers must honor blacklist bits).
     pub neighbors: &'a NeighborTable,
-    /// Location lookup for arbitrary nodes (geographic forwarding's
-    /// location service; the testbed knows deployment coordinates).
-    pub locations: &'a dyn Fn(u16) -> Option<Position>,
+    /// Every node's position, indexed by id: the medium's own table,
+    /// lent as geographic forwarding's location service (the testbed
+    /// knows deployment coordinates).
+    pub positions: &'a [Position],
 }
 
 /// Why a packet was not forwarded.

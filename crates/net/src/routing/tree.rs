@@ -121,26 +121,20 @@ mod tests {
         Position::new(id as f64, 0.0)
     }
 
-    fn ctx<'a>(
-        me: u16,
-        nt: &'a NeighborTable,
-        locs: &'a dyn Fn(u16) -> Option<Position>,
-    ) -> RouteCtx<'a> {
+    fn ctx<'a>(me: u16, nt: &'a NeighborTable) -> RouteCtx<'a> {
         RouteCtx {
             me,
-            my_position: pos(me),
             neighbors: nt,
-            locations: locs,
+            positions: &[],
         }
     }
 
     #[test]
     fn root_delivers() {
         let nt = table_with(&[]);
-        let locs = |_: u16| -> Option<Position> { None };
         let mut r = CollectionTree::new(Port::TREE, true);
         let p = packet(5, 0, Port::TREE, 0);
-        assert_eq!(r.decide(&ctx(0, &nt, &locs), &p), RouteDecision::Deliver);
+        assert_eq!(r.decide(&ctx(0, &nt), &p), RouteDecision::Deliver);
         assert_eq!(r.gradient(&nt), 0);
     }
 
@@ -149,11 +143,10 @@ mod tests {
         // Test convention: neighbor gradient == its id, so node 1 is the
         // better parent than node 4.
         let nt = table_with(&[(4, pos(4)), (1, pos(1))]);
-        let locs = |_: u16| -> Option<Position> { None };
         let mut r = CollectionTree::new(Port::TREE, false);
         let p = packet(7, 0, Port::TREE, 0);
         assert_eq!(
-            r.decide(&ctx(7, &nt, &locs), &p),
+            r.decide(&ctx(7, &nt), &p),
             RouteDecision::Forward { next_hop: 1 }
         );
         assert_eq!(r.gradient(&nt), 2);
@@ -162,11 +155,10 @@ mod tests {
     #[test]
     fn disconnected_node_has_no_route() {
         let nt = table_with(&[]);
-        let locs = |_: u16| -> Option<Position> { None };
         let mut r = CollectionTree::new(Port::TREE, false);
         let p = packet(7, 0, Port::TREE, 0);
         assert_eq!(
-            r.decide(&ctx(7, &nt, &locs), &p),
+            r.decide(&ctx(7, &nt), &p),
             RouteDecision::Drop(DropReason::NoRoute)
         );
         assert_eq!(r.gradient(&nt), TREE_UNREACHABLE);
@@ -176,12 +168,11 @@ mod tests {
     #[test]
     fn blacklisted_parent_rerouted() {
         let mut nt = table_with(&[(1, pos(1)), (2, pos(2))]);
-        let locs = |_: u16| -> Option<Position> { None };
         let mut r = CollectionTree::new(Port::TREE, false);
         nt.set_blacklisted(1, true);
         let p = packet(7, 0, Port::TREE, 0);
         assert_eq!(
-            r.decide(&ctx(7, &nt, &locs), &p),
+            r.decide(&ctx(7, &nt), &p),
             RouteDecision::Forward { next_hop: 2 }
         );
     }
@@ -189,7 +180,6 @@ mod tests {
     #[test]
     fn unreachable_neighbors_not_parents() {
         let mut nt = table_with(&[(3, pos(3))]);
-        let _locs = |_: u16| -> Option<Position> { None };
         // Mark neighbor 3's gradient unreachable.
         for seq in 16..20u16 {
             nt.on_beacon(
@@ -213,7 +203,6 @@ mod tests {
         // adopted as a parent, and our own advertisement saturates to
         // unreachable instead of inflating past the bound.
         let mut nt = table_with(&[(3, pos(3))]);
-        let locs = |_: u16| -> Option<Position> { None };
         for seq in 16..20u16 {
             nt.on_beacon(
                 3,
@@ -230,7 +219,7 @@ mod tests {
         assert_eq!(r.gradient(&nt), TREE_UNREACHABLE);
         let p = packet(7, 0, Port::TREE, 0);
         assert_eq!(
-            r.decide(&ctx(7, &nt, &locs), &p),
+            r.decide(&ctx(7, &nt), &p),
             RouteDecision::Drop(DropReason::NoRoute)
         );
     }
@@ -238,21 +227,19 @@ mod tests {
     #[test]
     fn delivery_at_addressed_node() {
         let nt = table_with(&[(1, pos(1))]);
-        let locs = |_: u16| -> Option<Position> { None };
         let mut r = CollectionTree::new(Port::TREE, false);
         let p = packet(5, 7, Port::TREE, 0);
-        assert_eq!(r.decide(&ctx(7, &nt, &locs), &p), RouteDecision::Deliver);
+        assert_eq!(r.decide(&ctx(7, &nt), &p), RouteDecision::Deliver);
     }
 
     #[test]
     fn ttl_expiry() {
         let nt = table_with(&[(1, pos(1))]);
-        let locs = |_: u16| -> Option<Position> { None };
         let mut r = CollectionTree::new(Port::TREE, false);
         let mut p = packet(5, 0, Port::TREE, 0);
         p.header.ttl = 0;
         assert_eq!(
-            r.decide(&ctx(7, &nt, &locs), &p),
+            r.decide(&ctx(7, &nt), &p),
             RouteDecision::Drop(DropReason::TtlExpired)
         );
     }

@@ -89,7 +89,6 @@ struct RouterSlot {
 /// The per-node communication stack.
 pub struct Stack {
     me: u16,
-    name: String,
     ports: PortMap,
     /// The kernel-owned neighbor table (exposed for syscall access).
     pub neighbors: NeighborTable,
@@ -104,11 +103,10 @@ pub struct Stack {
 }
 
 impl Stack {
-    /// Create the stack for node `me` named `name`.
-    pub fn new(me: u16, name: impl Into<String>, config: StackConfig) -> Self {
+    /// Create the stack for node `me`.
+    pub fn new(me: u16, config: StackConfig) -> Self {
         Stack {
             me,
-            name: name.into(),
             ports: PortMap::new(),
             neighbors: NeighborTable::default(),
             routers: Vec::new(),
@@ -127,11 +125,6 @@ impl Stack {
     /// This node's id.
     pub fn id(&self) -> u16 {
         self.me
-    }
-
-    /// This node's name.
-    pub fn name(&self) -> &str {
-        &self.name
     }
 
     /// Stack configuration (mutable so the `update` command can retune
@@ -223,21 +216,27 @@ impl Stack {
 
     /// Read-only next-hop query against the router on `port` — the
     /// primitive traceroute's per-hop tasks use to learn who to probe.
-    pub fn query_next_hop(
-        &self,
-        port: Port,
-        dst: u16,
-        my_position: Position,
-        locations: &dyn Fn(u16) -> Option<Position>,
-    ) -> Option<u16> {
+    /// `positions` is the deployment's position table, indexed by id.
+    pub fn query_next_hop(&self, port: Port, dst: u16, positions: &[Position]) -> Option<u16> {
         let idx = self.router_on(port)?;
         let ctx = RouteCtx {
             me: self.me,
-            my_position,
             neighbors: &self.neighbors,
-            locations,
+            positions,
         };
         self.routers[idx].router.next_hop_query(&ctx, dst)
+    }
+
+    /// The verdict of the router on `packet`'s carrying port, or `None`
+    /// when no router holds that port.
+    fn decide(&mut self, packet: &NetPacket, positions: &[Position]) -> Option<RouteDecision> {
+        let idx = self.router_on(packet.header.port)?;
+        let ctx = RouteCtx {
+            me: self.me,
+            neighbors: &self.neighbors,
+            positions,
+        };
+        Some(self.routers[idx].router.decide(&ctx, packet))
     }
 
     /// Allocate the next origin sequence number.
@@ -276,20 +275,8 @@ impl Stack {
     /// With a router on the carrying port, the router decides; otherwise
     /// the packet is a one-hop exchange and goes straight to `dst` (the
     /// management protocol and single-hop ping work this way).
-    pub fn route_local(
-        &mut self,
-        packet: NetPacket,
-        my_position: Position,
-        locations: &dyn Fn(u16) -> Option<Position>,
-    ) -> RxAction {
-        if let Some(idx) = self.router_on(packet.header.port) {
-            let ctx = RouteCtx {
-                me: self.me,
-                my_position,
-                neighbors: &self.neighbors,
-                locations,
-            };
-            let decision = self.routers[idx].router.decide(&ctx, &packet);
+    pub fn route_local(&mut self, packet: NetPacket, positions: &[Position]) -> RxAction {
+        if let Some(decision) = self.decide(&packet, positions) {
             return match decision {
                 RouteDecision::Deliver => self.deliver(packet),
                 RouteDecision::Forward { next_hop } => {
@@ -319,8 +306,7 @@ impl Stack {
         &mut self,
         mut packet: NetPacket,
         hop: HopQuality,
-        my_position: Position,
-        locations: &dyn Fn(u16) -> Option<Position>,
+        positions: &[Position],
     ) -> RxAction {
         if packet.header.flags.padding_enabled {
             // `padding.capped` counts hops silently lost to the paper's
@@ -332,14 +318,7 @@ impl Stack {
                 self.counters.incr_id(CounterId::PaddingCapped);
             }
         }
-        if let Some(idx) = self.router_on(packet.header.port) {
-            let ctx = RouteCtx {
-                me: self.me,
-                my_position,
-                neighbors: &self.neighbors,
-                locations,
-            };
-            let decision = self.routers[idx].router.decide(&ctx, &packet);
+        if let Some(decision) = self.decide(&packet, positions) {
             return match decision {
                 RouteDecision::Deliver => self.deliver(packet),
                 RouteDecision::Forward { next_hop } => {
@@ -377,7 +356,7 @@ impl Stack {
     /// Encode this node's next neighbor beacon as a frame payload: its
     /// name, position and gradient, and the inbound quality byte of
     /// each neighbor it lists.
-    pub fn make_beacon(&mut self, position: Position) -> FramePayload {
+    pub fn make_beacon(&mut self, position: Position, name: &str) -> FramePayload {
         let seq = self.beacon_seq;
         self.beacon_seq = self.beacon_seq.wrapping_add(1);
         let links = self
@@ -385,7 +364,7 @@ impl Stack {
             .entries()
             .iter()
             .map(|e| (e.id, e.estimator.quality_u8()));
-        Beacon::encode(seq, position, self.tree_gradient(), &self.name, links)
+        Beacon::encode(seq, position, self.tree_gradient(), name, links)
     }
 
     /// Apply a received neighbor beacon.
@@ -445,12 +424,18 @@ mod tests {
     use super::*;
     use crate::routing::{Flooding, Geographic};
 
-    fn locs(id: u16) -> Option<Position> {
-        Some(Position::new(10.0 * id as f64, 0.0))
+    /// Line topology: node i at (10·i, 0).
+    fn pos(id: u16) -> Position {
+        Position::new(10.0 * id as f64, 0.0)
+    }
+
+    /// The position table of a ten-node line.
+    fn line() -> Vec<Position> {
+        (0..10).map(pos).collect()
     }
 
     fn stack(me: u16) -> Stack {
-        Stack::new(me, format!("192.168.0.{}", me + 1), StackConfig::default())
+        Stack::new(me, StackConfig::default())
     }
 
     fn hop() -> HopQuality {
@@ -465,7 +450,7 @@ mod tests {
                     id,
                     seq,
                     &format!("n{id}"),
-                    locs(id).unwrap(),
+                    pos(id),
                     (id as u8).min(254),
                     Some(255),
                     SimTime::from_millis(seq as u64),
@@ -478,7 +463,7 @@ mod tests {
     fn one_hop_send_goes_straight_to_destination() {
         let mut s = stack(1);
         let p = s.make_packet(2, Port::PING, Port::PING, vec![1, 2], false);
-        match s.route_local(p, locs(1).unwrap(), &locs) {
+        match s.route_local(p, &line()) {
             RxAction::Forward { next_hop, .. } => assert_eq!(next_hop, 2),
             other => panic!("{other:?}"),
         }
@@ -491,7 +476,7 @@ mod tests {
             .unwrap();
         add_line_neighbors(&mut s, &[1, 3]);
         let p = s.make_packet(5, Port::GEOGRAPHIC, Port::PING, vec![0; 16], true);
-        match s.route_local(p, locs(2).unwrap(), &locs) {
+        match s.route_local(p, &line()) {
             RxAction::Forward { next_hop, .. } => assert_eq!(next_hop, 3),
             other => panic!("{other:?}"),
         }
@@ -505,7 +490,7 @@ mod tests {
         add_line_neighbors(&mut s, &[1, 3]);
         let mut origin_stack = stack(1);
         let p = origin_stack.make_packet(5, Port::GEOGRAPHIC, Port::PING, vec![0; 16], true);
-        match s.on_receive(p, hop(), locs(2).unwrap(), &locs) {
+        match s.on_receive(p, hop(), &line()) {
             RxAction::Forward { next_hop, packet } => {
                 assert_eq!(next_hop, 3);
                 assert_eq!(packet.hop_qualities().len(), 1);
@@ -524,7 +509,7 @@ mod tests {
         s.subscribe(Port::PING, 9).unwrap();
         let mut origin_stack = stack(1);
         let p = origin_stack.make_packet(5, Port::GEOGRAPHIC, Port::PING, vec![0; 16], true);
-        match s.on_receive(p, hop(), locs(5).unwrap(), &locs) {
+        match s.on_receive(p, hop(), &line()) {
             RxAction::DeliverTo { pid, packet } => {
                 assert_eq!(pid, 9);
                 // The delivery hop's quality is recorded too.
@@ -539,7 +524,7 @@ mod tests {
         let mut s = stack(5);
         let mut origin_stack = stack(1);
         let p = origin_stack.make_packet(5, Port::PING, Port::PING, vec![], false);
-        match s.on_receive(p, hop(), locs(5).unwrap(), &locs) {
+        match s.on_receive(p, hop(), &line()) {
             RxAction::Drop { reason } => assert_eq!(reason, DropReason::NoListener),
             other => panic!("{other:?}"),
         }
@@ -596,12 +581,12 @@ mod tests {
         )))
         .unwrap();
         add_line_neighbors(&mut s, &[1]);
-        let bytes = s.make_beacon(locs(2).unwrap());
+        let bytes = s.make_beacon(pos(2), "192.168.0.3");
         let b = Beacon::parse(&bytes).unwrap();
         assert_eq!(b.name, "192.168.0.3");
         assert_eq!(b.tree_hops, 2); // neighbor 1 advertises gradient 1
         assert_eq!(b.links().count(), 1);
-        let bytes2 = s.make_beacon(locs(2).unwrap());
+        let bytes2 = s.make_beacon(pos(2), "192.168.0.3");
         assert_eq!(Beacon::parse(&bytes2).unwrap().seq, b.seq + 1);
     }
 
@@ -613,13 +598,13 @@ mod tests {
                 4,
                 seq,
                 "x",
-                locs(4).unwrap(),
+                pos(4),
                 0,
                 None,
                 SimTime::from_millis(seq as u64),
             );
         }
-        let bytes = s.make_beacon(locs(2).unwrap());
+        let bytes = s.make_beacon(pos(2), "192.168.0.3");
         let links: Vec<(u16, u8)> = Beacon::parse(&bytes).unwrap().links().collect();
         assert_eq!(links.len(), 1);
         assert_eq!(links[0].0, 4);
@@ -632,11 +617,11 @@ mod tests {
         let mut b = stack(2);
         // b hears a few beacons from a…
         for _ in 0..4 {
-            let bytes = a.make_beacon(locs(1).unwrap());
+            let bytes = a.make_beacon(pos(1), "192.168.0.2");
             b.on_beacon(1, &Beacon::parse(&bytes).unwrap(), SimTime::from_millis(1));
         }
         // …then a hears b's beacon, which advertises a's inbound quality.
-        let from_b = b.make_beacon(locs(2).unwrap());
+        let from_b = b.make_beacon(pos(2), "192.168.0.3");
         a.on_beacon(2, &Beacon::parse(&from_b).unwrap(), SimTime::from_millis(2));
         let entry = a.neighbors.get(2).unwrap();
         assert!(entry.outbound.is_some());
@@ -691,7 +676,7 @@ mod tests {
             vec![0; crate::packet::PAYLOAD_AREA],
             true,
         );
-        match s.on_receive(p, hop(), locs(2).unwrap(), &locs) {
+        match s.on_receive(p, hop(), &line()) {
             RxAction::Forward { .. } => {}
             other => panic!("{other:?}"),
         }
@@ -700,15 +685,15 @@ mod tests {
         assert_eq!(s.counters().get("padding.appended"), 0);
         // A short payload has room: the hop is appended.
         let p = origin_stack.make_packet(5, Port::GEOGRAPHIC, Port::PING, vec![0; 16], true);
-        s.on_receive(p, hop(), locs(2).unwrap(), &locs);
+        s.on_receive(p, hop(), &line());
         assert_eq!(s.counters().get("padding.appended"), 1);
         // Delivery and no-listener drops are counted too.
         let p = origin_stack.make_packet(2, Port::PING, Port::PING, vec![], false);
-        s.on_receive(p, hop(), locs(2).unwrap(), &locs);
+        s.on_receive(p, hop(), &line());
         assert_eq!(s.counters().get("net.drop.NoListener"), 1);
         s.subscribe(Port::PING, 4).unwrap();
         let p = origin_stack.make_packet(2, Port::PING, Port::PING, vec![], false);
-        s.on_receive(p, hop(), locs(2).unwrap(), &locs);
+        s.on_receive(p, hop(), &line());
         assert_eq!(s.counters().get("net.deliver"), 1);
     }
 
@@ -717,7 +702,7 @@ mod tests {
         let mut a = stack(1);
         let mut b = stack(2);
         for _ in 0..3 {
-            let bytes = a.make_beacon(locs(1).unwrap());
+            let bytes = a.make_beacon(pos(1), "192.168.0.2");
             b.on_beacon(1, &Beacon::parse(&bytes).unwrap(), SimTime::from_millis(1));
         }
         assert_eq!(b.counters().get("net.beacon_rx"), 3);
@@ -735,7 +720,7 @@ mod tests {
         let mut origin_stack = stack(1);
         let mut p = origin_stack.make_packet(5, Port::GEOGRAPHIC, Port::PING, vec![], false);
         p.header.ttl = 1;
-        match s.on_receive(p, hop(), locs(2).unwrap(), &locs) {
+        match s.on_receive(p, hop(), &line()) {
             RxAction::Drop { reason } => assert_eq!(reason, DropReason::TtlExpired),
             other => panic!("{other:?}"),
         }

@@ -12,10 +12,6 @@ use std::fmt;
 pub struct Channel(u8);
 
 impl Channel {
-    /// First 2.4 GHz channel.
-    pub const FIRST: Channel = Channel(11);
-    /// Last 2.4 GHz channel.
-    pub const LAST: Channel = Channel(26);
     /// Number of channels ("supports 16 channels").
     pub const COUNT: usize = 16;
     /// LiteOS's default channel, per the paper's sample output.
@@ -29,11 +25,6 @@ impl Channel {
     /// Channel number (11–26).
     pub fn number(self) -> u8 {
         self.0
-    }
-
-    /// Centre frequency in MHz.
-    pub fn frequency_mhz(self) -> u32 {
-        2405 + 5 * (self.0 as u32 - 11)
     }
 
     /// Iterate every 2.4 GHz channel in order.
@@ -68,15 +59,8 @@ mod tests {
     fn bounds() {
         assert!(Channel::new(10).is_none());
         assert!(Channel::new(27).is_none());
-        assert_eq!(Channel::new(11), Some(Channel::FIRST));
-        assert_eq!(Channel::new(26), Some(Channel::LAST));
-    }
-
-    #[test]
-    fn frequencies() {
-        assert_eq!(Channel::FIRST.frequency_mhz(), 2405);
-        assert_eq!(Channel::new(17).unwrap().frequency_mhz(), 2435);
-        assert_eq!(Channel::LAST.frequency_mhz(), 2480);
+        assert_eq!(Channel::new(11).map(Channel::number), Some(11));
+        assert_eq!(Channel::new(26).map(Channel::number), Some(26));
     }
 
     #[test]

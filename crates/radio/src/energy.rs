@@ -89,13 +89,6 @@ impl EnergyLedger {
     pub fn active_joules(&self) -> f64 {
         self.tx_joules + self.rx_joules
     }
-
-    /// Idle-listen energy over a deployment lifetime of `total`:
-    /// the radio draws RX current whenever it is not transmitting.
-    pub fn listen_joules(&self, total: SimDuration) -> f64 {
-        let listen_secs = (total.as_secs_f64() - self.tx_seconds).max(0.0);
-        listen_secs * RX_CURRENT_A * SUPPLY_VOLTS
-    }
 }
 
 #[cfg(test)]
@@ -146,15 +139,5 @@ mod tests {
         hi.charge_tx(SimDuration::from_millis(1), PowerLevel::MAX);
         lo.charge_tx(SimDuration::from_millis(1), PowerLevel::MIN);
         assert!(lo.tx_joules < hi.tx_joules * 0.5);
-    }
-
-    #[test]
-    fn listen_dominates_a_quiet_hour() {
-        let mut e = EnergyLedger::default();
-        e.charge_tx(SimDuration::from_millis(100), PowerLevel::MAX);
-        let listen = e.listen_joules(SimDuration::from_secs(3600));
-        // ~203 J of idle listening vs ~5 mJ of transmission.
-        assert!(listen > 200.0);
-        assert!(e.active_joules() < 0.01);
     }
 }

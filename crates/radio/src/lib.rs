@@ -44,5 +44,5 @@ pub use per::{ber_oqpsk, packet_error_rate};
 pub use power::PowerLevel;
 pub use propagation::{LogDistance, PropagationConfig};
 pub use rssi::{rssi_register, rssi_to_power_dbm};
-pub use timing::{ack_airtime, frame_airtime, PhyTiming};
+pub use timing::{frame_airtime, PhyTiming};
 pub use units::{Dbm, Meters, Position};

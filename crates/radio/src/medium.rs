@@ -419,6 +419,12 @@ impl Medium {
         self.positions[id as usize]
     }
 
+    /// Every node's position, indexed by id: the deployment's one
+    /// position table, which routing reads in place.
+    pub fn positions(&self) -> &[Position] {
+        &self.positions
+    }
+
     /// Move node `id` (the "adjusting node positions" management action).
     ///
     /// Cache invalidation is precise: the moved node's own candidate

@@ -55,11 +55,6 @@ pub fn packet_error_rate(snr_db: f64, frame_bytes: usize) -> f64 {
     1.0 - (1.0 - ber).powf(bits)
 }
 
-/// Packet reception ratio (1 − PER); the quantity link estimators track.
-pub fn packet_reception_ratio(snr_db: f64, frame_bytes: usize) -> f64 {
-    1.0 - packet_error_rate(snr_db, frame_bytes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -140,12 +135,5 @@ mod tests {
         }
         // The threshold itself sits where the largest term underflows.
         assert_eq!(ber_oqpsk_reference(BER_UNDERFLOW_SNR_DB), 0.0);
-    }
-
-    #[test]
-    fn prr_complements_per() {
-        let p = packet_error_rate(2.0, 40);
-        let r = packet_reception_ratio(2.0, 40);
-        assert!((p + r - 1.0).abs() < 1e-12);
     }
 }

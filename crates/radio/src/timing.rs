@@ -52,11 +52,6 @@ pub fn frame_airtime(mac_bytes: usize) -> SimDuration {
     PhyTiming::default().frame_airtime(mac_bytes)
 }
 
-/// Airtime of an 802.15.4 immediate acknowledgement (5 MAC bytes).
-pub fn ack_airtime() -> SimDuration {
-    PhyTiming::default().frame_airtime(5)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -78,12 +73,6 @@ mod tests {
         // 6 + 50 bytes at 32 µs = 1792 µs: the ballpark that yields the
         // paper's few-millisecond single-hop RTTs.
         assert_eq!(frame_airtime(50).as_micros(), 1792);
-    }
-
-    #[test]
-    fn ack_is_short() {
-        assert_eq!(ack_airtime().as_micros(), (6 + 5) * 32);
-        assert!(ack_airtime() < frame_airtime(20));
     }
 
     #[test]

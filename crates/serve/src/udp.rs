@@ -4,9 +4,9 @@
 //! A background receive thread pulls datagrams off the socket and feeds
 //! a **bounded** channel; when the consumer falls behind, datagrams are
 //! dropped at the channel mouth and counted (backpressure — exactly
-//! what a congested serial bridge would do). Sends are paced per peer
-//! with a configurable minimum inter-datagram gap so a chatty
-//! workstation cannot saturate the bridge link.
+//! what a congested serial bridge would do). Sends are not paced: each
+//! chunk goes out as soon as it is cut, and the bounded queue on the
+//! receiving side is what absorbs a burst.
 //!
 //! Frames larger than one datagram are split into chunks with a small
 //! 9-byte header and reassembled on the receive side, so the session
@@ -55,9 +55,6 @@ pub struct UdpConfig {
     pub recv_queue: usize,
     /// Chunk payload bytes per datagram (header excluded).
     pub chunk_bytes: usize,
-    /// Minimum gap between consecutive datagrams to the same peer
-    /// (`None` = unpaced).
-    pub pace: Option<Duration>,
     /// Socket read timeout of the rx thread — bounds shutdown latency.
     pub read_timeout: Duration,
 }
@@ -67,7 +64,6 @@ impl Default for UdpConfig {
         UdpConfig {
             recv_queue: 256,
             chunk_bytes: 32 * 1024,
-            pace: None,
             read_timeout: Duration::from_millis(25),
         }
     }
@@ -99,7 +95,6 @@ pub struct UdpTransport {
     dropped: Arc<AtomicU64>,
     peers: Vec<SocketAddr>,
     peer_ids: HashMap<SocketAddr, PeerId>,
-    last_send: Vec<Option<Instant>>,
     next_frame_id: u32,
     partials: HashMap<(PeerId, u32), PartialFrame>,
     partial_order: VecDeque<(PeerId, u32)>,
@@ -152,7 +147,6 @@ impl UdpTransport {
             dropped,
             peers: Vec::new(),
             peer_ids: HashMap::new(),
-            last_send: Vec::new(),
             next_frame_id: 0,
             partials: HashMap::new(),
             partial_order: VecDeque::new(),
@@ -183,22 +177,8 @@ impl UdpTransport {
         }
         let id = self.peers.len() as PeerId;
         self.peers.push(addr);
-        self.last_send.push(None);
         self.peer_ids.insert(addr, id);
         id
-    }
-
-    fn pace_for(&mut self, peer: PeerId) {
-        let Some(gap) = self.cfg.pace else { return };
-        if let Some(Some(last)) = self.last_send.get(peer as usize) {
-            let elapsed = last.elapsed();
-            if elapsed < gap {
-                std::thread::sleep(gap - elapsed);
-            }
-        }
-        if let Some(slot) = self.last_send.get_mut(peer as usize) {
-            *slot = Some(Instant::now());
-        }
     }
 
     fn deliver_chunk(&mut self, peer: PeerId, datagram: &[u8]) -> Option<Vec<u8>> {
@@ -319,7 +299,6 @@ impl Transport for UdpTransport {
         let frame_id = self.next_frame_id;
         self.next_frame_id = self.next_frame_id.wrapping_add(1);
         for (idx, chunk) in frame.chunks(chunk_bytes).enumerate().take(total) {
-            self.pace_for(peer);
             let mut datagram = Vec::with_capacity(CHUNK_HEADER + chunk.len());
             datagram.push(MAGIC);
             datagram.extend_from_slice(&frame_id.to_be_bytes());
@@ -332,7 +311,6 @@ impl Transport for UdpTransport {
         }
         if frame.is_empty() {
             // Zero-length frames still travel as one header-only datagram.
-            self.pace_for(peer);
             let mut datagram = Vec::with_capacity(CHUNK_HEADER);
             datagram.push(MAGIC);
             datagram.extend_from_slice(&frame_id.to_be_bytes());
@@ -587,28 +565,6 @@ mod tests {
             t.recv(Some(Duration::from_millis(5))),
             Err(TransportError::Closed)
         );
-    }
-
-    #[test]
-    fn pacing_spaces_datagrams() {
-        let cfg = UdpConfig {
-            pace: Some(Duration::from_millis(5)),
-            chunk_bytes: 8,
-            ..UdpConfig::default()
-        };
-        let mut server = UdpTransport::bind("127.0.0.1:0", UdpConfig::default()).unwrap();
-        let addr = server.local_addr().unwrap();
-        let mut client = UdpTransport::connect(addr, cfg).unwrap();
-
-        // 4 chunks with a 5 ms gap → at least ~15 ms of pacing.
-        let start = Instant::now();
-        client.send(0, &[7u8; 32]).unwrap();
-        assert!(start.elapsed() >= Duration::from_millis(10));
-        let (_, frame) = server
-            .recv(Some(Duration::from_secs(5)))
-            .unwrap()
-            .expect("paced frame arrives");
-        assert_eq!(frame, [7u8; 32]);
     }
 
     #[test]

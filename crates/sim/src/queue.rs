@@ -54,8 +54,6 @@ impl<E> Ord for Entry<E> {
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
     next_seq: u64,
-    /// Total number of events ever pushed (diagnostic).
-    pushed: u64,
 }
 
 impl<E> EventQueue<E> {
@@ -64,7 +62,6 @@ impl<E> EventQueue<E> {
         EventQueue {
             heap: BinaryHeap::new(),
             next_seq: 0,
-            pushed: 0,
         }
     }
 
@@ -72,7 +69,6 @@ impl<E> EventQueue<E> {
     pub fn push(&mut self, at: SimTime, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.pushed += 1;
         self.heap.push(Entry { at, seq, event });
     }
 
@@ -94,11 +90,6 @@ impl<E> EventQueue<E> {
     /// True if no events are pending.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
-    }
-
-    /// Total number of events pushed over the queue's lifetime.
-    pub fn total_pushed(&self) -> u64 {
-        self.pushed
     }
 
     /// Drop every pending event (used when tearing down a scenario).
@@ -171,7 +162,6 @@ mod tests {
         q.push(SimTime::ZERO, 2);
         q.clear();
         assert!(q.is_empty());
-        assert_eq!(q.total_pushed(), 2);
         // Sequence numbers keep increasing after a clear.
         q.push(SimTime::ZERO, 3);
         assert_eq!(q.pop(), Some((SimTime::ZERO, 3)));

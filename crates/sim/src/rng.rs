@@ -181,18 +181,6 @@ impl SimRng {
         self.inner.next_u64()
     }
 
-    /// Advance the stream past `n` raw draws without computing them.
-    ///
-    /// An MCG steps by pure multiplication, so skipping `n` outputs is
-    /// `state ·= MULTIPLIER^n` — O(log n) and bit-identical in stream
-    /// position to calling [`Self::next_u64`] `n` times and discarding
-    /// the results. Fast paths use this when a draw's *value* is provably
-    /// irrelevant (e.g. a CCA jitter that cannot cross the threshold)
-    /// but the draw must still be consumed to keep later values aligned.
-    pub fn skip_draws(&mut self, n: u64) {
-        self.inner.state = self.inner.state.wrapping_mul(pcg_multiplier_pow(n));
-    }
-
     /// Skip exactly one discarded `gaussian()` (two raw draws).
     #[inline]
     pub fn skip_gaussian(&mut self) {
@@ -202,20 +190,6 @@ impl SimRng {
 
 /// `PCG_MULTIPLIER²`, precomputed for the two-draw Gaussian skip.
 const PCG_MULTIPLIER_SQ: u128 = PCG_MULTIPLIER.wrapping_mul(PCG_MULTIPLIER);
-
-/// `PCG_MULTIPLIER^n (mod 2^128)` by square-and-multiply.
-fn pcg_multiplier_pow(mut n: u64) -> u128 {
-    let mut base = PCG_MULTIPLIER;
-    let mut acc: u128 = 1;
-    while n > 0 {
-        if n & 1 == 1 {
-            acc = acc.wrapping_mul(base);
-        }
-        base = base.wrapping_mul(base);
-        n >>= 1;
-    }
-    acc
-}
 
 #[cfg(test)]
 mod tests {
@@ -313,19 +287,6 @@ mod tests {
         }
         // Odd-state invariant of the MCG.
         assert_eq!(Pcg64Mcg::seed_from_u64(42).state & 1, 1);
-    }
-
-    #[test]
-    fn skip_draws_matches_discarded_draws() {
-        for n in [0u64, 1, 2, 3, 7, 64, 1000] {
-            let mut a = SimRng::stream(9, 9);
-            let mut b = SimRng::stream(9, 9);
-            for _ in 0..n {
-                let _ = a.next_u64();
-            }
-            b.skip_draws(n);
-            assert_eq!(a.next_u64(), b.next_u64(), "n = {n}");
-        }
     }
 
     #[test]

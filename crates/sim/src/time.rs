@@ -26,10 +26,6 @@ impl SimTime {
     /// The simulation epoch (t = 0).
     pub const ZERO: SimTime = SimTime(0);
 
-    /// A time far beyond any experiment horizon; used as an "infinity"
-    /// sentinel for deadlines that are disabled.
-    pub const FAR_FUTURE: SimTime = SimTime(u64::MAX);
-
     /// Construct from raw nanoseconds.
     #[inline]
     pub const fn from_nanos(ns: u64) -> Self {
@@ -92,12 +88,6 @@ impl SimTime {
     #[inline]
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
-    }
-
-    /// Checked difference.
-    #[inline]
-    pub fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
-        self.0.checked_sub(earlier.0).map(SimDuration)
     }
 }
 
@@ -300,8 +290,6 @@ mod tests {
         let late = SimTime::from_millis(2);
         assert_eq!(early - late, SimDuration::ZERO);
         assert_eq!(early.saturating_since(late), SimDuration::ZERO);
-        assert_eq!(early.checked_since(late), None);
-        assert_eq!(late.checked_since(early), Some(SimDuration::from_millis(1)));
     }
 
     #[test]
@@ -323,7 +311,6 @@ mod tests {
     #[test]
     fn ordering() {
         assert!(SimTime::from_micros(1) < SimTime::from_micros(2));
-        assert!(SimTime::FAR_FUTURE > SimTime::from_secs(1_000_000));
         assert!(SimDuration::from_nanos(1) > SimDuration::ZERO);
     }
 }

@@ -63,7 +63,7 @@ fn print_tree(net: &Network) {
     // advertised gradients sketch the tree.
     println!("  node          gradient of its best parent candidates");
     for node in 0..net.node_count() as u16 {
-        let name = net.names().name(node).unwrap().to_owned();
+        let name = &net.node(node).name;
         let entries: Vec<String> = net
             .node(node)
             .stack

@@ -34,7 +34,7 @@ fn thirty_node_testbed_boots_and_is_manageable() {
         .map(|e| e.id)
         .next()
         .expect("bridge has at least one healthy neighbor");
-    let name = s.net.names().name(target).unwrap().to_owned();
+    let name = s.net.node(target).name.clone();
     s.ws.cd(&s.net, &name).unwrap();
     let exec = s.ws.exec(&mut s.net, CommandRequest::get_power()).unwrap();
     assert_eq!(exec.result, CommandResult::Power(31));
