@@ -159,10 +159,19 @@ impl NeighborTable {
         Some(&mut self.entries[idx])
     }
 
-    /// Record that `id` was heard at `now` (any frame type).
-    pub fn touch(&mut self, id: u16, now: SimTime) {
-        if let Some(e) = self.get_or_insert(id, now) {
+    /// Record that `id` was heard at `now` (any frame type). True when
+    /// this created `id`'s entry.
+    pub fn touch(&mut self, id: u16, now: SimTime) -> bool {
+        if let Some(e) = self.entries.iter_mut().find(|e| e.id == id) {
             e.last_heard = now;
+            return false;
+        }
+        match self.get_or_insert(id, now) {
+            Some(e) => {
+                e.last_heard = now;
+                true
+            }
+            None => false,
         }
     }
 

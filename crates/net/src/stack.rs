@@ -367,12 +367,18 @@ impl Stack {
         Beacon::encode(seq, position, self.tree_gradient(), name, links)
     }
 
+    /// Record that neighbor `id` was heard at `now`: any frame from
+    /// it, or an ack for a frame to it. Counts `net.neighbor_new` when
+    /// this creates its entry.
+    pub fn touch_neighbor(&mut self, id: u16, now: SimTime) {
+        if self.neighbors.touch(id, now) {
+            self.counters.incr_id(CounterId::NetNeighborNew);
+        }
+    }
+
     /// Apply a received neighbor beacon.
     pub fn on_beacon(&mut self, from: u16, beacon: &Beacon<'_>, now: SimTime) {
         self.counters.incr_id(CounterId::NetBeaconRx);
-        if self.neighbors.get(from).is_none() {
-            self.counters.incr_id(CounterId::NetNeighborNew);
-        }
         let ours = beacon.quality_of(self.me);
         self.neighbors.on_beacon(
             from,
@@ -702,7 +708,10 @@ mod tests {
         let mut a = stack(1);
         let mut b = stack(2);
         for _ in 0..3 {
+            // The kernel's order: the frame's sender is heard, then its
+            // beacon applied.
             let bytes = a.make_beacon(pos(1), "192.168.0.2");
+            b.touch_neighbor(1, SimTime::from_millis(1));
             b.on_beacon(1, &Beacon::parse(&bytes).unwrap(), SimTime::from_millis(1));
         }
         assert_eq!(b.counters().get("net.beacon_rx"), 3);

@@ -126,6 +126,13 @@ fn steady_state_allocates_only_new_neighbor_names() {
         allocs as f64 / events as f64
     );
     assert!(events > 50_000, "the grid must be busy: {events} events");
+    // Each node counts `net.neighbor_new` where its table creates an
+    // entry, so the count over the whole run is the entries expired
+    // plus those held now.
+    let neighbor_new: u64 = (0..net.node_count() as u16)
+        .map(|i| net.node(i).stack.counters().get("net.neighbor_new"))
+        .sum();
+    assert_eq!(neighbor_new, created(&net), "net.neighbor_new");
     assert!(
         allocs <= new_entries + SLACK,
         "{allocs} allocations over {events} events, {new_entries} new neighbor entries"
