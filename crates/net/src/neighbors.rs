@@ -166,13 +166,8 @@ impl NeighborTable {
             e.last_heard = now;
             return false;
         }
-        match self.get_or_insert(id, now) {
-            Some(e) => {
-                e.last_heard = now;
-                true
-            }
-            None => false,
-        }
+        // A new entry is created heard at `now`.
+        self.get_or_insert(id, now).is_some()
     }
 
     /// Apply a received beacon from `id`: sequence number for the
